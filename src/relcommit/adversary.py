@@ -40,21 +40,17 @@ disagreements are findings, never silently reconciled.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .protocol import (
     SchemeParams,
     Transcript,
+    branches,
+    clear_caches,
     committed_bit,
-    run_multiparty,
-    run_single,
-    run_string,
-    validate_multiparty,
-    validate_single,
+    validate_transcript,
 )
 from .quantum import (
     BELL_LABELS,
@@ -151,38 +147,6 @@ class Strategy:
         return f"early_extract({self.basis})"
 
 
-# --------------------------------------------------------------------------
-# cached honest enumerations (pure functions of hashable params)
-# --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4096)
-def _branches(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel):
-    params = dataclasses.replace(params, bob_label=bob_label)
-    if params.scheme == "single":
-        return tuple(run_single(params, alice_label))
-    if params.scheme == "multi":
-        return tuple(run_multiparty(params, alice_label, bob_label))
-    pair_params = dataclasses.replace(params, n_pairs=1)
-    return tuple(run_string(pair_params, [alice_label])[0])
-
-
-def clear_caches() -> None:
-    """Drop memoized enumerations (used by timing benchmarks)."""
-    _branches.cache_clear()
-
-
-def _validate(transcript: Transcript, announced: BellLabel, mode: str) -> bool:
-    if transcript.scheme == "multi":
-        return validate_multiparty(
-            transcript,
-            announced,
-            (transcript.bob_label, transcript.teleport_outcome),
-            mode,
-        ).accept
-    return validate_single(transcript, announced, mode).accept
-
-
 def _committer_labels(strategy: Strategy, chosen: BellLabel) -> tuple[BellLabel, BellLabel]:
     """(label actually committed, label announced) for a chosen input."""
     if strategy.kind == "honest":
@@ -208,8 +172,8 @@ def _acceptance_by_label_enumerated(
         committed, announced = _committer_labels(strategy, chosen)
         accepted = []
         for bob in BELL_LABELS:
-            for t in _branches(params, committed, bob):
-                if _validate(t, announced, mode):
+            for t in branches(params, committed, bob):
+                if validate_transcript(t, announced, mode).accept:
                     accepted.append(t.probability / 4.0)
         conditional[chosen] = math.fsum(accepted)
     return conditional
@@ -306,10 +270,7 @@ def detection_probability(params: SchemeParams, strategy: Strategy, mode: str | 
         raise ValueError("detection_probability analyzes committer strategies")
     mode = params.validation_mode if mode is None else mode
     if params.scheme == "string":
-        deltas = [strategy.delta or _ZERO] * params.n_pairs
-        if strategy.kind == "delayed_rechoice":
-            deltas = [_ZERO] * params.n_pairs
-        return 1.0 - string_cheat_acceptance(params, deltas, mode)
+        return 1.0 - string_cheat_acceptance(params, _string_deltas(params, strategy), mode)
     return 1.0 - _acceptance(params, strategy, mode)
 
 
@@ -331,18 +292,36 @@ def string_cheat_acceptance(
     return _string_profile(params, per_pair_delta, mode)[0]
 
 
+def _string_deltas(params: SchemeParams, strategy: Strategy) -> list[BellLabel]:
+    """Per-pair announcement shifts of a strategy played on every pair.
+
+    A delayed re-choice announces the label it ends up committing.
+    """
+    if strategy.kind == "delayed_rechoice":
+        return [_ZERO] * params.n_pairs
+    return [strategy.delta or _ZERO] * params.n_pairs
+
+
 def _string_profile(
     params: SchemeParams, per_pair_delta: Sequence[BellLabel], mode: str
 ) -> tuple[float, float]:
-    """Joint (averaged, worst-case) acceptance over independent pairs."""
+    """Joint (averaged, worst-case) acceptance over independent pairs.
+
+    Each distinct shift is analyzed once; the factors are multiplied in
+    pair order, so the product is the same float as pair by pair.
+    """
+    profiles = {}
+    for delta in per_pair_delta:
+        if delta not in profiles:
+            if delta == _ZERO:
+                strategy = Strategy.honest()
+            else:
+                strategy = Strategy.relabel_announce(delta)
+            profiles[delta] = _acceptance_profile(params, strategy, mode)
     average = 1.0
     worst = 1.0
     for delta in per_pair_delta:
-        if delta == _ZERO:
-            strategy = Strategy.honest()
-        else:
-            strategy = Strategy.relabel_announce(delta)
-        pair_average, pair_worst = _acceptance_profile(params, strategy, mode)
+        pair_average, pair_worst = profiles[delta]
         average *= pair_average
         worst *= pair_worst
     return average, worst
@@ -378,7 +357,7 @@ def _views_enumerated(params: SchemeParams, upto: str) -> dict:
             else:
                 bobs = (params.bob_label,)
             for bob in bobs:
-                for t in _branches(params, alice, bob):
+                for t in branches(params, alice, bob):
                     key = _view_key(t, upto)
                     dists[bit][key] = dists[bit].get(key, 0.0) + (
                         t.probability / (2.0 * len(bobs))
@@ -607,10 +586,7 @@ def build_report(
     strategy_rows = []
     for strategy in committer:
         if params.scheme == "string":
-            deltas = [strategy.delta or _ZERO] * params.n_pairs
-            if strategy.kind == "delayed_rechoice":
-                deltas = [_ZERO] * params.n_pairs
-            acceptance, worst = _string_profile(params, deltas, mode)
+            acceptance, worst = _string_profile(params, _string_deltas(params, strategy), mode)
         else:
             acceptance, worst = _acceptance_profile(params, strategy, mode)
         claimed = _claimed_acceptance(params, strategy)

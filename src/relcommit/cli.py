@@ -27,14 +27,7 @@ from typing import Sequence
 
 from .adversary import SecurityReport, Strategy, build_report
 from .montecarlo import RunConfig, monte_carlo, parse_phi_policy, stats_to_json
-from .protocol import (
-    SchemeParams,
-    run_multiparty,
-    run_single,
-    run_string,
-    validate_multiparty,
-    validate_single,
-)
+from .protocol import SchemeParams, run_pairs, validate_transcript
 from .quantum import BellLabel
 from .serialize import (
     dumps,
@@ -194,30 +187,21 @@ def _emit(args, text: str) -> None:
 def _sampled_transcripts(params: SchemeParams, args):
     """One trial's validated transcripts (one per pair for strings)."""
     delta = args.announce_delta or BellLabel(0, 0)
+    labels = [args.alice_label] * params.n_pairs
     for trial in range(args.trials):
-        seed = (args.seed, trial)
-        if args.scheme == "single":
-            batch = run_single(params, args.alice_label, mode="sample", seed=seed)
-        elif args.scheme == "multi":
-            batch = run_multiparty(params, args.alice_label, args.bob_label,
-                                   mode="sample", seed=seed)
-        else:
-            labels = [args.alice_label] * params.n_pairs
-            batch = run_string(params, labels, mode="sample", seed=seed)
+        batch = run_pairs(params, labels, args.bob_label, mode="sample",
+                          seed=(args.seed, trial))
         for t in batch:
             announced = t.alice_label ^ delta
-            if t.scheme == "multi":
-                verdict = validate_multiparty(
-                    t, announced, (t.bob_label, t.teleport_outcome), args.mode
-                )
-            else:
-                verdict = validate_single(t, announced, args.mode)
+            verdict = validate_transcript(t, announced, args.mode)
             yield dataclasses.replace(
                 t, announced_alice_label=announced, verdict=verdict
             )
 
 
 def _cmd_run(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be positive, got {args.trials}")
     params = _scheme_params(args)
     lines = []
     failures = 0
@@ -234,13 +218,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = _scheme_params(args)
-    if args.scheme == "single":
-        branches = run_single(params, args.alice_label)
-    elif args.scheme == "multi":
-        branches = run_multiparty(params, args.alice_label, args.bob_label)
-    else:
-        per_pair = run_string(params, [args.alice_label] * params.n_pairs)
-        branches = [t for pair in per_pair for t in pair]
+    per_pair = run_pairs(params, [args.alice_label] * params.n_pairs, args.bob_label)
+    branches = [t for pair in per_pair for t in pair]
     doc = {
         "scheme": args.scheme,
         "alice_label": {"i": args.alice_label.i, "j": args.alice_label.j},

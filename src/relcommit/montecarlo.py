@@ -1,11 +1,15 @@
 """Mass sampling against exact references.
 
-The runner enumerates a configuration once, then draws branch indices
-from the exact distribution in vectorized chunks, so tens of millions
-of trials cost seconds.  Each chunk uses its own generator derived from
-``(seed, chunk_index)`` with a fixed chunk size, which makes every
-count reproducible bit for bit regardless of how the trial budget is
-split.
+The runner takes a configuration's cached branch table, then draws
+branch indices from the exact distribution in vectorized chunks, so
+tens of millions of trials cost seconds.  Chunk ``k`` holds trials
+``k * CHUNK_TRIALS`` onward and draws from its own generator derived
+from ``(seed, k)``, so every count is reproducible bit for bit at a
+fixed seed and trial budget.  At one seed the draws of a smaller
+budget are a prefix of a larger budget's draws.  Every call starts at
+chunk 0, so two campaigns with the same seed repeat draws rather than
+splitting a budget between them; use distinct seeds for independent
+campaigns.
 
 Every reported frequency sits next to its exact enumerated probability,
 a binomial standard error and a z-score; ``agrees`` flags deviations
@@ -14,21 +18,13 @@ beyond five standard errors.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import Strategy, _committer_labels
-from .protocol import (
-    SchemeParams,
-    run_multiparty,
-    run_single,
-    run_string,
-    validate_multiparty,
-    validate_single,
-)
+from .protocol import SchemeParams, branches, validate_transcript
 from .quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 __all__ = [
@@ -127,28 +123,6 @@ class StatsSummary:
         raise KeyError(f"no row for {category!r}/{outcome!r}")
 
 
-def _enumerate_config(config: RunConfig):
-    params = config.to_params()
-    strategy = config.strategy or Strategy.honest()
-    committed, announced = _committer_labels(strategy, config.alice_label)
-    if config.scheme == "single":
-        branches = run_single(params, committed)
-    elif config.scheme == "multi":
-        branches = run_multiparty(params, committed, config.bob_label)
-    else:
-        pair_params = dataclasses.replace(params, n_pairs=1)
-        branches = run_string(pair_params, [committed])[0]
-    return params, branches, announced
-
-
-def _accepts(transcript, announced: BellLabel, mode: str) -> bool:
-    if transcript.scheme == "multi":
-        return validate_multiparty(
-            transcript, announced, (transcript.bob_label, transcript.teleport_outcome), mode
-        ).accept
-    return validate_single(transcript, announced, mode).accept
-
-
 def _make_row(category, outcome, count, draws, exact) -> StatsRow:
     count = int(count)
     frequency = count / draws
@@ -177,16 +151,18 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     strategy and validation mode (string acceptance requires all pairs
     to pass).  Counts for per-pair categories aggregate over pairs.
     """
-    params, branches, announced = _enumerate_config(config)
+    strategy = config.strategy or Strategy.honest()
+    committed, announced = _committer_labels(strategy, config.alice_label)
+    table = branches(config.to_params(), committed, config.bob_label)
     mode = config.validation_mode
     n_pairs = config.n_pairs if config.scheme == "string" else 1
 
-    probs = np.array([t.probability for t in branches])
+    probs = np.array([t.probability for t in table])
     edges = np.cumsum(probs)
-    swap_ids = np.array([BELL_LABELS.index(t.swap_outcome) for t in branches])
-    tele_ids = np.array([BELL_LABELS.index(t.teleport_outcome) for t in branches])
-    bits = np.array([t.stored_alice_bit for t in branches])
-    accepts = np.array([_accepts(t, announced, mode) for t in branches])
+    swap_ids = np.array([BELL_LABELS.index(t.swap_outcome) for t in table])
+    tele_ids = np.array([BELL_LABELS.index(t.teleport_outcome) for t in table])
+    bits = np.array([t.stored_alice_bit for t in table])
+    accepts = np.array([validate_transcript(t, announced, mode).accept for t in table])
 
     swap_counts = np.zeros(4, dtype=np.int64)
     tele_counts = np.zeros(4, dtype=np.int64)
@@ -200,7 +176,7 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
         rng = np.random.default_rng((config.seed, chunk_index))
         uniforms = rng.random((size, n_pairs))
         idx = np.searchsorted(edges, uniforms * edges[-1], side="right")
-        np.clip(idx, 0, len(branches) - 1, out=idx)
+        np.clip(idx, 0, len(table) - 1, out=idx)
         flat = idx.reshape(-1)
         swap_counts += np.bincount(swap_ids[flat], minlength=4)
         tele_counts += np.bincount(tele_ids[flat], minlength=4)

@@ -32,17 +32,23 @@ Validation knows two verifier models:
 
 ``run_*`` functions return exhaustive branch enumerations (transcripts
 weighted by exact probabilities) or, in ``sample`` mode, a single
-seeded draw from that distribution.
+seeded draw from that distribution.  Both read one memoized table per
+pair, :func:`branches`; the verifier memoizes its state-vector
+predictions the same way, and :func:`clear_caches` drops both.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .quantum import (
+    PROB_ATOL,
     BasisStateSpec,
     BellLabel,
     PauliOp,
@@ -66,12 +72,16 @@ __all__ = [
     "Transcript",
     "committed_bit",
     "committed_string",
+    "branches",
+    "clear_caches",
+    "run_pairs",
     "run_single",
     "run_multiparty",
     "run_string",
     "validate_single",
     "validate_multiparty",
     "validate_string",
+    "validate_transcript",
 ]
 
 VALIDATION_MODES = ("R1", "R2")
@@ -133,6 +143,10 @@ class SchemeParams:
                 )
         elif policy not in ("uniform", "default"):
             raise ValueError(f"phi_policy must be a basis state or 'uniform', got {policy!r}")
+        for name in ("x", "c", "T"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.x <= 0.0 or self.c <= 0.0:
             raise ValueError(
                 f"separation and signal speed must be positive, got x={self.x}, c={self.c}"
@@ -205,7 +219,7 @@ class Transcript:
     def __post_init__(self) -> None:
         if self.stored_alice_bit not in (0, 1):
             raise ValueError(f"stored bit must be 0 or 1, got {self.stored_alice_bit!r}")
-        if not 0.0 < self.probability <= 1.0 + 1e-12:
+        if not 0.0 < self.probability <= 1.0 + PROB_ATOL:
             raise ValueError(f"branch probability out of range: {self.probability!r}")
 
 
@@ -217,21 +231,17 @@ def _entropy(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def _draw(branches: Sequence[Transcript], rng: np.random.Generator) -> Transcript:
-    weights = np.array([t.probability for t in branches])
+def _draw(table: Sequence[Transcript], rng: np.random.Generator) -> Transcript:
+    weights = np.array([t.probability for t in table])
     edges = np.cumsum(weights)
     idx = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
-    return branches[min(idx, len(branches) - 1)]
+    return table[min(idx, len(table) - 1)]
 
 
 def _enumerate_pair(
-    params: SchemeParams,
-    alice_label: BellLabel,
-    scheme_tag: str,
-    schedule: Schedule,
-    pair_index: int | None = None,
+    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> list[Transcript]:
-    """Exhaustive branches of one pair's commit/confirm/store phases.
+    """Exhaustive branches of one single or string pair.
 
     Register order: Alice's retained half, her flying half, the
     receiver's flying half, the receiver's retained half, the probe.
@@ -240,12 +250,13 @@ def _enumerate_pair(
     half (4 and 3); the confirmation measurement reads qubit 0 in the
     probe's basis family.
     """
+    schedule = params.schedule()
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     out: list[Transcript] = []
     for phi, phi_weight in params.phi_choices():
         register = tensor([
             make_bell(alice_label),
-            make_bell(params.bob_label),
+            make_bell(bob_label),
             make_basis_state(phi),
         ])
         for swap in bell_measure(register, 1, 2):
@@ -254,9 +265,9 @@ def _enumerate_pair(
                 for final in basis_measure(confirmed, 0, phi.basis):
                     out.append(
                         Transcript(
-                            scheme=scheme_tag,
+                            scheme=params.scheme,
                             alice_label=alice_label,
-                            bob_label=params.bob_label,
+                            bob_label=bob_label,
                             swap_outcome=swap.outcome,
                             teleport_outcome=tele.outcome,
                             phi=phi,
@@ -265,54 +276,15 @@ def _enumerate_pair(
                             * tele.probability * final.probability,
                             schedule=schedule,
                             announced_alice_label=alice_label,
-                            pair_index=pair_index,
                         )
                     )
     return out
 
 
-def run_single(
-    params: SchemeParams,
-    alice_label: BellLabel,
-    mode: str = "enumerate",
-    seed=None,
+def _enumerate_multi(
+    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> list[Transcript]:
-    """Execute the single-bit scheme.
-
-    ``enumerate`` returns every classical branch with exact weights
-    summing to 1; ``sample`` returns a one-element list drawn from that
-    distribution with a seeded generator.
-    """
-    if params.scheme != "single":
-        raise ValueError(f"run_single requires scheme 'single', got {params.scheme!r}")
-    if mode not in RUN_MODES:
-        raise ValueError(f"unknown run mode {mode!r}")
-    branches = _enumerate_pair(params, alice_label, "single", params.schedule())
-    if mode == "enumerate":
-        return branches
-    return [_draw(branches, np.random.default_rng(_entropy(seed)))]
-
-
-def run_multiparty(
-    params: SchemeParams,
-    alice_label: BellLabel,
-    bob_label: BellLabel,
-    mode: str = "enumerate",
-    seed=None,
-) -> list[Transcript]:
-    """Execute the two-committer scheme around a verifying center.
-
-    Both committers learn the center's swap outcome.  Alice measures her
-    retained qubit in the computational basis (recorded, announced only
-    if the parties later choose to), then rotates and returns it.  Bob
-    prepares a fresh copy of the probe rotated by his teleportation
-    outcome and his own pair label and returns that; the center stores
-    both measured bits.
-    """
-    if params.scheme != "multi":
-        raise ValueError(f"run_multiparty requires scheme 'multi', got {params.scheme!r}")
-    if mode not in RUN_MODES:
-        raise ValueError(f"unknown run mode {mode!r}")
+    """Exhaustive branches of the two-committer scheme (see ``run_multiparty``)."""
     schedule = params.schedule()
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     bob_frame = PauliOp(bob_label.i, bob_label.j)
@@ -357,9 +329,95 @@ def run_multiparty(
                                     announced_teleport_outcome=tele.outcome,
                                 )
                             )
-    if mode == "enumerate":
-        return out
-    return [_draw(out, np.random.default_rng(_entropy(seed)))]
+    return out
+
+
+@lru_cache(maxsize=4096)
+def branches(
+    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
+) -> tuple[Transcript, ...]:
+    """Every classical branch of one pair, with exact weights summing to 1.
+
+    The one place that picks an enumerator by scheme.  ``bob_label`` is
+    the receiver-side label (the second committer's in the multi
+    scheme) and overrides ``params.bob_label``.  A string pair is
+    enumerated on its own, so its transcripts carry ``pair_index=None``;
+    the ``run_*`` functions stamp the index.  Memoized on the hashable
+    arguments; ``clear_caches`` drops the table.
+    """
+    if params.scheme == "multi":
+        return tuple(_enumerate_multi(params, alice_label, bob_label))
+    return tuple(_enumerate_pair(params, alice_label, bob_label))
+
+
+def run_pairs(
+    params: SchemeParams,
+    alice_labels: Sequence[BellLabel],
+    bob_label: BellLabel,
+    mode: str = "enumerate",
+    seed=None,
+) -> list:
+    """Execute any scheme, one entry per committed pair.
+
+    ``enumerate`` returns each pair's branch list; ``sample`` returns one
+    transcript per pair drawn from that list.  String pairs draw from
+    their own streams ``(*seed, k)`` and carry ``pair_index=k``; the
+    one-pair schemes draw from ``seed`` itself and carry no index.
+    """
+    if mode not in RUN_MODES:
+        raise ValueError(f"unknown run mode {mode!r}")
+    indexed = params.scheme == "string"
+    base = _entropy(seed)
+    out = []
+    for k, label in enumerate(alice_labels):
+        table = branches(params, label, bob_label)
+        if mode == "sample":
+            stream = (*base, k) if indexed else base
+            table = (_draw(table, np.random.default_rng(stream)),)
+        if indexed:
+            table = [dataclasses.replace(t, pair_index=k) for t in table]
+        out.append(table[0] if mode == "sample" else list(table))
+    return out
+
+
+def run_single(
+    params: SchemeParams,
+    alice_label: BellLabel,
+    mode: str = "enumerate",
+    seed=None,
+) -> list[Transcript]:
+    """Execute the single-bit scheme.
+
+    ``enumerate`` returns every classical branch with exact weights
+    summing to 1; ``sample`` returns a one-element list drawn from that
+    distribution with a seeded generator.
+    """
+    if params.scheme != "single":
+        raise ValueError(f"run_single requires scheme 'single', got {params.scheme!r}")
+    out = run_pairs(params, [alice_label], params.bob_label, mode, seed)
+    return out if mode == "sample" else out[0]
+
+
+def run_multiparty(
+    params: SchemeParams,
+    alice_label: BellLabel,
+    bob_label: BellLabel,
+    mode: str = "enumerate",
+    seed=None,
+) -> list[Transcript]:
+    """Execute the two-committer scheme around a verifying center.
+
+    Both committers learn the center's swap outcome.  Alice measures her
+    retained qubit in the computational basis (recorded, announced only
+    if the parties later choose to), then rotates and returns it.  Bob
+    prepares a fresh copy of the probe rotated by his teleportation
+    outcome and his own pair label and returns that; the center stores
+    both measured bits.
+    """
+    if params.scheme != "multi":
+        raise ValueError(f"run_multiparty requires scheme 'multi', got {params.scheme!r}")
+    out = run_pairs(params, [alice_label], bob_label, mode, seed)
+    return out if mode == "sample" else out[0]
 
 
 def run_string(
@@ -376,22 +434,11 @@ def run_string(
     """
     if params.scheme != "string":
         raise ValueError(f"run_string requires scheme 'string', got {params.scheme!r}")
-    if mode not in RUN_MODES:
-        raise ValueError(f"unknown run mode {mode!r}")
     if len(alice_labels) != params.n_pairs:
         raise ValueError(
             f"expected {params.n_pairs} committer labels, got {len(alice_labels)}"
         )
-    schedule = params.schedule()
-    base = _entropy(seed)
-    out = []
-    for k, label in enumerate(alice_labels):
-        branches = _enumerate_pair(params, label, "string", schedule, pair_index=k)
-        if mode == "enumerate":
-            out.append(branches)
-        else:
-            out.append(_draw(branches, np.random.default_rng((*base, k))))
-    return out
+    return run_pairs(params, alice_labels, params.bob_label, mode, seed)
 
 
 def _deterministic_bit(state: StateVector, basis: str) -> int:
@@ -401,6 +448,7 @@ def _deterministic_bit(state: StateVector, basis: str) -> int:
     return int(branches[0].outcome)
 
 
+@lru_cache(maxsize=None)
 def _expected_stored_bit(
     phi: BasisStateSpec, frame_label: BellLabel, correction: PauliOp
 ) -> int:
@@ -409,7 +457,8 @@ def _expected_stored_bit(
     Reconstructs the probe, applies the teleportation correction and the
     announced Pauli frame, and reads the measurement in the probe's own
     basis family.  Deterministic because Pauli frames permute basis
-    family members.
+    family members.  Memoized over its 64 possible inputs; each entry is
+    still computed on state vectors.
     """
     state = make_basis_state(phi)
     state = apply_pauli(state, 0, correction)
@@ -417,12 +466,42 @@ def _expected_stored_bit(
     return _deterministic_bit(state, phi.basis)
 
 
-def _correction_for(transcript: Transcript, announced: BellLabel, mode: str) -> PauliOp:
+@lru_cache(maxsize=None)
+def _probe_copy_bit(phi: BasisStateSpec, label: BellLabel, teleport: BellLabel) -> int:
+    """Bit the multi-scheme center should store for the second committer's
+    probe copy, rotated by his pair label and then his teleportation
+    outcome.  Memoized like ``_expected_stored_bit``."""
+    probe = make_basis_state(phi)
+    probe = apply_pauli(probe, 0, PauliOp(label.i, label.j))
+    probe = apply_pauli(probe, 0, PauliOp(teleport.i, teleport.j))
+    return _deterministic_bit(probe, phi.basis)
+
+
+def clear_caches() -> None:
+    """Drop every memoized table: branch enumerations and verifier bits."""
+    for cached in (branches, _expected_stored_bit, _probe_copy_bit):
+        cached.cache_clear()
+
+
+def _correction_for(
+    transcript: Transcript,
+    announced: BellLabel,
+    mode: str,
+    bob_claim: tuple[BellLabel, BellLabel] | None = None,
+) -> PauliOp:
+    """Teleportation correction the verifier applies to the probe.
+
+    ``R1`` rebuilds it from announcements: the committer's label and the
+    receiver side's (label, teleport outcome), which default to the
+    transcript's own records.  ``R2`` uses the true records.
+    """
     if mode == "R1":
-        shared = announced ^ transcript.bob_label ^ transcript.swap_outcome
+        bob_label, teleport = bob_claim or (transcript.bob_label, transcript.teleport_outcome)
+        shared = announced ^ bob_label ^ transcript.swap_outcome
     else:
+        teleport = transcript.teleport_outcome
         shared = transcript.alice_label ^ transcript.bob_label ^ transcript.swap_outcome
-    fused = shared ^ transcript.teleport_outcome
+    fused = shared ^ teleport
     return PauliOp(fused.i, fused.j)
 
 
@@ -459,26 +538,13 @@ def validate_multiparty(
         raise ValueError(f"unknown validation mode {mode!r}")
     if transcript.stored_bob_bit is None:
         raise ValueError("transcript lacks the second committer's stored bit")
-    bob_label_claim, bob_teleport_claim = bob_announced
-
-    probe = make_basis_state(transcript.phi)
-    probe = apply_pauli(probe, 0, PauliOp(bob_label_claim.i, bob_label_claim.j))
-    probe = apply_pauli(probe, 0, PauliOp(bob_teleport_claim.i, bob_teleport_claim.j))
-    bob_expected = _deterministic_bit(probe, transcript.phi.basis)
+    bob_expected = _probe_copy_bit(transcript.phi, *bob_announced)
     failures = []
     if bob_expected != transcript.stored_bob_bit:
         failures.append(
             f"bob: stored probe copy bit {transcript.stored_bob_bit} != expected {bob_expected}"
         )
-
-    if mode == "R1":
-        shared = alice_announced ^ bob_label_claim ^ transcript.swap_outcome
-        fused = shared ^ bob_teleport_claim
-        correction = PauliOp(fused.i, fused.j)
-    else:
-        shared = transcript.alice_label ^ transcript.bob_label ^ transcript.swap_outcome
-        fused = shared ^ transcript.teleport_outcome
-        correction = PauliOp(fused.i, fused.j)
+    correction = _correction_for(transcript, alice_announced, mode, bob_announced)
     alice_expected = _expected_stored_bit(transcript.phi, alice_announced, correction)
     if alice_expected != transcript.stored_alice_bit:
         failures.append(
@@ -487,6 +553,18 @@ def validate_multiparty(
     if failures:
         return Verdict.aborted("; ".join(failures))
     return Verdict.accepted()
+
+
+def validate_transcript(transcript: Transcript, announced: BellLabel, mode: str = "R2") -> Verdict:
+    """Check one pair's announced committer label, whatever its scheme.
+
+    A multi transcript's second committer announces his true records.
+    """
+    if transcript.scheme == "multi":
+        return validate_multiparty(
+            transcript, announced, (transcript.bob_label, transcript.teleport_outcome), mode
+        )
+    return validate_single(transcript, announced, mode)
 
 
 def validate_string(

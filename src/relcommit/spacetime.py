@@ -74,9 +74,9 @@ class Topology:
 
     def __post_init__(self) -> None:
         if self.c <= 0 or not math.isfinite(self.c):
-            raise ValueError(f"signal speed must be positive, got {self.c!r}")
+            raise ValueError(f"signal speed must be finite and positive, got {self.c!r}")
         if self.x < 0 or not math.isfinite(self.x):
-            raise ValueError(f"half-separation must be non-negative, got {self.x!r}")
+            raise ValueError(f"half-separation must be finite and non-negative, got {self.x!r}")
         ids = [a.actor_id for a in self.actors]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate actor ids in {ids}")
@@ -182,7 +182,7 @@ class AuditReport:
 def light_travel_time(position_a: float, position_b: float, c: float) -> float:
     """Minimum signal delay between two positions."""
     if c <= 0 or not math.isfinite(c):
-        raise ValueError(f"signal speed must be positive, got {c!r}")
+        raise ValueError(f"signal speed must be finite and positive, got {c!r}")
     return abs(position_a - position_b) / c
 
 
@@ -308,9 +308,9 @@ def standard_schedule(x: float, c: float, T: float, scheme: str) -> Schedule:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if x < 0 or not math.isfinite(x):
-        raise ValueError(f"half-separation must be non-negative, got {x!r}")
+        raise ValueError(f"half-separation must be finite and non-negative, got {x!r}")
     if c <= 0 or not math.isfinite(c):
-        raise ValueError(f"signal speed must be positive, got {c!r}")
+        raise ValueError(f"signal speed must be finite and positive, got {c!r}")
     t1 = x / c
     t2 = 2 * x / c
     if T < t2:

@@ -97,6 +97,14 @@ class TestRun:
         assert code == 0
 
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_non_positive_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "run", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert "trials must be positive" in err
+
+
 class TestAttackScanAndReport:
     def test_scan_flags_parity_flip(self, capsys):
         code, out, _ = run_cli(
@@ -208,6 +216,16 @@ class TestConfigAndErrors:
         code, _, err = run_cli(capsys, "enumerate", "--phi", "W3")
         assert code == 1
         assert "probe policy" in err
+
+    @pytest.mark.parametrize("flag,value", [("--x", "nan"), ("--c", "inf"), ("--T", "nan"),
+                                            ("--x", "inf")])
+    @pytest.mark.parametrize("command", ["run", "enumerate", "attack-scan", "report", "stats"])
+    def test_non_finite_parameters_rejected(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, command, flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"{flag[2:]} must be finite, got {value}" in err
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

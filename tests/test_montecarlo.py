@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from relcommit.adversary import Strategy
-from relcommit.montecarlo import RunConfig, monte_carlo, parse_phi_policy, stats_to_json
+from relcommit.montecarlo import (
+    CHUNK_TRIALS,
+    RunConfig,
+    monte_carlo,
+    parse_phi_policy,
+)
 from relcommit.quantum import BasisStateSpec, BellLabel
 
 
@@ -37,11 +42,29 @@ class TestMonteCarlo:
         config = RunConfig(scheme="single", trials=100_000, seed=11)
         assert monte_carlo(config) == monte_carlo(config)
 
-    def test_chunking_does_not_change_counts(self):
-        # budgets beyond one chunk reuse the same per-chunk streams
-        small = monte_carlo(RunConfig(scheme="single", trials=70_000, seed=5))
-        large = monte_carlo(RunConfig(scheme="single", trials=70_000, seed=5))
-        assert stats_to_json(small) == stats_to_json(large)
+    def test_larger_budget_extends_smaller_one(self):
+        # chunk streams are prefixes: a larger budget draws a smaller
+        # budget's trials first, so no count can fall.  Budgets end inside
+        # the first chunk, on its boundary, and in the next chunk; a
+        # one-trial step leaves no room for reshuffled draws to hide.
+        n_pairs = 2
+
+        def campaign(trials):
+            return monte_carlo(RunConfig(
+                scheme="string", n_pairs=n_pairs, phi="uniform", trials=trials, seed=5,
+                strategy=Strategy.relabel_announce(BellLabel(1, 0)),
+            ))
+
+        budgets = (CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, CHUNK_TRIALS + 1000)
+        summaries = [campaign(trials) for trials in budgets]
+        for k in range(len(budgets) - 1):
+            small, large = summaries[k], summaries[k + 1]
+            for before, after in zip(small.rows, large.rows):
+                assert (before.category, before.outcome) == (after.category, after.outcome)
+                assert before.count <= after.count, (budgets[k], before.category, before.outcome)
+            extra = sum(after.count - before.count for before, after
+                        in zip(small.rows, large.rows) if before.category == "swap_outcome")
+            assert extra == (budgets[k + 1] - budgets[k]) * n_pairs
 
     def test_marginals_track_exact_references(self):
         summary = monte_carlo(RunConfig(scheme="single", trials=200_000, seed=1))

@@ -10,15 +10,25 @@ validation semantics are checked branch by branch.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
+from relcommit import adversary, protocol
 from relcommit.protocol import (
+    FULL_FAMILY,
     SchemeParams,
     Transcript,
     Verdict,
+    _draw,
+    _enumerate_pair,
+    _expected_stored_bit,
+    _probe_copy_bit,
+    branches,
+    clear_caches,
     committed_bit,
     committed_string,
     run_multiparty,
@@ -32,6 +42,9 @@ from relcommit.quantum import (
     BELL_LABELS,
     BasisStateSpec,
     BellLabel,
+    PauliOp,
+    apply_pauli,
+    basis_measure,
     bell_measure,
     make_basis_state,
     make_bell,
@@ -103,6 +116,12 @@ class TestSchemeParams:
             SchemeParams("single", x=0.0)
         with pytest.raises(ValueError):
             SchemeParams("single", c=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "c", "T"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SchemeParams("single", **{field: value})
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -339,6 +358,20 @@ class TestRunString:
         assert first == second
         assert [t.pair_index for t in first] == [0, 1, 2, 3]
 
+    def test_runs_match_direct_pair_enumeration(self):
+        clear_caches()
+        params = SchemeParams("string", n_pairs=3, bob_label=BellLabel(1, 1))
+        labels = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(0, 1)]
+        enumerated = run_string(params, labels)
+        sampled = run_string(params, labels, mode="sample", seed=7)
+        for k, label in enumerate(labels):
+            direct = _enumerate_pair(params, label, params.bob_label)
+            assert enumerated[k] == [dataclasses.replace(t, pair_index=k) for t in direct]
+            drawn = _draw(direct, np.random.default_rng((7, k)))
+            assert sampled[k] == dataclasses.replace(drawn, pair_index=k)
+        # the shared table itself stays unindexed
+        assert all(t.pair_index is None for t in branches(params, labels[0], params.bob_label))
+
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             run_string(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)])
@@ -368,6 +401,73 @@ class TestRunString:
         sampled = run_string(params, [BellLabel(0, 0)] * 2, mode="sample", seed=0)
         with pytest.raises(ValueError):
             validate_string(sampled, [BellLabel(0, 0)])
+
+
+def _fresh_bit(phi: BasisStateSpec, first: PauliOp, second: PauliOp) -> int:
+    """Uncached state-vector prediction: rotate the probe twice, measure."""
+    state = apply_pauli(apply_pauli(make_basis_state(phi), 0, first), 0, second)
+    (branch,) = basis_measure(state, 0, phi.basis)
+    return int(branch.outcome)
+
+
+def _pauli(label: BellLabel) -> PauliOp:
+    return PauliOp(label.i, label.j)
+
+
+class TestMemoizedVerifier:
+    def test_expected_bit_matches_fresh_state_vectors(self):
+        clear_caches()
+        inputs = [(phi, frame, _pauli(c)) for phi in FULL_FAMILY
+                  for frame in BELL_LABELS for c in BELL_LABELS]
+        assert len(inputs) == 64
+        for _ in range(2):  # first pass fills the cache, second reads it
+            for phi, frame, correction in inputs:
+                assert _expected_stored_bit(phi, frame, correction) == _fresh_bit(
+                    phi, correction, _pauli(frame)
+                )
+        assert _expected_stored_bit.cache_info().currsize == 64
+
+    def test_probe_copy_bit_matches_fresh_state_vectors(self):
+        clear_caches()
+        inputs = [(phi, label, tele) for phi in FULL_FAMILY
+                  for label in BELL_LABELS for tele in BELL_LABELS]
+        for _ in range(2):
+            for phi, label, tele in inputs:
+                assert _probe_copy_bit(phi, label, tele) == _fresh_bit(
+                    phi, _pauli(label), _pauli(tele)
+                )
+        assert _probe_copy_bit.cache_info().currsize == 64
+
+
+def _module_caches():
+    return {
+        (module.__name__, name): value
+        for module in (protocol, adversary)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+
+
+class TestCaches:
+    def test_clear_caches_empties_every_cache(self):
+        caches = _module_caches()
+        assert {("relcommit.protocol", "branches"),
+                ("relcommit.protocol", "_expected_stored_bit"),
+                ("relcommit.protocol", "_probe_copy_bit")} <= set(caches)
+        for scheme, n_pairs in (("multi", 1), ("string", 2)):
+            adversary.build_report(SchemeParams(scheme, n_pairs=n_pairs))
+        for key, cache in caches.items():
+            assert cache.cache_info().currsize > 0, key
+        adversary.clear_caches()
+        for key, cache in caches.items():
+            assert cache.cache_info().currsize == 0, key
+
+    def test_callers_cannot_mutate_the_cached_table(self):
+        params = SchemeParams("single")
+        run_single(params, BellLabel(1, 1)).clear()
+        run_string(SchemeParams("string"), [BellLabel(1, 1)])[0].clear()
+        assert len(run_single(params, BellLabel(1, 1))) == 16
+        assert len(branches(SchemeParams("string"), BellLabel(1, 1), BellLabel(0, 0))) == 64
 
 
 class TestTranscript:
