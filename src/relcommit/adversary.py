@@ -303,14 +303,19 @@ def _string_deltas(params: SchemeParams, strategy: Strategy) -> list[BellLabel]:
 
 
 def _string_profile(
-    params: SchemeParams, per_pair_delta: Sequence[BellLabel], mode: str
+    params: SchemeParams,
+    per_pair_delta: Sequence[BellLabel],
+    mode: str,
+    profiles: dict | None = None,
 ) -> tuple[float, float]:
     """Joint (averaged, worst-case) acceptance over independent pairs.
 
-    Each distinct shift is analyzed once; the factors are multiplied in
-    pair order, so the product is the same float as pair by pair.
+    Each distinct shift is analyzed once, and only once across calls
+    that share a ``profiles`` memo (shift -> per-pair profile, for one
+    ``params`` and ``mode``); the factors are multiplied in pair order,
+    so the product is the same float as pair by pair.
     """
-    profiles = {}
+    profiles = {} if profiles is None else profiles
     for delta in per_pair_delta:
         if delta not in profiles:
             if delta == _ZERO:
@@ -584,9 +589,12 @@ def build_report(
         receiver = list(_DEFAULT_RECEIVER)
 
     strategy_rows = []
+    profiles: dict = {}  # honest and delayed re-choice rows share the zero shift
     for strategy in committer:
         if params.scheme == "string":
-            acceptance, worst = _string_profile(params, _string_deltas(params, strategy), mode)
+            acceptance, worst = _string_profile(
+                params, _string_deltas(params, strategy), mode, profiles
+            )
         else:
             acceptance, worst = _acceptance_profile(params, strategy, mode)
         claimed = _claimed_acceptance(params, strategy)

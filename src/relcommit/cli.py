@@ -36,8 +36,8 @@ from .serialize import (
     schedule_to_json,
     serialize_transcript,
 )
+from .spacetime import CausalOrderError, standard_schedule
 from .spacetime import audit as run_audit
-from .spacetime import standard_schedule
 
 __all__ = ["cli_main", "main", "render_report_table"]
 
@@ -331,10 +331,9 @@ def _cmd_audit(args) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"cannot read schedule {args.input!r}: {exc}") from exc
     else:
-        T = args.T if args.T is not None else 10.0 * args.x / args.c
         try:
-            schedule = standard_schedule(args.x, args.c, T, args.scheme)
-        except ValueError as exc:
+            schedule = standard_schedule(args.x, args.c, args.T, args.scheme)
+        except CausalOrderError as exc:
             print(f"schedule rejected: {exc}", file=sys.stderr)
             return 2
     report = run_audit(schedule)

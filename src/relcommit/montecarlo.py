@@ -1,19 +1,22 @@
 """Mass sampling against exact references.
 
-The runner takes a configuration's cached branch table, then draws
-branch indices from the exact distribution in vectorized chunks, so
-tens of millions of trials cost seconds.  Chunk ``k`` holds trials
-``k * CHUNK_TRIALS`` onward and draws from its own generator derived
-from ``(seed, k)``, so every count is reproducible bit for bit at a
-fixed seed and trial budget.  At one seed the draws of a smaller
-budget are a prefix of a larger budget's draws.  Every call starts at
-chunk 0, so two campaigns with the same seed repeat draws rather than
-splitting a budget between them; use distinct seeds for independent
-campaigns.
+The runner reads a configuration's cached branch table through its
+:func:`~relcommit.protocol.slot_table` and draws one random byte per
+pair, so it samples the exact dyadic distribution.  Trials are drawn in
+chunks of ``CHUNK_TRIALS``, or of ``CHUNK_DRAWS // n_pairs`` when that
+is fewer, so a chunk holds at most ``CHUNK_DRAWS`` pair draws and
+memory stays near 2.5 MB at any ``n_pairs`` up to ``CHUNK_DRAWS``.
+Chunk ``k`` draws from its own generator derived from ``(seed, k)``, so
+every count is reproducible bit for bit at a fixed seed and trial
+budget.  The chunk size depends only on ``n_pairs``, so at one seed the
+draws of a smaller budget are a prefix of a larger budget's draws.
+Every call starts at chunk 0, so two campaigns with the same seed
+repeat draws rather than splitting a budget between them; use distinct
+seeds for independent campaigns.
 
-Every reported frequency sits next to its exact enumerated probability,
-a binomial standard error and a z-score; ``agrees`` flags deviations
-beyond five standard errors.
+Every reported frequency sits next to its exact probability (a count of
+slots over 256), a binomial standard error and a z-score; ``agrees``
+flags deviations beyond five standard errors.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import Strategy, _committer_labels
-from .protocol import SchemeParams, branches, validate_transcript
+from .protocol import SLOTS, SchemeParams, _draw_slots, branches, slot_table, validate_transcript
 from .quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 __all__ = [
+    "CHUNK_DRAWS",
     "CHUNK_TRIALS",
     "RunConfig",
     "StatsRow",
@@ -38,6 +42,7 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 1 << 16
+CHUNK_DRAWS = 1 << 18
 
 _PHI_NAMES = {
     "Z0": BasisStateSpec("Z", 0),
@@ -157,46 +162,39 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     mode = config.validation_mode
     n_pairs = config.n_pairs if config.scheme == "string" else 1
 
-    probs = np.array([t.probability for t in table])
-    edges = np.cumsum(probs)
-    swap_ids = np.array([BELL_LABELS.index(t.swap_outcome) for t in table])
-    tele_ids = np.array([BELL_LABELS.index(t.teleport_outcome) for t in table])
-    bits = np.array([t.stored_alice_bit for t in table])
-    accepts = np.array([validate_transcript(t, announced, mode).accept for t in table])
+    # per-slot outcomes, read through each slot's branch
+    slots = slot_table(table)
+    swap_ids = np.array([BELL_LABELS.index(t.swap_outcome) for t in table])[slots]
+    tele_ids = np.array([BELL_LABELS.index(t.teleport_outcome) for t in table])[slots]
+    bits = np.array([t.stored_alice_bit for t in table])[slots]
+    accepts = np.array([validate_transcript(t, announced, mode).accept for t in table])[slots]
 
-    swap_counts = np.zeros(4, dtype=np.int64)
-    tele_counts = np.zeros(4, dtype=np.int64)
-    bit_counts = np.zeros(2, dtype=np.int64)
+    slot_counts = np.zeros(SLOTS, dtype=np.int64)
     accept_count = 0
-
+    chunk = max(1, min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs))
     remaining = config.trials
     chunk_index = 0
     while remaining > 0:
-        size = min(CHUNK_TRIALS, remaining)
+        size = min(chunk, remaining)
         rng = np.random.default_rng((config.seed, chunk_index))
-        uniforms = rng.random((size, n_pairs))
-        idx = np.searchsorted(edges, uniforms * edges[-1], side="right")
-        np.clip(idx, 0, len(table) - 1, out=idx)
-        flat = idx.reshape(-1)
-        swap_counts += np.bincount(swap_ids[flat], minlength=4)
-        tele_counts += np.bincount(tele_ids[flat], minlength=4)
-        bit_counts += np.bincount(bits[flat], minlength=2)
-        accept_count += int(accepts[idx].all(axis=1).sum())
+        drawn = _draw_slots(rng, size * n_pairs)
+        slot_counts += np.bincount(drawn, minlength=SLOTS)
+        accept_count += int(np.take(accepts, drawn.reshape(size, n_pairs)).all(axis=1).sum())
         remaining -= size
         chunk_index += 1
 
-    def marginal(ids: np.ndarray, which: int) -> float:
-        return math.fsum(p for p, k in zip(probs, ids) if k == which)
-
     pair_draws = config.trials * n_pairs
     rows = []
-    for k, label in enumerate(BELL_LABELS):
-        rows.append(_make_row("swap_outcome", label, swap_counts[k], pair_draws, marginal(swap_ids, k)))
-    for k, label in enumerate(BELL_LABELS):
-        rows.append(_make_row("teleport_outcome", label, tele_counts[k], pair_draws, marginal(tele_ids, k)))
-    for bit in (0, 1):
-        rows.append(_make_row("stored_bit", bit, bit_counts[bit], pair_draws, marginal(bits, bit)))
-    pair_acceptance = math.fsum(p for p, ok in zip(probs, accepts) if ok)
+    for category, ids, outcomes in (
+        ("swap_outcome", swap_ids, BELL_LABELS),
+        ("teleport_outcome", tele_ids, BELL_LABELS),
+        ("stored_bit", bits, (0, 1)),
+    ):
+        for k, outcome in enumerate(outcomes):
+            hits = ids == k
+            rows.append(_make_row(category, outcome, slot_counts[hits].sum(), pair_draws,
+                                  int(np.count_nonzero(hits)) / SLOTS))
+    pair_acceptance = int(np.count_nonzero(accepts)) / SLOTS
     rows.append(
         _make_row("acceptance", "accept", accept_count, config.trials, pair_acceptance**n_pairs)
     )

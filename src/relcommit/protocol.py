@@ -35,6 +35,10 @@ weighted by exact probabilities) or, in ``sample`` mode, a single
 seeded draw from that distribution.  Both read one memoized table per
 pair, :func:`branches`; the verifier memoizes its state-vector
 predictions the same way, and :func:`clear_caches` drops both.
+
+Every branch weight is a product of factors 1/2 and 1/4, so ``sample``
+runs and ``montecarlo`` both draw exactly: one random byte picks one of
+the 256 equiprobable slots of a :func:`slot_table`.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
     "RUN_MODES",
     "Z_FAMILY",
     "FULL_FAMILY",
+    "SLOTS",
     "SchemeParams",
     "Verdict",
     "Transcript",
@@ -74,6 +79,7 @@ __all__ = [
     "committed_string",
     "branches",
     "clear_caches",
+    "slot_table",
     "run_pairs",
     "run_single",
     "run_multiparty",
@@ -94,6 +100,8 @@ FULL_FAMILY = (
     BasisStateSpec("X", 0),
     BasisStateSpec("X", 1),
 )
+
+SLOTS = 256  # one sampling slot per value of a random byte
 
 
 def committed_bit(label: BellLabel) -> int:
@@ -231,11 +239,26 @@ def _entropy(seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def _draw(table: Sequence[Transcript], rng: np.random.Generator) -> Transcript:
-    weights = np.array([t.probability for t in table])
-    edges = np.cumsum(weights)
-    idx = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
-    return table[min(idx, len(table) - 1)]
+def slot_table(table: Sequence[Transcript]) -> np.ndarray:
+    """Branch index of each of ``SLOTS`` equiprobable slots, in table order.
+
+    Raises ``ValueError`` unless each branch fills at least one whole
+    slot (within ``PROB_ATOL * SLOTS``) and the slots add up to ``SLOTS``.
+    """
+    scaled = np.array([t.probability for t in table]) * SLOTS
+    counts = np.rint(scaled)
+    if counts.min() < 1 or counts.sum() != SLOTS or np.abs(scaled - counts).max() > PROB_ATOL * SLOTS:
+        raise ValueError(f"branch weights are not whole multiples of 1/{SLOTS}")
+    return np.repeat(np.arange(len(table), dtype=np.uint8), counts.astype(np.intp))
+
+
+def _draw_slots(rng: np.random.Generator, size: int | None = None):
+    """Uniform slots, one byte each."""
+    return rng.integers(SLOTS, size=size, dtype=np.uint8)
+
+
+def _draw(table: Sequence[Transcript], slots: np.ndarray, rng: np.random.Generator) -> Transcript:
+    return table[slots[_draw_slots(rng)]]
 
 
 def _enumerate_pair(
@@ -368,12 +391,15 @@ def run_pairs(
         raise ValueError(f"unknown run mode {mode!r}")
     indexed = params.scheme == "string"
     base = _entropy(seed)
+    slots = {}
     out = []
     for k, label in enumerate(alice_labels):
         table = branches(params, label, bob_label)
         if mode == "sample":
+            if label not in slots:
+                slots[label] = slot_table(table)
             stream = (*base, k) if indexed else base
-            table = (_draw(table, np.random.default_rng(stream)),)
+            table = (_draw(table, slots[label], np.random.default_rng(stream)),)
         if indexed:
             table = [dataclasses.replace(t, pair_index=k) for t in table]
         out.append(table[0] if mode == "sample" else list(table))

@@ -34,6 +34,7 @@ __all__ = [
     "Schedule",
     "Violation",
     "AuditReport",
+    "CausalOrderError",
     "light_travel_time",
     "canonical_topology",
     "standard_schedule",
@@ -299,11 +300,17 @@ def _multi_events(t1: float, t2: float, reveal: float):
     return events, messages
 
 
-def standard_schedule(x: float, c: float, T: float, scheme: str) -> Schedule:
+class CausalOrderError(ValueError):
+    """A requested timetable whose phases cannot follow one another causally."""
+
+
+def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Schedule:
     """Canonical timetable with phases at 0, x/c, 2x/c and T.
 
-    Raises ``ValueError`` when ``T`` precedes the storage phase: a reveal
-    earlier than ``2x/c`` cannot causally follow storage.
+    ``T=None`` reveals at ``10x/c``.  Raises :class:`CausalOrderError`
+    when ``T`` precedes the storage phase: a reveal earlier than
+    ``2x/c`` cannot causally follow storage.  Any other bad geometry
+    raises a plain ``ValueError``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -313,8 +320,12 @@ def standard_schedule(x: float, c: float, T: float, scheme: str) -> Schedule:
         raise ValueError(f"signal speed must be finite and positive, got {c!r}")
     t1 = x / c
     t2 = 2 * x / c
+    if T is None:
+        T = 10.0 * x / c
+    if not math.isfinite(T):
+        raise ValueError(f"reveal time must be finite, got {T!r}")
     if T < t2:
-        raise ValueError(f"reveal time {T!r} precedes storage phase {t2!r}")
+        raise CausalOrderError(f"reveal time {T!r} precedes storage phase {t2!r}")
     if scheme == "multi":
         events, messages = _multi_events(t1, t2, T)
     else:
@@ -325,7 +336,8 @@ def standard_schedule(x: float, c: float, T: float, scheme: str) -> Schedule:
 def audit(schedule: Schedule, topology: Topology | None = None) -> AuditReport:
     """Replay a schedule against relativity.
 
-    Checks, with slack ``1e-9 * (x/c)`` so exact light-like timings pass:
+    Checks, with slack ``1e-9 * (x/c)``, and never less than 4 ulp of
+    the light bound, so exact light-like timings pass despite rounding:
 
     * every message arrives no earlier than light from its sender;
     * every consumed payload was produced, and early enough that a light
@@ -343,7 +355,7 @@ def audit(schedule: Schedule, topology: Topology | None = None) -> AuditReport:
         bound = msg.send_time + light_travel_time(
             topology.position_of(msg.sender), topology.position_of(msg.receiver), topology.c
         )
-        if msg.arrival_time < bound - tol:
+        if msg.arrival_time < bound - max(tol, 4 * math.ulp(bound)):
             violations.append(
                 Violation(
                     "superluminal",
@@ -378,7 +390,7 @@ def audit(schedule: Schedule, topology: Topology | None = None) -> AuditReport:
             bound = source.time + light_travel_time(
                 topology.position_of(source.actor), position, topology.c
             )
-            if event.time < bound - tol:
+            if event.time < bound - max(tol, 4 * math.ulp(bound)):
                 violations.append(
                     Violation(
                         "dependency",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from relcommit import adversary
 from relcommit.adversary import (
     SecurityReport,
     Strategy,
@@ -253,3 +254,20 @@ class TestSecurityReport:
         assert abs(report.strategy_rows[0].detection_probability - 1.0) <= 1e-12
         assert report.extraction_rows == ()
         assert report.extraction_guess_probability is None
+
+    def test_string_report_analyzes_each_distinct_shift_once(self, monkeypatch):
+        # honest and delayed re-choice both announce the zero shift; with
+        # the three relabel shifts that is 4 distinct profiles
+        calls = []
+        real = adversary._acceptance_profile
+
+        def counting(params, strategy, mode):
+            calls.append(strategy)
+            return real(params, strategy, mode)
+
+        monkeypatch.setattr(adversary, "_acceptance_profile", counting)
+        report = build_report(SchemeParams("string", n_pairs=3, phi_policy="uniform"))
+        assert len(calls) == 4
+        assert len({s.delta for s in calls}) == 4
+        honest, rechoice = report.strategy_rows[0], report.strategy_rows[-1]
+        assert honest.acceptance_probability == rechoice.acceptance_probability

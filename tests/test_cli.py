@@ -152,6 +152,22 @@ class TestAudit:
         code, _, err = run_cli(capsys, "audit", "--x", "1", "--c", "1", "--T", "1.5")
         assert code == 2
         assert "rejected" in err
+        assert "reveal time 1.5 precedes storage phase 2.0" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--x", "nan", "half-separation must be finite and non-negative, got nan"),
+        ("--x", "-1", "half-separation must be finite and non-negative, got -1.0"),
+        ("--c", "inf", "signal speed must be finite and positive, got inf"),
+        ("--c", "0", "signal speed must be finite and positive, got 0.0"),
+        ("--T", "nan", "reveal time must be finite, got nan"),
+        ("--T", "inf", "reveal time must be finite, got inf"),
+    ])
+    def test_bad_geometry_is_a_usage_error(self, capsys, flag, value, message):
+        # exit 2 is kept for causality violations; these are bad input
+        code, out, err = run_cli(capsys, "audit", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_tampered_schedule_file_flagged(self, capsys, tmp_path):
         schedule = standard_schedule(1.0, 1.0, 10.0, "single")

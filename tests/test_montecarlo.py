@@ -2,16 +2,40 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from relcommit.adversary import Strategy
 from relcommit.montecarlo import (
+    CHUNK_DRAWS,
     CHUNK_TRIALS,
     RunConfig,
     monte_carlo,
     parse_phi_policy,
 )
 from relcommit.quantum import BasisStateSpec, BellLabel
+
+
+def _assert_budgets_nest(n_pairs):
+    chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
+
+    def campaign(trials):
+        return monte_carlo(RunConfig(
+            scheme="string", n_pairs=n_pairs, phi="uniform", trials=trials, seed=5,
+            strategy=Strategy.relabel_announce(BellLabel(1, 0)),
+        ))
+
+    budgets = (chunk - 1, chunk, chunk + 1, chunk + 1000)
+    summaries = [campaign(trials) for trials in budgets]
+    for k in range(len(budgets) - 1):
+        small, large = summaries[k], summaries[k + 1]
+        for before, after in zip(small.rows, large.rows):
+            assert (before.category, before.outcome) == (after.category, after.outcome)
+            assert before.count <= after.count, (budgets[k], before.category, before.outcome)
+        extra = sum(after.count - before.count for before, after
+                    in zip(small.rows, large.rows) if before.category == "swap_outcome")
+        assert extra == (budgets[k + 1] - budgets[k]) * n_pairs
 
 
 class TestRunConfig:
@@ -47,31 +71,34 @@ class TestMonteCarlo:
         # budget's trials first, so no count can fall.  Budgets end inside
         # the first chunk, on its boundary, and in the next chunk; a
         # one-trial step leaves no room for reshuffled draws to hide.
-        n_pairs = 2
+        _assert_budgets_nest(n_pairs=2)
 
-        def campaign(trials):
-            return monte_carlo(RunConfig(
-                scheme="string", n_pairs=n_pairs, phi="uniform", trials=trials, seed=5,
-                strategy=Strategy.relabel_announce(BellLabel(1, 0)),
-            ))
+    def test_draw_sized_chunks_extend_too(self):
+        # at 64 pairs a chunk is cut short by CHUNK_DRAWS, not CHUNK_TRIALS
+        _assert_budgets_nest(n_pairs=64)
 
-        budgets = (CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, CHUNK_TRIALS + 1000)
-        summaries = [campaign(trials) for trials in budgets]
-        for k in range(len(budgets) - 1):
-            small, large = summaries[k], summaries[k + 1]
-            for before, after in zip(small.rows, large.rows):
-                assert (before.category, before.outcome) == (after.category, after.outcome)
-                assert before.count <= after.count, (budgets[k], before.category, before.outcome)
-            extra = sum(after.count - before.count for before, after
-                        in zip(small.rows, large.rows) if before.category == "swap_outcome")
-            assert extra == (budgets[k + 1] - budgets[k]) * n_pairs
+    def test_memory_stays_bounded(self):
+        # 65536 trials of 64 pairs held at once would take 65536 * 64 draws
+        config = RunConfig(scheme="string", n_pairs=64, trials=CHUNK_TRIALS, seed=8)
+        monte_carlo(RunConfig(scheme="string", n_pairs=64, trials=1))  # fill the branch cache
+        tracemalloc.start()
+        try:
+            monte_carlo(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_marginals_track_exact_references(self):
         summary = monte_carlo(RunConfig(scheme="single", trials=200_000, seed=1))
         for row in summary.rows:
             assert row.agrees, (row.category, row.outcome, row.z)
-            if row.category in ("swap_outcome", "teleport_outcome"):
-                assert abs(row.exact_probability - 0.25) <= 1e-12
+        # slot counts over 256 give the dyadic values exactly, not fsum residues
+        expected = {"swap_outcome": 0.25, "teleport_outcome": 0.25, "stored_bit": 0.5,
+                    "acceptance": 1.0}
+        assert len(summary.rows) == 11
+        for row in summary.rows:
+            assert row.exact_probability == expected[row.category], (row.category, row.outcome)
 
     def test_honest_acceptance_is_certain(self):
         summary = monte_carlo(RunConfig(scheme="multi", trials=2000, seed=9))
@@ -102,7 +129,7 @@ class TestMonteCarlo:
         )
         summary = monte_carlo(config)
         row = summary.row("acceptance", "accept")
-        assert abs(row.exact_probability - 0.5**4) <= 1e-12
+        assert row.exact_probability == 0.5**4
         assert row.agrees, row.z
         # per-pair categories aggregate over pairs
         swap_total = sum(r.count for r in summary.rows if r.category == "swap_outcome")

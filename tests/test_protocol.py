@@ -20,6 +20,8 @@ import pytest
 from relcommit import adversary, protocol
 from relcommit.protocol import (
     FULL_FAMILY,
+    PROB_ATOL,
+    SLOTS,
     SchemeParams,
     Transcript,
     Verdict,
@@ -34,6 +36,7 @@ from relcommit.protocol import (
     run_multiparty,
     run_single,
     run_string,
+    slot_table,
     validate_multiparty,
     validate_single,
     validate_string,
@@ -367,7 +370,7 @@ class TestRunString:
         for k, label in enumerate(labels):
             direct = _enumerate_pair(params, label, params.bob_label)
             assert enumerated[k] == [dataclasses.replace(t, pair_index=k) for t in direct]
-            drawn = _draw(direct, np.random.default_rng((7, k)))
+            drawn = _draw(direct, slot_table(direct), np.random.default_rng((7, k)))
             assert sampled[k] == dataclasses.replace(drawn, pair_index=k)
         # the shared table itself stays unindexed
         assert all(t.pair_index is None for t in branches(params, labels[0], params.bob_label))
@@ -437,6 +440,40 @@ class TestMemoizedVerifier:
                     phi, _pauli(label), _pauli(tele)
                 )
         assert _probe_copy_bit.cache_info().currsize == 64
+
+
+_POLICIES = {
+    "single": ("default", "uniform", Z0, Z1),
+    "multi": ("default", "uniform", Z0, Z1),
+    "string": ("default", "uniform", Z0, Z1, X0, X1),
+}
+
+
+class TestSlotTable:
+    @pytest.mark.parametrize("scheme,policy",
+                             [(s, p) for s, policies in _POLICIES.items() for p in policies])
+    def test_slots_reproduce_every_branch_weight(self, scheme, policy):
+        params = SchemeParams(scheme, phi_policy=policy)
+        for alice in BELL_LABELS:
+            for bob in BELL_LABELS:
+                table = branches(params, alice, bob)
+                slots = slot_table(table)
+                assert slots.dtype == np.uint8 and len(slots) == SLOTS
+                filled = np.bincount(slots, minlength=len(table)) / SLOTS
+                for t, weight in zip(table, filled):
+                    assert abs(t.probability - weight) <= PROB_ATOL
+
+    @pytest.mark.parametrize("weights", [
+        (1 / 3, 2 / 3),  # not dyadic
+        (0.5, 0.25),  # short of one
+        (0.5, 0.5, 1e-13),  # a branch too light for one slot
+        (1 / 512, 1 - 1 / 512),  # dyadic, finer than a byte
+    ])
+    def test_non_dyadic_table_rejected(self, weights):
+        template = branches(SchemeParams("single"), BellLabel(0, 0), BellLabel(0, 0))[0]
+        table = [dataclasses.replace(template, probability=w) for w in weights]
+        with pytest.raises(ValueError):
+            slot_table(table)
 
 
 def _module_caches():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit.spacetime import (
@@ -112,6 +112,7 @@ class TestAuditCanonicalSchedules:
         scheme=st.sampled_from(SCHEMES),
     )
     @settings(max_examples=60, deadline=None)
+    @example(x=2.2250738585e-313, c=198.0, slack=0.0, scheme="single")  # subnormal times
     def test_standard_schedules_clean_for_any_geometry(self, x, c, slack, scheme):
         T = 2 * x / c + slack
         report = audit(standard_schedule(x, c, T, scheme))
