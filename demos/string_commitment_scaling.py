@@ -27,7 +27,7 @@ delta = BellLabel(1, 0)
 print("pairs   exact acceptance   2^-N")
 for n in (1, 2, 4, 8, 12, 16, 20):
     params = SchemeParams("string", n_pairs=n, validation_mode="R2")
-    acceptance = string_cheat_acceptance(params, [delta] * n, mode="R2")
+    acceptance = string_cheat_acceptance(params, [delta] * n)
     print(f"{n:>5}   {acceptance:.10e}   {0.5**n:.10e}")
 print()
 
@@ -51,6 +51,6 @@ print()
 # pairs pay the factor 1/2.
 params = SchemeParams("string", n_pairs=4, validation_mode="R2")
 mixed = [delta, BellLabel(0, 0), delta, BellLabel(0, 0)]
-acceptance = string_cheat_acceptance(params, mixed, mode="R2")
+acceptance = string_cheat_acceptance(params, mixed)
 print(f"two cheating pairs out of four: acceptance {acceptance:.6f}"
       f" (= 0.25 = {math.log2(acceptance):+.0f} bits)")

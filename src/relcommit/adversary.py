@@ -12,6 +12,10 @@ The two must agree within 1e-12 or the analyzer raises
 :class:`SelfCheckError` instead of returning a number.  This guards the
 simulator and the closed-form analysis against each other.
 
+The verifier model (``R1`` or ``R2``, see :mod:`relcommit.protocol`) is
+``params.validation_mode`` and nothing else; to analyze the other model,
+pass ``dataclasses.replace(params, validation_mode="R1")``.
+
 Strategies
 ----------
 Committer side (affect acceptance at reveal):
@@ -54,7 +58,6 @@ from .protocol import (
 )
 from .quantum import (
     BELL_LABELS,
-    BasisStateSpec,
     BellLabel,
     PauliOp,
     apply_pauli,
@@ -164,7 +167,7 @@ def _committer_labels(strategy: Strategy, chosen: BellLabel) -> tuple[BellLabel,
 
 
 def _acceptance_by_label_enumerated(
-    params: SchemeParams, strategy: Strategy, mode: str
+    params: SchemeParams, strategy: Strategy
 ) -> dict[BellLabel, float]:
     """Acceptance conditioned on each chosen committer label."""
     conditional = {}
@@ -173,15 +176,10 @@ def _acceptance_by_label_enumerated(
         accepted = []
         for bob in BELL_LABELS:
             for t in branches(params, committed, bob):
-                if validate_transcript(t, announced, mode).accept:
+                if validate_transcript(t, announced, params.validation_mode).accept:
                     accepted.append(t.probability / 4.0)
         conditional[chosen] = math.fsum(accepted)
     return conditional
-
-
-def _acceptance_enumerated(params: SchemeParams, strategy: Strategy, mode: str) -> float:
-    conditional = _acceptance_by_label_enumerated(params, strategy, mode)
-    return math.fsum(conditional.values()) / 4.0
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +193,7 @@ def _flip_bit(label: BellLabel, basis: str) -> int:
 
 
 def _acceptance_by_label_algebraic(
-    params: SchemeParams, strategy: Strategy, mode: str
+    params: SchemeParams, strategy: Strategy
 ) -> dict[BellLabel, float]:
     conditional = {}
     weight = 1.0 / (4.0 * 16.0)  # receiver label and both measurement outcomes
@@ -210,7 +208,7 @@ def _acceptance_by_label_algebraic(
                         net = bob ^ swap ^ tele
                         stored = phi.value ^ _flip_bit(net, phi.basis)
                         # verifier's recomputation
-                        if mode == "R1":
+                        if params.validation_mode == "R1":
                             correction = (announced ^ bob ^ swap) ^ tele
                         else:
                             correction = (committed ^ bob ^ swap) ^ tele
@@ -222,11 +220,6 @@ def _acceptance_by_label_algebraic(
     return conditional
 
 
-def _acceptance_algebraic(params: SchemeParams, strategy: Strategy, mode: str) -> float:
-    conditional = _acceptance_by_label_algebraic(params, strategy, mode)
-    return math.fsum(conditional.values()) / 4.0
-
-
 def _checked(value_enum: float, value_alg: float, what: str) -> float:
     if abs(value_enum - value_alg) > AGREEMENT_ATOL:
         raise SelfCheckError(
@@ -235,20 +228,20 @@ def _checked(value_enum: float, value_alg: float, what: str) -> float:
     return value_enum
 
 
-def _acceptance_profile(params: SchemeParams, strategy: Strategy, mode: str) -> tuple[float, float]:
+def _acceptance_profile(params: SchemeParams, strategy: Strategy) -> tuple[float, float]:
     """(prior-averaged acceptance, worst-case acceptance over chosen labels).
 
     The worst case is the committer label most favourable to the
     strategy; binding claims should hold without leaning on the uniform
     label prior.  Each conditional value is dual-route checked.
     """
-    enumerated = _acceptance_by_label_enumerated(params, strategy, mode)
-    algebraic = _acceptance_by_label_algebraic(params, strategy, mode)
+    enumerated = _acceptance_by_label_enumerated(params, strategy)
+    algebraic = _acceptance_by_label_algebraic(params, strategy)
     conditional = {
         label: _checked(
             enumerated[label],
             algebraic[label],
-            f"acceptance[{strategy.describe()}, mode={mode}, label={label}]",
+            f"acceptance[{strategy.describe()}, label={label}]",
         )
         for label in BELL_LABELS
     }
@@ -256,27 +249,31 @@ def _acceptance_profile(params: SchemeParams, strategy: Strategy, mode: str) -> 
     return average, max(conditional.values())
 
 
-def _acceptance(params: SchemeParams, strategy: Strategy, mode: str) -> float:
-    return _acceptance_profile(params, strategy, mode)[0]
+def _committer_profile(
+    params: SchemeParams, strategy: Strategy, profiles: dict | None = None
+) -> tuple[float, float]:
+    """(averaged, worst-case) acceptance of a committer strategy.
+
+    A string strategy is played on every pair; ``profiles`` is the
+    per-shift memo of :func:`_string_profile`.
+    """
+    if params.scheme == "string":
+        return _string_profile(params, _string_deltas(params, strategy), profiles)
+    return _acceptance_profile(params, strategy)
 
 
-def detection_probability(params: SchemeParams, strategy: Strategy, mode: str | None = None) -> float:
+def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
     """Probability the reveal-phase check catches a committer strategy.
 
     Averages over uniformly chosen committer and receiver labels and the
-    probe policy in ``params``.  Exactly ``1 - acceptance``.
+    probe policy in ``params``, under its mode.  Exactly ``1 - acceptance``.
     """
     if strategy.role != "committer":
         raise ValueError("detection_probability analyzes committer strategies")
-    mode = params.validation_mode if mode is None else mode
-    if params.scheme == "string":
-        return 1.0 - string_cheat_acceptance(params, _string_deltas(params, strategy), mode)
-    return 1.0 - _acceptance(params, strategy, mode)
+    return 1.0 - _committer_profile(params, strategy)[0]
 
 
-def string_cheat_acceptance(
-    params: SchemeParams, per_pair_delta: Sequence[BellLabel], mode: str | None = None
-) -> float:
+def string_cheat_acceptance(params: SchemeParams, per_pair_delta: Sequence[BellLabel]) -> float:
     """Acceptance odds when pair k's announcement is shifted by delta_k.
 
     Pairs are independent, so the result is the product of per-pair
@@ -288,8 +285,7 @@ def string_cheat_acceptance(
         raise ValueError(
             f"expected {params.n_pairs} per-pair shifts, got {len(per_pair_delta)}"
         )
-    mode = params.validation_mode if mode is None else mode
-    return _string_profile(params, per_pair_delta, mode)[0]
+    return _string_profile(params, per_pair_delta)[0]
 
 
 def _string_deltas(params: SchemeParams, strategy: Strategy) -> list[BellLabel]:
@@ -305,15 +301,14 @@ def _string_deltas(params: SchemeParams, strategy: Strategy) -> list[BellLabel]:
 def _string_profile(
     params: SchemeParams,
     per_pair_delta: Sequence[BellLabel],
-    mode: str,
     profiles: dict | None = None,
 ) -> tuple[float, float]:
     """Joint (averaged, worst-case) acceptance over independent pairs.
 
     Each distinct shift is analyzed once, and only once across calls
     that share a ``profiles`` memo (shift -> per-pair profile, for one
-    ``params`` and ``mode``); the factors are multiplied in pair order,
-    so the product is the same float as pair by pair.
+    ``params``); the factors are multiplied in pair order, so the
+    product is the same float as pair by pair.
     """
     profiles = {} if profiles is None else profiles
     for delta in per_pair_delta:
@@ -322,7 +317,7 @@ def _string_profile(
                 strategy = Strategy.honest()
             else:
                 strategy = Strategy.relabel_announce(delta)
-            profiles[delta] = _acceptance_profile(params, strategy, mode)
+            profiles[delta] = _acceptance_profile(params, strategy)
     average = 1.0
     worst = 1.0
     for delta in per_pair_delta:
@@ -469,7 +464,7 @@ def _map_guess(joint: dict) -> float:
     )
 
 
-def extraction_guess_probability(strategy: Strategy, params: SchemeParams | None = None) -> float:
+def extraction_guess_probability(strategy: Strategy) -> float:
     """Best-guess odds for the committed bit from an early measurement.
 
     Maximum a posteriori guessing over the measurement's outcome
@@ -569,18 +564,17 @@ _DEFAULT_RECEIVER = (
 
 
 def build_report(
-    params: SchemeParams,
-    strategies: Sequence[Strategy] | None = None,
-    mode: str | None = None,
+    params: SchemeParams, strategies: Sequence[Strategy] | None = None
 ) -> SecurityReport:
     """Full security scan for one scheme configuration.
 
+    The report's mode is ``params.validation_mode``; scan the other mode
+    with ``dataclasses.replace(params, validation_mode=...)``.
     ``strategies`` defaults to the standard menu: honest, all three
     announcement shifts, a delayed re-choice, and the receiver
     extraction attacks.  An empty sequence scans concealment and the
     default extraction menu only.
     """
-    mode = params.validation_mode if mode is None else mode
     if strategies is None:
         strategies = _DEFAULT_COMMITTER + _DEFAULT_RECEIVER
     committer = [s for s in strategies if s.role == "committer"]
@@ -591,12 +585,7 @@ def build_report(
     strategy_rows = []
     profiles: dict = {}  # honest and delayed re-choice rows share the zero shift
     for strategy in committer:
-        if params.scheme == "string":
-            acceptance, worst = _string_profile(
-                params, _string_deltas(params, strategy), mode, profiles
-            )
-        else:
-            acceptance, worst = _acceptance_profile(params, strategy, mode)
+        acceptance, worst = _committer_profile(params, strategy, profiles)
         claimed = _claimed_acceptance(params, strategy)
         agrees = None if claimed is None else abs(acceptance - claimed) <= AGREEMENT_ATOL
         strategy_rows.append(
@@ -605,14 +594,14 @@ def build_report(
 
     extraction_rows = []
     for strategy in receiver:
-        guess = extraction_guess_probability(strategy, params)
+        guess = extraction_guess_probability(strategy)
         extraction_rows.append(
             ExtractionRow(strategy, guess, 0.5, abs(guess - 0.5) <= AGREEMENT_ATOL)
         )
 
     return SecurityReport(
         scheme=params.scheme,
-        mode=mode,
+        mode=params.validation_mode,
         phi_policy=_policy_name(params),
         n_pairs=params.n_pairs,
         strategy_rows=tuple(strategy_rows),

@@ -14,7 +14,9 @@ violations from ``audit``, or validation failures under ``--strict``.
 A JSON config file (``--config``) may predefine any long flag by its
 argparse destination name (``x``, ``c``, ``T``, ``n_pairs``, ``phi``,
 ``mode``, ``seed``, ``scheme``, ``trials``, ``alice_label``,
-``bob_label``); explicit flags win over the file.
+``bob_label``, ``announce_delta``); each value is converted and checked
+exactly as the flag's text would be, and explicit flags win over the
+file.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import json
 import sys
 from typing import Sequence
 
-from .adversary import SecurityReport, Strategy, build_report
+from .adversary import SecurityReport, build_report
 from .montecarlo import RunConfig, monte_carlo, parse_phi_policy, stats_to_json
 from .protocol import SchemeParams, run_pairs, validate_transcript
 from .quantum import BellLabel
 from .serialize import (
     dumps,
+    report_from_json,
     report_to_json,
     schedule_from_json,
     schedule_to_json,
@@ -58,20 +61,10 @@ def parse_label(text: str) -> BellLabel:
     return BellLabel(int(text[0]), int(text[1]))
 
 
-_CONFIG_CONVERTERS = {
-    "x": float,
-    "c": float,
-    "T": float,
-    "n_pairs": int,
-    "seed": int,
-    "trials": int,
-    "scheme": str,
-    "phi": str,
-    "mode": str,
-    "alice_label": parse_label,
-    "bob_label": parse_label,
-    "announce_delta": parse_label,
-}
+_CONFIG_KEYS = (
+    "x", "c", "T", "n_pairs", "phi", "mode", "seed", "scheme", "trials",
+    "alice_label", "bob_label", "announce_delta",
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -147,14 +140,18 @@ def _apply_config(parser: _Parser, argv: list[str]) -> None:
         raise _UsageError(f"cannot read config {known.config!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError(f"config {known.config!r} must be a JSON object")
+    flags = parser.command_parsers["run"]  # the one subcommand with every config key
     defaults = {}
     for key, value in raw.items():
-        if key not in _CONFIG_CONVERTERS:
+        if key not in _CONFIG_KEYS:
             raise _UsageError(f"unknown config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise _UsageError(f"config key {key!r}: expected a string or number, got {value!r}")
         try:
-            defaults[key] = _CONFIG_CONVERTERS[key](value)
-        except (TypeError, ValueError) as exc:
+            parsed = flags.parse_args([f"--{key.replace('_', '-')}={value}"])
+        except _UsageError as exc:
             raise _UsageError(f"config key {key!r}: {exc}") from exc
+        defaults[key] = getattr(parsed, key)
     for command in parser.command_parsers.values():
         command.set_defaults(**defaults)
 
@@ -193,7 +190,7 @@ def _sampled_transcripts(params: SchemeParams, args):
                           seed=(args.seed, trial))
         for t in batch:
             announced = t.alice_label ^ delta
-            verdict = validate_transcript(t, announced, args.mode)
+            verdict = validate_transcript(t, announced, params.validation_mode)
             yield dataclasses.replace(
                 t, announced_alice_label=announced, verdict=verdict
             )
@@ -232,7 +229,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_attack_scan(args) -> int:
-    report = build_report(_scheme_params(args), mode=args.mode)
+    report = build_report(_scheme_params(args))
     _emit(args, dumps(report_to_json(report)))
     return 0
 
@@ -277,50 +274,11 @@ def _cmd_report(args) -> int:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise _UsageError(f"cannot read scan {args.input!r}: {exc}") from exc
-        report = _report_from_json(doc)
+        report = report_from_json(doc)
     else:
-        report = build_report(_scheme_params(args), mode=args.mode)
+        report = build_report(_scheme_params(args))
     _emit(args, render_report_table(report))
     return 0
-
-
-def _report_from_json(doc: dict) -> SecurityReport:
-    from .adversary import ExtractionRow, StrategyRow
-    from .serialize import strategy_from_json
-
-    try:
-        strategy_rows = tuple(
-            StrategyRow(
-                strategy_from_json(r["strategy"]),
-                r["acceptance_probability"],
-                r["worst_case_acceptance"],
-                r["detection_probability"],
-                r["claimed_acceptance"],
-                r["agrees"],
-            )
-            for r in doc["strategy_rows"]
-        )
-        extraction_rows = tuple(
-            ExtractionRow(
-                strategy_from_json(r["strategy"]),
-                r["guess_probability"],
-                r["claimed_guess"],
-                r["agrees"],
-            )
-            for r in doc["extraction_rows"]
-        )
-        return SecurityReport(
-            scheme=doc["scheme"],
-            mode=doc["mode"],
-            phi_policy=doc["phi_policy"],
-            n_pairs=doc["n_pairs"],
-            strategy_rows=strategy_rows,
-            extraction_rows=extraction_rows,
-            concealment_tv=doc["concealment_tv"],
-            extraction_guess_probability=doc["extraction_guess_probability"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise _UsageError(f"bad scan document: {exc}") from exc
 
 
 def _cmd_audit(args) -> int:
@@ -363,7 +321,6 @@ def _cmd_stats(args) -> int:
         alice_label=args.alice_label,
         bob_label=args.bob_label,
         strategy=None,
-        output=args.output,
     )
     summary = monte_carlo(config)
     _emit(args, dumps(stats_to_json(summary)))

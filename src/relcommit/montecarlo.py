@@ -80,7 +80,6 @@ class RunConfig:
     alice_label: BellLabel = BellLabel(0, 0)
     bob_label: BellLabel = BellLabel(0, 0)
     strategy: Strategy | None = None
-    output: str | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:

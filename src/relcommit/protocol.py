@@ -56,12 +56,13 @@ from .quantum import (
     BasisStateSpec,
     BellLabel,
     PauliOp,
-    StateVector,
     apply_pauli,
     basis_measure,
     bell_measure,
     make_basis_state,
     make_bell,
+    swapped_label,
+    teleport_correction,
     tensor,
 )
 from .spacetime import Schedule, standard_schedule
@@ -467,13 +468,6 @@ def run_string(
     return run_pairs(params, alice_labels, params.bob_label, mode, seed)
 
 
-def _deterministic_bit(state: StateVector, basis: str) -> int:
-    branches = basis_measure(state, 0, basis)
-    if len(branches) != 1:
-        raise AssertionError("expected a deterministic confirmation measurement")
-    return int(branches[0].outcome)
-
-
 @lru_cache(maxsize=None)
 def _expected_stored_bit(
     phi: BasisStateSpec, frame_label: BellLabel, correction: PauliOp
@@ -484,28 +478,22 @@ def _expected_stored_bit(
     announced Pauli frame, and reads the measurement in the probe's own
     basis family.  Deterministic because Pauli frames permute basis
     family members.  Memoized over its 64 possible inputs; each entry is
-    still computed on state vectors.
+    still computed on state vectors.  The multi scheme's probe copy is
+    the same prediction, with the second committer's label as the
+    correction and his teleportation outcome as the frame.
     """
     state = make_basis_state(phi)
     state = apply_pauli(state, 0, correction)
     state = apply_pauli(state, 0, PauliOp(frame_label.i, frame_label.j))
-    return _deterministic_bit(state, phi.basis)
-
-
-@lru_cache(maxsize=None)
-def _probe_copy_bit(phi: BasisStateSpec, label: BellLabel, teleport: BellLabel) -> int:
-    """Bit the multi-scheme center should store for the second committer's
-    probe copy, rotated by his pair label and then his teleportation
-    outcome.  Memoized like ``_expected_stored_bit``."""
-    probe = make_basis_state(phi)
-    probe = apply_pauli(probe, 0, PauliOp(label.i, label.j))
-    probe = apply_pauli(probe, 0, PauliOp(teleport.i, teleport.j))
-    return _deterministic_bit(probe, phi.basis)
+    outcomes = basis_measure(state, 0, phi.basis)
+    if len(outcomes) != 1:
+        raise AssertionError("expected a deterministic confirmation measurement")
+    return int(outcomes[0].outcome)
 
 
 def clear_caches() -> None:
     """Drop every memoized table: branch enumerations and verifier bits."""
-    for cached in (branches, _expected_stored_bit, _probe_copy_bit):
+    for cached in (branches, _expected_stored_bit):
         cached.cache_clear()
 
 
@@ -521,14 +509,11 @@ def _correction_for(
     receiver side's (label, teleport outcome), which default to the
     transcript's own records.  ``R2`` uses the true records.
     """
+    alice, bob, teleport = transcript.alice_label, transcript.bob_label, transcript.teleport_outcome
     if mode == "R1":
-        bob_label, teleport = bob_claim or (transcript.bob_label, transcript.teleport_outcome)
-        shared = announced ^ bob_label ^ transcript.swap_outcome
-    else:
-        teleport = transcript.teleport_outcome
-        shared = transcript.alice_label ^ transcript.bob_label ^ transcript.swap_outcome
-    fused = shared ^ teleport
-    return PauliOp(fused.i, fused.j)
+        alice = announced
+        bob, teleport = bob_claim or (bob, teleport)
+    return teleport_correction(swapped_label(alice, bob, transcript.swap_outcome), teleport)
 
 
 def validate_single(transcript: Transcript, announced: BellLabel, mode: str = "R2") -> Verdict:
@@ -564,7 +549,8 @@ def validate_multiparty(
         raise ValueError(f"unknown validation mode {mode!r}")
     if transcript.stored_bob_bit is None:
         raise ValueError("transcript lacks the second committer's stored bit")
-    bob_expected = _probe_copy_bit(transcript.phi, *bob_announced)
+    bob_label, teleport = bob_announced
+    bob_expected = _expected_stored_bit(transcript.phi, teleport, PauliOp(bob_label.i, bob_label.j))
     failures = []
     if bob_expected != transcript.stored_bob_bit:
         failures.append(

@@ -16,7 +16,8 @@ in shortest round-trip form, so equal values serialize to equal bytes.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+import math
+from typing import IO, Iterable
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
 from .protocol import Transcript, Verdict
@@ -34,6 +35,7 @@ __all__ = [
     "strategy_to_json",
     "strategy_from_json",
     "report_to_json",
+    "report_from_json",
     "write_transcripts",
     "read_transcripts",
     "dumps",
@@ -309,3 +311,65 @@ def report_to_json(report: SecurityReport) -> dict:
         "concealment_tv": report.concealment_tv,
         "extraction_guess_probability": report.extraction_guess_probability,
     }
+
+
+
+def _number(doc: dict, field: str, nullable: bool = False):
+    value = _require(doc, field)
+    if nullable and value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TranscriptParseError(f"field {field!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _flag(doc: dict, field: str) -> bool | None:
+    value = _require(doc, field)
+    if value is not None and not isinstance(value, bool):
+        raise TranscriptParseError(f"field {field!r} must be true, false or null, got {value!r}")
+    return value
+
+
+def _rows(doc: dict, field: str) -> list[dict]:
+    rows = _require(doc, field)
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise TranscriptParseError(f"field {field!r} must be a list of objects")
+    return rows
+
+
+def report_from_json(doc: dict) -> SecurityReport:
+    """Inverse of :func:`report_to_json`, checking every field's type.
+
+    Probabilities must be finite numbers; ``claimed_acceptance``,
+    ``agrees`` and ``extraction_guess_probability`` may be null.
+    """
+    if not isinstance(doc, dict):
+        raise TranscriptParseError("scan document must be an object")
+    return SecurityReport(
+        scheme=_require(doc, "scheme"),
+        mode=_require(doc, "mode"),
+        phi_policy=_require(doc, "phi_policy"),
+        n_pairs=_require(doc, "n_pairs"),
+        strategy_rows=tuple(
+            StrategyRow(
+                strategy_from_json(_require(row, "strategy")),
+                _number(row, "acceptance_probability"),
+                _number(row, "worst_case_acceptance"),
+                _number(row, "detection_probability"),
+                _number(row, "claimed_acceptance", nullable=True),
+                _flag(row, "agrees"),
+            )
+            for row in _rows(doc, "strategy_rows")
+        ),
+        extraction_rows=tuple(
+            ExtractionRow(
+                strategy_from_json(_require(row, "strategy")),
+                _number(row, "guess_probability"),
+                _number(row, "claimed_guess"),
+                _flag(row, "agrees"),
+            )
+            for row in _rows(doc, "extraction_rows")
+        ),
+        concealment_tv=_number(doc, "concealment_tv"),
+        extraction_guess_probability=_number(doc, "extraction_guess_probability", nullable=True),
+    )

@@ -183,16 +183,12 @@ def test_criterion_05_binding_table_mode_r2():
     }
     worst = 0.0
     for bits, target in expected_uniform.items():
-        acceptance = string_cheat_acceptance(uniform, [BellLabel(*bits)], mode="R2")
+        acceptance = string_cheat_acceptance(uniform, [BellLabel(*bits)])
         worst = max(worst, abs(acceptance - target))
     for phi in ("Z0", "Z1"):
         fixed = SchemeParams("single", phi_policy=parse_phi_policy(phi), validation_mode="R2")
-        benign = 1.0 - detection_probability(
-            fixed, Strategy.relabel_announce(BellLabel(1, 0)), mode="R2"
-        )
-        caught = 1.0 - detection_probability(
-            fixed, Strategy.relabel_announce(BellLabel(0, 1)), mode="R2"
-        )
+        benign = 1.0 - detection_probability(fixed, Strategy.relabel_announce(BellLabel(1, 0)))
+        caught = 1.0 - detection_probability(fixed, Strategy.relabel_announce(BellLabel(0, 1)))
         worst = max(worst, abs(benign - 1.0), abs(caught - 0.0))
     _verdict(
         5,
@@ -205,7 +201,7 @@ def test_criterion_05_binding_table_mode_r2():
 def test_criterion_06_string_scaling_exact_and_sampled():
     params = SchemeParams("string", n_pairs=20, validation_mode="R2")
     delta = BellLabel(1, 0)
-    exact = string_cheat_acceptance(params, [delta] * 20, mode="R2")
+    exact = string_cheat_acceptance(params, [delta] * 20)
     exact_gap = abs(exact - 0.5**20)
 
     config = RunConfig(
@@ -255,11 +251,9 @@ def test_criterion_08_mode_r1_accepts_everything():
     for scheme in ("single", "multi"):
         params = SchemeParams(scheme, validation_mode="R1")
         for delta in (BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1)):
-            detection = detection_probability(
-                params, Strategy.relabel_announce(delta), mode="R1"
-            )
+            detection = detection_probability(params, Strategy.relabel_announce(delta))
             worst = max(worst, detection)
-    report = build_report(SchemeParams("single", validation_mode="R1"), mode="R1")
+    report = build_report(SchemeParams("single", validation_mode="R1"))
     flagged = {
         row.strategy.delta.bits
         for row in report.strategy_rows
@@ -332,7 +326,7 @@ def test_criterion_10_performance_envelope():
     for mode in ("R1", "R2"):
         for policy in ("default", "uniform"):
             scan_params = SchemeParams("single", phi_policy=policy, validation_mode=mode)
-            build_report(scan_params, mode=mode)
+            build_report(scan_params)
     scan_s = time.perf_counter() - start
 
     ok = enum_ms < 10.0 and sample_s < 10.0 and scan_s < 1.0

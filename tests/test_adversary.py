@@ -15,14 +15,16 @@ inside the package itself by the dual enumeration/algebra routes:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from relcommit import adversary
 from relcommit.adversary import (
     SecurityReport,
     Strategy,
-    _acceptance_algebraic,
-    _acceptance_enumerated,
+    _acceptance_by_label_algebraic,
+    _acceptance_by_label_enumerated,
     build_report,
     concealment_tv,
     detection_probability,
@@ -30,7 +32,7 @@ from relcommit.adversary import (
     string_cheat_acceptance,
 )
 from relcommit.protocol import SchemeParams
-from relcommit.quantum import BasisStateSpec, BellLabel
+from relcommit.quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 Z0 = BasisStateSpec("Z", 0)
 DELTAS = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1)]
@@ -63,20 +65,22 @@ class TestDualRouteAgreement:
     @pytest.mark.parametrize("policy", [Z0, "uniform"], ids=["Z0", "uniform"])
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_routes_agree_on_single(self, mode, policy, delta):
-        params = SchemeParams("single", phi_policy=policy)
+        params = SchemeParams("single", phi_policy=policy, validation_mode=mode)
         strategy = Strategy.relabel_announce(delta)
-        enum = _acceptance_enumerated(params, strategy, mode)
-        alg = _acceptance_algebraic(params, strategy, mode)
-        assert abs(enum - alg) <= 1e-12
+        enum = _acceptance_by_label_enumerated(params, strategy)
+        alg = _acceptance_by_label_algebraic(params, strategy)
+        for label in BELL_LABELS:
+            assert abs(enum[label] - alg[label]) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_routes_agree_on_multi(self, mode, delta):
-        params = SchemeParams("multi")
+        params = SchemeParams("multi", validation_mode=mode)
         strategy = Strategy.relabel_announce(delta)
-        enum = _acceptance_enumerated(params, strategy, mode)
-        alg = _acceptance_algebraic(params, strategy, mode)
-        assert abs(enum - alg) <= 1e-12
+        enum = _acceptance_by_label_enumerated(params, strategy)
+        alg = _acceptance_by_label_algebraic(params, strategy)
+        for label in BELL_LABELS:
+            assert abs(enum[label] - alg[label]) <= 1e-12
 
 
 class TestBindingR2:
@@ -88,7 +92,7 @@ class TestBindingR2:
             BellLabel(1, 1): 1.0,
         }
         for delta, expected in table.items():
-            computed = detection_probability(params, Strategy.relabel_announce(delta), "R2")
+            computed = detection_probability(params, Strategy.relabel_announce(delta))
             assert abs(computed - expected) <= 1e-12
 
     def test_four_state_probe_table(self):
@@ -99,20 +103,20 @@ class TestBindingR2:
             BellLabel(1, 1): 0.0,
         }
         for delta, acceptance in expected.items():
-            computed = string_cheat_acceptance(params, [delta], "R2")
+            computed = string_cheat_acceptance(params, [delta])
             assert abs(computed - acceptance) <= 1e-12
 
     def test_honest_and_rechoice_never_detected(self):
         for scheme in ("single", "multi"):
             params = SchemeParams(scheme)
-            assert abs(detection_probability(params, Strategy.honest(), "R2")) <= 1e-12
+            assert abs(detection_probability(params, Strategy.honest())) <= 1e-12
             rechoice = Strategy.delayed_rechoice(BellLabel(1, 1))
-            assert abs(detection_probability(params, rechoice, "R2")) <= 1e-12
+            assert abs(detection_probability(params, rechoice)) <= 1e-12
 
     def test_multi_first_committer_parity_flip_detected(self):
         params = SchemeParams("multi")
-        parity = detection_probability(params, Strategy.relabel_announce(BellLabel(0, 1)), "R2")
-        sign = detection_probability(params, Strategy.relabel_announce(BellLabel(1, 0)), "R2")
+        parity = detection_probability(params, Strategy.relabel_announce(BellLabel(0, 1)))
+        sign = detection_probability(params, Strategy.relabel_announce(BellLabel(1, 0)))
         assert abs(parity - 1.0) <= 1e-12
         assert abs(sign) <= 1e-12
 
@@ -121,9 +125,9 @@ class TestBindingR1:
     @pytest.mark.parametrize("scheme", ["single", "multi"])
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_any_announcement_accepted(self, scheme, delta):
-        params = SchemeParams(scheme)
+        params = SchemeParams(scheme, validation_mode="R1")
         strategy = Strategy.relabel_announce(delta)
-        assert abs(detection_probability(params, strategy, "R1")) <= 1e-12
+        assert abs(detection_probability(params, strategy)) <= 1e-12
 
 
 class TestStringCheating:
@@ -192,7 +196,7 @@ class TestExtraction:
 
 class TestSecurityReport:
     def test_r2_fixed_probe_scan_agrees_with_claims(self):
-        report = build_report(SchemeParams("single", phi_policy=Z0), mode="R2")
+        report = build_report(SchemeParams("single", phi_policy=Z0))
         assert isinstance(report, SecurityReport)
         assert report.strategy_rows
         for row in report.strategy_rows:
@@ -204,7 +208,7 @@ class TestSecurityReport:
         assert abs(report.extraction_guess_probability - 0.5) <= 1e-12
 
     def test_r1_scan_flags_binding_failures(self):
-        report = build_report(SchemeParams("single", phi_policy=Z0), mode="R1")
+        report = build_report(SchemeParams("single", phi_policy=Z0, validation_mode="R1"))
         flagged = {
             row.strategy.delta
             for row in report.strategy_rows
@@ -216,7 +220,7 @@ class TestSecurityReport:
             assert abs(row.acceptance_probability - 1.0) <= 1e-12
 
     def test_string_scan_flags_joint_flip_claim(self):
-        report = build_report(SchemeParams("string", n_pairs=1), mode="R2")
+        report = build_report(SchemeParams("string", n_pairs=1))
         by_delta = {
             row.strategy.delta: row
             for row in report.strategy_rows
@@ -236,7 +240,7 @@ class TestSecurityReport:
         for scheme, n_pairs in (("single", 1), ("multi", 1), ("string", 3)):
             params = SchemeParams(scheme, n_pairs=n_pairs)
             for mode in ("R1", "R2"):
-                report = build_report(params, mode=mode)
+                report = build_report(dataclasses.replace(params, validation_mode=mode))
                 for row in report.strategy_rows:
                     assert 0.0 <= row.worst_case_acceptance <= 1.0 + 1e-12
                     assert abs(row.worst_case_acceptance - row.acceptance_probability) <= 1e-12
@@ -249,7 +253,7 @@ class TestSecurityReport:
 
     def test_custom_strategy_list_respected(self):
         strategies = [Strategy.relabel_announce(BellLabel(0, 1))]
-        report = build_report(SchemeParams("single"), strategies=strategies, mode="R2")
+        report = build_report(SchemeParams("single"), strategies=strategies)
         assert len(report.strategy_rows) == 1
         assert abs(report.strategy_rows[0].detection_probability - 1.0) <= 1e-12
         assert report.extraction_rows == ()
@@ -261,9 +265,9 @@ class TestSecurityReport:
         calls = []
         real = adversary._acceptance_profile
 
-        def counting(params, strategy, mode):
+        def counting(params, strategy):
             calls.append(strategy)
-            return real(params, strategy, mode)
+            return real(params, strategy)
 
         monkeypatch.setattr(adversary, "_acceptance_profile", counting)
         report = build_report(SchemeParams("string", n_pairs=3, phi_policy="uniform"))
@@ -271,3 +275,11 @@ class TestSecurityReport:
         assert len({s.delta for s in calls}) == 4
         honest, rechoice = report.strategy_rows[0], report.strategy_rows[-1]
         assert honest.acceptance_probability == rechoice.acceptance_probability
+
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    def test_report_mode_is_the_params_mode(self, mode):
+        params = SchemeParams("single", validation_mode=mode)
+        assert build_report(params).mode == params.validation_mode
+        other = "R1" if mode == "R2" else "R2"
+        with pytest.raises(TypeError):
+            build_report(params, mode=other)

@@ -134,6 +134,26 @@ class TestAttackScanAndReport:
         assert code == 0
         assert "NO" in out  # R1 scan must flag disagreements with the claims
 
+    @pytest.mark.parametrize(
+        "rows,field,value",
+        [
+            ("strategy_rows", "acceptance_probability", None),
+            ("strategy_rows", "acceptance_probability", "0.5"),
+            ("extraction_rows", "claimed_guess", None),
+            ("extraction_rows", "claimed_guess", "0.5"),
+        ],
+    )
+    def test_report_rejects_bad_scan_field(self, capsys, tmp_path, rows, field, value):
+        scan = tmp_path / "scan.json"
+        run_cli(capsys, "attack-scan", "--scheme", "single", "--output", str(scan))
+        doc = json.loads(scan.read_text())
+        doc[rows][0][field] = value
+        scan.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "report", "--input", str(scan))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and field in err
+
     def test_render_table_smoke(self):
         from relcommit.adversary import build_report
         from relcommit.protocol import SchemeParams
@@ -218,6 +238,36 @@ class TestConfigAndErrors:
         code, _, err = run_cli(capsys, "enumerate", "--config", str(config))
         assert code == 1
         assert "separation" in err
+
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            ("run", {"seed": 1.5}, "seed"),
+            ("enumerate", {"scheme": "string", "n_pairs": 2.7}, "n_pairs"),
+            ("run", {"trials": True}, "trials"),
+            ("audit", {"mode": "R3"}, "mode"),
+            ("enumerate", {"scheme": "triple"}, "scheme"),
+            ("run", {"alice_label": 1}, "alice_label"),
+            ("enumerate", {"x": [1.0]}, "x"),
+        ],
+    )
+    def test_config_value_checked_like_its_flag(self, capsys, tmp_path, command, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_config_values_convert_like_flag_text(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scheme": "string", "n_pairs": 2, "x": 2,
+                                    "alice_label": "10", "mode": "R1"}))
+        from_config = run_cli(capsys, "enumerate", "--config", str(path))
+        from_flags = run_cli(capsys, "enumerate", "--scheme", "string", "--n-pairs", "2",
+                             "--x", "2", "--alice-label", "10", "--mode", "R1")
+        assert from_config[0] == 0
+        assert from_config == from_flags
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "fnord")

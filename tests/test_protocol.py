@@ -28,7 +28,6 @@ from relcommit.protocol import (
     _draw,
     _enumerate_pair,
     _expected_stored_bit,
-    _probe_copy_bit,
     branches,
     clear_caches,
     committed_bit,
@@ -436,10 +435,10 @@ class TestMemoizedVerifier:
                   for label in BELL_LABELS for tele in BELL_LABELS]
         for _ in range(2):
             for phi, label, tele in inputs:
-                assert _probe_copy_bit(phi, label, tele) == _fresh_bit(
+                assert _expected_stored_bit(phi, tele, _pauli(label)) == _fresh_bit(
                     phi, _pauli(label), _pauli(tele)
                 )
-        assert _probe_copy_bit.cache_info().currsize == 64
+        assert _expected_stored_bit.cache_info().currsize == 64
 
 
 _POLICIES = {
@@ -489,8 +488,7 @@ class TestCaches:
     def test_clear_caches_empties_every_cache(self):
         caches = _module_caches()
         assert {("relcommit.protocol", "branches"),
-                ("relcommit.protocol", "_expected_stored_bit"),
-                ("relcommit.protocol", "_probe_copy_bit")} <= set(caches)
+                ("relcommit.protocol", "_expected_stored_bit")} <= set(caches)
         for scheme, n_pairs in (("multi", 1), ("string", 2)):
             adversary.build_report(SchemeParams(scheme, n_pairs=n_pairs))
         for key, cache in caches.items():

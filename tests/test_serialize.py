@@ -15,6 +15,7 @@ from relcommit.serialize import (
     dumps,
     parse_transcript,
     read_transcripts,
+    report_from_json,
     report_to_json,
     schedule_from_json,
     schedule_to_json,
@@ -126,7 +127,7 @@ class TestStrategyAndReport:
             assert strategy_from_json(strategy_to_json(strategy)) == strategy
 
     def test_report_serializes_completely(self):
-        report = build_report(SchemeParams("single"), mode="R2")
+        report = build_report(SchemeParams("single"))
         doc = report_to_json(report)
         assert doc["scheme"] == "single"
         assert len(doc["strategy_rows"]) == len(report.strategy_rows)
@@ -141,3 +142,71 @@ class TestStrategyAndReport:
                 "agrees",
             }
         dumps(doc)  # must be valid JSON (no NaN, no objects)
+
+
+@pytest.fixture(scope="module")
+def single_scan() -> dict:
+    return report_to_json(build_report(SchemeParams("single")))
+
+
+class TestReportFromJson:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SchemeParams("single"),
+            SchemeParams("multi", validation_mode="R1"),
+            SchemeParams("string", n_pairs=3),
+        ],
+        ids=["single", "multi", "string"],
+    )
+    def test_round_trip(self, params):
+        report = build_report(params)
+        assert report_from_json(json.loads(dumps(report_to_json(report)))) == report
+
+    def test_nullable_fields_accepted(self, single_scan):
+        doc = json.loads(dumps(single_scan))
+        doc["strategy_rows"][0]["claimed_acceptance"] = None
+        doc["strategy_rows"][0]["agrees"] = None
+        doc["extraction_rows"][0]["agrees"] = None
+        doc["extraction_guess_probability"] = None
+        report = report_from_json(doc)
+        assert report.strategy_rows[0].claimed_acceptance is None
+        assert report.strategy_rows[0].agrees is None
+        assert report.extraction_guess_probability is None
+
+    @pytest.mark.parametrize(
+        "rows,field,value",
+        [
+            ("strategy_rows", "acceptance_probability", None),
+            ("strategy_rows", "acceptance_probability", "0.5"),
+            ("strategy_rows", "worst_case_acceptance", True),
+            ("strategy_rows", "detection_probability", float("nan")),
+            ("strategy_rows", "claimed_acceptance", "1"),
+            ("strategy_rows", "agrees", "yes"),
+            ("extraction_rows", "guess_probability", float("inf")),
+            ("extraction_rows", "claimed_guess", None),
+            ("extraction_rows", "claimed_guess", "0.5"),
+            ("extraction_rows", "agrees", 1),
+            (None, "concealment_tv", None),
+            (None, "extraction_guess_probability", "0.5"),
+        ],
+    )
+    def test_bad_field_named(self, single_scan, rows, field, value):
+        doc = json.loads(dumps(single_scan))
+        (doc if rows is None else doc[rows][0])[field] = value
+        with pytest.raises(TranscriptParseError, match=field):
+            report_from_json(doc)
+
+    @pytest.mark.parametrize("field", ["scheme", "strategy_rows", "extraction_rows"])
+    def test_missing_field_named(self, single_scan, field):
+        doc = json.loads(dumps(single_scan))
+        del doc[field]
+        with pytest.raises(TranscriptParseError, match=field):
+            report_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[], {"strategy_rows": 5}, {"strategy_rows": ["row"]}])
+    def test_malformed_document_rejected(self, single_scan, doc):
+        if isinstance(doc, dict):
+            doc = {**json.loads(dumps(single_scan)), **doc}
+        with pytest.raises(TranscriptParseError):
+            report_from_json(doc)
