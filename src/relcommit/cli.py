@@ -2,11 +2,17 @@
 
 Subcommands:
 
-* ``run``: sample transcripts, validate them, emit JSONL.
+* ``run``: sample transcripts, validate them, emit JSONL line by line.
 * ``enumerate``: exact branch enumeration of one configuration as JSON.
 * ``attack-scan``: full security report as JSON.
 * ``audit``: causality-check a canonical or serialized schedule.
 * ``report``: human-readable table for a scan (fresh or from JSON).
+* ``stats``: sampled outcome counts against exact probabilities as JSON.
+
+``run`` and ``stats`` build the same sampling campaign from their flags
+and read the same seeded stream, so at equal flags ``run`` writes out
+exactly the draws that ``stats`` counts.  ``--announce-delta`` (other
+than ``00``) makes the committer relabel her announcement by it.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 causality
 violations from ``audit``, or validation failures under ``--strict``.
@@ -22,14 +28,20 @@ file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import sys
 from typing import Sequence
 
-from .adversary import SecurityReport, build_report
-from .montecarlo import RunConfig, monte_carlo, parse_phi_policy, stats_to_json
-from .protocol import SchemeParams, run_pairs, validate_transcript
+from .adversary import SecurityReport, Strategy, build_report
+from .montecarlo import (
+    RunConfig,
+    monte_carlo,
+    parse_phi_policy,
+    sample_transcripts,
+    stats_to_json,
+)
+from .protocol import SchemeParams, run_pairs
 from .quantum import BellLabel
 from .serialize import (
     dumps,
@@ -169,44 +181,52 @@ def _scheme_params(args) -> SchemeParams:
     )
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
+def _run_config(args) -> RunConfig:
+    """The sampling campaign of ``run`` and ``stats``."""
+    delta = getattr(args, "announce_delta", None)  # a config key for ``stats``
+    honest = delta in (None, BellLabel(0, 0))
+    return RunConfig(
+        scheme=args.scheme,
+        x=args.x,
+        c=args.c,
+        T=args.T,
+        n_pairs=args.n_pairs if args.scheme == "string" else 1,
+        phi=args.phi,
+        validation_mode=args.mode,
+        seed=args.seed,
+        trials=args.trials,
+        alice_label=args.alice_label,
+        bob_label=args.bob_label,
+        strategy=None if honest else Strategy.relabel_announce(delta),
+    )
+
+
+@contextlib.contextmanager
+def _output(args):
+    """``--output`` opened for writing, or stdout; a failed write is a usage error."""
+    if not args.output:
+        yield sys.stdout
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            yield handle
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise _UsageError(f"cannot write output {args.output!r}: {reason}") from exc
 
 
-def _sampled_transcripts(params: SchemeParams, args):
-    """One trial's validated transcripts (one per pair for strings)."""
-    delta = args.announce_delta or BellLabel(0, 0)
-    labels = [args.alice_label] * params.n_pairs
-    for trial in range(args.trials):
-        batch = run_pairs(params, labels, args.bob_label, mode="sample",
-                          seed=(args.seed, trial))
-        for t in batch:
-            announced = t.alice_label ^ delta
-            verdict = validate_transcript(t, announced, params.validation_mode)
-            yield dataclasses.replace(
-                t, announced_alice_label=announced, verdict=verdict
-            )
+def _emit(args, text: str) -> None:
+    with _output(args) as out:
+        out.write(text if text.endswith("\n") else text + "\n")
 
 
 def _cmd_run(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be positive, got {args.trials}")
-    params = _scheme_params(args)
-    lines = []
+    transcripts = sample_transcripts(_run_config(args))
     failures = 0
-    for t in _sampled_transcripts(params, args):
-        if not t.verdict.accept:
-            failures += 1
-        lines.append(serialize_transcript(t))
-    _emit(args, "\n".join(lines))
+    with _output(args) as out:
+        for t in transcripts:
+            failures += not t.verdict.accept
+            out.write(serialize_transcript(t) + "\n")
     if args.strict and failures:
         print(f"{failures} transcript(s) failed validation", file=sys.stderr)
         return 2
@@ -255,7 +275,7 @@ def render_report_table(report: SecurityReport) -> str:
     if report.extraction_rows:
         lines.append(f"{'receiver strategy':<28}{'guess':>12}{'claimed':>10}{'agrees':>8}")
         for row in report.extraction_rows:
-            agrees = "yes" if row.agrees else "NO"
+            agrees = "-" if row.agrees is None else ("yes" if row.agrees else "NO")
             lines.append(
                 f"{row.strategy.describe():<28}{row.guess_probability:>12.6f}"
                 f"{row.claimed_guess:>10.6g}{agrees:>8}"
@@ -308,21 +328,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    config = RunConfig(
-        scheme=args.scheme,
-        x=args.x,
-        c=args.c,
-        T=args.T,
-        n_pairs=args.n_pairs if args.scheme == "string" else 1,
-        phi=args.phi,
-        validation_mode=args.mode,
-        seed=args.seed,
-        trials=args.trials,
-        alice_label=args.alice_label,
-        bob_label=args.bob_label,
-        strategy=None,
-    )
-    summary = monte_carlo(config)
+    summary = monte_carlo(_run_config(args))
     _emit(args, dumps(stats_to_json(summary)))
     if args.strict and any(not row.agrees for row in summary.rows):
         print("sampled frequencies deviate beyond 5 standard errors", file=sys.stderr)

@@ -1,48 +1,58 @@
-"""Mass sampling against exact references.
+"""Seeded sampling against exact references: the package's one sampler.
 
-The runner reads a configuration's cached branch table through its
-:func:`~relcommit.protocol.slot_table` and draws one random byte per
-pair, so it samples the exact dyadic distribution.  Trials are drawn in
-chunks of ``CHUNK_TRIALS``, or of ``CHUNK_DRAWS // n_pairs`` when that
-is fewer, so a chunk holds at most ``CHUNK_DRAWS`` pair draws and
-memory stays near 2.5 MB at any ``n_pairs`` up to ``CHUNK_DRAWS``.
-Chunk ``k`` draws from its own generator derived from ``(seed, k)``, so
-every count is reproducible bit for bit at a fixed seed and trial
-budget.  The chunk size depends only on ``n_pairs``, so at one seed the
-draws of a smaller budget are a prefix of a larger budget's draws.
-Every call starts at chunk 0, so two campaigns with the same seed
-repeat draws rather than splitting a budget between them; use distinct
-seeds for independent campaigns.
+A campaign reads its configuration's cached branch table through a
+:func:`slot_table` of ``SLOTS = 256`` equiprobable slots and draws one
+random byte per pair, so it samples the exact dyadic distribution.
+Trials are drawn in chunks of ``CHUNK_TRIALS``, or of
+``CHUNK_DRAWS // n_pairs`` when that is fewer, so a chunk holds at most
+``CHUNK_DRAWS`` pair draws and memory stays near 2.5 MB at any
+``n_pairs`` up to ``CHUNK_DRAWS``.  Chunk ``k`` draws from its own
+generator derived from ``(seed, k)``, so every draw is reproducible bit
+for bit at a fixed seed and trial budget.  The chunk size depends only
+on ``n_pairs``, so at one seed the draws of a smaller budget are a
+prefix of a larger budget's draws.  Every call starts at chunk 0, so
+two campaigns with the same seed repeat draws rather than splitting a
+budget between them; use distinct seeds for independent campaigns.
 
-Every reported frequency sits next to its exact probability (a count of
+Two functions read that one stream.  :func:`monte_carlo` tallies it:
+every reported frequency sits next to its exact probability (a count of
 slots over 256), a binomial standard error and a z-score; ``agrees``
 flags deviations beyond five standard errors.
+:func:`sample_transcripts` maps each drawn slot to its validated
+transcript, so at one configuration it yields exactly the draws that
+:func:`monte_carlo` counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .adversary import Strategy, _committer_labels
-from .protocol import SLOTS, SchemeParams, _draw_slots, branches, slot_table, validate_transcript
-from .quantum import BELL_LABELS, BasisStateSpec, BellLabel
+from .protocol import SchemeParams, Transcript, Verdict, branches, validate_transcript
+from .quantum import BELL_LABELS, PROB_ATOL, BasisStateSpec, BellLabel
 
 __all__ = [
     "CHUNK_DRAWS",
     "CHUNK_TRIALS",
+    "SLOTS",
     "RunConfig",
     "StatsRow",
     "StatsSummary",
     "monte_carlo",
     "parse_phi_policy",
+    "sample_transcripts",
+    "slot_table",
     "stats_to_json",
 ]
 
 CHUNK_TRIALS = 1 << 16
 CHUNK_DRAWS = 1 << 18
+SLOTS = 256  # one sampling slot per value of a random byte
 
 _PHI_NAMES = {
     "Z0": BasisStateSpec("Z", 0),
@@ -84,6 +94,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.strategy is not None and self.strategy.role != "committer":
             raise ValueError("sampling campaigns model committer strategies only")
 
@@ -147,6 +159,41 @@ def _make_row(category, outcome, count, draws, exact) -> StatsRow:
     )
 
 
+def slot_table(table: Sequence[Transcript]) -> np.ndarray:
+    """Branch index of each of ``SLOTS`` equiprobable slots, in table order.
+
+    Raises ``ValueError`` unless each branch fills at least one whole
+    slot (within ``PROB_ATOL * SLOTS``) and the slots add up to ``SLOTS``.
+    """
+    scaled = np.array([t.probability for t in table]) * SLOTS
+    counts = np.rint(scaled)
+    if counts.min() < 1 or counts.sum() != SLOTS or np.abs(scaled - counts).max() > PROB_ATOL * SLOTS:
+        raise ValueError(f"branch weights are not whole multiples of 1/{SLOTS}")
+    return np.repeat(np.arange(len(table), dtype=np.uint8), counts.astype(np.intp))
+
+
+def _campaign(
+    config: RunConfig,
+) -> tuple[SchemeParams, tuple[Transcript, ...], np.ndarray, list[Verdict], BellLabel]:
+    """Params, branch table, slot table, per-branch verdicts and the announced label."""
+    params = config.to_params()
+    strategy = config.strategy or Strategy.honest()
+    committed, announced = _committer_labels(strategy, config.alice_label)
+    table = branches(params, committed, config.bob_label)
+    verdicts = [validate_transcript(t, announced, params.validation_mode) for t in table]
+    return params, table, slot_table(table), verdicts, announced
+
+
+def _slot_chunks(config: RunConfig) -> Iterator[np.ndarray]:
+    """The campaign's drawn slots, one ``(trials, n_pairs)`` uint8 chunk at a time."""
+    n_pairs = config.n_pairs
+    chunk = max(1, min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs))
+    for index, start in enumerate(range(0, config.trials, chunk)):
+        rng = np.random.default_rng((config.seed, index))
+        size = min(chunk, config.trials - start)
+        yield rng.integers(SLOTS, size=(size, n_pairs), dtype=np.uint8)
+
+
 def monte_carlo(config: RunConfig) -> StatsSummary:
     """Sample ``config.trials`` runs and collate outcome statistics.
 
@@ -155,32 +202,20 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     strategy and validation mode (string acceptance requires all pairs
     to pass).  Counts for per-pair categories aggregate over pairs.
     """
-    strategy = config.strategy or Strategy.honest()
-    committed, announced = _committer_labels(strategy, config.alice_label)
-    table = branches(config.to_params(), committed, config.bob_label)
-    mode = config.validation_mode
-    n_pairs = config.n_pairs if config.scheme == "string" else 1
+    params, table, slots, verdicts, _ = _campaign(config)
+    n_pairs = params.n_pairs
 
     # per-slot outcomes, read through each slot's branch
-    slots = slot_table(table)
     swap_ids = np.array([BELL_LABELS.index(t.swap_outcome) for t in table])[slots]
     tele_ids = np.array([BELL_LABELS.index(t.teleport_outcome) for t in table])[slots]
     bits = np.array([t.stored_alice_bit for t in table])[slots]
-    accepts = np.array([validate_transcript(t, announced, mode).accept for t in table])[slots]
+    accepts = np.array([v.accept for v in verdicts])[slots]
 
     slot_counts = np.zeros(SLOTS, dtype=np.int64)
     accept_count = 0
-    chunk = max(1, min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs))
-    remaining = config.trials
-    chunk_index = 0
-    while remaining > 0:
-        size = min(chunk, remaining)
-        rng = np.random.default_rng((config.seed, chunk_index))
-        drawn = _draw_slots(rng, size * n_pairs)
-        slot_counts += np.bincount(drawn, minlength=SLOTS)
-        accept_count += int(np.take(accepts, drawn.reshape(size, n_pairs)).all(axis=1).sum())
-        remaining -= size
-        chunk_index += 1
+    for drawn in _slot_chunks(config):
+        slot_counts += np.bincount(drawn.ravel(), minlength=SLOTS)
+        accept_count += int(np.take(accepts, drawn).all(axis=1).sum())
 
     pair_draws = config.trials * n_pairs
     rows = []
@@ -198,6 +233,29 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
         _make_row("acceptance", "accept", accept_count, config.trials, pair_acceptance**n_pairs)
     )
     return StatsSummary(trials=config.trials, seed=config.seed, rows=tuple(rows))
+
+
+def sample_transcripts(config: RunConfig) -> Iterator[Transcript]:
+    """The campaign's drawn transcripts, validated, one per pair per trial.
+
+    Each transcript carries the announced label and its verdict; string
+    transcripts carry ``pair_index=k``.  The draws are exactly those
+    :func:`monte_carlo` counts at the same configuration.  Set-up (and
+    any configuration error) happens at the call; transcripts are drawn
+    lazily, one chunk at a time.
+    """
+    params, table, slots, verdicts, announced = _campaign(config)
+    validated = [
+        dataclasses.replace(t, announced_alice_label=announced, verdict=verdict)
+        for t, verdict in zip(table, verdicts)
+    ]
+    indexed = params.scheme == "string"
+    return (
+        dataclasses.replace(validated[branch], pair_index=k) if indexed else validated[branch]
+        for drawn in _slot_chunks(config)
+        for row in slots[drawn]
+        for k, branch in enumerate(row.tolist())
+    )
 
 
 def stats_to_json(summary: StatsSummary) -> dict:

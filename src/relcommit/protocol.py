@@ -30,15 +30,12 @@ Validation knows two verifier models:
   announced frame against it.  Parity flips are then always caught,
   sign flips pass on parity-preserving announcements.
 
-``run_*`` functions return exhaustive branch enumerations (transcripts
-weighted by exact probabilities) or, in ``sample`` mode, a single
-seeded draw from that distribution.  Both read one memoized table per
-pair, :func:`branches`; the verifier memoizes its state-vector
-predictions the same way, and :func:`clear_caches` drops both.
-
-Every branch weight is a product of factors 1/2 and 1/4, so ``sample``
-runs and ``montecarlo`` both draw exactly: one random byte picks one of
-the 256 equiprobable slots of a :func:`slot_table`.
+``run_*`` functions return exhaustive branch enumerations: transcripts
+weighted by exact probabilities, read from one memoized table per pair,
+:func:`branches`.  The verifier memoizes its state-vector predictions
+the same way, and :func:`clear_caches` drops both.  This module never
+samples; seeded draws from these tables live in
+:mod:`relcommit.montecarlo`.
 """
 
 from __future__ import annotations
@@ -48,8 +45,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .quantum import (
     PROB_ATOL,
@@ -69,10 +64,8 @@ from .spacetime import Schedule, standard_schedule
 
 __all__ = [
     "VALIDATION_MODES",
-    "RUN_MODES",
     "Z_FAMILY",
     "FULL_FAMILY",
-    "SLOTS",
     "SchemeParams",
     "Verdict",
     "Transcript",
@@ -80,7 +73,6 @@ __all__ = [
     "committed_string",
     "branches",
     "clear_caches",
-    "slot_table",
     "run_pairs",
     "run_single",
     "run_multiparty",
@@ -92,7 +84,6 @@ __all__ = [
 ]
 
 VALIDATION_MODES = ("R1", "R2")
-RUN_MODES = ("enumerate", "sample")
 
 Z_FAMILY = (BasisStateSpec("Z", 0), BasisStateSpec("Z", 1))
 FULL_FAMILY = (
@@ -101,8 +92,6 @@ FULL_FAMILY = (
     BasisStateSpec("X", 0),
     BasisStateSpec("X", 1),
 )
-
-SLOTS = 256  # one sampling slot per value of a random byte
 
 
 def committed_bit(label: BellLabel) -> int:
@@ -232,36 +221,6 @@ class Transcript:
             raise ValueError(f"branch probability out of range: {self.probability!r}")
 
 
-def _entropy(seed) -> tuple[int, ...]:
-    if seed is None:
-        return (0,)
-    if isinstance(seed, int):
-        return (seed,)
-    return tuple(int(s) for s in seed)
-
-
-def slot_table(table: Sequence[Transcript]) -> np.ndarray:
-    """Branch index of each of ``SLOTS`` equiprobable slots, in table order.
-
-    Raises ``ValueError`` unless each branch fills at least one whole
-    slot (within ``PROB_ATOL * SLOTS``) and the slots add up to ``SLOTS``.
-    """
-    scaled = np.array([t.probability for t in table]) * SLOTS
-    counts = np.rint(scaled)
-    if counts.min() < 1 or counts.sum() != SLOTS or np.abs(scaled - counts).max() > PROB_ATOL * SLOTS:
-        raise ValueError(f"branch weights are not whole multiples of 1/{SLOTS}")
-    return np.repeat(np.arange(len(table), dtype=np.uint8), counts.astype(np.intp))
-
-
-def _draw_slots(rng: np.random.Generator, size: int | None = None):
-    """Uniform slots, one byte each."""
-    return rng.integers(SLOTS, size=size, dtype=np.uint8)
-
-
-def _draw(table: Sequence[Transcript], slots: np.ndarray, rng: np.random.Generator) -> Transcript:
-    return table[slots[_draw_slots(rng)]]
-
-
 def _enumerate_pair(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> list[Transcript]:
@@ -366,7 +325,7 @@ def branches(
     the receiver-side label (the second committer's in the multi
     scheme) and overrides ``params.bob_label``.  A string pair is
     enumerated on its own, so its transcripts carry ``pair_index=None``;
-    the ``run_*`` functions stamp the index.  Memoized on the hashable
+    the ``run_*`` functions and the sampler stamp the index.  Memoized on the hashable
     arguments; ``clear_caches`` drops the table.
     """
     if params.scheme == "multi":
@@ -378,61 +337,32 @@ def run_pairs(
     params: SchemeParams,
     alice_labels: Sequence[BellLabel],
     bob_label: BellLabel,
-    mode: str = "enumerate",
-    seed=None,
-) -> list:
-    """Execute any scheme, one entry per committed pair.
+) -> list[list[Transcript]]:
+    """Every branch of any scheme, one branch list per committed pair.
 
-    ``enumerate`` returns each pair's branch list; ``sample`` returns one
-    transcript per pair drawn from that list.  String pairs draw from
-    their own streams ``(*seed, k)`` and carry ``pair_index=k``; the
-    one-pair schemes draw from ``seed`` itself and carry no index.
+    String transcripts carry ``pair_index=k``; the one-pair schemes'
+    carry no index.
     """
-    if mode not in RUN_MODES:
-        raise ValueError(f"unknown run mode {mode!r}")
-    indexed = params.scheme == "string"
-    base = _entropy(seed)
-    slots = {}
     out = []
     for k, label in enumerate(alice_labels):
         table = branches(params, label, bob_label)
-        if mode == "sample":
-            if label not in slots:
-                slots[label] = slot_table(table)
-            stream = (*base, k) if indexed else base
-            table = (_draw(table, slots[label], np.random.default_rng(stream)),)
-        if indexed:
+        if params.scheme == "string":
             table = [dataclasses.replace(t, pair_index=k) for t in table]
-        out.append(table[0] if mode == "sample" else list(table))
+        out.append(list(table))
     return out
 
 
-def run_single(
-    params: SchemeParams,
-    alice_label: BellLabel,
-    mode: str = "enumerate",
-    seed=None,
-) -> list[Transcript]:
-    """Execute the single-bit scheme.
-
-    ``enumerate`` returns every classical branch with exact weights
-    summing to 1; ``sample`` returns a one-element list drawn from that
-    distribution with a seeded generator.
-    """
+def run_single(params: SchemeParams, alice_label: BellLabel) -> list[Transcript]:
+    """Every classical branch of the single-bit scheme, weights summing to 1."""
     if params.scheme != "single":
         raise ValueError(f"run_single requires scheme 'single', got {params.scheme!r}")
-    out = run_pairs(params, [alice_label], params.bob_label, mode, seed)
-    return out if mode == "sample" else out[0]
+    return run_pairs(params, [alice_label], params.bob_label)[0]
 
 
 def run_multiparty(
-    params: SchemeParams,
-    alice_label: BellLabel,
-    bob_label: BellLabel,
-    mode: str = "enumerate",
-    seed=None,
+    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> list[Transcript]:
-    """Execute the two-committer scheme around a verifying center.
+    """Every classical branch of the two-committer scheme around a verifying center.
 
     Both committers learn the center's swap outcome.  Alice measures her
     retained qubit in the computational basis (recorded, announced only
@@ -443,21 +373,16 @@ def run_multiparty(
     """
     if params.scheme != "multi":
         raise ValueError(f"run_multiparty requires scheme 'multi', got {params.scheme!r}")
-    out = run_pairs(params, [alice_label], bob_label, mode, seed)
-    return out if mode == "sample" else out[0]
+    return run_pairs(params, [alice_label], bob_label)[0]
 
 
 def run_string(
-    params: SchemeParams,
-    alice_labels: Sequence[BellLabel],
-    mode: str = "enumerate",
-    seed=None,
-) -> list:
-    """Execute the N-pair string scheme.
+    params: SchemeParams, alice_labels: Sequence[BellLabel]
+) -> list[list[Transcript]]:
+    """Every branch of the N-pair string scheme, one branch list per pair.
 
-    Pairs are physically independent.  ``enumerate`` returns one branch
-    list per pair; ``sample`` returns one drawn transcript per pair,
-    each pair using its own seed-derived stream.
+    Pairs are physically independent, so each list is one pair's own
+    enumeration.
     """
     if params.scheme != "string":
         raise ValueError(f"run_string requires scheme 'string', got {params.scheme!r}")
@@ -465,7 +390,7 @@ def run_string(
         raise ValueError(
             f"expected {params.n_pairs} committer labels, got {len(alice_labels)}"
         )
-    return run_pairs(params, alice_labels, params.bob_label, mode, seed)
+    return run_pairs(params, alice_labels, params.bob_label)
 
 
 @lru_cache(maxsize=None)

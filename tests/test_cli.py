@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 from relcommit.cli import cli_main, parse_label, render_report_table
+from relcommit.montecarlo import RunConfig, sample_transcripts
 from relcommit.quantum import BellLabel
-from relcommit.serialize import parse_transcript, schedule_to_json
+from relcommit.serialize import parse_transcript, schedule_to_json, serialize_transcript
 from relcommit.spacetime import standard_schedule
 
 import dataclasses
@@ -104,6 +107,71 @@ class TestRun:
         assert out == ""
         assert "trials must be positive" in err
 
+    def test_lines_are_the_sampled_transcripts(self, capsys, tmp_path):
+        target = tmp_path / "run.jsonl"
+        args = ("run", "--scheme", "string", "--n-pairs", "3", "--trials", "4", "--seed", "7",
+                "--alice-label", "10")
+        _, out, _ = run_cli(capsys, *args)
+        code, written, _ = run_cli(capsys, *args, "--output", str(target))
+        config = RunConfig(scheme="string", n_pairs=3, trials=4, seed=7,
+                           alice_label=BellLabel(1, 0))
+        lines = [serialize_transcript(t) for t in sample_transcripts(config)]
+        assert code == 0 and written == ""
+        assert out == target.read_text() == "\n".join(lines) + "\n"
+
+    def test_output_is_written_as_drawn(self, capsys, tmp_path):
+        # joining 2000 lines of about 2.7 KB before writing peaks near 17 MB
+        target = str(tmp_path / "run.jsonl")
+        run_cli(capsys, "run", "--scheme", "single", "--trials", "1", "--output", target)
+        tracemalloc.start()
+        try:
+            code = cli_main(["run", "--scheme", "single", "--trials", "2000", "--output", target])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20, peak
+
+
+def _tallies(rows):
+    return {(row["category"], row["outcome"]): row["count"] for row in rows}
+
+
+def _run_tallies(out, n_pairs):
+    tally = Counter()
+    transcripts = [parse_transcript(line) for line in out.splitlines()]
+    for t in transcripts:
+        tally["swap_outcome", str(t.swap_outcome)] += 1
+        tally["teleport_outcome", str(t.teleport_outcome)] += 1
+        tally["stored_bit", str(t.stored_alice_bit)] += 1
+    for start in range(0, len(transcripts), n_pairs):
+        trial = transcripts[start:start + n_pairs]
+        tally["acceptance", "accept"] += all(t.verdict.accept for t in trial)
+    return tally
+
+
+@pytest.mark.parametrize("delta", [None, "01"])
+@pytest.mark.parametrize("scheme,n_pairs", [("single", 1), ("multi", 1), ("string", 3)])
+def test_run_draws_what_stats_counts(capsys, tmp_path, scheme, n_pairs, delta):
+    common = ["--scheme", scheme, "--n-pairs", str(n_pairs), "--trials", "300", "--seed", "11",
+              "--phi", "uniform"]
+    run_args, stats_args = ["run", *common], ["stats", *common]
+    if delta is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"announce_delta": delta}))
+        run_args += ["--announce-delta", delta]
+        stats_args += ["--config", str(config)]  # stats reads the shift from a config only
+    code, out, _ = run_cli(capsys, *run_args)
+    assert code == 0
+    drawn = _run_tallies(out, n_pairs)
+    code, out, _ = run_cli(capsys, *stats_args)
+    assert code == 0
+    counted = _tallies(json.loads(out)["rows"])
+    assert counted == {key: drawn[key] for key in counted}
+    assert sum(drawn.values()) == sum(counted.values())
+    if delta is not None:
+        assert counted["acceptance", "accept"] < 300  # the shift is applied by both
+
 
 class TestAttackScanAndReport:
     def test_scan_flags_parity_flip(self, capsys):
@@ -153,6 +221,20 @@ class TestAttackScanAndReport:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and field in err
+
+    def test_report_null_extraction_agreement_prints_dash(self, capsys, tmp_path):
+        scan = tmp_path / "scan.json"
+        run_cli(capsys, "attack-scan", "--scheme", "single", "--output", str(scan))
+        doc = json.loads(scan.read_text())
+        for row in doc["extraction_rows"]:
+            row["agrees"] = None
+        scan.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "report", "--input", str(scan))
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index(next(line for line in lines if line.startswith("receiver strategy")))
+        rows = lines[start + 1:start + 1 + len(doc["extraction_rows"])]
+        assert rows and all(line.endswith(" -") for line in rows), rows
 
     def test_render_table_smoke(self):
         from relcommit.adversary import build_report
@@ -292,6 +374,24 @@ class TestConfigAndErrors:
         assert out == ""
         assert f"{flag[2:]} must be finite, got {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_negative_seed_names_the_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("target", ["directory", "missing"])
+    @pytest.mark.parametrize("command",
+                             ["run", "enumerate", "attack-scan", "audit", "report", "stats"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, command, target):
+        path = str(tmp_path if target == "directory" else tmp_path / "missing" / "out.json")
+        reason = "Is a directory" if target == "directory" else "No such file or directory"
+        code, out, err = run_cli(capsys, command, "--output", path)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write output {path!r}: {reason}\n"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from relcommit.montecarlo import (
     RunConfig,
     monte_carlo,
     parse_phi_policy,
+    sample_transcripts,
 )
 from relcommit.quantum import BasisStateSpec, BellLabel
 
@@ -48,6 +50,10 @@ class TestRunConfig:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             RunConfig(trials=0)
+
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            RunConfig(seed=-1)
 
     def test_receiver_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +140,23 @@ class TestMonteCarlo:
         # per-pair categories aggregate over pairs
         swap_total = sum(r.count for r in summary.rows if r.category == "swap_outcome")
         assert swap_total == 30_000 * 4
+
+    def test_sampled_transcripts_are_the_counted_draws(self):
+        # one more chunk than CHUNK_TRIALS fills; a sign flip on a uniform
+        # string probe is accepted half the time
+        config = RunConfig(scheme="string", phi="uniform", trials=CHUNK_TRIALS + 1000, seed=4,
+                           strategy=Strategy.relabel_announce(BellLabel(1, 0)))
+        tally = Counter()
+        for t in sample_transcripts(config):
+            assert t.announced_alice_label == BellLabel(1, 0) and t.pair_index == 0
+            tally["swap_outcome", str(t.swap_outcome)] += 1
+            tally["teleport_outcome", str(t.teleport_outcome)] += 1
+            tally["stored_bit", str(t.stored_alice_bit)] += 1
+            tally["acceptance", "accept"] += t.verdict.accept
+        counted = {(r.category, r.outcome): r.count for r in monte_carlo(config).rows}
+        assert counted == {key: tally[key] for key in counted}
+        assert sum(tally.values()) == sum(counted.values())
+        assert 0 < counted["acceptance", "accept"] < config.trials
 
     def test_missing_row_lookup(self):
         summary = monte_carlo(RunConfig(trials=10))

@@ -17,15 +17,14 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from relcommit import adversary, protocol
+from relcommit import adversary, montecarlo, protocol
+from relcommit.montecarlo import SLOTS, RunConfig, sample_transcripts, slot_table
 from relcommit.protocol import (
     FULL_FAMILY,
     PROB_ATOL,
-    SLOTS,
     SchemeParams,
     Transcript,
     Verdict,
-    _draw,
     _enumerate_pair,
     _expected_stored_bit,
     branches,
@@ -35,7 +34,6 @@ from relcommit.protocol import (
     run_multiparty,
     run_single,
     run_string,
-    slot_table,
     validate_multiparty,
     validate_single,
     validate_string,
@@ -175,28 +173,23 @@ class TestRunSingle:
                     assert abs(dist[key] - reference[key]) <= 1e-12
 
     def test_sample_is_deterministic(self):
-        params = SchemeParams("single")
-        first = run_single(params, BellLabel(1, 0), mode="sample", seed=42)
-        second = run_single(params, BellLabel(1, 0), mode="sample", seed=42)
+        config = RunConfig(scheme="single", alice_label=BellLabel(1, 0), seed=42)
+        first = list(sample_transcripts(config))
+        second = list(sample_transcripts(config))
         assert first == second
         assert len(first) == 1
 
     def test_distinct_seeds_eventually_differ(self):
-        params = SchemeParams("single")
         draws = {
             (t.swap_outcome, t.teleport_outcome)
             for seed in range(12)
-            for t in run_single(params, BellLabel(0, 0), mode="sample", seed=seed)
+            for t in sample_transcripts(RunConfig(scheme="single", seed=seed))
         }
         assert len(draws) > 1
 
     def test_wrong_scheme_rejected(self):
         with pytest.raises(ValueError):
             run_single(SchemeParams("multi"), BellLabel(0, 0))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_single(SchemeParams("single"), BellLabel(0, 0), mode="montecarlo")
 
     def test_measurement_order_does_not_matter(self):
         # the two confirmation-phase joint measurements commute
@@ -353,10 +346,9 @@ class TestRunString:
                 assert t.stored_alice_bit == stored_bit_oracle(t)
 
     def test_sample_is_deterministic_per_pair(self):
-        params = SchemeParams("string", n_pairs=4)
-        labels = [BellLabel(0, 1)] * 4
-        first = run_string(params, labels, mode="sample", seed=7)
-        second = run_string(params, labels, mode="sample", seed=7)
+        config = RunConfig(scheme="string", n_pairs=4, alice_label=BellLabel(0, 1), seed=7)
+        first = list(sample_transcripts(config))
+        second = list(sample_transcripts(config))
         assert first == second
         assert [t.pair_index for t in first] == [0, 1, 2, 3]
 
@@ -365,12 +357,20 @@ class TestRunString:
         params = SchemeParams("string", n_pairs=3, bob_label=BellLabel(1, 1))
         labels = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(0, 1)]
         enumerated = run_string(params, labels)
-        sampled = run_string(params, labels, mode="sample", seed=7)
         for k, label in enumerate(labels):
             direct = _enumerate_pair(params, label, params.bob_label)
             assert enumerated[k] == [dataclasses.replace(t, pair_index=k) for t in direct]
-            drawn = _draw(direct, slot_table(direct), np.random.default_rng((7, k)))
-            assert sampled[k] == dataclasses.replace(drawn, pair_index=k)
+        # sampled transcripts are the drawn slots read through the same branches
+        config = RunConfig(scheme="string", n_pairs=3, bob_label=BellLabel(1, 1),
+                           alice_label=labels[0], seed=7, trials=2)
+        direct = _enumerate_pair(params, labels[0], params.bob_label)
+        slots = slot_table(direct)
+        drawn = np.concatenate(list(montecarlo._slot_chunks(config))).ravel()
+        sampled = list(sample_transcripts(config))
+        assert len(sampled) == len(drawn) == 6
+        for n, (t, slot) in enumerate(zip(sampled, drawn)):
+            expected = direct[slots[slot]]
+            assert t == dataclasses.replace(expected, pair_index=n % 3, verdict=Verdict.accepted())
         # the shared table itself stays unindexed
         assert all(t.pair_index is None for t in branches(params, labels[0], params.bob_label))
 
@@ -382,8 +382,10 @@ class TestRunString:
     def test_honest_string_reveal_accepted(self, mode):
         params = SchemeParams("string", n_pairs=2)
         labels = [BellLabel(1, 0), BellLabel(0, 1)]
-        sampled = run_string(params, labels, mode="sample", seed=3)
-        assert validate_string(sampled, labels, mode).accept
+        per_pair = run_string(params, labels)
+        for t0 in per_pair[0]:
+            for t1 in per_pair[1]:
+                assert validate_string([t0, t1], labels, mode).accept
 
     def test_parity_flip_on_any_pair_rejected_under_r2(self):
         params = SchemeParams("string", n_pairs=2, phi_policy=Z0)
@@ -400,9 +402,9 @@ class TestRunString:
 
     def test_announcement_length_mismatch(self):
         params = SchemeParams("string", n_pairs=2)
-        sampled = run_string(params, [BellLabel(0, 0)] * 2, mode="sample", seed=0)
+        first_branches = [pair[0] for pair in run_string(params, [BellLabel(0, 0)] * 2)]
         with pytest.raises(ValueError):
-            validate_string(sampled, [BellLabel(0, 0)])
+            validate_string(first_branches, [BellLabel(0, 0)])
 
 
 def _fresh_bit(phi: BasisStateSpec, first: PauliOp, second: PauliOp) -> int:
