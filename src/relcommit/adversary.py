@@ -527,24 +527,20 @@ def _claimed_acceptance(params: SchemeParams, strategy: Strategy) -> float | Non
 
     Honest and delayed-choice commitments are claimed to always pass.
     For announcement shifts the claim depends on the probe policy: with
-    a fixed computational probe, parity flips are claimed to always
-    fail and pure sign flips to pass; with the four-state string
-    policy, any shifted announcement is claimed to survive a pair with
-    probability 1/2 (and a string with 1/2 per shifted pair).
+    computational probes only (fixed or uniform), parity flips are
+    claimed to always fail and pure sign flips to pass; with the
+    four-state string policy, a shifted announcement is claimed to
+    survive each pair with probability 1/2.  The argument states no
+    claim for a fixed diagonal (X) probe, so there it returns ``None``.
     """
     if strategy.kind in ("honest", "delayed_rechoice"):
         return 1.0
-    delta = strategy.delta
     choices = params.phi_choices()
-    if len(choices) == 1 and choices[0][0].basis == "Z":
-        return 1.0 if delta.j == 0 else 0.0
+    if all(spec.basis == "Z" for spec, _ in choices):
+        return 1.0 if strategy.delta.j == 0 else 0.0
     if len(choices) == 4:
-        per_pair = 0.5
-        if params.scheme == "string":
-            return per_pair ** params.n_pairs
-        return per_pair
-    # Z-family uniform probe: same claim as the fixed computational probe
-    return 1.0 if delta.j == 0 else 0.0
+        return 0.5 ** params.n_pairs
+    return None
 
 
 _DEFAULT_COMMITTER = (

@@ -9,20 +9,24 @@ Subcommands:
 * ``report``: human-readable table for a scan (fresh or from JSON).
 * ``stats``: sampled outcome counts against exact probabilities as JSON.
 
-``run`` and ``stats`` build the same sampling campaign from their flags
-and read the same seeded stream, so at equal flags ``run`` writes out
+Each subcommand takes exactly the flags it reads (see
+:func:`build_parser`); any other flag is a usage error.  ``run`` and
+``stats`` take the same flags, differing only in the ``--trials``
+default (1 and 10000), build the same sampling campaign from them and
+read the same seeded stream, so at equal flags ``run`` writes out
 exactly the draws that ``stats`` counts.  ``--announce-delta`` (other
 than ``00``) makes the committer relabel her announcement by it.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 causality
 violations from ``audit``, or validation failures under ``--strict``.
 
-A JSON config file (``--config``) may predefine any long flag by its
-argparse destination name (``x``, ``c``, ``T``, ``n_pairs``, ``phi``,
-``mode``, ``seed``, ``scheme``, ``trials``, ``alice_label``,
-``bob_label``, ``announce_delta``); each value is converted and checked
-exactly as the flag's text would be, and explicit flags win over the
-file.
+A JSON config file (``--config``) may predefine any flag of ``run``
+but ``--strict``, ``--output`` and ``--config`` by its argparse
+destination name (``x``, ``c``, ``T``, ``n_pairs``, ``phi``, ``mode``,
+``seed``, ``scheme``, ``trials``, ``alice_label``, ``bob_label``,
+``announce_delta``); each value is converted and checked exactly as the
+flag's text would be, a subcommand without the flag ignores the key, so
+one file serves every subcommand, and explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -44,12 +48,14 @@ from .montecarlo import (
 from .protocol import SchemeParams, run_pairs
 from .quantum import BellLabel
 from .serialize import (
+    _label_to_json,
     dumps,
     report_from_json,
     report_to_json,
     schedule_from_json,
     schedule_to_json,
     serialize_transcript,
+    transcript_to_json,
 )
 from .spacetime import CausalOrderError, standard_schedule
 from .spacetime import audit as run_audit
@@ -73,89 +79,63 @@ def parse_label(text: str) -> BellLabel:
     return BellLabel(int(text[0]), int(text[1]))
 
 
-_CONFIG_KEYS = (
-    "x", "c", "T", "n_pairs", "phi", "mode", "seed", "scheme", "trials",
-    "alice_label", "bob_label", "announce_delta",
-)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", choices=("single", "multi", "string"), default="single")
-    parser.add_argument("--x", type=float, default=1.0, help="half-separation")
-    parser.add_argument("--c", type=float, default=1.0, help="signal speed")
-    parser.add_argument("--T", type=float, default=None, help="reveal time (default 10 x/c)")
-    parser.add_argument("--n-pairs", type=int, default=1, dest="n_pairs")
-    parser.add_argument("--phi", default="default", help="probe policy: Z0 Z1 X0 X1 uniform")
-    parser.add_argument("--mode", choices=("R1", "R2"), default="R2", help="validation mode")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--alice-label", type=parse_label, default=BellLabel(0, 0))
-    parser.add_argument("--bob-label", type=parse_label, default=BellLabel(0, 0))
-    parser.add_argument("--output", default=None, help="write to file instead of stdout")
-    parser.add_argument("--config", default=None, help="JSON file of default flag values")
-    parser.add_argument("--strict", action="store_true",
-                        help="exit 2 when any sampled transcript fails validation")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="relcommit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
     run = sub.add_parser("run", help="sample transcripts to JSONL")
-    _add_common(run)
-    run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--announce-delta", type=parse_label, default=None, dest="announce_delta",
-                     help="shift announced labels by this label (cheating committer)")
-
     enum = sub.add_parser("enumerate", help="exact branch enumeration as JSON")
-    _add_common(enum)
-
     scan = sub.add_parser("attack-scan", help="security report as JSON")
-    _add_common(scan)
-
     aud = sub.add_parser("audit", help="causality-check a schedule")
-    _add_common(aud)
-    aud.add_argument("--input", default=None, help="schedule JSON to audit instead of canonical")
-
     rep = sub.add_parser("report", help="render a scan as a table")
-    _add_common(rep)
-    rep.add_argument("--input", default=None, help="scan JSON produced by attack-scan")
-
     stats = sub.add_parser("stats", help="mass sampling statistics as JSON")
-    _add_common(stats)
-    stats.add_argument("--trials", type=int, default=10000)
 
-    # Config defaults must land on the subparsers: each subcommand parses
-    # into a fresh namespace, so top-level set_defaults would be shadowed
-    # by the subparser's own argument defaults.
-    parser.command_parsers = {
-        "run": run,
-        "enumerate": enum,
-        "attack-scan": scan,
-        "audit": aud,
-        "report": rep,
-        "stats": stats,
-    }
+    for command in sub.choices.values():
+        command.add_argument("--scheme", choices=("single", "multi", "string"), default="single")
+        command.add_argument("--x", type=float, default=1.0, help="half-separation")
+        command.add_argument("--c", type=float, default=1.0, help="signal speed")
+        command.add_argument("--T", type=float, default=None, help="reveal time (default 10 x/c)")
+        command.add_argument("--output", default=None, help="write to file instead of stdout")
+        command.add_argument("--config", default=None, help="JSON file of default flag values")
+    for command in (run, enum, scan, rep, stats):
+        command.add_argument("--n-pairs", type=int, default=1, dest="n_pairs",
+                             help="committed pairs (string scheme only)")
+        command.add_argument("--phi", default="default", help="probe policy: Z0 Z1 X0 X1 uniform")
+        command.add_argument("--bob-label", type=parse_label, default=BellLabel(0, 0))
+    for command in (run, scan, rep, stats):
+        command.add_argument("--mode", choices=("R1", "R2"), default="R2",
+                             help="validation mode")
+    for command in (run, enum, stats):
+        command.add_argument("--alice-label", type=parse_label, default=BellLabel(0, 0))
+    for command, trials, strict in (
+        (run, 1, "exit 2 when any sampled transcript fails validation"),
+        (stats, 10000, "exit 2 when any frequency deviates beyond 5 standard errors"),
+    ):
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument("--trials", type=int, default=trials)
+        command.add_argument("--announce-delta", type=parse_label, default=None,
+                             dest="announce_delta",
+                             help="shift announced labels by this label (cheating committer)")
+        command.add_argument("--strict", action="store_true", help=strict)
+    aud.add_argument("--input", default=None, help="schedule JSON to audit instead of canonical")
+    rep.add_argument("--input", default=None, help="scan JSON produced by attack-scan")
+    parser.subcommands = sub
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> None:
-    # allow_abbrev would otherwise swallow flags like --c as --config.
-    probe = _Parser(add_help=False, allow_abbrev=False)
-    probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return
+def _apply_config(parser: _Parser, path: str) -> None:
     try:
-        with open(known.config, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot read config {known.config!r}: {exc}") from exc
+        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise _UsageError(f"config {known.config!r} must be a JSON object")
-    flags = parser.command_parsers["run"]  # the one subcommand with every config key
+        raise _UsageError(f"config {path!r} must be a JSON object")
+    commands = parser.subcommands.choices
+    flags = commands["run"]  # the one subcommand with every config key
+    keys = set(vars(flags.parse_args([]))) - {"strict", "output", "config"}
     defaults = {}
     for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise _UsageError(f"unknown config key {key!r}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise _UsageError(f"config key {key!r}: expected a string or number, got {value!r}")
@@ -164,40 +144,44 @@ def _apply_config(parser: _Parser, argv: list[str]) -> None:
         except _UsageError as exc:
             raise _UsageError(f"config key {key!r}: {exc}") from exc
         defaults[key] = getattr(parsed, key)
-    for command in parser.command_parsers.values():
+    # Defaults must land on the subparsers: each subcommand parses into a
+    # fresh namespace, so top-level set_defaults would be shadowed by the
+    # subparser's own argument defaults.  A subcommand without the flag
+    # never reads the key.
+    for command in commands.values():
         command.set_defaults(**defaults)
 
 
-def _scheme_params(args) -> SchemeParams:
+def _scheme_params(args, **mode) -> SchemeParams:
+    """The scanned instance; ``mode`` is ``validation_mode=`` where ``--mode`` is taken."""
     return SchemeParams(
         scheme=args.scheme,
         x=args.x,
         c=args.c,
         T=args.T,
-        n_pairs=args.n_pairs if args.scheme == "string" else 1,
+        n_pairs=args.n_pairs,
         phi_policy=parse_phi_policy(args.phi),
         bob_label=args.bob_label,
-        validation_mode=args.mode,
+        **mode,
     )
 
 
 def _run_config(args) -> RunConfig:
     """The sampling campaign of ``run`` and ``stats``."""
-    delta = getattr(args, "announce_delta", None)  # a config key for ``stats``
-    honest = delta in (None, BellLabel(0, 0))
+    delta = args.announce_delta
     return RunConfig(
         scheme=args.scheme,
         x=args.x,
         c=args.c,
         T=args.T,
-        n_pairs=args.n_pairs if args.scheme == "string" else 1,
+        n_pairs=args.n_pairs,
         phi=args.phi,
         validation_mode=args.mode,
         seed=args.seed,
         trials=args.trials,
         alice_label=args.alice_label,
         bob_label=args.bob_label,
-        strategy=None if honest else Strategy.relabel_announce(delta),
+        strategy=None if delta in (None, BellLabel(0, 0)) else Strategy.relabel_announce(delta),
     )
 
 
@@ -239,17 +223,17 @@ def _cmd_enumerate(args) -> int:
     branches = [t for pair in per_pair for t in pair]
     doc = {
         "scheme": args.scheme,
-        "alice_label": {"i": args.alice_label.i, "j": args.alice_label.j},
-        "bob_label": {"i": args.bob_label.i, "j": args.bob_label.j},
+        "alice_label": _label_to_json(args.alice_label),
+        "bob_label": _label_to_json(args.bob_label),
         "branch_count": len(branches),
-        "branches": [json.loads(serialize_transcript(t)) for t in branches],
+        "branches": [transcript_to_json(t) for t in branches],
     }
     _emit(args, dumps(doc))
     return 0
 
 
 def _cmd_attack_scan(args) -> int:
-    report = build_report(_scheme_params(args))
+    report = build_report(_scheme_params(args, validation_mode=args.mode))
     _emit(args, dumps(report_to_json(report)))
     return 0
 
@@ -296,7 +280,7 @@ def _cmd_report(args) -> int:
             raise _UsageError(f"cannot read scan {args.input!r}: {exc}") from exc
         report = report_from_json(doc)
     else:
-        report = build_report(_scheme_params(args))
+        report = build_report(_scheme_params(args, validation_mode=args.mode))
     _emit(args, render_report_table(report))
     return 0
 
@@ -350,13 +334,12 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:  # parsed as every flag is, abbreviations included
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse -h

@@ -34,7 +34,7 @@ import numpy as np
 
 from .adversary import Strategy, _committer_labels
 from .protocol import SchemeParams, Transcript, Verdict, branches, validate_transcript
-from .quantum import BELL_LABELS, PROB_ATOL, BasisStateSpec, BellLabel
+from .quantum import BASIS_STATES, BELL_LABELS, PROB_ATOL, BasisStateSpec, BellLabel
 
 __all__ = [
     "CHUNK_DRAWS",
@@ -54,12 +54,7 @@ CHUNK_TRIALS = 1 << 16
 CHUNK_DRAWS = 1 << 18
 SLOTS = 256  # one sampling slot per value of a random byte
 
-_PHI_NAMES = {
-    "Z0": BasisStateSpec("Z", 0),
-    "Z1": BasisStateSpec("Z", 1),
-    "X0": BasisStateSpec("X", 0),
-    "X1": BasisStateSpec("X", 1),
-}
+_PHI_NAMES = {str(spec): spec for spec in BASIS_STATES}
 
 
 def parse_phi_policy(name: str) -> BasisStateSpec | str:

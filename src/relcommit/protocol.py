@@ -47,6 +47,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .quantum import (
+    BASIS_STATES,
     PROB_ATOL,
     BasisStateSpec,
     BellLabel,
@@ -85,13 +86,8 @@ __all__ = [
 
 VALIDATION_MODES = ("R1", "R2")
 
-Z_FAMILY = (BasisStateSpec("Z", 0), BasisStateSpec("Z", 1))
-FULL_FAMILY = (
-    BasisStateSpec("Z", 0),
-    BasisStateSpec("Z", 1),
-    BasisStateSpec("X", 0),
-    BasisStateSpec("X", 1),
-)
+FULL_FAMILY = BASIS_STATES
+Z_FAMILY = tuple(spec for spec in BASIS_STATES if spec.basis == "Z")
 
 
 def committed_bit(label: BellLabel) -> int:
@@ -280,15 +276,13 @@ def _enumerate_multi(
         ])
         for swap in bell_measure(register, 1, 2):
             for tele in bell_measure(swap.post_state, 4, 3):
+                probe_copy = apply_pauli(make_basis_state(phi), 0, bob_frame)
+                probe_copy = apply_pauli(probe_copy, 0, PauliOp(tele.outcome.i, tele.outcome.j))
+                bob_finals = basis_measure(probe_copy, 0, phi.basis)
                 for mid in basis_measure(tele.post_state, 0, "Z"):
                     confirmed = apply_pauli(mid.post_state, 0, alice_frame)
                     for final in basis_measure(confirmed, 0, phi.basis):
-                        probe_copy = make_basis_state(phi)
-                        probe_copy = apply_pauli(probe_copy, 0, bob_frame)
-                        probe_copy = apply_pauli(
-                            probe_copy, 0, PauliOp(tele.outcome.i, tele.outcome.j)
-                        )
-                        for bob_final in basis_measure(probe_copy, 0, phi.basis):
+                        for bob_final in bob_finals:
                             out.append(
                                 Transcript(
                                     scheme="multi",

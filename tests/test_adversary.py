@@ -233,6 +233,15 @@ class TestSecurityReport:
         assert joint.claimed_acceptance == 0.5
         assert joint.agrees is False
 
+    @pytest.mark.parametrize("phi", [BasisStateSpec("X", 0), BasisStateSpec("X", 1)], ids=str)
+    def test_fixed_x_probe_has_no_shift_claim(self, phi):
+        # the published argument claims nothing for a fixed diagonal probe
+        for row in build_report(SchemeParams("string", n_pairs=2, phi_policy=phi)).strategy_rows:
+            if row.strategy.kind == "relabel_announce":
+                assert (row.claimed_acceptance, row.agrees) == (None, None)
+            else:
+                assert row.claimed_acceptance == 1.0 and row.agrees is True
+
     def test_worst_case_matches_average_by_label_cancellation(self):
         # the committer's own label cancels out of the validation algebra,
         # so the conditional acceptance is flat across chosen labels and

@@ -3,20 +3,48 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from relcommit.adversary import build_report
 from relcommit.cli import cli_main, parse_label, render_report_table
 from relcommit.montecarlo import RunConfig, sample_transcripts
+from relcommit.protocol import SchemeParams
 from relcommit.quantum import BellLabel
-from relcommit.serialize import parse_transcript, schedule_to_json, serialize_transcript
+from relcommit.serialize import (
+    parse_transcript,
+    report_to_json,
+    schedule_to_json,
+    serialize_transcript,
+)
 from relcommit.spacetime import standard_schedule
 
 import dataclasses
+
+
+# The flags each subcommand takes; every other flag is a usage error.
+_EVERY = ("--scheme", "--x", "--c", "--T", "--output", "--config")
+_PAIRS = ("--n-pairs", "--phi", "--bob-label")
+_SAMPLING = (*_EVERY, *_PAIRS, "--mode", "--alice-label", "--seed", "--trials",
+             "--announce-delta", "--strict")
+SUBCOMMAND_FLAGS = {
+    "run": _SAMPLING,
+    "stats": _SAMPLING,
+    "enumerate": (*_EVERY, *_PAIRS, "--alice-label"),
+    "attack-scan": (*_EVERY, *_PAIRS, "--mode"),
+    "report": (*_EVERY, *_PAIRS, "--mode", "--input"),
+    "audit": (*_EVERY, "--input"),
+}
+ALL_FLAGS = sorted({flag for flags in SUBCOMMAND_FLAGS.values() for flag in flags})
+FULL_CONFIG = {"scheme": "string", "x": 2, "c": 1, "T": 30, "n_pairs": 2, "phi": "X1",
+               "bob_label": "01", "mode": "R1", "alice_label": "10", "seed": 4, "trials": 3,
+               "announce_delta": "11"}
 
 
 def run_cli(capsys, *argv):
@@ -155,16 +183,12 @@ def _run_tallies(out, n_pairs):
 def test_run_draws_what_stats_counts(capsys, tmp_path, scheme, n_pairs, delta):
     common = ["--scheme", scheme, "--n-pairs", str(n_pairs), "--trials", "300", "--seed", "11",
               "--phi", "uniform"]
-    run_args, stats_args = ["run", *common], ["stats", *common]
     if delta is not None:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"announce_delta": delta}))
-        run_args += ["--announce-delta", delta]
-        stats_args += ["--config", str(config)]  # stats reads the shift from a config only
-    code, out, _ = run_cli(capsys, *run_args)
+        common += ["--announce-delta", delta]
+    code, out, _ = run_cli(capsys, "run", *common)
     assert code == 0
     drawn = _run_tallies(out, n_pairs)
-    code, out, _ = run_cli(capsys, *stats_args)
+    code, out, _ = run_cli(capsys, "stats", *common)
     assert code == 0
     counted = _tallies(json.loads(out)["rows"])
     assert counted == {key: drawn[key] for key in counted}
@@ -297,6 +321,42 @@ class TestStats:
         assert categories == {"swap_outcome", "teleport_outcome", "stored_bit", "acceptance"}
 
 
+class TestFlagSets:
+    @pytest.mark.parametrize("flag", ALL_FLAGS)
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_subcommand_takes_exactly_its_flags(self, capsys, tmp_path, command, flag):
+        (tmp_path / "config.json").write_text("{}")
+        if flag == "--input" and command in ("audit", "report"):
+            doc = (schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single"))
+                   if command == "audit" else report_to_json(build_report(SchemeParams("single"))))
+            (tmp_path / "input.json").write_text(json.dumps(doc))
+        value = {"--scheme": "single", "--x": "1", "--c": "1", "--T": "10",
+                 "--output": str(tmp_path / "out"), "--config": str(tmp_path / "config.json"),
+                 "--n-pairs": "1", "--phi": "Z0", "--bob-label": "00", "--mode": "R2",
+                 "--alice-label": "00", "--seed": "0", "--trials": "1",
+                 "--announce-delta": "00", "--strict": None,
+                 "--input": str(tmp_path / "input.json")}[flag]
+        argv = [flag] if value is None else [flag, value]
+        code, out, err = run_cli(capsys, command, *argv)
+        if flag in SUBCOMMAND_FLAGS[command]:
+            assert code == 0, err
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: unrecognized arguments: {' '.join(argv)}\n"
+
+    @pytest.mark.parametrize("scheme,n_pairs,message", [
+        ("single", "3", "scheme 'single' uses exactly one pair"),
+        ("multi", "3", "scheme 'multi' uses exactly one pair"),
+        ("string", "0", "n_pairs must be at least 1, got 0"),
+        ("single", "0", "n_pairs must be at least 1, got 0"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "stats", "enumerate", "attack-scan", "report"])
+    def test_n_pairs_is_checked_not_dropped(self, capsys, command, scheme, n_pairs, message):
+        code, out, err = run_cli(capsys, command, "--scheme", scheme, "--n-pairs", n_pairs)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+
 class TestConfigAndErrors:
     def test_config_file_provides_defaults(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -304,6 +364,15 @@ class TestConfigAndErrors:
         code, out, _ = run_cli(capsys, "enumerate", "--config", str(config))
         assert code == 0
         assert {b["pair_index"] for b in json.loads(out)["branches"]} == {0, 1}
+
+    @pytest.mark.parametrize("flag", ["--config", "--conf", "--co"])
+    def test_config_flag_read_as_parsed(self, capsys, tmp_path, flag):
+        # argparse takes an unambiguous prefix as the flag; so does the config
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trials": 3}))
+        code, out, _ = run_cli(capsys, "run", flag, str(config))
+        assert code == 0
+        assert len(out.splitlines()) == 3
 
     def test_explicit_flag_beats_config(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -342,14 +411,46 @@ class TestConfigAndErrors:
         assert err.startswith("error:") and repr(key) in err
 
     def test_config_values_convert_like_flag_text(self, capsys, tmp_path):
+        # run takes every config key, and its verdicts read the mode
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scheme": "string", "n_pairs": 2, "x": 2,
                                     "alice_label": "10", "mode": "R1"}))
-        from_config = run_cli(capsys, "enumerate", "--config", str(path))
-        from_flags = run_cli(capsys, "enumerate", "--scheme", "string", "--n-pairs", "2",
-                             "--x", "2", "--alice-label", "10", "--mode", "R1")
+        from_config = run_cli(capsys, "run", "--trials", "3", "--config", str(path))
+        from_flags = run_cli(capsys, "run", "--trials", "3", "--scheme", "string",
+                             "--n-pairs", "2", "--x", "2", "--alice-label", "10", "--mode", "R1")
         assert from_config[0] == 0
         assert from_config == from_flags
+
+    def test_stats_announce_delta_flag_matches_config_key(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"announce_delta": "01"}))
+        common = ("stats", "--scheme", "string", "--n-pairs", "3", "--trials", "500")
+        from_flag = run_cli(capsys, *common, "--announce-delta", "01")
+        from_config = run_cli(capsys, *common, "--config", str(path))
+        honest = run_cli(capsys, *common)
+        assert from_flag[0] == 0
+        assert from_flag == from_config
+        assert from_flag != honest
+
+    @pytest.mark.parametrize("key", ["strict", "output", "config", "input", "command"])
+    def test_non_setting_config_key_rejected(self, capsys, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: "x"}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: unknown config key {key!r}\n"
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_one_config_serves_every_subcommand(self, capsys, tmp_path, command):
+        # all twelve keys; a subcommand without the flag ignores the key
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_CONFIG))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, err) == (0, "")
+        flags = [arg for key, value in FULL_CONFIG.items()
+                 if f"--{key.replace('_', '-')}" in SUBCOMMAND_FLAGS[command]
+                 for arg in (f"--{key.replace('_', '-')}", str(value))]
+        assert run_cli(capsys, command, *flags) == (0, out, "")
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "fnord")
@@ -396,6 +497,24 @@ class TestConfigAndErrors:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("relcommit ")]
+
+
+def test_readme_command_line_runs(capsys, tmp_path, monkeypatch):
+    # in order: the report line reads the scan the line before writes
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        expected = 2 if "--strict" in argv else 0
+        assert code == expected, (argv, err)
 
 
 def test_module_entry_point_subprocess():
