@@ -150,35 +150,24 @@ class Strategy:
         return f"early_extract({self.basis})"
 
 
-def _committer_labels(strategy: Strategy, chosen: BellLabel) -> tuple[BellLabel, BellLabel]:
-    """(label actually committed, label announced) for a chosen input."""
-    if strategy.kind == "honest":
-        return chosen, chosen
-    if strategy.kind == "relabel_announce":
-        return chosen, chosen ^ strategy.delta
-    # delayed_rechoice: the late pick is the binding commitment
-    effective = chosen ^ strategy.delta
-    return effective, effective
-
-
 # --------------------------------------------------------------------------
 # acceptance, route 1: state-vector enumeration
 # --------------------------------------------------------------------------
 
 
 def _acceptance_by_label_enumerated(
-    params: SchemeParams, strategy: Strategy
+    params: SchemeParams, shift: BellLabel
 ) -> dict[BellLabel, float]:
-    """Acceptance conditioned on each chosen committer label."""
+    """Acceptance conditioned on each committed label, announced XOR ``shift``."""
     conditional = {}
-    for chosen in BELL_LABELS:
-        committed, announced = _committer_labels(strategy, chosen)
+    for committed in BELL_LABELS:
+        announced = committed ^ shift
         accepted = []
         for bob in BELL_LABELS:
             for t in branches(params, committed, bob):
                 if validate_transcript(t, announced, params.validation_mode).accept:
                     accepted.append(t.probability / 4.0)
-        conditional[chosen] = math.fsum(accepted)
+        conditional[committed] = math.fsum(accepted)
     return conditional
 
 
@@ -193,12 +182,12 @@ def _flip_bit(label: BellLabel, basis: str) -> int:
 
 
 def _acceptance_by_label_algebraic(
-    params: SchemeParams, strategy: Strategy
+    params: SchemeParams, shift: BellLabel
 ) -> dict[BellLabel, float]:
     conditional = {}
     weight = 1.0 / (4.0 * 16.0)  # receiver label and both measurement outcomes
-    for chosen in BELL_LABELS:
-        committed, announced = _committer_labels(strategy, chosen)
+    for committed in BELL_LABELS:
+        announced = committed ^ shift
         accepted = []
         for bob in BELL_LABELS:
             for swap in BELL_LABELS:
@@ -216,7 +205,7 @@ def _acceptance_by_label_algebraic(
                         expected = phi.value ^ _flip_bit(recomputed, phi.basis)
                         if stored == expected:
                             accepted.append(weight * phi_weight)
-        conditional[chosen] = math.fsum(accepted)
+        conditional[committed] = math.fsum(accepted)
     return conditional
 
 
@@ -228,20 +217,20 @@ def _checked(value_enum: float, value_alg: float, what: str) -> float:
     return value_enum
 
 
-def _acceptance_profile(params: SchemeParams, strategy: Strategy) -> tuple[float, float]:
-    """(prior-averaged acceptance, worst-case acceptance over chosen labels).
+def _acceptance_profile(params: SchemeParams, shift: BellLabel) -> tuple[float, float]:
+    """(prior-averaged, worst-case) acceptance of one pair announced XOR ``shift``.
 
-    The worst case is the committer label most favourable to the
-    strategy; binding claims should hold without leaning on the uniform
-    label prior.  Each conditional value is dual-route checked.
+    The worst case is the committed label most favourable to the shift;
+    binding claims should hold without leaning on the uniform label
+    prior.  Each conditional value is dual-route checked.
     """
-    enumerated = _acceptance_by_label_enumerated(params, strategy)
-    algebraic = _acceptance_by_label_algebraic(params, strategy)
+    enumerated = _acceptance_by_label_enumerated(params, shift)
+    algebraic = _acceptance_by_label_algebraic(params, shift)
     conditional = {
         label: _checked(
             enumerated[label],
             algebraic[label],
-            f"acceptance[{strategy.describe()}, label={label}]",
+            f"acceptance[shift={shift}, label={label}]",
         )
         for label in BELL_LABELS
     }
@@ -252,14 +241,15 @@ def _acceptance_profile(params: SchemeParams, strategy: Strategy) -> tuple[float
 def _committer_profile(
     params: SchemeParams, strategy: Strategy, profiles: dict | None = None
 ) -> tuple[float, float]:
-    """(averaged, worst-case) acceptance of a committer strategy.
+    """(averaged, worst-case) acceptance of a committer strategy on every pair.
 
-    A string strategy is played on every pair; ``profiles`` is the
-    per-shift memo of :func:`_string_profile`.
+    A relabel shifts each announcement by its ``delta``; honest and
+    delayed re-choice commitments announce the label they commit, so
+    both play the zero shift.  ``profiles`` is the per-shift memo of
+    :func:`_shift_profile`.
     """
-    if params.scheme == "string":
-        return _string_profile(params, _string_deltas(params, strategy), profiles)
-    return _acceptance_profile(params, strategy)
+    shift = strategy.delta if strategy.kind == "relabel_announce" else _ZERO
+    return _shift_profile(params, [shift] * params.n_pairs, profiles)
 
 
 def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
@@ -285,22 +275,12 @@ def string_cheat_acceptance(params: SchemeParams, per_pair_delta: Sequence[BellL
         raise ValueError(
             f"expected {params.n_pairs} per-pair shifts, got {len(per_pair_delta)}"
         )
-    return _string_profile(params, per_pair_delta)[0]
+    return _shift_profile(params, per_pair_delta)[0]
 
 
-def _string_deltas(params: SchemeParams, strategy: Strategy) -> list[BellLabel]:
-    """Per-pair announcement shifts of a strategy played on every pair.
-
-    A delayed re-choice announces the label it ends up committing.
-    """
-    if strategy.kind == "delayed_rechoice":
-        return [_ZERO] * params.n_pairs
-    return [strategy.delta or _ZERO] * params.n_pairs
-
-
-def _string_profile(
+def _shift_profile(
     params: SchemeParams,
-    per_pair_delta: Sequence[BellLabel],
+    per_pair_shift: Sequence[BellLabel],
     profiles: dict | None = None,
 ) -> tuple[float, float]:
     """Joint (averaged, worst-case) acceptance over independent pairs.
@@ -311,17 +291,12 @@ def _string_profile(
     product is the same float as pair by pair.
     """
     profiles = {} if profiles is None else profiles
-    for delta in per_pair_delta:
-        if delta not in profiles:
-            if delta == _ZERO:
-                strategy = Strategy.honest()
-            else:
-                strategy = Strategy.relabel_announce(delta)
-            profiles[delta] = _acceptance_profile(params, strategy)
     average = 1.0
     worst = 1.0
-    for delta in per_pair_delta:
-        pair_average, pair_worst = profiles[delta]
+    for shift in per_pair_shift:
+        if shift not in profiles:
+            profiles[shift] = _acceptance_profile(params, shift)
+        pair_average, pair_worst = profiles[shift]
         average *= pair_average
         worst *= pair_worst
     return average, worst
@@ -575,7 +550,7 @@ def build_report(
         strategies = _DEFAULT_COMMITTER + _DEFAULT_RECEIVER
     committer = [s for s in strategies if s.role == "committer"]
     receiver = [s for s in strategies if s.role == "receiver"]
-    if strategies == () or (not committer and not receiver):
+    if not committer and not receiver:
         receiver = list(_DEFAULT_RECEIVER)
 
     strategy_rows = []

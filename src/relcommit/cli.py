@@ -35,6 +35,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .adversary import SecurityReport, Strategy, build_report
@@ -48,7 +49,6 @@ from .montecarlo import (
 from .protocol import SchemeParams, run_pairs
 from .quantum import BellLabel
 from .serialize import (
-    _label_to_json,
     dumps,
     report_from_json,
     report_to_json,
@@ -223,8 +223,8 @@ def _cmd_enumerate(args) -> int:
     branches = [t for pair in per_pair for t in pair]
     doc = {
         "scheme": args.scheme,
-        "alice_label": _label_to_json(args.alice_label),
-        "bob_label": _label_to_json(args.bob_label),
+        "alice_label": asdict(args.alice_label),
+        "bob_label": asdict(args.bob_label),
         "branch_count": len(branches),
         "branches": [transcript_to_json(t) for t in branches],
     }
@@ -302,10 +302,7 @@ def _cmd_audit(args) -> int:
     doc = {
         "schedule": schedule_to_json(schedule),
         "ok": report.ok,
-        "violations": [
-            {"kind": v.kind, "subject": v.subject, "detail": v.detail}
-            for v in report.violations
-        ],
+        "violations": [asdict(v) for v in report.violations],
     }
     _emit(args, dumps(doc))
     return 0 if report.ok else 2

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .adversary import Strategy, _committer_labels
+from .adversary import Strategy
 from .protocol import SchemeParams, Transcript, Verdict, branches, validate_transcript
 from .quantum import BASIS_STATES, BELL_LABELS, PROB_ATOL, BasisStateSpec, BellLabel
 
@@ -167,6 +167,17 @@ def slot_table(table: Sequence[Transcript]) -> np.ndarray:
     return np.repeat(np.arange(len(table), dtype=np.uint8), counts.astype(np.intp))
 
 
+def _committer_labels(strategy: Strategy, chosen: BellLabel) -> tuple[BellLabel, BellLabel]:
+    """(label actually committed, label announced) for a chosen input."""
+    if strategy.kind == "honest":
+        return chosen, chosen
+    if strategy.kind == "relabel_announce":
+        return chosen, chosen ^ strategy.delta
+    # delayed_rechoice: the late pick is the binding commitment
+    effective = chosen ^ strategy.delta
+    return effective, effective
+
+
 def _campaign(
     config: RunConfig,
 ) -> tuple[SchemeParams, tuple[Transcript, ...], np.ndarray, list[Verdict], BellLabel]:
@@ -254,20 +265,4 @@ def sample_transcripts(config: RunConfig) -> Iterator[Transcript]:
 
 
 def stats_to_json(summary: StatsSummary) -> dict:
-    return {
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "rows": [
-            {
-                "category": r.category,
-                "outcome": r.outcome,
-                "count": r.count,
-                "frequency": r.frequency,
-                "exact_probability": r.exact_probability,
-                "stderr": r.stderr,
-                "z": r.z,
-                "agrees": r.agrees,
-            }
-            for r in summary.rows
-        ],
-    }
+    return dataclasses.asdict(summary)

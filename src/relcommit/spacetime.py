@@ -333,7 +333,7 @@ def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Sched
     return Schedule(scheme, x, c, PhaseTimes(0.0, t1, t2, T), events, messages)
 
 
-def audit(schedule: Schedule, topology: Topology | None = None) -> AuditReport:
+def audit(schedule: Schedule) -> AuditReport:
     """Replay a schedule against relativity.
 
     Checks, with slack ``1e-9 * (x/c)``, and never less than 4 ulp of
@@ -344,10 +344,9 @@ def audit(schedule: Schedule, topology: Topology | None = None) -> AuditReport:
       signal from the production point reaches the consumer in time.
 
     Raises ``ValueError`` if the schedule names an actor missing from the
-    topology.
+    scheme's canonical topology.
     """
-    if topology is None:
-        topology = canonical_topology(schedule.scheme, schedule.x, schedule.c)
+    topology = canonical_topology(schedule.scheme, schedule.x, schedule.c)
     tol = 1e-9 * (schedule.x / schedule.c)
     violations: list[Violation] = []
 

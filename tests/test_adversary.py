@@ -22,6 +22,7 @@ import pytest
 from relcommit import adversary
 from relcommit.adversary import (
     SecurityReport,
+    SelfCheckError,
     Strategy,
     _acceptance_by_label_algebraic,
     _acceptance_by_label_enumerated,
@@ -66,9 +67,8 @@ class TestDualRouteAgreement:
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_routes_agree_on_single(self, mode, policy, delta):
         params = SchemeParams("single", phi_policy=policy, validation_mode=mode)
-        strategy = Strategy.relabel_announce(delta)
-        enum = _acceptance_by_label_enumerated(params, strategy)
-        alg = _acceptance_by_label_algebraic(params, strategy)
+        enum = _acceptance_by_label_enumerated(params, delta)
+        alg = _acceptance_by_label_algebraic(params, delta)
         for label in BELL_LABELS:
             assert abs(enum[label] - alg[label]) <= 1e-12
 
@@ -76,11 +76,21 @@ class TestDualRouteAgreement:
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_routes_agree_on_multi(self, mode, delta):
         params = SchemeParams("multi", validation_mode=mode)
-        strategy = Strategy.relabel_announce(delta)
-        enum = _acceptance_by_label_enumerated(params, strategy)
-        alg = _acceptance_by_label_algebraic(params, strategy)
+        enum = _acceptance_by_label_enumerated(params, delta)
+        alg = _acceptance_by_label_algebraic(params, delta)
         for label in BELL_LABELS:
             assert abs(enum[label] - alg[label]) <= 1e-12
+
+
+    def test_disagreement_names_the_shift(self, monkeypatch):
+        real = adversary._acceptance_by_label_algebraic
+
+        def skewed(params, shift):
+            return {label: value + 1e-9 for label, value in real(params, shift).items()}
+
+        monkeypatch.setattr(adversary, "_acceptance_by_label_algebraic", skewed)
+        with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=01, label=00\]: "):
+            detection_probability(SchemeParams("single"), Strategy.relabel_announce(DELTAS[0]))
 
 
 class TestBindingR2:
@@ -268,20 +278,21 @@ class TestSecurityReport:
         assert report.extraction_rows == ()
         assert report.extraction_guess_probability is None
 
-    def test_string_report_analyzes_each_distinct_shift_once(self, monkeypatch):
+    @pytest.mark.parametrize("scheme,n_pairs", [("single", 1), ("multi", 1), ("string", 3)])
+    def test_report_analyzes_each_distinct_shift_once(self, monkeypatch, scheme, n_pairs):
         # honest and delayed re-choice both announce the zero shift; with
         # the three relabel shifts that is 4 distinct profiles
         calls = []
         real = adversary._acceptance_profile
 
-        def counting(params, strategy):
-            calls.append(strategy)
-            return real(params, strategy)
+        def counting(params, shift):
+            calls.append(shift)
+            return real(params, shift)
 
         monkeypatch.setattr(adversary, "_acceptance_profile", counting)
-        report = build_report(SchemeParams("string", n_pairs=3, phi_policy="uniform"))
+        report = build_report(SchemeParams(scheme, n_pairs=n_pairs, phi_policy="uniform"))
         assert len(calls) == 4
-        assert len({s.delta for s in calls}) == 4
+        assert len(set(calls)) == 4
         honest, rechoice = report.strategy_rows[0], report.strategy_rows[-1]
         assert honest.acceptance_probability == rechoice.acceptance_probability
 

@@ -476,6 +476,26 @@ class TestConfigAndErrors:
         assert f"{flag[2:]} must be finite, got {value}" in err
         assert "Traceback" not in err
 
+    # ``audit`` builds the canonical schedule, not a scheme instance: a
+    # reveal before storage is a rejected schedule (2) and a zero
+    # separation a valid degenerate one (0).  The other five build
+    # SchemeParams, which rejects both as configuration errors (1).
+    @pytest.mark.parametrize("flag,value,audit_code,message", [
+        ("--T", "1.5", 2, "reveal time 1.5 precedes the storage phase 2.0"),
+        ("--x", "0", 0, "separation and signal speed must be positive, got x=0.0, c=1.0"),
+    ])
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_geometry_exit_codes(self, capsys, command, flag, value, audit_code, message):
+        code, out, err = run_cli(capsys, command, flag, value)
+        if command == "audit":
+            assert code == audit_code
+        else:
+            assert code == 1
+            assert err == f"error: {message}\n"
+        if code:
+            assert out == ""
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run", "stats"])
     def test_negative_seed_names_the_flag(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--seed", "-1")

@@ -1,0 +1,78 @@
+"""Print a sha256 of the stdout of fixed CLI invocations and every demo.
+
+Run from the repository root, with only the standard library:
+
+    python3 tools/stdout_digests.py
+
+Each line is ``<sha256>  <command>``.  Run it on two commits and diff
+the outputs to see which commands changed their stdout.  Commands run
+with ``PYTHONPATH=src`` in a fresh temporary directory, in list order,
+so ``report --input`` reads the scan an earlier line saved.  Exits 1 if
+a command exits with a code other than the one expected for it, or
+writes a traceback to stderr.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (arguments after ``relcommit``, expected exit code, file to save stdout to)
+CLI_INVOCATIONS = [
+    ("attack-scan --scheme single --mode R1", 0, None),
+    ("attack-scan --scheme single --mode R2", 0, None),
+    ("attack-scan --scheme multi --mode R1", 0, None),
+    ("attack-scan --scheme multi --mode R2", 0, None),
+    ("attack-scan --scheme string --n-pairs 5 --phi uniform", 0, "scan.json"),
+    ("attack-scan --scheme string --n-pairs 20", 0, None),
+    ("attack-scan --scheme string --n-pairs 2 --phi X0", 0, None),
+    ("report --scheme multi --mode R1", 0, None),
+    ("report --input scan.json", 0, None),
+    ("stats --seed 3 --trials 2000", 0, None),
+    ("stats --scheme string --n-pairs 4 --seed 5 --trials 500 --announce-delta 01", 0, None),
+    ("enumerate --scheme single --phi Z0", 0, None),
+    ("enumerate --scheme multi --alice-label 10", 0, None),
+    ("enumerate --scheme string --n-pairs 2 --bob-label 01", 0, None),
+    ("audit --scheme single --x 1 --c 1 --T 10", 0, None),
+    ("audit --scheme multi --x 2 --c 1", 0, None),
+    ("audit --T 1.5", 2, None),
+    ("run --scheme string --n-pairs 3 --trials 4 --seed 7", 0, None),
+    ("run --x 0", 1, None),
+]
+
+
+def _digest(argv: list[str], label: str, expected: int, cwd: str, env: dict) -> tuple[bool, bytes]:
+    result = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
+    ok = result.returncode == expected and b"Traceback" not in result.stderr
+    print(f"{hashlib.sha256(result.stdout).hexdigest()}  {label}", flush=True)
+    if not ok:
+        print(f"  exit {result.returncode}, expected {expected}:", file=sys.stderr)
+        sys.stderr.write(result.stderr.decode(errors="replace"))
+    return ok, result.stdout
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    failures = 0
+    with tempfile.TemporaryDirectory() as cwd:
+        for args, expected, save_as in CLI_INVOCATIONS:
+            argv = [sys.executable, "-m", "relcommit", *args.split()]
+            ok, stdout = _digest(argv, f"relcommit {args}", expected, cwd, env)
+            failures += not ok
+            if save_as:
+                Path(cwd, save_as).write_bytes(stdout)
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            label = demo.relative_to(ROOT).as_posix()
+            ok, _ = _digest([sys.executable, str(demo)], label, 0, cwd, env)
+            failures += not ok
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
