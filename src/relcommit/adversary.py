@@ -490,13 +490,6 @@ class SecurityReport:
     extraction_guess_probability: float | None
 
 
-def _policy_name(params: SchemeParams) -> str:
-    choices = params.phi_choices()
-    if len(choices) == 1:
-        return str(choices[0][0])
-    return "uniform"
-
-
 def _claimed_acceptance(params: SchemeParams, strategy: Strategy) -> float | None:
     """Acceptance asserted by the scheme's published security argument.
 
@@ -573,7 +566,7 @@ def build_report(
     return SecurityReport(
         scheme=params.scheme,
         mode=params.validation_mode,
-        phi_policy=_policy_name(params),
+        phi_policy=str(params.phi_policy),
         n_pairs=params.n_pairs,
         strategy_rows=tuple(strategy_rows),
         extraction_rows=tuple(extraction_rows),

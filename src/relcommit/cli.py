@@ -17,8 +17,9 @@ read the same seeded stream, so at equal flags ``run`` writes out
 exactly the draws that ``stats`` counts.  ``--announce-delta`` (other
 than ``00``) makes the committer relabel her announcement by it.
 
-Exit codes: 0 success; 1 usage or configuration error; 2 causality
-violations from ``audit``, or validation failures under ``--strict``.
+Exit codes: 0 success; 1 usage or configuration error, bad geometry
+included, alike on every subcommand; 2 only for causality violations
+from ``audit`` and validation failures under ``--strict``.
 
 A JSON config file (``--config``) may predefine any flag of ``run``
 but ``--strict``, ``--output`` and ``--config`` by its argparse
@@ -57,7 +58,7 @@ from .serialize import (
     serialize_transcript,
     transcript_to_json,
 )
-from .spacetime import CausalOrderError, standard_schedule
+from .spacetime import standard_schedule
 from .spacetime import audit as run_audit
 
 __all__ = ["cli_main", "main", "render_report_table"]
@@ -293,11 +294,7 @@ def _cmd_audit(args) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise _UsageError(f"cannot read schedule {args.input!r}: {exc}") from exc
     else:
-        try:
-            schedule = standard_schedule(args.x, args.c, args.T, args.scheme)
-        except CausalOrderError as exc:
-            print(f"schedule rejected: {exc}", file=sys.stderr)
-            return 2
+        schedule = standard_schedule(args.x, args.c, args.T, args.scheme)
     report = run_audit(schedule)
     doc = {
         "schedule": schedule_to_json(schedule),

@@ -41,8 +41,7 @@ samples; seeded draws from these tables live in
 from __future__ import annotations
 
 import dataclasses
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -102,13 +101,19 @@ def committed_string(labels: Sequence[BellLabel]) -> str:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Public parameters of one commitment instance.
+    """Public parameters of one commitment instance, each settled once.
 
-    ``phi_policy`` fixes the receiver-side probe state: a concrete
-    :class:`BasisStateSpec` or ``"uniform"``, which draws from the Z
-    family for single/multi and from all four basis states for string.
-    ``bob_label`` is the receiver-side pair label (the second
-    committer's label in the multi scheme, overridable per run).
+    ``schedule`` is the canonical timetable, built at construction by
+    :func:`~relcommit.spacetime.standard_schedule`, which owns the
+    geometry rules and raises on bad ``x``, ``c`` or ``T``; it takes no
+    part in equality or hashing.  ``T`` becomes its reveal time
+    (``10x/c`` when not given).  ``phi_policy`` fixes the receiver-side
+    probe state: a concrete :class:`BasisStateSpec` or ``"uniform"``,
+    which draws from the Z family for single/multi and from all four
+    basis states for string; ``"default"`` resolves to ``"uniform"``
+    for string and to Z0 otherwise.  ``bob_label`` is the receiver-side
+    pair label (the second committer's label in the multi scheme,
+    overridable per run).
     """
 
     scheme: str
@@ -119,10 +124,12 @@ class SchemeParams:
     phi_policy: BasisStateSpec | str = "default"
     bob_label: BellLabel = BellLabel(0, 0)
     validation_mode: str = "R2"
+    schedule: Schedule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("single", "multi", "string"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        schedule = standard_schedule(self.x, self.c, self.T, self.scheme)
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "T", schedule.phase_times.reveal)
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be at least 1, got {self.n_pairs}")
         if self.scheme != "string" and self.n_pairs != 1:
@@ -130,42 +137,24 @@ class SchemeParams:
         if self.validation_mode not in VALIDATION_MODES:
             raise ValueError(f"unknown validation mode {self.validation_mode!r}")
         policy = self.phi_policy
+        if policy == "default":
+            policy = "uniform" if self.scheme == "string" else BasisStateSpec("Z", 0)
+            object.__setattr__(self, "phi_policy", policy)
         if isinstance(policy, BasisStateSpec):
             if self.scheme != "string" and policy.basis != "Z":
                 raise ValueError(
                     f"scheme {self.scheme!r} fixes the probe in the Z family, got {policy}"
                 )
-        elif policy not in ("uniform", "default"):
+        elif policy != "uniform":
             raise ValueError(f"phi_policy must be a basis state or 'uniform', got {policy!r}")
-        for name in ("x", "c", "T"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.x <= 0.0 or self.c <= 0.0:
-            raise ValueError(
-                f"separation and signal speed must be positive, got x={self.x}, c={self.c}"
-            )
-        # resolve T so the schedule constructor sees a concrete reveal time
-        if self.T is None:
-            object.__setattr__(self, "T", 10.0 * self.x / self.c)
-        elif self.T < 2.0 * self.x / self.c:
-            raise ValueError(
-                f"reveal time {self.T!r} precedes the storage phase {2.0 * self.x / self.c!r}"
-            )
 
     def phi_choices(self) -> tuple[tuple[BasisStateSpec, float], ...]:
         """Probe states with their draw weights under this policy."""
-        policy = self.phi_policy
-        if policy == "default":
-            policy = "uniform" if self.scheme == "string" else BasisStateSpec("Z", 0)
-        if isinstance(policy, BasisStateSpec):
-            return ((policy, 1.0),)
+        if isinstance(self.phi_policy, BasisStateSpec):
+            return ((self.phi_policy, 1.0),)
         family = FULL_FAMILY if self.scheme == "string" else Z_FAMILY
         weight = 1.0 / len(family)
         return tuple((spec, weight) for spec in family)
-
-    def schedule(self) -> Schedule:
-        return standard_schedule(self.x, self.c, self.T, self.scheme)
 
 
 @dataclass(frozen=True)
@@ -229,7 +218,6 @@ def _enumerate_pair(
     half (4 and 3); the confirmation measurement reads qubit 0 in the
     probe's basis family.
     """
-    schedule = params.schedule()
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     out: list[Transcript] = []
     for phi, phi_weight in params.phi_choices():
@@ -253,7 +241,7 @@ def _enumerate_pair(
                             stored_alice_bit=final.outcome,
                             probability=phi_weight * swap.probability
                             * tele.probability * final.probability,
-                            schedule=schedule,
+                            schedule=params.schedule,
                             announced_alice_label=alice_label,
                         )
                     )
@@ -264,7 +252,6 @@ def _enumerate_multi(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> list[Transcript]:
     """Exhaustive branches of the two-committer scheme (see ``run_multiparty``)."""
-    schedule = params.schedule()
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     bob_frame = PauliOp(bob_label.i, bob_label.j)
     out: list[Transcript] = []
@@ -300,7 +287,7 @@ def _enumerate_multi(
                                     * mid.probability
                                     * final.probability
                                     * bob_final.probability,
-                                    schedule=schedule,
+                                    schedule=params.schedule,
                                     announced_alice_label=alice_label,
                                     announced_bob_label=bob_label,
                                     announced_teleport_outcome=tele.outcome,

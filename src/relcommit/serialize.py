@@ -27,9 +27,9 @@ import math
 from typing import IO, Iterable
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
-from .protocol import Transcript, Verdict
-from .quantum import BasisStateSpec, BellLabel
-from .spacetime import Message, PhaseTimes, Schedule, SpacetimeEvent
+from .protocol import VALIDATION_MODES, Transcript, Verdict
+from .quantum import BASIS_STATES, BasisStateSpec, BellLabel
+from .spacetime import SCHEMES, Message, PhaseTimes, Schedule, SpacetimeEvent
 
 __all__ = [
     "TranscriptParseError",
@@ -301,6 +301,13 @@ def _number(doc: dict, field: str, nullable: bool = False):
     return value
 
 
+def _choice(doc: dict, field: str, choices: tuple[str, ...]) -> str:
+    value = _require(doc, field)
+    if value not in choices:
+        raise TranscriptParseError(f"field {field!r} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
 def _flag(doc: dict, field: str) -> bool | None:
     value = _require(doc, field)
     if value is not None and not isinstance(value, bool):
@@ -319,17 +326,21 @@ def report_from_json(doc: dict) -> SecurityReport:
     """Inverse of :func:`report_to_json`, checking every field's type.
 
     Takes the document in memory (rows as tuples) or parsed from JSON
-    (rows as lists).  Probabilities must be finite numbers;
-    ``claimed_acceptance``, ``agrees`` and
-    ``extraction_guess_probability`` may be null.
+    (rows as lists).  The header must name a known scheme, mode and
+    probe policy, with ``n_pairs`` an integer of at least 1.
+    Probabilities must be finite numbers; ``claimed_acceptance``,
+    ``agrees`` and ``extraction_guess_probability`` may be null.
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError("scan document must be an object")
+    n_pairs = _require(doc, "n_pairs")
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int) or n_pairs < 1:
+        raise TranscriptParseError(f"field 'n_pairs' must be an integer >= 1, got {n_pairs!r}")
     return SecurityReport(
-        scheme=_require(doc, "scheme"),
-        mode=_require(doc, "mode"),
-        phi_policy=_require(doc, "phi_policy"),
-        n_pairs=_require(doc, "n_pairs"),
+        scheme=_choice(doc, "scheme", SCHEMES),
+        mode=_choice(doc, "mode", VALIDATION_MODES),
+        phi_policy=_choice(doc, "phi_policy", ("uniform", *map(str, BASIS_STATES))),
+        n_pairs=n_pairs,
         strategy_rows=tuple(
             StrategyRow(
                 strategy_from_json(_require(row, "strategy")),

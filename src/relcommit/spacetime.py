@@ -34,7 +34,6 @@ __all__ = [
     "Schedule",
     "Violation",
     "AuditReport",
-    "CausalOrderError",
     "light_travel_time",
     "canonical_topology",
     "standard_schedule",
@@ -155,11 +154,9 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.phase_times.reveal < self.phase_times.store:
-            raise ValueError(
-                f"reveal time {self.phase_times.reveal!r} precedes storage "
-                f"time {self.phase_times.store!r}"
-            )
+        times = self.phase_times
+        if times.reveal < times.store:
+            raise ValueError(f"reveal time {times.reveal!r} precedes storage phase {times.store!r}")
 
 
 @dataclass(frozen=True)
@@ -300,32 +297,27 @@ def _multi_events(t1: float, t2: float, reveal: float):
     return events, messages
 
 
-class CausalOrderError(ValueError):
-    """A requested timetable whose phases cannot follow one another causally."""
-
-
 def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Schedule:
     """Canonical timetable with phases at 0, x/c, 2x/c and T.
 
-    ``T=None`` reveals at ``10x/c``.  Raises :class:`CausalOrderError`
-    when ``T`` precedes the storage phase: a reveal earlier than
-    ``2x/c`` cannot causally follow storage.  Any other bad geometry
-    raises a plain ``ValueError``.
+    The one owner of the geometry rules: ``x`` finite and non-negative,
+    ``c`` finite and positive, ``2x/c`` finite, and ``T`` finite and no
+    earlier than ``2x/c``, which :class:`Schedule` checks along with the
+    scheme name.  ``T=None`` reveals at ``10x/c``.  A broken rule raises
+    ``ValueError``.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
     if x < 0 or not math.isfinite(x):
         raise ValueError(f"half-separation must be finite and non-negative, got {x!r}")
     if c <= 0 or not math.isfinite(c):
         raise ValueError(f"signal speed must be finite and positive, got {c!r}")
     t1 = x / c
     t2 = 2 * x / c
+    if not math.isfinite(t2):
+        raise ValueError(f"storage phase 2x/c must be finite, got {t2!r}")
     if T is None:
         T = 10.0 * x / c
     if not math.isfinite(T):
         raise ValueError(f"reveal time must be finite, got {T!r}")
-    if T < t2:
-        raise CausalOrderError(f"reveal time {T!r} precedes storage phase {t2!r}")
     if scheme == "multi":
         events, messages = _multi_events(t1, t2, T)
     else:

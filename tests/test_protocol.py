@@ -16,6 +16,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relcommit import adversary, montecarlo, protocol
 from relcommit.montecarlo import SLOTS, RunConfig, sample_transcripts, slot_table
@@ -50,11 +52,19 @@ from relcommit.quantum import (
     make_bell,
     tensor,
 )
+from relcommit.spacetime import SCHEMES, standard_schedule
 
 Z0 = BasisStateSpec("Z", 0)
 Z1 = BasisStateSpec("Z", 1)
 X0 = BasisStateSpec("X", 0)
 X1 = BasisStateSpec("X", 1)
+
+# geometry inputs: small and arbitrary floats plus the edge values
+_GEOMETRY = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-308]),
+)
 
 
 def stored_bit_oracle(transcript: Transcript) -> int:
@@ -81,10 +91,14 @@ class TestSchemeParams:
     def test_defaults(self):
         params = SchemeParams("single")
         assert params.T == 10.0
+        assert params.schedule == standard_schedule(1.0, 1.0, 10.0, "single")
+        assert params.phi_policy == Z0
         assert params.phi_choices() == ((Z0, 1.0),)
 
     def test_string_default_policy_covers_all_four(self):
-        choices = SchemeParams("string", n_pairs=3).phi_choices()
+        params = SchemeParams("string", n_pairs=3)
+        assert params.phi_policy == "uniform"
+        choices = params.phi_choices()
         assert [spec for spec, _ in choices] == [Z0, Z1, X0, X1]
         assert all(w == 0.25 for _, w in choices)
 
@@ -112,16 +126,39 @@ class TestSchemeParams:
             SchemeParams("single", n_pairs=2)
 
     def test_physical_parameters_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SchemeParams("single", x=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="half-separation must be finite and non-negative"):
+            SchemeParams("single", x=-1.0)
+        with pytest.raises(ValueError, match="signal speed must be finite and positive"):
             SchemeParams("single", c=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["x", "c", "T"])
     def test_non_finite_parameters_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        name = {"x": "half-separation", "c": "signal speed", "T": "reveal time"}[field]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
             SchemeParams("single", **{field: value})
+
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        x=_GEOMETRY,
+        c=_GEOMETRY,
+        T=st.none() | _GEOMETRY,
+    )
+    @settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+    @example(scheme="single", x=0.0, c=1.0, T=None)  # colocated: valid
+    @example(scheme="single", x=1.0, c=1.0, T=1.5)  # reveal before storage
+    @example(scheme="multi", x=1e308, c=1e-308, T=None)  # storage phase overflows
+    def test_geometry_rules_are_the_schedules(self, scheme, x, c, T):
+        try:
+            schedule = standard_schedule(x, c, T, scheme)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                SchemeParams(scheme, x=x, c=c, T=T)
+            assert str(raised.value) == str(exc)
+        else:
+            params = SchemeParams(scheme, x=x, c=c, T=T)
+            assert params.schedule == schedule
+            assert params.T == schedule.phase_times.reveal
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

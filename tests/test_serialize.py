@@ -191,6 +191,16 @@ class TestReportFromJson:
             ("extraction_rows", "agrees", 1),
             (None, "concealment_tv", None),
             (None, "extraction_guess_probability", "0.5"),
+            (None, "scheme", None),
+            (None, "scheme", "pairwise"),
+            (None, "mode", 7),
+            (None, "mode", "R3"),
+            (None, "phi_policy", [1]),
+            (None, "phi_policy", "default"),
+            (None, "n_pairs", "abc"),
+            (None, "n_pairs", True),
+            (None, "n_pairs", 0),
+            (None, "n_pairs", 2.0),
         ],
     )
     def test_bad_field_named(self, single_scan, rows, field, value):

@@ -41,9 +41,10 @@ CLI_INVOCATIONS = [
     ("enumerate --scheme string --n-pairs 2 --bob-label 01", 0, None),
     ("audit --scheme single --x 1 --c 1 --T 10", 0, None),
     ("audit --scheme multi --x 2 --c 1", 0, None),
-    ("audit --T 1.5", 2, None),
+    ("audit --T 1.5", 1, None),
     ("run --scheme string --n-pairs 3 --trials 4 --seed 7", 0, None),
-    ("run --x 0", 1, None),
+    ("run --x 0", 0, None),
+    ("attack-scan --x 1e308 --c 1e-308", 1, None),
 ]
 
 
