@@ -17,6 +17,10 @@ read the same seeded stream, so at equal flags ``run`` writes out
 exactly the draws that ``stats`` counts.  ``--announce-delta`` (other
 than ``00``) makes the committer relabel her announcement by it.
 
+``report --input`` and ``audit --input`` take the scan or schedule
+from the file, so any scan or geometry flag given beside ``--input`` on
+the command line is a usage error rather than silently ignored.
+
 Exit codes: 0 success; 1 usage or configuration error, bad geometry
 included, alike on every subcommand; 2 only for causality violations
 from ``audit`` and validation failures under ``--strict``.
@@ -153,6 +157,23 @@ def _apply_config(parser: _Parser, path: str) -> None:
         command.set_defaults(**defaults)
 
 
+def _reject_flags_beside_input(parser: _Parser, argv: list[str], args) -> None:
+    """``--input`` fixes the scan or schedule, so a scan or geometry flag
+    given on the command line beside it would be ignored: refuse it.
+    Values from ``--config`` are defaults, not given flags."""
+    command = parser.subcommands.choices[args.command]
+    unset = object()
+    given = argparse.Namespace(**{dest: unset for dest in vars(args)})
+    command.parse_args(argv[argv.index(args.command) + 1:], namespace=given)
+    flags = [f"--{dest.replace('_', '-')}" for dest, value in vars(given).items()
+             if value is not unset and dest not in ("input", "output", "config")]
+    if flags:
+        raise _UsageError(
+            f"{', '.join(flags)} cannot be combined with --input, which fixes the "
+            f"{'scan' if args.command == 'report' else 'schedule'}"
+        )
+
+
 def _scheme_params(args, **mode) -> SchemeParams:
     """The scanned instance; ``mode`` is ``validation_mode=`` where ``--mode`` is taken."""
     return SchemeParams(
@@ -273,7 +294,7 @@ def render_report_table(report: SecurityReport) -> str:
 
 
 def _cmd_report(args) -> int:
-    if args.input:
+    if args.input is not None:
         try:
             with open(args.input, encoding="utf-8") as handle:
                 doc = json.load(handle)
@@ -287,7 +308,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.input:
+    if args.input is not None:
         try:
             with open(args.input, encoding="utf-8") as handle:
                 schedule = schedule_from_json(json.load(handle))
@@ -332,6 +353,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         if args.config is not None:  # parsed as every flag is, abbreviations included
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)
+        if getattr(args, "input", None) is not None:
+            _reject_flags_beside_input(parser, argv, args)
         return _COMMANDS[args.command](args)
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

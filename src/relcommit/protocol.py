@@ -47,6 +47,7 @@ from typing import Sequence
 
 from .quantum import (
     BASIS_STATES,
+    BELL_LABELS,
     PROB_ATOL,
     BasisStateSpec,
     BellLabel,
@@ -60,6 +61,7 @@ from .quantum import (
     teleport_correction,
     tensor,
 )
+from .quantum import clear_caches as _clear_quantum_caches
 from .spacetime import Schedule, standard_schedule
 
 __all__ = [
@@ -261,11 +263,15 @@ def _enumerate_multi(
             make_bell(bob_label),
             make_basis_state(phi),
         ])
+        # Bob's probe copy depends only on phi and his teleportation outcome.
+        bob_probe = apply_pauli(make_basis_state(phi), 0, bob_frame)
+        bob_finals_by_tele = {
+            label: basis_measure(apply_pauli(bob_probe, 0, PauliOp(label.i, label.j)), 0, phi.basis)
+            for label in BELL_LABELS
+        }
         for swap in bell_measure(register, 1, 2):
             for tele in bell_measure(swap.post_state, 4, 3):
-                probe_copy = apply_pauli(make_basis_state(phi), 0, bob_frame)
-                probe_copy = apply_pauli(probe_copy, 0, PauliOp(tele.outcome.i, tele.outcome.j))
-                bob_finals = basis_measure(probe_copy, 0, phi.basis)
+                bob_finals = bob_finals_by_tele[tele.outcome]
                 for mid in basis_measure(tele.post_state, 0, "Z"):
                     confirmed = apply_pauli(mid.post_state, 0, alice_frame)
                     for final in basis_measure(confirmed, 0, phi.basis):
@@ -398,9 +404,10 @@ def _expected_stored_bit(
 
 
 def clear_caches() -> None:
-    """Drop every memoized table: branch enumerations and verifier bits."""
+    """Drop every memoized table: branches, verifier bits, engine index tables."""
     for cached in (branches, _expected_stored_bit):
         cached.cache_clear()
+    _clear_quantum_caches()
 
 
 def _correction_for(

@@ -32,12 +32,17 @@ Conventions
   are up to phase.
 * Probabilities are compared at ``PROB_ATOL``; measurement branches at
   or below that weight are dropped as numerically empty.
+* A measurement is one contraction with its outcome kets stacked, and
+  a Pauli a signed permutation of the amplitudes read off its literal
+  matrix; :func:`clear_caches` drops their memoized index tables.
+  Label and frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -65,6 +70,7 @@ __all__ = [
     "swapped_label",
     "states_equal_up_to_phase",
     "fidelity",
+    "clear_caches",
 ]
 
 PROB_ATOL = 1e-12
@@ -96,7 +102,7 @@ class BellLabel:
         _check_bit(self.j)
 
     def __xor__(self, other: "BellLabel") -> "BellLabel":
-        return BellLabel(self.i ^ other.i, self.j ^ other.j)
+        return BELL_LABELS[2 * (self.i ^ other.i) + (self.j ^ other.j)]
 
     @property
     def bits(self) -> tuple[int, int]:
@@ -262,29 +268,28 @@ class BranchSet:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-_BELL_AMPLITUDES = {
-    (0, 0): np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=np.complex128),
-    (0, 1): np.array([0.0, _INV_SQRT2, _INV_SQRT2, 0.0], dtype=np.complex128),
-    (1, 0): np.array([_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2], dtype=np.complex128),
-    (1, 1): np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=np.complex128),
-}
-
+# Outcome kets, one row per outcome: pair labels in BELL_LABELS order,
+# basis values 0 and 1.
+_BELL_KETS = np.array([
+    [_INV_SQRT2, 0.0, 0.0, _INV_SQRT2],
+    [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
+    [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
+    [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
+], dtype=np.complex128)
 _BASIS_KETS = {
-    ("Z", 0): np.array([1.0, 0.0], dtype=np.complex128),
-    ("Z", 1): np.array([0.0, 1.0], dtype=np.complex128),
-    ("X", 0): np.array([_INV_SQRT2, _INV_SQRT2], dtype=np.complex128),
-    ("X", 1): np.array([_INV_SQRT2, -_INV_SQRT2], dtype=np.complex128),
+    "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
+    "X": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128),
 }
 
 
 def make_bell(label: BellLabel) -> StateVector:
     """Two-qubit maximally entangled state named by ``label``."""
-    return StateVector(_BELL_AMPLITUDES[label.bits])
+    return StateVector(_BELL_KETS[2 * label.i + label.j])
 
 
 def make_basis_state(spec: BasisStateSpec) -> StateVector:
     """Single-qubit computational or diagonal basis state."""
-    return StateVector(_BASIS_KETS[(spec.basis, spec.value)])
+    return StateVector(_BASIS_KETS[spec.basis][spec.value])
 
 
 def tensor(parts: Sequence[StateVector]) -> StateVector:
@@ -297,35 +302,47 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
     return StateVector(amps)
 
 
+@lru_cache(maxsize=None)
+def _pauli_permutation(n: int, qubit: int, z: int, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source index and sign of each output amplitude of ``Z^z X^x`` on
+    ``qubit``, from the one nonzero entry in each row of its matrix."""
+    matrix = _PAULI_MATRICES[(z, x)]
+    index = np.arange(1 << n)
+    shift = n - 1 - qubit
+    row = (index >> shift) & 1
+    col = np.argmax(matrix != 0, axis=1)[row]
+    return index ^ ((row ^ col) << shift), matrix[row, col]
+
+
 def apply_pauli(state: StateVector, qubit: int, op: PauliOp) -> StateVector:
     """Apply ``op`` to one qubit of ``state``."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    psi = state.amplitudes.reshape((2,) * n)
-    out = np.tensordot(_PAULI_MATRICES[(op.z, op.x)], psi, axes=([1], [qubit]))
-    out = np.moveaxis(out, 0, qubit)
-    return StateVector(out.reshape(-1))
+    source, sign = _pauli_permutation(n, qubit, op.z, op.x)
+    return StateVector(state.amplitudes[source] * sign)
 
 
-def _project_branches(state, qubits, outcome_kets):
-    """Exhaustive projective measurement onto the given orthonormal kets."""
+@lru_cache(maxsize=None)
+def _measured_first(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order putting ``qubits`` first, and its inverse on a stack of states."""
+    perm = (*qubits, *(ax for ax in range(n) if ax not in qubits))
+    return perm, (0, *(1 + int(ax) for ax in np.argsort(perm)))
+
+
+def _project_branches(state, qubits, outcomes, kets):
+    """Exhaustive projective measurement onto the orthonormal rows of ``kets``."""
     n = state.n_qubits
-    psi = state.amplitudes.reshape((2,) * n)
-    rest = tuple(ax for ax in range(n) if ax not in qubits)
-    perm = (*qubits, *rest)
-    inverse = tuple(np.argsort(perm))
-    view = np.transpose(psi, perm).reshape(1 << len(qubits), -1)
-    branches = []
-    for outcome, ket in outcome_kets:
-        residual = ket.conj() @ view
-        prob = float(np.vdot(residual, residual).real)
-        if prob <= PROB_ATOL:
-            continue
-        post = np.outer(ket, residual / math.sqrt(prob))
-        post = np.transpose(post.reshape((2,) * n), inverse).reshape(-1)
-        branches.append(Branch(outcome, prob, StateVector(post)))
-    return BranchSet(tuple(branches))
+    perm, restore = _measured_first(n, qubits)
+    view = state.amplitudes.reshape((2,) * n).transpose(perm).reshape(kets.shape[1], -1)
+    residuals = kets.conj() @ view
+    probs = np.einsum("ij,ij->i", residuals.conj(), residuals).real
+    kept = [k for k, prob in enumerate(probs.tolist()) if prob > PROB_ATOL]
+    posts = kets[kept, :, None] * (residuals[kept] / np.sqrt(probs[kept])[:, None])[:, None, :]
+    posts = posts.reshape((len(kept),) + (2,) * n).transpose(restore).reshape(len(kept), -1)
+    return BranchSet(tuple(
+        Branch(outcomes[k], float(probs[k]), StateVector(post)) for k, post in zip(kept, posts)
+    ))
 
 
 def bell_measure(state: StateVector, qubit_a: int, qubit_b: int) -> BranchSet:
@@ -342,8 +359,7 @@ def bell_measure(state: StateVector, qubit_a: int, qubit_b: int) -> BranchSet:
     for q in (qubit_a, qubit_b):
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    kets = [(label, _BELL_AMPLITUDES[label.bits]) for label in BELL_LABELS]
-    return _project_branches(state, (qubit_a, qubit_b), kets)
+    return _project_branches(state, (qubit_a, qubit_b), BELL_LABELS, _BELL_KETS)
 
 
 def basis_measure(state: StateVector, qubit: int, basis: str) -> BranchSet:
@@ -353,8 +369,7 @@ def basis_measure(state: StateVector, qubit: int, basis: str) -> BranchSet:
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    kets = [(value, _BASIS_KETS[(basis, value)]) for value in (0, 1)]
-    return _project_branches(state, (qubit,), kets)
+    return _project_branches(state, (qubit,), (0, 1), _BASIS_KETS[basis])
 
 
 def compose_pauli(first: PauliOp, second: PauliOp) -> PauliOp:
@@ -363,7 +378,7 @@ def compose_pauli(first: PauliOp, second: PauliOp) -> PauliOp:
     The exponent bits XOR; the resulting matrix equals the literal
     product ``first.matrix @ second.matrix`` up to a phase.
     """
-    return PauliOp(first.z ^ second.z, first.x ^ second.x)
+    return PAULI_OPS[2 * (first.z ^ second.z) + (first.x ^ second.x)]
 
 
 def teleport_correction(shared: BellLabel, outcome: BellLabel) -> PauliOp:
@@ -377,7 +392,7 @@ def teleport_correction(shared: BellLabel, outcome: BellLabel) -> PauliOp:
     against direct state-vector enumeration rather than assuming it.
     """
     fused = shared ^ outcome
-    return PauliOp(fused.i, fused.j)
+    return PAULI_OPS[2 * fused.i + fused.j]
 
 
 def swapped_label(label_a: BellLabel, label_b: BellLabel, outcome: BellLabel) -> BellLabel:
@@ -416,3 +431,9 @@ def fidelity(state_a: StateVector, state_b: StateVector) -> float:
     if state_a.dim != state_b.dim:
         raise ValueError(f"dimension mismatch: {state_a.dim} vs {state_b.dim}")
     return abs(complex(np.vdot(state_a.amplitudes, state_b.amplitudes))) ** 2
+
+
+def clear_caches() -> None:
+    """Drop the memoized Pauli permutations and measurement axis orders."""
+    for cached in (_pauli_permutation, _measured_first):
+        cached.cache_clear()

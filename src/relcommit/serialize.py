@@ -27,9 +27,10 @@ import math
 from typing import IO, Iterable
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
-from .protocol import VALIDATION_MODES, Transcript, Verdict
+from .montecarlo import parse_phi_policy
+from .protocol import SchemeParams, Transcript, Verdict
 from .quantum import BASIS_STATES, BasisStateSpec, BellLabel
-from .spacetime import SCHEMES, Message, PhaseTimes, Schedule, SpacetimeEvent
+from .spacetime import Message, PhaseTimes, Schedule, SpacetimeEvent
 
 __all__ = [
     "TranscriptParseError",
@@ -322,25 +323,41 @@ def _rows(doc: dict, field: str) -> Iterable[dict]:
     return rows
 
 
+def _scanned_params(doc: dict) -> SchemeParams:
+    """The instance a scan header names, judged by :class:`SchemeParams` itself."""
+    n_pairs = _require(doc, "n_pairs")
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
+        raise TranscriptParseError(f"field 'n_pairs' must be an integer, got {n_pairs!r}")
+    phi_policy = _choice(doc, "phi_policy", ("uniform", *map(str, BASIS_STATES)))
+    try:
+        return SchemeParams(
+            scheme=_require(doc, "scheme"),
+            n_pairs=n_pairs,
+            phi_policy=parse_phi_policy(phi_policy),
+            validation_mode=_require(doc, "mode"),
+        )
+    except ValueError as exc:
+        raise TranscriptParseError(f"bad scan header: {exc}") from exc
+
+
 def report_from_json(doc: dict) -> SecurityReport:
     """Inverse of :func:`report_to_json`, checking every field's type.
 
     Takes the document in memory (rows as tuples) or parsed from JSON
-    (rows as lists).  The header must name a known scheme, mode and
-    probe policy, with ``n_pairs`` an integer of at least 1.
-    Probabilities must be finite numbers; ``claimed_acceptance``,
-    ``agrees`` and ``extraction_guess_probability`` may be null.
+    (rows as lists).  The header (``scheme``, ``mode``, ``phi_policy``
+    and an integer ``n_pairs``) must describe an instance that
+    :class:`~relcommit.protocol.SchemeParams` accepts.  Probabilities
+    must be finite numbers; ``claimed_acceptance``, ``agrees`` and
+    ``extraction_guess_probability`` may be null.
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError("scan document must be an object")
-    n_pairs = _require(doc, "n_pairs")
-    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int) or n_pairs < 1:
-        raise TranscriptParseError(f"field 'n_pairs' must be an integer >= 1, got {n_pairs!r}")
+    params = _scanned_params(doc)
     return SecurityReport(
-        scheme=_choice(doc, "scheme", SCHEMES),
-        mode=_choice(doc, "mode", VALIDATION_MODES),
-        phi_policy=_choice(doc, "phi_policy", ("uniform", *map(str, BASIS_STATES))),
-        n_pairs=n_pairs,
+        scheme=params.scheme,
+        mode=params.validation_mode,
+        phi_policy=str(params.phi_policy),
+        n_pairs=params.n_pairs,
         strategy_rows=tuple(
             StrategyRow(
                 strategy_from_json(_require(row, "strategy")),

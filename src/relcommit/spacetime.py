@@ -301,10 +301,11 @@ def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Sched
     """Canonical timetable with phases at 0, x/c, 2x/c and T.
 
     The one owner of the geometry rules: ``x`` finite and non-negative,
-    ``c`` finite and positive, ``2x/c`` finite, and ``T`` finite and no
-    earlier than ``2x/c``, which :class:`Schedule` checks along with the
-    scheme name.  ``T=None`` reveals at ``10x/c``.  A broken rule raises
-    ``ValueError``.
+    ``c`` finite and positive, ``2x/c`` finite, ``T`` finite and no
+    earlier than ``2x/c`` (which :class:`Schedule` checks along with the
+    scheme name), and the validation time ``T + x/c`` finite.
+    ``T=None`` reveals at ``10x/c``, which must be finite too.  A broken
+    rule raises ``ValueError`` naming the quantity that broke it.
     """
     if x < 0 or not math.isfinite(x):
         raise ValueError(f"half-separation must be finite and non-negative, got {x!r}")
@@ -316,8 +317,12 @@ def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Sched
         raise ValueError(f"storage phase 2x/c must be finite, got {t2!r}")
     if T is None:
         T = 10.0 * x / c
+        if not math.isfinite(T):
+            raise ValueError(f"default reveal time 10x/c must be finite, got {T!r}")
     if not math.isfinite(T):
         raise ValueError(f"reveal time must be finite, got {T!r}")
+    if not math.isfinite(T + t1):
+        raise ValueError(f"validation time T + x/c must be finite, got {T + t1!r}")
     if scheme == "multi":
         events, messages = _multi_events(t1, t2, T)
     else:

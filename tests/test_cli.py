@@ -250,6 +250,37 @@ class TestAttackScanAndReport:
         assert out == ""
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--scheme", "multi", "--mode", "R1"), ("--scheme", "single"), ("--x", "2"),
+        ("--c", "1"), ("--T", "30"), ("--n-pairs", "1"), ("--phi", "Z0"),
+        ("--bob-label", "01"), ("--mode", "R2"),
+    ], ids=" ".join)
+    def test_report_input_refuses_scan_flags(self, capsys, tmp_path, flags):
+        scan = tmp_path / "scan.json"
+        run_cli(capsys, "attack-scan", "--output", str(scan))
+        code, out, err = run_cli(capsys, "report", "--input", str(scan), *flags)
+        assert (code, out) == (1, "")
+        named = ", ".join(flags[::2])
+        assert err == f"error: {named} cannot be combined with --input, which fixes the scan\n"
+
+    @pytest.mark.parametrize("command,document", [("report", "scan"), ("audit", "schedule")])
+    def test_empty_input_path_is_read_not_skipped(self, capsys, command, document):
+        code, out, err = run_cli(capsys, command, "--input", "")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {document} '': ")
+
+    def test_report_input_takes_output_and_config(self, capsys, tmp_path):
+        scan, table = tmp_path / "scan.json", tmp_path / "table.txt"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(FULL_CONFIG))  # defaults, not given flags
+        run_cli(capsys, "attack-scan", "--output", str(scan))
+        expected = run_cli(capsys, "report", "--input", str(scan))
+        assert expected[0] == 0
+        code, out, err = run_cli(capsys, "report", "--input", str(scan), "--config", str(config),
+                                 "--output", str(table))
+        assert (code, out, err) == (0, "", "")
+        assert table.read_text() == expected[1]
+
     def test_report_null_extraction_agreement_prints_dash(self, capsys, tmp_path):
         scan = tmp_path / "scan.json"
         run_cli(capsys, "attack-scan", "--scheme", "single", "--output", str(scan))
@@ -283,6 +314,17 @@ class TestAudit:
         assert code == 1  # exit 2 is kept for causality violations found in a schedule
         assert out == ""
         assert err == "error: reveal time 1.5 precedes storage phase 2.0\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("--scheme", "single"), ("--x", "2", "--T", "30"), ("--c", "1"), ("--T", "10"),
+    ], ids=" ".join)
+    def test_input_refuses_geometry_flags(self, capsys, tmp_path, flags):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "multi"))))
+        code, out, err = run_cli(capsys, "audit", "--input", str(path), *flags)
+        assert (code, out) == (1, "")
+        named = ", ".join(flags[::2])
+        assert err == f"error: {named} cannot be combined with --input, which fixes the schedule\n"
 
     def test_tampered_schedule_file_flagged(self, capsys, tmp_path):
         schedule = standard_schedule(1.0, 1.0, 10.0, "single")
@@ -474,6 +516,10 @@ class TestConfigAndErrors:
                      id="store=inf"),
         pytest.param("--x 1e308 --T 5", "storage phase 2x/c must be finite, got inf",
                      id="store=inf-T=5"),
+        pytest.param("--x 5e307", "default reveal time 10x/c must be finite, got inf",
+                     id="default-reveal=inf"),
+        pytest.param("--x 1e307 --T 1.7e308", "validation time T + x/c must be finite, got inf",
+                     id="validation=inf"),
     ])
     @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
     def test_bad_geometry_is_a_usage_error(self, capsys, command, flags, message):

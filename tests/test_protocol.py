@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relcommit import adversary, montecarlo, protocol
+from relcommit import adversary, montecarlo, protocol, quantum
 from relcommit.montecarlo import SLOTS, RunConfig, sample_transcripts, slot_table
 from relcommit.protocol import (
     FULL_FAMILY,
@@ -517,7 +517,7 @@ class TestSlotTable:
 def _module_caches():
     return {
         (module.__name__, name): value
-        for module in (protocol, adversary)
+        for module in (quantum, protocol, adversary)
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
@@ -527,7 +527,9 @@ class TestCaches:
     def test_clear_caches_empties_every_cache(self):
         caches = _module_caches()
         assert {("relcommit.protocol", "branches"),
-                ("relcommit.protocol", "_expected_stored_bit")} <= set(caches)
+                ("relcommit.protocol", "_expected_stored_bit"),
+                ("relcommit.quantum", "_pauli_permutation"),
+                ("relcommit.quantum", "_measured_first")} <= set(caches)
         for scheme, n_pairs in (("multi", 1), ("string", 2)):
             adversary.build_report(SchemeParams(scheme, n_pairs=n_pairs))
         for key, cache in caches.items():

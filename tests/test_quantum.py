@@ -49,6 +49,40 @@ def contract_pair(state: StateVector, qubit_a: int, qubit_b: int, label: BellLab
     return residual.reshape(-1)
 
 
+def random_state(n: int, seed: int) -> StateVector:
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(raw / np.linalg.norm(raw))
+
+
+def project_reference(state: StateVector, qubits: tuple[int, ...], ket: np.ndarray):
+    """Oracle: probability and collapsed amplitudes of one outcome ket,
+    from a tensordot residual per projector and the ket placed back on
+    the measured axes."""
+    n = state.n_qubits
+    m = len(qubits)
+    psi = state.amplitudes.reshape((2,) * n)
+    residual = np.tensordot(ket.reshape((2,) * m).conj(), psi, axes=(list(range(m)), list(qubits)))
+    prob = float(np.vdot(residual, residual).real)
+    if prob <= 1e-12:
+        return prob, None
+    post = np.multiply.outer(ket.reshape((2,) * m), residual / math.sqrt(prob))
+    return prob, np.moveaxis(post, list(range(m)), list(qubits)).reshape(-1)
+
+
+def assert_matches_reference(branches, state, qubits, kets):
+    expected = {}
+    for outcome, ket in kets:
+        prob, post = project_reference(state, qubits, ket)
+        if post is not None:
+            expected[outcome] = (prob, post)
+    assert [b.outcome for b in branches] == list(expected)
+    for branch in branches:
+        prob, post = expected[branch.outcome]
+        np.testing.assert_allclose(branch.probability, prob, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(branch.post_state.amplitudes, post, rtol=0, atol=1e-13)
+
+
 class TestBellStates:
     def test_exact_amplitudes(self):
         expected = {
@@ -176,6 +210,21 @@ class TestApplyPauli:
         with pytest.raises(IndexError):
             apply_pauli(make_basis_state(BasisStateSpec("Z", 0)), 1, PauliOp(0, 1))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_kronecker_matrix_on_every_qubit(self, n):
+        state = random_state(n, seed=n)
+        for qubit in range(n):
+            for op in PAULI_OPS:
+                factors = [np.eye(2)] * n
+                factors[qubit] = op.matrix
+                full = factors[0]
+                for factor in factors[1:]:
+                    full = np.kron(full, factor)
+                np.testing.assert_allclose(
+                    apply_pauli(state, qubit, op).amplitudes, full @ state.amplitudes,
+                    rtol=0, atol=1e-15,
+                )
+
     def test_involution(self):
         # Z^z X^x applied twice is identity up to phase
         state = make_bell(BellLabel(0, 1))
@@ -203,6 +252,22 @@ class TestComposePauli:
     def test_exponent_bits_xor(self):
         assert compose_pauli(PauliOp(1, 0), PauliOp(0, 1)) == PauliOp(1, 1)
         assert compose_pauli(PauliOp(1, 1), PauliOp(1, 1)) == PauliOp(0, 0)
+
+    def test_returns_interned_ops(self):
+        for first in PAULI_OPS:
+            for second in PAULI_OPS:
+                fused = compose_pauli(first, second)
+                assert any(fused is op for op in PAULI_OPS)
+                assert (fused.z, fused.x) == (first.z ^ second.z, first.x ^ second.x)
+
+
+class TestLabelXor:
+    def test_all_16_pairs_are_interned_labels(self):
+        for a in BELL_LABELS:
+            for b in BELL_LABELS:
+                fused = a ^ b
+                assert any(fused is label for label in BELL_LABELS)
+                assert fused.bits == (a.i ^ b.i, a.j ^ b.j)
 
 
 class TestBasisMeasure:
@@ -239,6 +304,21 @@ class TestBasisMeasure:
         with pytest.raises(ValueError):
             basis_measure(make_basis_state(BasisStateSpec("Z", 0)), 0, "Y")
 
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_matches_per_projector_reference(self, basis):
+        state = random_state(5, seed=7)
+        kets = [(value, make_basis_state(BasisStateSpec(basis, value)).amplitudes)
+                for value in (0, 1)]
+        for qubit in range(5):
+            assert_matches_reference(basis_measure(state, qubit, basis), state, (qubit,), kets)
+
+    def test_reference_drops_empty_outcome(self):
+        # |1> on qubit 2 of a product state: outcome 0 has no weight
+        state = tensor([make_bell(BellLabel(0, 1)), make_basis_state(BasisStateSpec("Z", 1))])
+        kets = [(value, make_basis_state(BasisStateSpec("Z", value)).amplitudes)
+                for value in (0, 1)]
+        assert_matches_reference(basis_measure(state, 2, "Z"), state, (2,), kets)
+
 
 class TestBellMeasure:
     @pytest.mark.parametrize("label", BELL_LABELS, ids=str)
@@ -270,6 +350,15 @@ class TestBellMeasure:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             bell_measure(make_bell(BellLabel(0, 0)), 0, 2)
+
+    def test_matches_per_projector_reference_on_every_qubit_pair(self):
+        state = random_state(5, seed=5)
+        kets = [(label, make_bell(label).amplitudes) for label in BELL_LABELS]
+        for qubit_a in range(5):
+            for qubit_b in range(5):
+                if qubit_a != qubit_b:
+                    branches = bell_measure(state, qubit_a, qubit_b)
+                    assert_matches_reference(branches, state, (qubit_a, qubit_b), kets)
 
 
 class TestEntanglementSwapping:
@@ -331,6 +420,12 @@ class TestTeleportation:
     def test_correction_label_is_xor(self):
         assert teleport_correction(BellLabel(1, 0), BellLabel(0, 1)) == PauliOp(1, 1)
         assert teleport_correction(BellLabel(1, 1), BellLabel(1, 1)) == PauliOp(0, 0)
+
+    def test_correction_is_an_interned_op(self):
+        for shared in BELL_LABELS:
+            for outcome in BELL_LABELS:
+                correction = teleport_correction(shared, outcome)
+                assert any(correction is op for op in PAULI_OPS)
 
 
 class TestStateComparison:

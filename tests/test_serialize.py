@@ -209,6 +209,25 @@ class TestReportFromJson:
         with pytest.raises(TranscriptParseError, match=field):
             report_from_json(doc)
 
+    # Each field is valid on its own; SchemeParams rejects the combination.
+    @pytest.mark.parametrize("header,message", [
+        ({"n_pairs": 3, "phi_policy": "X1"}, "scheme 'single' uses exactly one pair"),
+        ({"phi_policy": "X1"}, "scheme 'single' fixes the probe in the Z family, got X1"),
+        ({"scheme": "multi", "phi_policy": "X0"},
+         "scheme 'multi' fixes the probe in the Z family, got X0"),
+        ({"scheme": "multi", "n_pairs": 2}, "scheme 'multi' uses exactly one pair"),
+    ])
+    def test_header_judged_by_scheme_params(self, single_scan, header, message):
+        doc = {**json.loads(dumps(single_scan)), **header}
+        with pytest.raises(TranscriptParseError, match=f"^bad scan header: {message}$"):
+            report_from_json(doc)
+
+    def test_string_header_with_any_probe_accepted(self, single_scan):
+        doc = {**json.loads(dumps(single_scan)), "scheme": "string", "n_pairs": 3,
+               "phi_policy": "X1"}
+        report = report_from_json(doc)
+        assert (report.scheme, report.n_pairs, report.phi_policy) == ("string", 3, "X1")
+
     @pytest.mark.parametrize("field", ["scheme", "strategy_rows", "extraction_rows"])
     def test_missing_field_named(self, single_scan, field):
         doc = json.loads(dumps(single_scan))

@@ -92,6 +92,19 @@ class TestStandardSchedule:
         with pytest.raises(ValueError):
             standard_schedule(1.0, 1.0, 10.0, "tripartite")
 
+    @pytest.mark.parametrize("x,T,message", [
+        (5e307, None, "default reveal time 10x/c must be finite, got inf"),
+        (1e307, 1.7e308, "validation time T + x/c must be finite, got inf"),
+    ])
+    def test_overflowing_derived_time_names_its_quantity(self, x, T, message):
+        with pytest.raises(ValueError, match=f"^{message}$".replace("+", r"\+")):
+            standard_schedule(x, 1.0, T, "single")
+
+    def test_largest_finite_times_accepted(self):
+        assert standard_schedule(1.5e307, 1.0, None, "single").phase_times.reveal == 1.5e308
+        sched = standard_schedule(1e300, 1.0, 1.7e308, "multi")
+        assert audit(sched).ok
+
     def test_message_arrival_precedes_send_rejected(self):
         with pytest.raises(ValueError):
             Message("a", "b", 1.0, 0.5, "classical")

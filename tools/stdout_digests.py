@@ -45,6 +45,10 @@ CLI_INVOCATIONS = [
     ("run --scheme string --n-pairs 3 --trials 4 --seed 7", 0, None),
     ("run --x 0", 0, None),
     ("attack-scan --x 1e308 --c 1e-308", 1, None),
+    ("attack-scan --scheme multi --phi uniform", 0, None),
+    ("enumerate --scheme multi --phi uniform --alice-label 11", 0, None),
+    ("enumerate --scheme string --n-pairs 1 --phi X1", 0, None),
+    ("report --input scan.json --scheme multi", 1, None),
 ]
 
 
