@@ -11,7 +11,7 @@ from relcommit.adversary import concealment_tv
 from relcommit.protocol import (
     SchemeParams,
     committed_bit,
-    run_multiparty,
+    run_pairs,
     validate_multiparty,
 )
 from relcommit.quantum import BellLabel
@@ -25,7 +25,7 @@ print()
 
 # Enumerate the joint run.  Each branch now carries two stored bits:
 # alice's confirmation of bob and bob's confirmation of alice.
-branches = run_multiparty(params, alice, bob)
+(branches,) = run_pairs(params, [alice], bob)
 print(f"{len(branches)} branches; the first few:")
 for t in branches[:4]:
     print(

@@ -13,8 +13,8 @@ from collections import defaultdict
 from relcommit.protocol import (
     SchemeParams,
     committed_bit,
-    run_single,
-    validate_single,
+    run_pairs,
+    validate_transcript,
 )
 from relcommit.quantum import BellLabel
 from relcommit.serialize import serialize_transcript
@@ -27,7 +27,7 @@ print()
 
 # Exact enumeration: every (swap outcome, teleport outcome, stored bit)
 # branch with its probability.  Sixteen branches, each 1/16.
-branches = run_single(params, alice)
+(branches,) = run_pairs(params, [alice], params.bob_label)
 print(f"{len(branches)} branches:")
 for t in branches[:4]:
     print(
@@ -42,7 +42,7 @@ print()
 # perfectly correlated with the *outcomes*, never with the label.
 views = {0: defaultdict(float), 1: defaultdict(float)}
 for label in (BellLabel(0, 0), BellLabel(0, 1)):
-    for t in run_single(params, label):
+    for t in run_pairs(params, [label], params.bob_label)[0]:
         key = (t.swap_outcome, t.teleport_outcome, t.stored_alice_bit)
         views[committed_bit(label)][key] += t.probability
 gap = max(
@@ -53,7 +53,7 @@ print()
 
 # Honest reveal: announce the true label.  Every branch validates.
 accepted = sum(
-    t.probability for t in branches if validate_single(t, alice, "R2").accept
+    t.probability for t in branches if validate_transcript(t, alice, "R2").accept
 )
 print(f"honest announcement accepted with probability {accepted:.6f}")
 
@@ -61,11 +61,11 @@ print(f"honest announcement accepted with probability {accepted:.6f}")
 # Under mode R2 the stored confirmation bit exposes it every time.
 lie = alice ^ BellLabel(0, 1)
 caught = sum(
-    t.probability for t in branches if not validate_single(t, lie, "R2").accept
+    t.probability for t in branches if not validate_transcript(t, lie, "R2").accept
 )
 print(f"parity-flipped announcement {lie} rejected with probability {caught:.6f}")
 
-verdict = validate_single(branches[0], lie, "R2")
+verdict = validate_transcript(branches[0], lie, "R2")
 print(f"sample rejection reason: {verdict.reason}")
 print()
 

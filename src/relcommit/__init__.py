@@ -26,12 +26,9 @@ from .protocol import (
     Verdict,
     committed_bit,
     committed_string,
-    run_multiparty,
-    run_single,
-    run_string,
+    run_pairs,
     validate_multiparty,
-    validate_single,
-    validate_string,
+    validate_transcript,
 )
 from .quantum import (
     BASIS_STATES,
@@ -111,12 +108,9 @@ __all__ = [
     "Verdict",
     "committed_bit",
     "committed_string",
-    "run_multiparty",
-    "run_single",
-    "run_string",
+    "run_pairs",
     "validate_multiparty",
-    "validate_single",
-    "validate_string",
+    "validate_transcript",
     # adversary
     "SecurityReport",
     "SelfCheckError",

@@ -140,6 +140,17 @@ class Strategy:
     def receiver_skip(cls) -> "Strategy":
         return cls("receiver", "receiver_skip")
 
+    def committer_labels(self, chosen: BellLabel) -> tuple[BellLabel, BellLabel]:
+        """(label committed, label announced) when the committer picks ``chosen``."""
+        if self.role != "committer":
+            raise ValueError("only committer strategies commit and announce labels")
+        if self.kind == "honest":
+            return chosen, chosen
+        if self.kind == "relabel_announce":
+            return chosen, chosen ^ self.delta
+        # delayed_rechoice: the late pick is the binding commitment
+        return chosen ^ self.delta, chosen ^ self.delta
+
     def describe(self) -> str:
         if self.role == "committer":
             if self.kind == "honest":
@@ -243,13 +254,13 @@ def _committer_profile(
 ) -> tuple[float, float]:
     """(averaged, worst-case) acceptance of a committer strategy on every pair.
 
-    A relabel shifts each announcement by its ``delta``; honest and
-    delayed re-choice commitments announce the label they commit, so
-    both play the zero shift.  ``profiles`` is the per-shift memo of
+    Each pair's announcement is its committed label XOR the shift
+    ``committed ^ announced`` of :meth:`Strategy.committer_labels`, the
+    same for every chosen label.  ``profiles`` is the per-shift memo of
     :func:`_shift_profile`.
     """
-    shift = strategy.delta if strategy.kind == "relabel_announce" else _ZERO
-    return _shift_profile(params, [shift] * params.n_pairs, profiles)
+    committed, announced = strategy.committer_labels(_ZERO)
+    return _shift_profile(params, [committed ^ announced] * params.n_pairs, profiles)
 
 
 def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
@@ -258,8 +269,6 @@ def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
     Averages over uniformly chosen committer and receiver labels and the
     probe policy in ``params``, under its mode.  Exactly ``1 - acceptance``.
     """
-    if strategy.role != "committer":
-        raise ValueError("detection_probability analyzes committer strategies")
     return 1.0 - _committer_profile(params, strategy)[0]
 
 

@@ -47,11 +47,10 @@ from .adversary import SecurityReport, Strategy, build_report
 from .montecarlo import (
     RunConfig,
     monte_carlo,
-    parse_phi_policy,
     sample_transcripts,
     stats_to_json,
 )
-from .protocol import SchemeParams, run_pairs
+from .protocol import SchemeParams, parse_phi_policy, run_pairs
 from .quantum import BellLabel
 from .serialize import (
     dumps,
@@ -275,7 +274,7 @@ def render_report_table(report: SecurityReport) -> str:
             lines.append(
                 f"{row.strategy.describe():<28}{row.acceptance_probability:>12.6f}"
                 f"{row.worst_case_acceptance:>12.6f}"
-                f"{row.detection_probability:>12.6f}{claimed:>10}{agrees:>8}"
+                f"{row.detection_probability:>12.6f} {claimed:>9}{agrees:>8}"
             )
         lines.append("")
     if report.extraction_rows:
@@ -284,7 +283,7 @@ def render_report_table(report: SecurityReport) -> str:
             agrees = "-" if row.agrees is None else ("yes" if row.agrees else "NO")
             lines.append(
                 f"{row.strategy.describe():<28}{row.guess_probability:>12.6f}"
-                f"{row.claimed_guess:>10.6g}{agrees:>8}"
+                f" {row.claimed_guess:>9.6g}{agrees:>8}"
             )
         lines.append("")
     lines.append(f"concealment TV distance: {report.concealment_tv:.6g}")

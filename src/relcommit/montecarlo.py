@@ -33,8 +33,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .adversary import Strategy
-from .protocol import SchemeParams, Transcript, Verdict, branches, validate_transcript
-from .quantum import BASIS_STATES, BELL_LABELS, PROB_ATOL, BasisStateSpec, BellLabel
+from .protocol import (
+    SchemeParams,
+    Transcript,
+    Verdict,
+    branches,
+    parse_phi_policy,
+    validate_transcript,
+)
+from .quantum import BELL_LABELS, PROB_ATOL, BellLabel
 
 __all__ = [
     "CHUNK_DRAWS",
@@ -44,7 +51,6 @@ __all__ = [
     "StatsRow",
     "StatsSummary",
     "monte_carlo",
-    "parse_phi_policy",
     "sample_transcripts",
     "slot_table",
     "stats_to_json",
@@ -53,20 +59,6 @@ __all__ = [
 CHUNK_TRIALS = 1 << 16
 CHUNK_DRAWS = 1 << 18
 SLOTS = 256  # one sampling slot per value of a random byte
-
-_PHI_NAMES = {str(spec): spec for spec in BASIS_STATES}
-
-
-def parse_phi_policy(name: str) -> BasisStateSpec | str:
-    """CLI/config probe policy names: Z0, Z1, X0, X1, uniform, default."""
-    if name in ("uniform", "default"):
-        return name
-    try:
-        return _PHI_NAMES[name]
-    except KeyError:
-        raise ValueError(
-            f"probe policy must be one of {sorted(_PHI_NAMES)} or 'uniform', got {name!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -167,24 +159,13 @@ def slot_table(table: Sequence[Transcript]) -> np.ndarray:
     return np.repeat(np.arange(len(table), dtype=np.uint8), counts.astype(np.intp))
 
 
-def _committer_labels(strategy: Strategy, chosen: BellLabel) -> tuple[BellLabel, BellLabel]:
-    """(label actually committed, label announced) for a chosen input."""
-    if strategy.kind == "honest":
-        return chosen, chosen
-    if strategy.kind == "relabel_announce":
-        return chosen, chosen ^ strategy.delta
-    # delayed_rechoice: the late pick is the binding commitment
-    effective = chosen ^ strategy.delta
-    return effective, effective
-
-
 def _campaign(
     config: RunConfig,
 ) -> tuple[SchemeParams, tuple[Transcript, ...], np.ndarray, list[Verdict], BellLabel]:
     """Params, branch table, slot table, per-branch verdicts and the announced label."""
     params = config.to_params()
     strategy = config.strategy or Strategy.honest()
-    committed, announced = _committer_labels(strategy, config.alice_label)
+    committed, announced = strategy.committer_labels(config.alice_label)
     table = branches(params, committed, config.bob_label)
     verdicts = [validate_transcript(t, announced, params.validation_mode) for t in table]
     return params, table, slot_table(table), verdicts, announced

@@ -30,9 +30,10 @@ Validation knows two verifier models:
   announced frame against it.  Parity flips are then always caught,
   sign flips pass on parity-preserving announcements.
 
-``run_*`` functions return exhaustive branch enumerations: transcripts
-weighted by exact probabilities, read from one memoized table per pair,
-:func:`branches`.  The verifier memoizes its state-vector predictions
+:func:`run_pairs` enumerates any scheme exactly, reading one memoized
+table per pair, :func:`branches`; :func:`validate_transcript` checks
+one pair of any scheme, :func:`validate_multiparty` also a second
+committer's claims.  The verifier memoizes its state-vector predictions
 the same way, and :func:`clear_caches` drops both.  This module never
 samples; seeded draws from these tables live in
 :mod:`relcommit.montecarlo`.
@@ -75,13 +76,9 @@ __all__ = [
     "committed_string",
     "branches",
     "clear_caches",
+    "parse_phi_policy",
     "run_pairs",
-    "run_single",
-    "run_multiparty",
-    "run_string",
-    "validate_single",
     "validate_multiparty",
-    "validate_string",
     "validate_transcript",
 ]
 
@@ -99,6 +96,21 @@ def committed_bit(label: BellLabel) -> int:
 def committed_string(labels: Sequence[BellLabel]) -> str:
     """Bit string encoded by a sequence of pair labels, one bit per pair."""
     return "".join(str(committed_bit(label)) for label in labels)
+
+
+_PHI_NAMES = {str(spec): spec for spec in BASIS_STATES}
+
+
+def parse_phi_policy(name: str) -> BasisStateSpec | str:
+    """Probe policy names of the CLI and config files: Z0, Z1, X0, X1, uniform, default."""
+    if name in ("uniform", "default"):
+        return name
+    try:
+        return _PHI_NAMES[name]
+    except KeyError:
+        raise ValueError(
+            f"probe policy must be one of {sorted(_PHI_NAMES)} or 'uniform', got {name!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -253,7 +265,15 @@ def _enumerate_pair(
 def _enumerate_multi(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> list[Transcript]:
-    """Exhaustive branches of the two-committer scheme (see ``run_multiparty``)."""
+    """Exhaustive branches of the two-committer scheme around a verifying center.
+
+    Both committers learn the center's swap outcome.  Alice measures her
+    retained qubit in the computational basis (recorded, announced only
+    if the parties later choose to), then rotates and returns it.  Bob
+    prepares a fresh copy of the probe rotated by his teleportation
+    outcome and his own pair label and returns that; the center stores
+    both measured bits.
+    """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     bob_frame = PauliOp(bob_label.i, bob_label.j)
     out: list[Transcript] = []
@@ -312,8 +332,8 @@ def branches(
     the receiver-side label (the second committer's in the multi
     scheme) and overrides ``params.bob_label``.  A string pair is
     enumerated on its own, so its transcripts carry ``pair_index=None``;
-    the ``run_*`` functions and the sampler stamp the index.  Memoized on the hashable
-    arguments; ``clear_caches`` drops the table.
+    :func:`run_pairs` and the sampler stamp the index.  Memoized on the
+    hashable arguments; ``clear_caches`` drops the table.
     """
     if params.scheme == "multi":
         return tuple(_enumerate_multi(params, alice_label, bob_label))
@@ -327,9 +347,11 @@ def run_pairs(
 ) -> list[list[Transcript]]:
     """Every branch of any scheme, one branch list per committed pair.
 
-    String transcripts carry ``pair_index=k``; the one-pair schemes'
-    carry no index.
+    One committer label per pair; string transcripts carry
+    ``pair_index=k``, the one-pair schemes' carry no index.
     """
+    if len(alice_labels) != params.n_pairs:
+        raise ValueError(f"expected {params.n_pairs} committer labels, got {len(alice_labels)}")
     out = []
     for k, label in enumerate(alice_labels):
         table = branches(params, label, bob_label)
@@ -337,47 +359,6 @@ def run_pairs(
             table = [dataclasses.replace(t, pair_index=k) for t in table]
         out.append(list(table))
     return out
-
-
-def run_single(params: SchemeParams, alice_label: BellLabel) -> list[Transcript]:
-    """Every classical branch of the single-bit scheme, weights summing to 1."""
-    if params.scheme != "single":
-        raise ValueError(f"run_single requires scheme 'single', got {params.scheme!r}")
-    return run_pairs(params, [alice_label], params.bob_label)[0]
-
-
-def run_multiparty(
-    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
-) -> list[Transcript]:
-    """Every classical branch of the two-committer scheme around a verifying center.
-
-    Both committers learn the center's swap outcome.  Alice measures her
-    retained qubit in the computational basis (recorded, announced only
-    if the parties later choose to), then rotates and returns it.  Bob
-    prepares a fresh copy of the probe rotated by his teleportation
-    outcome and his own pair label and returns that; the center stores
-    both measured bits.
-    """
-    if params.scheme != "multi":
-        raise ValueError(f"run_multiparty requires scheme 'multi', got {params.scheme!r}")
-    return run_pairs(params, [alice_label], bob_label)[0]
-
-
-def run_string(
-    params: SchemeParams, alice_labels: Sequence[BellLabel]
-) -> list[list[Transcript]]:
-    """Every branch of the N-pair string scheme, one branch list per pair.
-
-    Pairs are physically independent, so each list is one pair's own
-    enumeration.
-    """
-    if params.scheme != "string":
-        raise ValueError(f"run_string requires scheme 'string', got {params.scheme!r}")
-    if len(alice_labels) != params.n_pairs:
-        raise ValueError(
-            f"expected {params.n_pairs} committer labels, got {len(alice_labels)}"
-        )
-    return run_pairs(params, alice_labels, params.bob_label)
 
 
 @lru_cache(maxsize=None)
@@ -422,26 +403,13 @@ def _correction_for(
     receiver side's (label, teleport outcome), which default to the
     transcript's own records.  ``R2`` uses the true records.
     """
+    if mode not in VALIDATION_MODES:
+        raise ValueError(f"unknown validation mode {mode!r}")
     alice, bob, teleport = transcript.alice_label, transcript.bob_label, transcript.teleport_outcome
     if mode == "R1":
         alice = announced
         bob, teleport = bob_claim or (bob, teleport)
     return teleport_correction(swapped_label(alice, bob, transcript.swap_outcome), teleport)
-
-
-def validate_single(transcript: Transcript, announced: BellLabel, mode: str = "R2") -> Verdict:
-    """Check one announced label against the stored confirmation bit."""
-    if mode not in VALIDATION_MODES:
-        raise ValueError(f"unknown validation mode {mode!r}")
-    expected = _expected_stored_bit(
-        transcript.phi, announced, _correction_for(transcript, announced, mode)
-    )
-    if expected == transcript.stored_alice_bit:
-        return Verdict.accepted()
-    return Verdict.aborted(
-        f"stored bit {transcript.stored_alice_bit} != expected {expected} "
-        f"for announced label {announced}"
-    )
 
 
 def validate_multiparty(
@@ -458,8 +426,6 @@ def validate_multiparty(
     scheme check, with Bob's announced teleportation outcome standing in
     for the sealed one in the R1 model.
     """
-    if mode not in VALIDATION_MODES:
-        raise ValueError(f"unknown validation mode {mode!r}")
     if transcript.stored_bob_bit is None:
         raise ValueError("transcript lacks the second committer's stored bit")
     bob_label, teleport = bob_announced
@@ -489,21 +455,11 @@ def validate_transcript(transcript: Transcript, announced: BellLabel, mode: str 
         return validate_multiparty(
             transcript, announced, (transcript.bob_label, transcript.teleport_outcome), mode
         )
-    return validate_single(transcript, announced, mode)
-
-
-def validate_string(
-    pair_transcripts: Sequence[Transcript],
-    announced_labels: Sequence[BellLabel],
-    mode: str = "R2",
-) -> Verdict:
-    """Accept a string reveal only when every pair's check passes."""
-    if len(pair_transcripts) != len(announced_labels):
-        raise ValueError(
-            f"{len(pair_transcripts)} transcripts but {len(announced_labels)} announcements"
-        )
-    for k, (transcript, announced) in enumerate(zip(pair_transcripts, announced_labels)):
-        verdict = validate_single(transcript, announced, mode)
-        if not verdict.accept:
-            return Verdict.aborted(f"pair {k}: {verdict.reason}")
-    return Verdict.accepted()
+    correction = _correction_for(transcript, announced, mode)
+    expected = _expected_stored_bit(transcript.phi, announced, correction)
+    if expected == transcript.stored_alice_bit:
+        return Verdict.accepted()
+    return Verdict.aborted(
+        f"stored bit {transcript.stored_alice_bit} != expected {expected} "
+        f"for announced label {announced}"
+    )

@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import marshal
 import math
+from functools import lru_cache
 from typing import IO, Iterable
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
-from .montecarlo import parse_phi_policy
-from .protocol import SchemeParams, Transcript, Verdict
+from .protocol import SchemeParams, Transcript, Verdict, parse_phi_policy
 from .quantum import BASIS_STATES, BasisStateSpec, BellLabel
-from .spacetime import Message, PhaseTimes, Schedule, SpacetimeEvent
+from .spacetime import SCHEMES, Message, PhaseTimes, Schedule, SpacetimeEvent
 
 __all__ = [
     "TranscriptParseError",
@@ -131,32 +132,70 @@ def schedule_to_json(schedule: Schedule) -> dict:
     }
 
 
-def schedule_from_json(doc: dict) -> Schedule:
+def _text(doc: dict, field: str, nullable: bool = False):
+    value = doc.get(field) if nullable else _require(doc, field)
+    if isinstance(value, str) or (nullable and value is None):
+        return value
+    kind = "a string or null" if nullable else "a string"
+    raise TranscriptParseError(f"field {field!r} must be {kind}, got {value!r}")
+
+
+def _event_from_json(doc: dict) -> SpacetimeEvent:
+    deps = doc.get("deps", ())
+    if not isinstance(deps, (list, tuple)) or not all(isinstance(ref, str) for ref in deps):
+        raise TranscriptParseError(f"field 'deps' must be a list of strings, got {deps!r}")
+    return SpacetimeEvent(_text(doc, "actor"), _number(doc, "time"), _text(doc, "kind"),
+                          _text(doc, "payload_ref", nullable=True), tuple(deps))
+
+
+def _message_from_json(doc: dict) -> Message:
+    return Message(_text(doc, "sender"), _text(doc, "receiver"), _number(doc, "send_time"),
+                   _number(doc, "arrival_time"), _text(doc, "channel"))
+
+
+def _each(doc: dict, field: str, parse) -> tuple:
+    """``parse`` of every row of list ``field``, naming the row of a bad value."""
+    out = []
+    for k, row in enumerate(_rows(doc, field)):
+        try:
+            out.append(parse(row))
+        except TranscriptParseError as exc:
+            raise TranscriptParseError(f"{field}[{k}]: {exc}") from exc
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _schedule_from_marshal(key: bytes) -> Schedule:
+    doc = marshal.loads(key)
     try:
         phases = _require(doc, "phase_times")
-        events = tuple(
-            SpacetimeEvent(
-                e["actor"], e["time"], e["kind"], e.get("payload_ref"),
-                tuple(e.get("deps", ())),
-            )
-            for e in _require(doc, "events")
-        )
-        messages = tuple(
-            Message(m["sender"], m["receiver"], m["send_time"], m["arrival_time"], m["channel"])
-            for m in _require(doc, "messages")
-        )
         return Schedule(
-            _require(doc, "scheme"),
-            _require(doc, "x"),
-            _require(doc, "c"),
-            PhaseTimes(phases["commit"], phases["confirm"], phases["store"], phases["reveal"]),
-            events,
-            messages,
+            _choice(doc, "scheme", SCHEMES),
+            _number(doc, "x"),
+            _number(doc, "c"),
+            PhaseTimes(*(_number(phases, at) for at in ("commit", "confirm", "store", "reveal"))),
+            _each(doc, "events", _event_from_json),
+            _each(doc, "messages", _message_from_json),
         )
     except TranscriptParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise TranscriptParseError(f"bad schedule document: {exc}") from exc
+
+
+def schedule_from_json(doc: dict) -> Schedule:
+    """Inverse of :func:`schedule_to_json`, checking every field's type.
+
+    Every line of a transcript stream repeats its schedule, so each
+    distinct document is checked and built once.  Documents are told
+    apart by their ``marshal`` bytes, which keep what ``==`` conflates
+    (``true`` and ``1``, ``1`` and ``1.0``, ``-0.0`` and ``0.0``).
+    """
+    try:
+        key = marshal.dumps(doc)
+    except ValueError as exc:
+        raise TranscriptParseError(f"bad schedule document: {exc}") from exc
+    return _schedule_from_marshal(key)
 
 
 def transcript_to_json(transcript: Transcript) -> dict:

@@ -36,11 +36,9 @@ from relcommit.adversary import (
 from relcommit.montecarlo import RunConfig, monte_carlo, parse_phi_policy
 from relcommit.protocol import (
     SchemeParams,
-    run_multiparty,
-    run_single,
-    run_string,
+    run_pairs,
     validate_multiparty,
-    validate_single,
+    validate_transcript,
 )
 from relcommit.quantum import (
     BASIS_STATES,
@@ -148,16 +146,16 @@ def test_criterion_04_honest_completeness():
                 string = SchemeParams("string", n_pairs=1, bob_label=b, validation_mode=mode)
                 batches = [
                     [
-                        (t, validate_single(t, a, mode))
-                        for t in run_single(single, a)
+                        (t, validate_transcript(t, a, mode))
+                        for t in run_pairs(single, [a], b)[0]
                     ],
                     [
                         (t, validate_multiparty(t, a, (t.bob_label, t.teleport_outcome), mode))
-                        for t in run_multiparty(multi, a, b)
+                        for t in run_pairs(multi, [a], b)[0]
                     ],
                     [
-                        (t, validate_single(t, a, mode))
-                        for t in run_string(string, [a])[0]
+                        (t, validate_transcript(t, a, mode))
+                        for t in run_pairs(string, [a], b)[0]
                     ],
                 ]
                 for batch in batches:
@@ -313,7 +311,7 @@ def test_criterion_10_performance_envelope():
     enum_times = []
     for _ in range(5):
         start = time.perf_counter()
-        run_single(params, BellLabel(0, 0))
+        run_pairs(params, [BellLabel(0, 0)], params.bob_label)
         enum_times.append(time.perf_counter() - start)
     enum_ms = min(enum_times) * 1e3
 

@@ -61,6 +61,29 @@ class TestStrategyValidation:
             extraction_guess_probability(Strategy.honest())
 
 
+class TestCommitterLabels:
+    @pytest.mark.parametrize("delta", DELTAS, ids=str)
+    def test_labels_committed_and_announced(self, delta):
+        for chosen in BELL_LABELS:
+            assert Strategy.honest().committer_labels(chosen) == (chosen, chosen)
+            assert Strategy.relabel_announce(delta).committer_labels(chosen) == (
+                chosen, chosen ^ delta)
+            assert Strategy.delayed_rechoice(delta).committer_labels(chosen) == (
+                chosen ^ delta, chosen ^ delta)
+
+    def test_analyzer_shift_is_committed_xor_announced(self):
+        # only a relabel moves the announcement off the committed label
+        params = SchemeParams("single", phi_policy=Z0)
+        assert detection_probability(params, Strategy.relabel_announce(BellLabel(0, 1))) == 1.0
+        honest = detection_probability(params, Strategy.honest())
+        assert detection_probability(params, Strategy.delayed_rechoice(BellLabel(0, 1))) == honest
+        assert honest <= 1e-12
+
+    def test_receiver_strategies_have_no_labels(self):
+        with pytest.raises(ValueError):
+            Strategy.receiver_skip().committer_labels(BellLabel(0, 0))
+
+
 class TestDualRouteAgreement:
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     @pytest.mark.parametrize("policy", [Z0, "uniform"], ids=["Z0", "uniform"])

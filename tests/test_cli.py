@@ -295,6 +295,17 @@ class TestAttackScanAndReport:
         rows = lines[start + 1:start + 1 + len(doc["extraction_rows"])]
         assert rows and all(line.endswith(" -") for line in rows), rows
 
+    @pytest.mark.parametrize("n_pairs", [1, 8, 20])
+    def test_report_rows_split_into_columns(self, capsys, n_pairs):
+        # a claim longer than its column must not run into the detection column
+        code, out, _ = run_cli(capsys, "report", "--scheme", "string", "--n-pairs", str(n_pairs))
+        assert code == 0
+        lines = out.splitlines()
+        for header, columns in (("committer strategy", 6), ("receiver strategy", 4)):
+            start = next(k for k, line in enumerate(lines) if line.startswith(header))
+            rows = lines[start + 1:lines.index("", start)]
+            assert rows and all(len(row.split()) == columns for row in rows), rows
+
     def test_render_table_smoke(self):
         from relcommit.adversary import build_report
         from relcommit.protocol import SchemeParams
@@ -325,6 +336,27 @@ class TestAudit:
         assert (code, out) == (1, "")
         named = ", ".join(flags[::2])
         assert err == f"error: {named} cannot be combined with --input, which fixes the schedule\n"
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc.update(c="a"), "field 'c' must be a finite number, got 'a'"),
+        (lambda doc: doc.update(x=True), "field 'x' must be a finite number, got True"),
+        (lambda doc: doc["events"][3].update(deps="alice_pair"),
+         "events[3]: field 'deps' must be a list of strings, got 'alice_pair'"),
+        (lambda doc: doc["events"][0].update(payload_ref=["alice_pair"]),
+         "events[0]: field 'payload_ref' must be a string or null, got ['alice_pair']"),
+        (lambda doc: doc["events"][2].update(actor=7), "events[2]: field 'actor' must be a string"),
+        (lambda doc: doc["messages"][1].update(send_time=float("nan")),
+         "messages[1]: field 'send_time' must be a finite number, got nan"),
+        (lambda doc: doc["messages"][0].pop("receiver"), "messages[0]: missing field 'receiver'"),
+    ], ids=["c", "x", "deps", "payload_ref", "actor", "send_time", "receiver"])
+    def test_input_schedule_types_checked(self, capsys, tmp_path, edit, named):
+        doc = schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single"))
+        edit(doc)
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "audit", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read schedule {str(path)!r}: {named}"), err
 
     def test_tampered_schedule_file_flagged(self, capsys, tmp_path):
         schedule = standard_schedule(1.0, 1.0, 10.0, "single")

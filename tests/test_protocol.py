@@ -33,12 +33,9 @@ from relcommit.protocol import (
     clear_caches,
     committed_bit,
     committed_string,
-    run_multiparty,
-    run_single,
-    run_string,
+    run_pairs,
     validate_multiparty,
-    validate_single,
-    validate_string,
+    validate_transcript,
 )
 from relcommit.quantum import (
     BELL_LABELS,
@@ -169,7 +166,7 @@ class TestRunSingle:
     def test_enumeration_is_exhaustive_and_normalized(self):
         params = SchemeParams("single")
         for a in BELL_LABELS:
-            branches = run_single(params, a)
+            branches = run_pairs(params, [a], params.bob_label)[0]
             assert len(branches) == 16
             total = math.fsum(t.probability for t in branches)
             assert abs(total - 1.0) <= 1e-12
@@ -178,7 +175,7 @@ class TestRunSingle:
         params = SchemeParams("single", bob_label=BellLabel(1, 1))
         swap = defaultdict(float)
         tele = defaultdict(float)
-        for t in run_single(params, BellLabel(0, 1)):
+        for t in run_pairs(params, [BellLabel(0, 1)], params.bob_label)[0]:
             swap[t.swap_outcome] += t.probability
             tele[t.teleport_outcome] += t.probability
         for dist in (swap, tele):
@@ -191,7 +188,7 @@ class TestRunSingle:
         for a in BELL_LABELS:
             for b in BELL_LABELS:
                 params = SchemeParams("single", bob_label=b, phi_policy=phi)
-                for t in run_single(params, a):
+                for t in run_pairs(params, [a], params.bob_label)[0]:
                     assert t.stored_alice_bit == stored_bit_oracle(t)
 
     def test_committer_label_is_invisible_in_stored_bit(self):
@@ -200,7 +197,7 @@ class TestRunSingle:
         reference = None
         for a in BELL_LABELS:
             dist = defaultdict(float)
-            for t in run_single(params, a):
+            for t in run_pairs(params, [a], params.bob_label)[0]:
                 dist[(t.swap_outcome, t.teleport_outcome, t.stored_alice_bit)] += t.probability
             if reference is None:
                 reference = dist
@@ -223,10 +220,6 @@ class TestRunSingle:
             for t in sample_transcripts(RunConfig(scheme="single", seed=seed))
         }
         assert len(draws) > 1
-
-    def test_wrong_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            run_single(SchemeParams("multi"), BellLabel(0, 0))
 
     def test_measurement_order_does_not_matter(self):
         # the two confirmation-phase joint measurements commute
@@ -256,15 +249,15 @@ class TestValidateSingle:
         for a in BELL_LABELS:
             for b in BELL_LABELS:
                 params = SchemeParams("single", bob_label=b)
-                for t in run_single(params, a):
-                    assert validate_single(t, a, mode).accept
+                for t in run_pairs(params, [a], params.bob_label)[0]:
+                    assert validate_transcript(t, a, mode).accept
 
     def test_parity_flip_rejected_under_r2(self):
         params = SchemeParams("single")
         delta = BellLabel(0, 1)
         for a in BELL_LABELS:
-            for t in run_single(params, a):
-                verdict = validate_single(t, a ^ delta, "R2")
+            for t in run_pairs(params, [a], params.bob_label)[0]:
+                verdict = validate_transcript(t, a ^ delta, "R2")
                 assert not verdict.accept
                 assert "stored bit" in verdict.reason
 
@@ -273,24 +266,24 @@ class TestValidateSingle:
         params = SchemeParams("single")
         delta = BellLabel(1, 0)
         for a in BELL_LABELS:
-            for t in run_single(params, a):
+            for t in run_pairs(params, [a], params.bob_label)[0]:
                 announced = a ^ delta
                 assert committed_bit(announced) == committed_bit(a)
-                assert validate_single(t, announced, "R2").accept
+                assert validate_transcript(t, announced, "R2").accept
 
     def test_r1_accepts_every_announcement(self):
         # announcement-derived frame cancels out of the recomputation
         params = SchemeParams("single")
         for a in BELL_LABELS:
-            for t in run_single(params, a):
+            for t in run_pairs(params, [a], params.bob_label)[0]:
                 for announced in BELL_LABELS:
-                    assert validate_single(t, announced, "R1").accept
+                    assert validate_transcript(t, announced, "R1").accept
 
     def test_unknown_mode(self):
         params = SchemeParams("single")
-        t = run_single(params, BellLabel(0, 0))[0]
+        t = run_pairs(params, [BellLabel(0, 0)], params.bob_label)[0][0]
         with pytest.raises(ValueError):
-            validate_single(t, BellLabel(0, 0), "R3")
+            validate_transcript(t, BellLabel(0, 0), "R3")
 
 
 class TestRunMultiparty:
@@ -298,21 +291,21 @@ class TestRunMultiparty:
         params = SchemeParams("multi")
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                branches = run_multiparty(params, a, b)
+                branches = run_pairs(params, [a], b)[0]
                 assert abs(math.fsum(t.probability for t in branches) - 1.0) <= 1e-12
 
     def test_stored_bits_match_parity_oracles(self):
         params = SchemeParams("multi", phi_policy=Z1)
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                for t in run_multiparty(params, a, b):
+                for t in run_pairs(params, [a], b)[0]:
                     assert t.stored_alice_bit == stored_bit_oracle(t)
                     copy_net = t.bob_label ^ t.teleport_outcome
                     assert t.stored_bob_bit == t.phi.value ^ copy_net.j
 
     def test_mid_measurement_recorded_and_consistent(self):
         params = SchemeParams("multi")
-        for t in run_multiparty(params, BellLabel(1, 1), BellLabel(0, 1)):
+        for t in run_pairs(params, [BellLabel(1, 1)], BellLabel(0, 1))[0]:
             assert t.alice_mid_measurement in (0, 1)
             # frame applied after the mid measurement flips the stored bit by a_j
             assert t.stored_alice_bit == t.alice_mid_measurement ^ t.alice_label.j
@@ -322,14 +315,14 @@ class TestRunMultiparty:
         params = SchemeParams("multi")
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                for t in run_multiparty(params, a, b):
+                for t in run_pairs(params, [a], b)[0]:
                     verdict = validate_multiparty(t, a, (b, t.teleport_outcome), mode)
                     assert verdict.accept, verdict.reason
 
     def test_second_committer_parity_flip_rejected(self):
         params = SchemeParams("multi")
         a, b = BellLabel(0, 0), BellLabel(1, 0)
-        for t in run_multiparty(params, a, b):
+        for t in run_pairs(params, [a], b)[0]:
             verdict = validate_multiparty(
                 t, a, (b ^ BellLabel(0, 1), t.teleport_outcome), "R2"
             )
@@ -342,7 +335,7 @@ class TestRunMultiparty:
         params = SchemeParams("multi")
         a, b = BellLabel(0, 0), BellLabel(1, 0)
         flip = BellLabel(0, 1)
-        for t in run_multiparty(params, a, b):
+        for t in run_pairs(params, [a], b)[0]:
             verdict = validate_multiparty(
                 t, a, (b ^ flip, t.teleport_outcome ^ flip), "R2"
             )
@@ -351,13 +344,13 @@ class TestRunMultiparty:
     def test_first_committer_parity_flip_rejected_under_r2_only(self):
         params = SchemeParams("multi")
         a, b = BellLabel(1, 0), BellLabel(0, 0)
-        for t in run_multiparty(params, a, b):
+        for t in run_pairs(params, [a], b)[0]:
             announced = a ^ BellLabel(0, 1)
             assert not validate_multiparty(t, announced, (b, t.teleport_outcome), "R2").accept
             assert validate_multiparty(t, announced, (b, t.teleport_outcome), "R1").accept
 
     def test_missing_bob_bit_rejected(self):
-        single_t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        single_t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         with pytest.raises(ValueError):
             validate_multiparty(single_t, BellLabel(0, 0), (BellLabel(0, 0), BellLabel(0, 0)))
 
@@ -366,7 +359,7 @@ class TestRunString:
     def test_enumerate_returns_per_pair_branches(self):
         params = SchemeParams("string", n_pairs=3)
         labels = [BellLabel(0, 0), BellLabel(1, 1), BellLabel(0, 1)]
-        per_pair = run_string(params, labels)
+        per_pair = run_pairs(params, labels, params.bob_label)
         assert len(per_pair) == 3
         for k, branches in enumerate(per_pair):
             assert abs(math.fsum(t.probability for t in branches) - 1.0) <= 1e-12
@@ -379,7 +372,7 @@ class TestRunString:
     def test_stored_bit_oracle_holds_for_diagonal_probes(self):
         params = SchemeParams("string", n_pairs=1, phi_policy=X1, bob_label=BellLabel(1, 0))
         for a in BELL_LABELS:
-            for t in run_string(params, [a])[0]:
+            for t in run_pairs(params, [a], params.bob_label)[0]:
                 assert t.stored_alice_bit == stored_bit_oracle(t)
 
     def test_sample_is_deterministic_per_pair(self):
@@ -393,7 +386,7 @@ class TestRunString:
         clear_caches()
         params = SchemeParams("string", n_pairs=3, bob_label=BellLabel(1, 1))
         labels = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(0, 1)]
-        enumerated = run_string(params, labels)
+        enumerated = run_pairs(params, labels, params.bob_label)
         for k, label in enumerate(labels):
             direct = _enumerate_pair(params, label, params.bob_label)
             assert enumerated[k] == [dataclasses.replace(t, pair_index=k) for t in direct]
@@ -413,35 +406,31 @@ class TestRunString:
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            run_string(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)])
+            run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)], BellLabel(0, 0))
 
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     def test_honest_string_reveal_accepted(self, mode):
         params = SchemeParams("string", n_pairs=2)
         labels = [BellLabel(1, 0), BellLabel(0, 1)]
-        per_pair = run_string(params, labels)
+        per_pair = run_pairs(params, labels, params.bob_label)
         for t0 in per_pair[0]:
             for t1 in per_pair[1]:
-                assert validate_string([t0, t1], labels, mode).accept
+                assert all(validate_transcript(t, a, mode).accept
+                           for t, a in zip((t0, t1), labels))
 
     def test_parity_flip_on_any_pair_rejected_under_r2(self):
         params = SchemeParams("string", n_pairs=2, phi_policy=Z0)
         labels = [BellLabel(0, 0), BellLabel(0, 0)]
-        per_pair = run_string(params, labels)
+        per_pair = run_pairs(params, labels, params.bob_label)
         for flipped_pair in (0, 1):
             announced = list(labels)
             announced[flipped_pair] = announced[flipped_pair] ^ BellLabel(0, 1)
             for t0 in per_pair[0]:
                 for t1 in per_pair[1]:
-                    verdict = validate_string([t0, t1], announced, "R2")
-                    assert not verdict.accept
-                    assert f"pair {flipped_pair}" in verdict.reason
-
-    def test_announcement_length_mismatch(self):
-        params = SchemeParams("string", n_pairs=2)
-        first_branches = [pair[0] for pair in run_string(params, [BellLabel(0, 0)] * 2)]
-        with pytest.raises(ValueError):
-            validate_string(first_branches, [BellLabel(0, 0)])
+                    rejected = [k for k, (t, a) in enumerate(zip((t0, t1), announced))
+                                if not validate_transcript(t, a, "R2").accept]
+                    assert rejected
+                    assert rejected[0] == flipped_pair
 
 
 def _fresh_bit(phi: BasisStateSpec, first: PauliOp, second: PauliOp) -> int:
@@ -540,15 +529,15 @@ class TestCaches:
 
     def test_callers_cannot_mutate_the_cached_table(self):
         params = SchemeParams("single")
-        run_single(params, BellLabel(1, 1)).clear()
-        run_string(SchemeParams("string"), [BellLabel(1, 1)])[0].clear()
-        assert len(run_single(params, BellLabel(1, 1))) == 16
+        run_pairs(params, [BellLabel(1, 1)], params.bob_label)[0].clear()
+        run_pairs(SchemeParams("string"), [BellLabel(1, 1)], BellLabel(0, 0))[0].clear()
+        assert len(run_pairs(params, [BellLabel(1, 1)], params.bob_label)[0]) == 16
         assert len(branches(SchemeParams("string"), BellLabel(1, 1), BellLabel(0, 0))) == 64
 
 
 class TestTranscript:
     def test_rejects_bad_bit(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         with pytest.raises(ValueError):
             Transcript(
                 scheme="single",

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
 from relcommit.adversary import Strategy, build_report
-from relcommit.protocol import SchemeParams, Verdict, run_multiparty, run_single, run_string
+from relcommit.protocol import SchemeParams, Verdict, run_pairs
 from relcommit.quantum import BellLabel
 from relcommit.serialize import (
     TranscriptParseError,
@@ -30,11 +31,13 @@ import dataclasses
 
 
 def sample_transcripts():
-    single = run_single(SchemeParams("single"), BellLabel(1, 0))
-    multi = run_multiparty(SchemeParams("multi"), BellLabel(0, 1), BellLabel(1, 1))
+    single = run_pairs(SchemeParams("single"), [BellLabel(1, 0)], BellLabel(0, 0))[0]
+    multi = run_pairs(SchemeParams("multi"), [BellLabel(0, 1)], BellLabel(1, 1))[0]
     string = [
         t
-        for pair in run_string(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2)
+        for pair in run_pairs(
+            SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2, BellLabel(0, 0)
+        )
         for t in pair
     ]
     return single + multi[:8] + string[:8]
@@ -46,34 +49,34 @@ class TestTranscriptRoundTrip:
             assert parse_transcript(serialize_transcript(t)) == t
 
     def test_round_trip_preserves_verdict(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         t = dataclasses.replace(t, verdict=Verdict.aborted("stored bit 1 != expected 0"))
         parsed = parse_transcript(serialize_transcript(t))
         assert parsed.verdict == t.verdict
 
     def test_bytes_are_deterministic(self):
-        t = run_single(SchemeParams("single"), BellLabel(1, 1))[3]
+        t = run_pairs(SchemeParams("single"), [BellLabel(1, 1)], BellLabel(0, 0))[0][3]
         assert serialize_transcript(t) == serialize_transcript(t)
         # keys sorted at every level
         doc = json.loads(serialize_transcript(t))
         assert list(doc) == sorted(doc)
 
     def test_missing_field_is_named(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         doc = json.loads(serialize_transcript(t))
         del doc["swap_outcome"]
         with pytest.raises(TranscriptParseError, match="swap_outcome"):
             parse_transcript(dumps(doc))
 
     def test_bad_bit_rejected(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         doc = json.loads(serialize_transcript(t))
         doc["stored_bits"]["alice"] = 7
         with pytest.raises(TranscriptParseError):
             parse_transcript(dumps(doc))
 
     def test_bad_label_bits_rejected(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         doc = json.loads(serialize_transcript(t))
         doc["alice_label"] = {"i": 3, "j": 0}
         with pytest.raises(TranscriptParseError, match="alice_label"):
@@ -94,12 +97,12 @@ class TestJsonl:
         assert read_transcripts(buffer) == transcripts
 
     def test_blank_lines_skipped(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         payload = serialize_transcript(t) + "\n\n" + serialize_transcript(t) + "\n"
         assert len(read_transcripts(io.StringIO(payload))) == 2
 
     def test_error_reports_line_number(self):
-        t = run_single(SchemeParams("single"), BellLabel(0, 0))[0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         payload = serialize_transcript(t) + "\n{\"scheme\": \"single\"}\n"
         with pytest.raises(TranscriptParseError, match="line 2"):
             read_transcripts(io.StringIO(payload))
@@ -114,6 +117,24 @@ class TestScheduleRoundTrip:
     def test_bad_document(self):
         with pytest.raises(TranscriptParseError):
             schedule_from_json({"scheme": "single"})
+
+    def test_documents_equal_under_eq_parse_apart(self):
+        # parsed schedules are memoized; 1 == 1.0 == True and 0.0 == -0.0,
+        # yet each document must parse (or fail) as if it came first
+        doc = json.loads(dumps(schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single"))))
+        for x in (1, 1.0):
+            assert type(schedule_to_json(schedule_from_json(dict(doc, x=x)))["x"]) is type(x)
+        with pytest.raises(TranscriptParseError, match="'x' must be a finite number, got True"):
+            schedule_from_json(dict(doc, x=True))
+        for commit in (0.0, -0.0):
+            phases = dict(doc["phase_times"], commit=commit)
+            parsed = schedule_from_json(dict(doc, phase_times=phases))
+            assert math.copysign(1.0, parsed.phase_times.commit) == math.copysign(1.0, commit)
+
+    def test_unmarshallable_document(self):
+        doc = schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single"))
+        with pytest.raises(TranscriptParseError, match="bad schedule document"):
+            schedule_from_json(dict(doc, x=BellLabel(0, 0)))
 
 
 class TestStrategyAndReport:

@@ -5,11 +5,12 @@ Run from the repository root, with only the standard library:
     python3 tools/stdout_digests.py
 
 Each line is ``<sha256>  <command>``.  Run it on two commits and diff
-the outputs to see which commands changed their stdout.  Commands run
-with ``PYTHONPATH=src`` in a fresh temporary directory, in list order,
-so ``report --input`` reads the scan an earlier line saved.  Exits 1 if
-a command exits with a code other than the one expected for it, or
-writes a traceback to stderr.
+the outputs to see which commands changed their stdout.  Commands and
+demos run under ``python -W error`` with ``PYTHONPATH=src`` in a fresh
+temporary directory, in list order, so ``report --input`` reads the
+scan an earlier line saved.  Exits 1 if a command exits with a code
+other than the one expected for it (a warning is an error, so it
+counts), or writes a traceback to stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ CLI_INVOCATIONS = [
     ("enumerate --scheme multi --phi uniform --alice-label 11", 0, None),
     ("enumerate --scheme string --n-pairs 1 --phi X1", 0, None),
     ("report --input scan.json --scheme multi", 1, None),
+    ("report --scheme string --n-pairs 20", 0, None),
 ]
 
 
@@ -64,17 +66,18 @@ def _digest(argv: list[str], label: str, expected: int, cwd: str, env: dict) -> 
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    python = [sys.executable, "-W", "error"]
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
         for args, expected, save_as in CLI_INVOCATIONS:
-            argv = [sys.executable, "-m", "relcommit", *args.split()]
+            argv = [*python, "-m", "relcommit", *args.split()]
             ok, stdout = _digest(argv, f"relcommit {args}", expected, cwd, env)
             failures += not ok
             if save_as:
                 Path(cwd, save_as).write_bytes(stdout)
         for demo in sorted((ROOT / "demos").glob("*.py")):
             label = demo.relative_to(ROOT).as_posix()
-            ok, _ = _digest([sys.executable, str(demo)], label, 0, cwd, env)
+            ok, _ = _digest([*python, str(demo)], label, 0, cwd, env)
             failures += not ok
     return 1 if failures else 0
 
