@@ -47,7 +47,7 @@ from .adversary import SecurityReport, Strategy, build_report
 from .montecarlo import (
     RunConfig,
     monte_carlo,
-    sample_transcripts,
+    sample_branches,
     stats_to_json,
 )
 from .protocol import SchemeParams, parse_phi_policy, run_pairs
@@ -58,8 +58,8 @@ from .serialize import (
     report_to_json,
     schedule_from_json,
     schedule_to_json,
-    serialize_transcript,
     transcript_to_json,
+    write_draws,
 )
 from .spacetime import standard_schedule
 from .spacetime import audit as run_audit
@@ -226,12 +226,10 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    transcripts = sample_transcripts(_run_config(args))
-    failures = 0
+    table, draws = sample_branches(_run_config(args))
     with _output(args) as out:
-        for t in transcripts:
-            failures += not t.verdict.accept
-            out.write(serialize_transcript(t) + "\n")
+        lines = write_draws(out, table, draws)
+    failures = sum(n for n, t in zip(lines, table) if not t.verdict.accept)
     if args.strict and failures:
         print(f"{failures} transcript(s) failed validation", file=sys.stderr)
         return 2

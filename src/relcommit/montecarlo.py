@@ -18,9 +18,13 @@ Two functions read that one stream.  :func:`monte_carlo` tallies it:
 every reported frequency sits next to its exact probability (a count of
 slots over 256), a binomial standard error and a z-score; ``agrees``
 flags deviations beyond five standard errors.
-:func:`sample_transcripts` maps each drawn slot to its validated
-transcript, so at one configuration it yields exactly the draws that
-:func:`monte_carlo` counts.
+:func:`sample_branches` returns the validated branch table and maps
+each drawn slot to ``(branch index, pair index)``, so at one
+configuration it yields exactly the draws that :func:`monte_carlo`
+counts.  :func:`sample_transcripts` looks each draw up in that table;
+``relcommit run`` instead hands table and draws to
+:func:`~relcommit.serialize.write_draws`, which encodes each drawn
+branch once.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "StatsRow",
     "StatsSummary",
     "monte_carlo",
+    "sample_branches",
     "sample_transcripts",
     "slot_table",
     "stats_to_json",
@@ -222,26 +227,43 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     return StatsSummary(trials=config.trials, seed=config.seed, rows=tuple(rows))
 
 
+def sample_branches(
+    config: RunConfig,
+) -> tuple[tuple[Transcript, ...], Iterator[tuple[int, int | None]]]:
+    """The campaign's validated branch table and its draws, one per pair per trial.
+
+    Each branch of the table carries the announced label and its
+    verdict.  Each draw is ``(branch, pair_index)``: the index of the
+    drawn branch in the table, and the pair's position ``k`` for the
+    string scheme or ``None`` for the one-pair schemes.  The draws are
+    exactly those :func:`monte_carlo` counts at the same configuration.
+    Set-up (and any configuration error) happens at the call; draws are
+    made lazily, one chunk at a time.
+    """
+    params, table, slots, verdicts, announced = _campaign(config)
+    validated = tuple(
+        dataclasses.replace(t, announced_alice_label=announced, verdict=verdict)
+        for t, verdict in zip(table, verdicts)
+    )
+    indices = range(params.n_pairs) if params.scheme == "string" else (None,) * params.n_pairs
+    return validated, (
+        draw
+        for drawn in _slot_chunks(config)
+        for row in slots[drawn]
+        for draw in zip(row.tolist(), indices)
+    )
+
+
 def sample_transcripts(config: RunConfig) -> Iterator[Transcript]:
     """The campaign's drawn transcripts, validated, one per pair per trial.
 
-    Each transcript carries the announced label and its verdict; string
-    transcripts carry ``pair_index=k``.  The draws are exactly those
-    :func:`monte_carlo` counts at the same configuration.  Set-up (and
-    any configuration error) happens at the call; transcripts are drawn
-    lazily, one chunk at a time.
+    :func:`sample_branches` with each draw looked up in the table; string
+    transcripts carry ``pair_index=k``.
     """
-    params, table, slots, verdicts, announced = _campaign(config)
-    validated = [
-        dataclasses.replace(t, announced_alice_label=announced, verdict=verdict)
-        for t, verdict in zip(table, verdicts)
-    ]
-    indexed = params.scheme == "string"
+    table, draws = sample_branches(config)
     return (
-        dataclasses.replace(validated[branch], pair_index=k) if indexed else validated[branch]
-        for drawn in _slot_chunks(config)
-        for row in slots[drawn]
-        for k, branch in enumerate(row.tolist())
+        table[branch] if k is None else dataclasses.replace(table[branch], pair_index=k)
+        for branch, k in draws
     )
 
 

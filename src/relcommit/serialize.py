@@ -17,6 +17,15 @@ fields (``dataclasses.asdict``), so renaming a field of
 
 Serialization is deterministic: keys sorted, compact separators, floats
 in shortest round-trip form, so equal values serialize to equal bytes.
+The lines of ``relcommit run`` come from :func:`write_draws`, which
+encodes each drawn branch once with that same encoder, the shared
+schedule once, and splices each draw's pair index into the branch's
+text: each line is byte for byte :func:`serialize_transcript` of the
+draw.
+
+Readers check JSON types as well as values: bits are the integers 0
+and 1 (not ``true`` or ``1.0``), flags are booleans, probabilities
+finite numbers, and a pair index a non-negative integer or null.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import json
 import marshal
 import math
 from functools import lru_cache
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
 from .protocol import SchemeParams, Transcript, Verdict, parse_phi_policy
@@ -45,6 +54,7 @@ __all__ = [
     "strategy_from_json",
     "report_to_json",
     "report_from_json",
+    "write_draws",
     "write_transcripts",
     "read_transcripts",
     "dumps",
@@ -70,8 +80,8 @@ def _label_from_json(doc, field: str) -> BellLabel:
     if not isinstance(doc, dict) or "i" not in doc or "j" not in doc:
         raise TranscriptParseError(f"field {field!r} must be a label object with i and j")
     try:
-        return BellLabel(doc["i"], doc["j"])
-    except ValueError as exc:
+        return BellLabel(_bit(doc, "i"), _bit(doc, "j"))
+    except TranscriptParseError as exc:
         raise TranscriptParseError(f"field {field!r}: {exc}") from exc
 
 
@@ -83,8 +93,8 @@ def _phi_from_json(doc, field: str) -> BasisStateSpec:
     if not isinstance(doc, dict) or "basis" not in doc or "value" not in doc:
         raise TranscriptParseError(f"field {field!r} must have basis and value")
     try:
-        return BasisStateSpec(doc["basis"], doc["value"])
-    except ValueError as exc:
+        return BasisStateSpec(_choice(doc, "basis", ("Z", "X")), _bit(doc, "value"))
+    except TranscriptParseError as exc:
         raise TranscriptParseError(f"field {field!r}: {exc}") from exc
 
 
@@ -130,6 +140,15 @@ def schedule_to_json(schedule: Schedule) -> dict:
             for m in schedule.messages
         ],
     }
+
+
+def _bit(doc: dict, field: str, nullable: bool = False):
+    """An integer 0 or 1: not ``true``, ``false`` or ``1.0``."""
+    value = doc.get(field) if nullable else _require(doc, field)
+    if (nullable and value is None) or (type(value) is int and value in (0, 1)):
+        return value
+    kind = "0, 1 or null" if nullable else "0 or 1"
+    raise TranscriptParseError(f"field {field!r} must be {kind}, got {value!r}")
 
 
 def _text(doc: dict, field: str, nullable: bool = False):
@@ -239,12 +258,17 @@ def transcript_from_json(doc: dict) -> Transcript:
     verdict_doc = doc.get("verdict")
     verdict = None
     if verdict_doc is not None:
-        if not isinstance(verdict_doc, dict) or "accept" not in verdict_doc:
-            raise TranscriptParseError("field 'verdict' must carry an accept flag")
-        verdict = Verdict(bool(verdict_doc["accept"]), verdict_doc.get("reason", ""))
+        if not isinstance(verdict_doc, dict):
+            raise TranscriptParseError("field 'verdict' must be an object or null")
+        verdict = Verdict(_flag(verdict_doc, "accept"), _text(verdict_doc, "reason"))
+    pair_index = doc.get("pair_index")
+    if pair_index is not None and (type(pair_index) is not int or pair_index < 0):
+        raise TranscriptParseError(
+            f"field 'pair_index' must be a non-negative integer or null, got {pair_index!r}"
+        )
     try:
         return Transcript(
-            scheme=_require(doc, "scheme"),
+            scheme=_choice(doc, "scheme", SCHEMES),
             alice_label=_label_from_json(_require(doc, "alice_label"), "alice_label"),
             bob_label=_label_from_json(_require(doc, "bob_label"), "bob_label"),
             swap_outcome=_label_from_json(_require(doc, "swap_outcome"), "swap_outcome"),
@@ -252,16 +276,16 @@ def transcript_from_json(doc: dict) -> Transcript:
                 _require(doc, "teleport_outcome"), "teleport_outcome"
             ),
             phi=_phi_from_json(_require(doc, "phi"), "phi"),
-            stored_alice_bit=stored["alice"],
-            stored_bob_bit=stored.get("bob"),
-            alice_mid_measurement=stored.get("alice_mid"),
+            stored_alice_bit=_bit(stored, "alice"),
+            stored_bob_bit=_bit(stored, "bob", nullable=True),
+            alice_mid_measurement=_bit(stored, "alice_mid", nullable=True),
             announced_alice_label=opt_label(announcements, "alice_label", "announcements.alice_label"),
             announced_bob_label=opt_label(announcements, "bob_label", "announcements.bob_label"),
             announced_teleport_outcome=opt_label(
                 announcements, "teleport_outcome", "announcements.teleport_outcome"
             ),
-            pair_index=doc.get("pair_index"),
-            probability=_require(doc, "probability"),
+            pair_index=pair_index,
+            probability=_number(doc, "probability"),
             schedule=schedule_from_json(_require(doc, "schedule")),
             verdict=verdict,
         )
@@ -293,6 +317,53 @@ def write_transcripts(stream: IO[str], transcripts: Iterable[Transcript]) -> int
         stream.write("\n")
         count += 1
     return count
+
+
+# A hole in a line template: it encodes as "\u0000", which no other
+# string of a transcript document holds.
+_HOLE = "\0"
+
+
+def _line_template(transcript: Transcript, schedules: dict[int, str]) -> tuple[str, ...]:
+    """``(head, middle, schedule, tail)``: the line at pair index ``k`` is
+    ``head + k + middle + schedule + tail``.
+
+    ``schedules`` holds the text of each schedule met so far, by ``id``:
+    a table's branches share one schedule, which is encoded and kept once.
+    """
+    doc = transcript_to_json(transcript)
+    key = id(transcript.schedule)
+    if key not in schedules:
+        schedules[key] = dumps(doc["schedule"])
+    doc["pair_index"] = doc["schedule"] = _HOLE
+    # keys are sorted, so the pair index comes before the schedule
+    head, middle, tail = dumps(doc).split(dumps(_HOLE))
+    return head, middle, schedules[key], tail + "\n"
+
+
+def write_draws(
+    stream: IO[str], table: Sequence[Transcript], draws: Iterable[tuple[int, int | None]]
+) -> list[int]:
+    """Write one JSONL line per draw ``(branch, pair_index)`` of ``table``.
+
+    Each line is :func:`serialize_transcript` of ``table[branch]`` with
+    ``pair_index`` set, byte for byte; but each branch is encoded once,
+    on its first draw, by :func:`transcript_to_json` and :func:`dumps`,
+    and later draws splice their pair index into that template.  Lines
+    are written as drawn.  Returns the number of lines of each branch.
+    """
+    schedules: dict[int, str] = {}
+    templates: list[tuple[str, ...] | None] = [None] * len(table)
+    lines = [0] * len(table)
+    write = stream.write
+    for branch, k in draws:
+        template = templates[branch]
+        if template is None:
+            template = templates[branch] = _line_template(table[branch], schedules)
+        head, middle, schedule, tail = template
+        write(f"{head}{'null' if k is None else k}{middle}{schedule}{tail}")
+        lines[branch] += 1
+    return lines
 
 
 def read_transcripts(stream: IO[str]) -> list[Transcript]:
@@ -348,11 +419,12 @@ def _choice(doc: dict, field: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-def _flag(doc: dict, field: str) -> bool | None:
+def _flag(doc: dict, field: str, nullable: bool = False) -> bool | None:
     value = _require(doc, field)
-    if value is not None and not isinstance(value, bool):
-        raise TranscriptParseError(f"field {field!r} must be true, false or null, got {value!r}")
-    return value
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    kind = "true, false or null" if nullable else "true or false"
+    raise TranscriptParseError(f"field {field!r} must be {kind}, got {value!r}")
 
 
 def _rows(doc: dict, field: str) -> Iterable[dict]:
@@ -404,7 +476,7 @@ def report_from_json(doc: dict) -> SecurityReport:
                 _number(row, "worst_case_acceptance"),
                 _number(row, "detection_probability"),
                 _number(row, "claimed_acceptance", nullable=True),
-                _flag(row, "agrees"),
+                _flag(row, "agrees", nullable=True),
             )
             for row in _rows(doc, "strategy_rows")
         ),
@@ -413,7 +485,7 @@ def report_from_json(doc: dict) -> SecurityReport:
                 strategy_from_json(_require(row, "strategy")),
                 _number(row, "guess_probability"),
                 _number(row, "claimed_guess"),
-                _flag(row, "agrees"),
+                _flag(row, "agrees", nullable=True),
             )
             for row in _rows(doc, "extraction_rows")
         ),

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from relcommit.adversary import build_report
+from relcommit import serialize
+from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main, parse_label, render_report_table
 from relcommit.montecarlo import RunConfig, sample_transcripts
-from relcommit.protocol import SchemeParams
+from relcommit.protocol import SchemeParams, branches
 from relcommit.quantum import BellLabel
 from relcommit.serialize import (
     parse_transcript,
@@ -116,9 +117,18 @@ class TestRun:
             "--announce-delta", "01", "--strict",
         )
         assert code == 2
-        assert "failed validation" in err
+        assert err == "3 transcript(s) failed validation\n"
         for line in out.strip().splitlines():
             assert not parse_transcript(line).verdict.accept
+        # the count is of rejected lines, also where some lines are accepted
+        code, out, err = run_cli(
+            capsys, "run", "--scheme", "string", "--n-pairs", "3", "--phi", "uniform",
+            "--trials", "5", "--announce-delta", "01", "--strict",
+        )
+        verdicts = [parse_transcript(line).verdict.accept for line in out.splitlines()]
+        rejected = verdicts.count(False)
+        assert code == 2 and 0 < rejected < len(verdicts)
+        assert err == f"{rejected} transcript(s) failed validation\n"
 
     def test_cheating_run_without_strict_reports_only(self, capsys):
         code, out, _ = run_cli(
@@ -135,17 +145,37 @@ class TestRun:
         assert out == ""
         assert "trials must be positive" in err
 
-    def test_lines_are_the_sampled_transcripts(self, capsys, tmp_path):
+    @pytest.mark.parametrize("delta", [None, "01"])
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    @pytest.mark.parametrize("scheme,n_pairs", [("single", 1), ("multi", 1), ("string", 3),
+                                                ("string", 20)])
+    def test_lines_are_the_sampled_transcripts(self, capsys, tmp_path, scheme, n_pairs, mode,
+                                               delta):
         target = tmp_path / "run.jsonl"
-        args = ("run", "--scheme", "string", "--n-pairs", "3", "--trials", "4", "--seed", "7",
-                "--alice-label", "10")
+        args = ["run", "--scheme", scheme, "--n-pairs", str(n_pairs), "--mode", mode,
+                "--trials", "4", "--seed", "7", "--alice-label", "10"]
+        if delta is not None:
+            args += ["--announce-delta", delta]
         _, out, _ = run_cli(capsys, *args)
         code, written, _ = run_cli(capsys, *args, "--output", str(target))
-        config = RunConfig(scheme="string", n_pairs=3, trials=4, seed=7,
-                           alice_label=BellLabel(1, 0))
+        strategy = None if delta is None else Strategy.relabel_announce(parse_label(delta))
+        config = RunConfig(scheme=scheme, n_pairs=n_pairs, validation_mode=mode, trials=4,
+                           seed=7, alice_label=BellLabel(1, 0), strategy=strategy)
         lines = [serialize_transcript(t) for t in sample_transcripts(config)]
         assert code == 0 and written == ""
         assert out == target.read_text() == "\n".join(lines) + "\n"
+
+    def test_each_branch_is_encoded_once(self, tmp_path, monkeypatch):
+        calls = []
+        encode = serialize.transcript_to_json
+        monkeypatch.setattr(serialize, "transcript_to_json",
+                            lambda t: calls.append(t) or encode(t))
+        code = cli_main(["run", "--scheme", "string", "--n-pairs", "20", "--trials", "200",
+                         "--output", str(tmp_path / "run.jsonl")])
+        params = RunConfig(scheme="string", n_pairs=20).to_params()
+        table = branches(params, BellLabel(0, 0), params.bob_label)
+        assert code == 0
+        assert 0 < len(calls) <= len(table) <= 64
 
     def test_output_is_written_as_drawn(self, capsys, tmp_path):
         # joining 2000 lines of about 2.7 KB before writing peaks near 17 MB

@@ -86,6 +86,38 @@ class TestTranscriptRoundTrip:
         with pytest.raises(TranscriptParseError):
             parse_transcript("{nope")
 
+    @pytest.mark.parametrize("path,value", [
+        ("verdict.accept", "no"),
+        ("verdict.accept", None),
+        ("verdict.reason", 5),
+        ("alice_label.i", True),
+        ("swap_outcome.j", 1.0),
+        ("announcements.alice_label.j", False),
+        ("phi.value", True),
+        ("stored_bits.alice", True),
+        ("stored_bits.bob", True),
+        ("stored_bits.alice_mid", "1"),
+        ("probability", True),
+        ("pair_index", "x"),
+        ("pair_index", -1),
+        ("pair_index", 1.0),
+        ("scheme", "nonsense"),
+    ])
+    def test_mistyped_field_named(self, path, value):
+        t = run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2,
+                      BellLabel(0, 0))[1][0]
+        t = dataclasses.replace(t, announced_alice_label=BellLabel(0, 1),
+                                verdict=Verdict.accepted())
+        doc = json.loads(serialize_transcript(t))
+        assert parse_transcript(dumps(doc)) == t
+        *parents, field = path.split(".")
+        container = doc
+        for key in parents:
+            container = container[key]
+        container[field] = value
+        with pytest.raises(TranscriptParseError, match=f"'{field}'"):
+            parse_transcript(dumps(doc))
+
 
 class TestJsonl:
     def test_stream_round_trip(self):

@@ -51,6 +51,8 @@ CLI_INVOCATIONS = [
     ("enumerate --scheme string --n-pairs 1 --phi X1", 0, None),
     ("report --input scan.json --scheme multi", 1, None),
     ("report --scheme string --n-pairs 20", 0, None),
+    ("run --scheme string --n-pairs 20 --trials 3 --mode R1 --announce-delta 11 --seed 5", 0, None),
+    ("run --scheme multi --trials 5 --announce-delta 01", 0, None),
 ]
 
 
