@@ -324,7 +324,7 @@ def write_transcripts(stream: IO[str], transcripts: Iterable[Transcript]) -> int
 _HOLE = "\0"
 
 
-def _line_template(transcript: Transcript, schedules: dict[int, str]) -> tuple[str, ...]:
+def _line_template(transcript: Transcript, schedules: dict[int, str]) -> tuple[str, str, str, str]:
     """``(head, middle, schedule, tail)``: the line at pair index ``k`` is
     ``head + k + middle + schedule + tail``.
 
@@ -353,7 +353,7 @@ def write_draws(
     are written as drawn.  Returns the number of lines of each branch.
     """
     schedules: dict[int, str] = {}
-    templates: list[tuple[str, ...] | None] = [None] * len(table)
+    templates: list[tuple[str, str, str, str] | None] = [None] * len(table)
     lines = [0] * len(table)
     write = stream.write
     for branch, k in draws:
