@@ -411,14 +411,14 @@ def _extraction_views_enumerated(strategy: Strategy) -> dict:
         prior = 0.25
         pair = make_bell(alice)
         if strategy.kind == "early_extract" and strategy.basis in ("Z", "X"):
-            branches = basis_measure(pair, 1, strategy.basis)
+            outcomes = basis_measure(pair, 1, strategy.basis)
         else:
             # skip/forward-less attack: the confirmation qubit comes back
             # rotated by the pair's own label, so measure both jointly
             returned = apply_pauli(pair, 0, PauliOp(alice.i, alice.j))
-            branches = bell_measure(returned, 1, 0)
+            outcomes = bell_measure(returned, 1, 0)
         d = committed_bit(alice)
-        for branch in branches:
+        for branch in outcomes:
             key = (d, branch.outcome)
             joint[key] = joint.get(key, 0.0) + prior * branch.probability
     return joint

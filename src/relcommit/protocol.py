@@ -31,11 +31,13 @@ Validation knows two verifier models:
   sign flips pass on parity-preserving announcements.
 
 :func:`run_pairs` enumerates any scheme exactly, reading one memoized
-table per pair, :func:`branches`; :func:`validate_transcript` checks
-one pair of any scheme, :func:`validate_multiparty` also a second
-committer's claims.  The verifier memoizes its state-vector predictions
-the same way, and :func:`clear_caches` drops both.  This module never
-samples; seeded draws from these tables live in
+table per pair, :func:`branches`.  A table is built with the quantum
+engine's stack kernel: each measurement step takes every branch of the
+step before it as one stack of state rows.  :func:`validate_transcript`
+checks one pair of any scheme, :func:`validate_multiparty` also a
+second committer's claims.  The verifier memoizes its state-vector
+predictions too, and :func:`clear_caches` drops both.  This module
+never samples; seeded draws from these tables live in
 :mod:`relcommit.montecarlo`.
 """
 
@@ -46,6 +48,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .quantum import (
     BASIS_STATES,
     BELL_LABELS,
@@ -53,9 +57,10 @@ from .quantum import (
     BasisStateSpec,
     BellLabel,
     PauliOp,
+    _measure_stack,
+    _pauli_stack,
     apply_pauli,
     basis_measure,
-    bell_measure,
     make_basis_state,
     make_bell,
     swapped_label,
@@ -230,7 +235,8 @@ def _enumerate_pair(
     The middle agent's joint measurement hits qubits 1 and 2; the
     receiver's teleportation measurement hits the probe and his retained
     half (4 and 3); the confirmation measurement reads qubit 0 in the
-    probe's basis family.
+    probe's basis family.  Each step measures every branch of the step
+    before it as one stack.
     """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     out: list[Transcript] = []
@@ -240,25 +246,26 @@ def _enumerate_pair(
             make_bell(bob_label),
             make_basis_state(phi),
         ])
-        for swap in bell_measure(register, 1, 2):
-            for tele in bell_measure(swap.post_state, 4, 3):
-                confirmed = apply_pauli(tele.post_state, 0, alice_frame)
-                for final in basis_measure(confirmed, 0, phi.basis):
-                    out.append(
-                        Transcript(
-                            scheme=params.scheme,
-                            alice_label=alice_label,
-                            bob_label=bob_label,
-                            swap_outcome=swap.outcome,
-                            teleport_outcome=tele.outcome,
-                            phi=phi,
-                            stored_alice_bit=final.outcome,
-                            probability=phi_weight * swap.probability
-                            * tele.probability * final.probability,
-                            schedule=params.schedule,
-                            announced_alice_label=alice_label,
-                        )
-                    )
+        swap = _measure_stack(register.amplitudes[None], (1, 2), "bell")
+        tele = _measure_stack(swap.states, (4, 3), "bell")
+        final = _measure_stack(_pauli_stack(tele.states, 0, alice_frame), (0,), phi.basis)
+        for t, stored, final_probability in zip(final.parents, final.outcomes, final.probabilities):
+            s = tele.parents[t]
+            out.append(
+                Transcript(
+                    scheme=params.scheme,
+                    alice_label=alice_label,
+                    bob_label=bob_label,
+                    swap_outcome=swap.outcomes[s],
+                    teleport_outcome=tele.outcomes[t],
+                    phi=phi,
+                    stored_alice_bit=stored,
+                    probability=phi_weight * swap.probabilities[s]
+                    * tele.probabilities[t] * final_probability,
+                    schedule=params.schedule,
+                    announced_alice_label=alice_label,
+                )
+            )
     return out
 
 
@@ -272,53 +279,53 @@ def _enumerate_multi(
     if the parties later choose to), then rotates and returns it.  Bob
     prepares a fresh copy of the probe rotated by his teleportation
     outcome and his own pair label and returns that; the center stores
-    both measured bits.
+    both measured bits.  Steps are stacked as in :func:`_enumerate_pair`.
     """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     bob_frame = PauliOp(bob_label.i, bob_label.j)
     out: list[Transcript] = []
     for phi, phi_weight in params.phi_choices():
-        register = tensor([
-            make_bell(alice_label),
-            make_bell(bob_label),
-            make_basis_state(phi),
-        ])
-        # Bob's probe copy depends only on phi and his teleportation outcome.
-        bob_probe = apply_pauli(make_basis_state(phi), 0, bob_frame)
-        bob_finals_by_tele = {
-            label: basis_measure(apply_pauli(bob_probe, 0, PauliOp(label.i, label.j)), 0, phi.basis)
-            for label in BELL_LABELS
-        }
-        for swap in bell_measure(register, 1, 2):
-            for tele in bell_measure(swap.post_state, 4, 3):
-                bob_finals = bob_finals_by_tele[tele.outcome]
-                for mid in basis_measure(tele.post_state, 0, "Z"):
-                    confirmed = apply_pauli(mid.post_state, 0, alice_frame)
-                    for final in basis_measure(confirmed, 0, phi.basis):
-                        for bob_final in bob_finals:
-                            out.append(
-                                Transcript(
-                                    scheme="multi",
-                                    alice_label=alice_label,
-                                    bob_label=bob_label,
-                                    swap_outcome=swap.outcome,
-                                    teleport_outcome=tele.outcome,
-                                    phi=phi,
-                                    stored_alice_bit=final.outcome,
-                                    stored_bob_bit=bob_final.outcome,
-                                    alice_mid_measurement=mid.outcome,
-                                    probability=phi_weight
-                                    * swap.probability
-                                    * tele.probability
-                                    * mid.probability
-                                    * final.probability
-                                    * bob_final.probability,
-                                    schedule=params.schedule,
-                                    announced_alice_label=alice_label,
-                                    announced_bob_label=bob_label,
-                                    announced_teleport_outcome=tele.outcome,
-                                )
-                            )
+        probe = make_basis_state(phi)
+        register = tensor([make_bell(alice_label), make_bell(bob_label), probe])
+        # Bob's probe copy depends only on phi and his teleportation outcome:
+        # one row per outcome, in BELL_LABELS order.
+        bob_probe = _pauli_stack(probe.amplitudes, 0, bob_frame)
+        bob_copies = [_pauli_stack(bob_probe, 0, PauliOp(label.i, label.j)) for label in BELL_LABELS]
+        bob = _measure_stack(np.stack(bob_copies), (0,), phi.basis)
+        bob_finals: dict[BellLabel, list[tuple[int, float]]] = {label: [] for label in BELL_LABELS}
+        for row, stored, probability in zip(bob.parents, bob.outcomes, bob.probabilities):
+            bob_finals[BELL_LABELS[row]].append((stored, probability))
+        swap = _measure_stack(register.amplitudes[None], (1, 2), "bell")
+        tele = _measure_stack(swap.states, (4, 3), "bell")
+        mid = _measure_stack(tele.states, (0,), "Z")
+        final = _measure_stack(_pauli_stack(mid.states, 0, alice_frame), (0,), phi.basis)
+        for m, stored, final_probability in zip(final.parents, final.outcomes, final.probabilities):
+            t = mid.parents[m]
+            s = tele.parents[t]
+            for bob_stored, bob_probability in bob_finals[tele.outcomes[t]]:
+                out.append(
+                    Transcript(
+                        scheme="multi",
+                        alice_label=alice_label,
+                        bob_label=bob_label,
+                        swap_outcome=swap.outcomes[s],
+                        teleport_outcome=tele.outcomes[t],
+                        phi=phi,
+                        stored_alice_bit=stored,
+                        stored_bob_bit=bob_stored,
+                        alice_mid_measurement=mid.outcomes[m],
+                        probability=phi_weight
+                        * swap.probabilities[s]
+                        * tele.probabilities[t]
+                        * mid.probabilities[m]
+                        * final_probability
+                        * bob_probability,
+                        schedule=params.schedule,
+                        announced_alice_label=alice_label,
+                        announced_bob_label=bob_label,
+                        announced_teleport_outcome=tele.outcomes[t],
+                    )
+                )
     return out
 
 

@@ -32,10 +32,15 @@ Conventions
   are up to phase.
 * Probabilities are compared at ``PROB_ATOL``; measurement branches at
   or below that weight are dropped as numerically empty.
-* A measurement is one contraction with its outcome kets stacked, and
-  a Pauli a signed permutation of the amplitudes read off its literal
-  matrix; :func:`clear_caches` drops their memoized index tables.
-  Label and frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
+* One kernel measures a stack of states, amplitudes of shape
+  ``(B, 2**n)``, with one contraction against the stacked outcome kets,
+  and checks every row; :func:`bell_measure` and :func:`basis_measure`
+  run it on one state and wrap its rows as :class:`Branch` objects,
+  while protocol enumeration keeps them as a stack.  A Pauli is a
+  signed permutation of the amplitudes read off its literal matrix,
+  one gather on a state or a stack; :func:`clear_caches` drops their
+  memoized index tables.  Label and frame algebra return members of
+  ``BELL_LABELS``/``PAULI_OPS``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,34 +319,88 @@ def _pauli_permutation(n: int, qubit: int, z: int, x: int) -> tuple[np.ndarray, 
     return index ^ ((row ^ col) << shift), matrix[row, col]
 
 
+def _pauli_stack(amplitudes: np.ndarray, qubit: int, op: PauliOp) -> np.ndarray:
+    """``op`` on one qubit of every state in the last axis of ``amplitudes``."""
+    source, sign = _pauli_permutation(amplitudes.shape[-1].bit_length() - 1, qubit, op.z, op.x)
+    return amplitudes[..., source] * sign
+
+
 def apply_pauli(state: StateVector, qubit: int, op: PauliOp) -> StateVector:
     """Apply ``op`` to one qubit of ``state``."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    source, sign = _pauli_permutation(n, qubit, op.z, op.x)
-    return StateVector(state.amplitudes[source] * sign)
+    return StateVector(_pauli_stack(state.amplitudes, qubit, op))
 
 
 @lru_cache(maxsize=None)
 def _measured_first(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order putting ``qubits`` first, and its inverse on a stack of states."""
+    """Axis order putting ``qubits`` first, and its inverse, on a stack of states."""
     perm = (*qubits, *(ax for ax in range(n) if ax not in qubits))
-    return perm, (0, *(1 + int(ax) for ax in np.argsort(perm)))
+    return (0, *(1 + ax for ax in perm)), (0, *(1 + int(ax) for ax in np.argsort(perm)))
 
 
-def _project_branches(state, qubits, outcomes, kets):
-    """Exhaustive projective measurement onto the orthonormal rows of ``kets``."""
-    n = state.n_qubits
+# Measurement name -> (outcome kets, one row per outcome; the outcome each row names).
+_MEASUREMENTS = {
+    "bell": (_BELL_KETS, BELL_LABELS),
+    "Z": (_BASIS_KETS["Z"], (0, 1)),
+    "X": (_BASIS_KETS["X"], (0, 1)),
+}
+
+
+class _Projection(NamedTuple):
+    """Kept branches of a measured stack, in (parent row, outcome) order."""
+
+    parents: list[int]
+    outcomes: list[BellLabel | int]
+    probabilities: list[float]
+    states: np.ndarray  # collapsed amplitudes, one row per kept branch
+
+
+def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _Projection:
+    """Exhaustive projective measurement of every row of a ``(B, 2**n)`` stack.
+
+    ``basis`` is ``"bell"`` (the pair basis on two qubits) or ``"Z"`` or
+    ``"X"`` (on one).  One contraction gives every row's residual per
+    outcome; branches at or below ``PROB_ATOL`` are dropped.  Each kept
+    weight must lie in ``(PROB_ATOL, 1 + PROB_ATOL]``, each collapsed
+    state must have unit norm and each row's kept weights must sum to 1,
+    all within ``PROB_ATOL``; otherwise ``ValueError``.
+    """
+    kets, outcomes = _MEASUREMENTS[basis]
+    count, dim = stack.shape
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
+    n = dim.bit_length() - 1
     perm, restore = _measured_first(n, qubits)
-    view = state.amplitudes.reshape((2,) * n).transpose(perm).reshape(kets.shape[1], -1)
+    view = stack.reshape((count,) + (2,) * n).transpose(perm).reshape(count, kets.shape[1], -1)
     residuals = kets.conj() @ view
-    probs = np.einsum("ij,ij->i", residuals.conj(), residuals).real
-    kept = [k for k, prob in enumerate(probs.tolist()) if prob > PROB_ATOL]
-    posts = kets[kept, :, None] * (residuals[kept] / np.sqrt(probs[kept])[:, None])[:, None, :]
-    posts = posts.reshape((len(kept),) + (2,) * n).transpose(restore).reshape(len(kept), -1)
+    probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
+    kept = probs > PROB_ATOL
+    parents, picked = np.nonzero(kept)
+    weights = probs[parents, picked]
+    if (weights > 1.0 + PROB_ATOL).any():
+        raise ValueError(f"branch probability out of range: {float(weights.max())!r}")
+    for total in map(math.fsum, np.where(kept, probs, 0.0).tolist()):
+        if abs(total - 1.0) > PROB_ATOL:
+            raise ValueError(f"branch probabilities sum to {total!r}, expected 1")
+    scaled = residuals[parents, picked] / np.sqrt(weights)[:, None]
+    posts = kets[picked, :, None] * scaled[:, None, :]
+    posts = posts.reshape((len(weights),) + (2,) * n).transpose(restore).reshape(len(weights), -1)
+    norms = np.einsum("bi,bi->b", posts.conj(), posts).real
+    if (abs(norms - 1.0) > PROB_ATOL).any():
+        raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")
+    return _Projection(
+        parents.tolist(), [outcomes[k] for k in picked.tolist()], weights.tolist(), posts
+    )
+
+
+def _branch_set(state: StateVector, qubits: tuple[int, ...], basis: str) -> BranchSet:
+    """One state's measurement: the stack kernel on a single row."""
+    rows = _measure_stack(state.amplitudes[None], qubits, basis)
     return BranchSet(tuple(
-        Branch(outcomes[k], float(probs[k]), StateVector(post)) for k, post in zip(kept, posts)
+        Branch(outcome, prob, StateVector(post))
+        for outcome, prob, post in zip(rows.outcomes, rows.probabilities, rows.states)
     ))
 
 
@@ -359,7 +418,7 @@ def bell_measure(state: StateVector, qubit_a: int, qubit_b: int) -> BranchSet:
     for q in (qubit_a, qubit_b):
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    return _project_branches(state, (qubit_a, qubit_b), BELL_LABELS, _BELL_KETS)
+    return _branch_set(state, (qubit_a, qubit_b), "bell")
 
 
 def basis_measure(state: StateVector, qubit: int, basis: str) -> BranchSet:
@@ -369,7 +428,7 @@ def basis_measure(state: StateVector, qubit: int, basis: str) -> BranchSet:
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    return _project_branches(state, (qubit,), (0, 1), _BASIS_KETS[basis])
+    return _branch_set(state, (qubit,), basis)
 
 
 def compose_pauli(first: PauliOp, second: PauliOp) -> PauliOp:

@@ -11,6 +11,7 @@ validation semantics are checked branch by branch.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 from collections import defaultdict
 
@@ -503,6 +504,43 @@ class TestSlotTable:
             slot_table(table)
 
 
+# Every table of every scheme and probe policy, hashed field by field
+# with each probability's exact bits, so a one-ulp drift fails.  The
+# digest was taken from the per-branch enumeration the stacked one
+# replaced.
+_GOLDEN_POLICIES = (
+    ("single", (Z0, Z1, "uniform")),
+    ("multi", (Z0, Z1, "uniform")),
+    ("string", ("uniform", Z0, Z1, X0, X1)),
+)
+_GOLDEN_DIGEST = "0b646332444c46a4ed7066c3ca3e9b957fa42f4ea24264d819eea03fef726b94"
+
+
+def _field_text(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def branch_tables_digest() -> str:
+    digest = hashlib.sha256()
+    for scheme, policies in _GOLDEN_POLICIES:
+        for policy in policies:
+            params = SchemeParams(scheme, phi_policy=policy)
+            for alice in BELL_LABELS:
+                for bob in BELL_LABELS:
+                    for t in branches(params, alice, bob):
+                        for f in dataclasses.fields(t):
+                            text = _field_text(getattr(t, f.name))
+                            digest.update(f"{f.name}={text};".encode())
+                    digest.update(b"|")
+    return digest.hexdigest()
+
+
+class TestGoldenTables:
+    def test_every_table_is_bit_identical(self):
+        clear_caches()
+        assert branch_tables_digest() == _GOLDEN_DIGEST
+
+
 def _module_caches():
     return {
         (module.__name__, name): value
@@ -533,6 +571,23 @@ class TestCaches:
         run_pairs(SchemeParams("string"), [BellLabel(1, 1)], BellLabel(0, 0))[0].clear()
         assert len(run_pairs(params, [BellLabel(1, 1)], params.bob_label)[0]) == 16
         assert len(branches(SchemeParams("string"), BellLabel(1, 1), BellLabel(0, 0))) == 64
+
+
+class TestEnumerationWork:
+    @pytest.mark.parametrize(
+        "scheme,policy", [(s, p) for s, policies in _GOLDEN_POLICIES for p in policies], ids=str
+    )
+    def test_cold_table_builds_only_the_register(self, monkeypatch, scheme, policy):
+        # two pairs, the probe and their tensor product per probe state;
+        # measured branches stay rows of a stack
+        made = []
+        state_vector = quantum.StateVector
+        monkeypatch.setattr(quantum, "StateVector",
+                            lambda amplitudes: made.append(amplitudes) or state_vector(amplitudes))
+        params = SchemeParams(scheme, phi_policy=policy)
+        clear_caches()
+        table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
+        assert len(made) <= 4 * len(params.phi_choices()) < len(table)
 
 
 class TestTranscript:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relcommit import quantum
 from relcommit.quantum import (
     BASIS_STATES,
     BELL_LABELS,
@@ -34,6 +35,7 @@ from relcommit.quantum import (
     teleport_correction,
     tensor,
 )
+from relcommit.quantum import _measure_stack
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -477,3 +479,72 @@ def test_measurement_branches_always_sum_to_one(amps):
                 1.0,
                 atol=1e-12,
             )
+
+
+_PART = st.floats(min_value=-1, max_value=1, allow_nan=False)
+
+
+@st.composite
+def measured_stacks(draw):
+    """A stack of normalized states and a measurement valid on them."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        amps = draw(
+            st.lists(st.tuples(_PART, _PART), min_size=1 << n, max_size=1 << n)
+            .filter(lambda vals: sum(re * re + im * im for re, im in vals) > 1e-3)
+        )
+        raw = np.array([complex(re, im) for re, im in amps])
+        rows.append(raw / np.linalg.norm(raw))
+    basis = draw(st.sampled_from(("bell", "Z", "X") if n > 1 else ("Z", "X")))
+    qubits = tuple(draw(st.permutations(range(n)))[:2 if basis == "bell" else 1])
+    return np.array(rows), qubits, basis
+
+
+class TestMeasureStack:
+    @given(measured_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_per_row_measurements_bit_for_bit(self, case):
+        stack, qubits, basis = case
+        rows = _measure_stack(stack, qubits, basis)
+        expected = []
+        for parent, amps in enumerate(stack):
+            state = StateVector(amps)
+            measured = (bell_measure(state, *qubits) if basis == "bell"
+                        else basis_measure(state, qubits[0], basis))
+            expected += [(parent, b.outcome, b.probability, b.post_state.amplitudes.tobytes())
+                         for b in measured]
+        assert list(zip(rows.parents, rows.outcomes, rows.probabilities,
+                        [post.tobytes() for post in rows.states])) == expected
+
+    def test_unnormalized_row_rejected(self):
+        # 2|0> measured in Z: one branch of weight 4
+        stack = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=np.complex128)
+        with pytest.raises(ValueError, match="out of range"):
+            _measure_stack(stack, (0,), "Z")
+
+    def test_row_whose_weights_miss_one_rejected(self):
+        # second row holds half the weight it should
+        stack = np.array([[INV_SQRT2, INV_SQRT2], [0.5, 0.5]], dtype=np.complex128)
+        with pytest.raises(ValueError, match="sum to"):
+            _measure_stack(stack, (0,), "X")
+
+    def test_row_with_no_kept_branch_rejected(self):
+        stack = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+        with pytest.raises(ValueError, match="sum to"):
+            _measure_stack(stack, (0,), "Z")
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_amplitude_count_must_be_a_power_of_two(self, dim):
+        with pytest.raises(ValueError, match="power of two"):
+            _measure_stack(np.ones((2, dim), dtype=np.complex128) / math.sqrt(dim), (0,), "Z")
+
+    def test_unnormalized_collapsed_state_rejected(self, monkeypatch):
+        # outcome kets of squared length 3/2 and 1/2: on |+> the weights
+        # 3/4 and 1/4 still sum to 1, the collapsed states do not have unit norm
+        kets, outcomes = quantum._MEASUREMENTS["Z"]
+        skewed = kets * np.sqrt([[1.5], [0.5]])
+        monkeypatch.setitem(quantum._MEASUREMENTS, "Z", (skewed, outcomes))
+        plus = make_basis_state(BasisStateSpec("X", 0))
+        with pytest.raises(ValueError, match="not normalized"):
+            _measure_stack(plus.amplitudes[None], (0,), "Z")

@@ -53,6 +53,8 @@ CLI_INVOCATIONS = [
     ("report --scheme string --n-pairs 20", 0, None),
     ("run --scheme string --n-pairs 20 --trials 3 --mode R1 --announce-delta 11 --seed 5", 0, None),
     ("run --scheme multi --trials 5 --announce-delta 01", 0, None),
+    ("enumerate --scheme single --phi uniform --alice-label 01 --bob-label 11", 0, None),
+    ("enumerate --scheme string --n-pairs 1 --phi Z1 --alice-label 11", 0, None),
 ]
 
 
