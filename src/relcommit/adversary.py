@@ -4,9 +4,10 @@ Every probability this module reports is computed twice, by two routes
 that share no code past the label arithmetic itself:
 
 1. **enumeration**: run the full state-vector protocol, validate each
-   branch, and sum weights;
-2. **algebra**: fold the same scenario into XOR bookkeeping over pair
-   labels, with no amplitudes anywhere.
+   branch table in one verifier call, and sum the accepted weights;
+2. **algebra**: fold the same scenario into XOR bookkeeping over 2-bit
+   label codes and count the accepted cells of the grid, with no
+   amplitudes anywhere.
 
 The two must agree within 1e-12 or the analyzer raises
 :class:`SelfCheckError` instead of returning a number.  This guards the
@@ -48,13 +49,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .protocol import (
     SchemeParams,
     Transcript,
+    _columns,
+    _verify,
     branches,
     clear_caches,
     committed_bit,
-    validate_transcript,
 )
 from .quantum import (
     BELL_LABELS,
@@ -169,15 +173,18 @@ class Strategy:
 def _acceptance_by_label_enumerated(
     params: SchemeParams, shift: BellLabel
 ) -> dict[BellLabel, float]:
-    """Acceptance conditioned on each committed label, announced XOR ``shift``."""
+    """Acceptance conditioned on each committed label, announced XOR ``shift``.
+
+    One verifier call per branch table, summing the accepted weights.
+    """
     conditional = {}
     for committed in BELL_LABELS:
         announced = committed ^ shift
         accepted = []
         for bob in BELL_LABELS:
-            for t in branches(params, committed, bob):
-                if validate_transcript(t, announced, params.validation_mode).accept:
-                    accepted.append(t.probability / 4.0)
+            columns = _columns(params, committed, bob)
+            accept = _verify(columns, announced, params.validation_mode).accept
+            accepted += (columns.probability[accept] / 4.0).tolist()
         conditional[committed] = math.fsum(accepted)
     return conditional
 
@@ -192,32 +199,38 @@ def _flip_bit(label: BellLabel, basis: str) -> int:
     return label.j if basis == "Z" else label.i
 
 
+# The same exponent as a bit of the 2-bit code ``2 * i + j`` of a label.
+_FLIP_SHIFT = {"Z": 0, "X": 1}
+
+
 def _acceptance_by_label_algebraic(
     params: SchemeParams, shift: BellLabel
 ) -> dict[BellLabel, float]:
-    conditional = {}
-    weight = 1.0 / (4.0 * 16.0)  # receiver label and both measurement outcomes
-    for committed in BELL_LABELS:
-        announced = committed ^ shift
-        accepted = []
-        for bob in BELL_LABELS:
-            for swap in BELL_LABELS:
-                for tele in BELL_LABELS:
-                    for phi, phi_weight in params.phi_choices():
-                        # stored bit: probe value xor the net frame picked up
-                        net = bob ^ swap ^ tele
-                        stored = phi.value ^ _flip_bit(net, phi.basis)
-                        # verifier's recomputation
-                        if params.validation_mode == "R1":
-                            correction = (announced ^ bob ^ swap) ^ tele
-                        else:
-                            correction = (committed ^ bob ^ swap) ^ tele
-                        recomputed = announced ^ correction
-                        expected = phi.value ^ _flip_bit(recomputed, phi.basis)
-                        if stored == expected:
-                            accepted.append(weight * phi_weight)
-        conditional[committed] = math.fsum(accepted)
-    return conditional
+    """Count the accepted cells of a grid of 2-bit label codes.
+
+    Axes: committed label, receiver label, swap and teleport outcome,
+    each a code ``2 * i + j`` and every cell equally likely; probe
+    states are summed one by one.  Each committed label's acceptance is
+    its count times the weight of one cell, so it is exactly dyadic.
+    """
+    committed, bob, swap, tele = np.ix_(*[np.arange(4)] * 4)
+    announced = committed ^ (2 * shift.i + shift.j)
+    net = bob ^ swap ^ tele
+    # verifier's recomputation
+    if params.validation_mode == "R1":
+        correction = announced ^ bob ^ swap ^ tele
+    else:
+        correction = committed ^ bob ^ swap ^ tele
+    recomputed = announced ^ correction
+    choices = params.phi_choices()
+    counts = 0
+    for phi, _ in choices:
+        # stored bit: probe value xor the net frame picked up
+        stored = phi.value ^ ((net >> _FLIP_SHIFT[phi.basis]) & 1)
+        expected = phi.value ^ ((recomputed >> _FLIP_SHIFT[phi.basis]) & 1)
+        counts = counts + (stored == expected).sum(axis=(1, 2, 3))
+    weight = 1.0 / (64 * len(choices))  # probe states are equally likely
+    return {label: int(count) * weight for label, count in zip(BELL_LABELS, counts)}
 
 
 def _checked(value_enum: float, value_alg: float, what: str) -> float:

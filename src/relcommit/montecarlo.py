@@ -41,9 +41,11 @@ from .protocol import (
     SchemeParams,
     Transcript,
     Verdict,
+    _columns,
+    _verdict,
+    _verify,
     branches,
     parse_phi_policy,
-    validate_transcript,
 )
 from .quantum import BELL_LABELS, PROB_ATOL, BellLabel
 
@@ -172,7 +174,13 @@ def _campaign(
     strategy = config.strategy or Strategy.honest()
     committed, announced = strategy.committer_labels(config.alice_label)
     table = branches(params, committed, config.bob_label)
-    verdicts = [validate_transcript(t, announced, params.validation_mode) for t in table]
+    check = _verify(_columns(params, committed, config.bob_label), announced, params.validation_mode)
+    bob_expected = [None] * len(table) if check.bob_expected is None else check.bob_expected.tolist()
+    verdicts = [
+        _verdict(t, announced, accept, alice, bob)
+        for t, accept, alice, bob
+        in zip(table, check.accept.tolist(), check.alice_expected.tolist(), bob_expected)
+    ]
     return params, table, slot_table(table), verdicts, announced
 
 

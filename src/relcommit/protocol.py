@@ -33,11 +33,17 @@ Validation knows two verifier models:
 :func:`run_pairs` enumerates any scheme exactly, reading one memoized
 table per pair, :func:`branches`.  A table is built with the quantum
 engine's stack kernel: each measurement step takes every branch of the
-step before it as one stack of state rows.  :func:`validate_transcript`
-checks one pair of any scheme, :func:`validate_multiparty` also a
-second committer's claims.  The verifier memoizes its state-vector
-predictions too, and :func:`clear_caches` drops both.  This module
-never samples; seeded draws from these tables live in
+step before it as one stack of state rows.
+
+The verifier is tabulated once per process: lookup arrays read off the
+certified label arithmetic, and its stored-bit predictions, computed on
+state vectors.  One function checks a whole table at a time, on code
+columns memoized next to the table, or one branch;
+:func:`validate_transcript` (one pair of any scheme) and
+:func:`validate_multiparty` (also a second committer's claims) are its
+one-branch wrappers, while the analyzer and the sampler check whole
+tables.  :func:`clear_caches` drops every memo.  This module never
+samples; seeded draws from these tables live in
 :mod:`relcommit.montecarlo`.
 """
 
@@ -46,21 +52,20 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .quantum import (
     BASIS_STATES,
     BELL_LABELS,
+    PAULI_OPS,
     PROB_ATOL,
     BasisStateSpec,
     BellLabel,
     PauliOp,
     _measure_stack,
     _pauli_stack,
-    apply_pauli,
-    basis_measure,
     make_basis_state,
     make_bell,
     swapped_label,
@@ -368,55 +373,172 @@ def run_pairs(
     return out
 
 
-@lru_cache(maxsize=None)
-def _expected_stored_bit(
-    phi: BasisStateSpec, frame_label: BellLabel, correction: PauliOp
-) -> int:
-    """Bit the verifier predicts for the stored confirmation measurement.
+def _code(label: BellLabel) -> int:
+    """A pair label's 2-bit code: its index in ``BELL_LABELS``."""
+    return 2 * label.i + label.j
 
-    Reconstructs the probe, applies the teleportation correction and the
-    announced Pauli frame, and reads the measurement in the probe's own
-    basis family.  Deterministic because Pauli frames permute basis
-    family members.  Memoized over its 64 possible inputs; each entry is
-    still computed on state vectors.  The multi scheme's probe copy is
-    the same prediction, with the second committer's label as the
-    correction and his teleportation outcome as the frame.
+
+_PROBE_CODES = {phi: k for k, phi in enumerate(BASIS_STATES)}
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
+class _VerifierTables(NamedTuple):
+    """The verifier's arithmetic as lookup arrays over codes.
+
+    A label's code is its index in ``BELL_LABELS``, a Pauli's in
+    ``PAULI_OPS`` (a frame label ``(i, j)`` names the Pauli of the same
+    code) and a probe's in ``BASIS_STATES``.
     """
-    state = make_basis_state(phi)
-    state = apply_pauli(state, 0, correction)
-    state = apply_pauli(state, 0, PauliOp(frame_label.i, frame_label.j))
-    outcomes = basis_measure(state, 0, phi.basis)
-    if len(outcomes) != 1:
-        raise AssertionError("expected a deterministic confirmation measurement")
-    return int(outcomes[0].outcome)
+
+    swap: np.ndarray  # [label a, label b, swap outcome] -> swapped label
+    correction: np.ndarray  # [shared label, teleport outcome] -> correction Pauli
+    prediction: np.ndarray  # [probe, frame, correction] -> predicted stored bit
+
+
+@lru_cache(maxsize=None)
+def _verifier_tables() -> _VerifierTables:
+    """Tabulate the verifier once: certified label arithmetic and predictions.
+
+    The label lookups are read off :func:`swapped_label` (64 inputs) and
+    :func:`teleport_correction` (16).  A prediction is the bit of the
+    stored confirmation measurement, computed on state vectors: the
+    probe, rotated by the teleportation correction and then by the
+    announced Pauli frame, measured in its own basis family.  Each
+    family's rotated probes are measured as one stack, and every row
+    must give exactly one outcome, because Pauli frames permute basis
+    family members.  The multi scheme's probe copy is the same
+    prediction, with the second committer's label as the correction and
+    his teleportation outcome as the frame.
+    """
+    swap = [[[_code(swapped_label(a, b, s)) for s in BELL_LABELS] for b in BELL_LABELS]
+            for a in BELL_LABELS]
+    correction = [[PAULI_OPS.index(teleport_correction(shared, outcome)) for outcome in BELL_LABELS]
+                  for shared in BELL_LABELS]
+    probes = np.stack([make_basis_state(phi).amplitudes for phi in BASIS_STATES])
+    rotated = np.stack([
+        _pauli_stack(_pauli_stack(probes, 0, op), 0, frame) for frame in PAULI_OPS for op in PAULI_OPS
+    ], axis=1).reshape(len(BASIS_STATES), 4, 4, 2)  # [probe, frame, correction, amplitude]
+    prediction = np.empty(rotated.shape[:3], dtype=np.intp)
+    for basis in ("Z", "X"):
+        rows = [k for k, phi in enumerate(BASIS_STATES) if phi.basis == basis]
+        measured = _measure_stack(rotated[rows].reshape(-1, 2), (0,), basis)
+        if measured.parents != list(range(16 * len(rows))):
+            raise AssertionError("expected a deterministic confirmation measurement")
+        prediction[rows] = np.reshape(measured.outcomes, (len(rows), 4, 4))
+    return _VerifierTables(_frozen(swap), _frozen(correction), _frozen(prediction))
+
+
+class _Columns(NamedTuple):
+    """Code columns of branches: arrays over a whole table, or one branch's scalars.
+
+    Labels and outcomes are codes as in :class:`_VerifierTables`;
+    ``stored_bob`` is ``None`` outside the multi scheme.
+    """
+
+    probe: np.ndarray | int
+    alice: np.ndarray | int
+    bob: np.ndarray | int
+    swap: np.ndarray | int
+    tele: np.ndarray | int
+    stored_alice: np.ndarray | int
+    stored_bob: np.ndarray | int | None
+    probability: np.ndarray | float
+
+
+def _row(t: Transcript) -> _Columns:
+    """One branch as scalar code columns."""
+    return _Columns(
+        _PROBE_CODES[t.phi], _code(t.alice_label), _code(t.bob_label), _code(t.swap_outcome),
+        _code(t.teleport_outcome), t.stored_alice_bit, t.stored_bob_bit, t.probability,
+    )
+
+
+@lru_cache(maxsize=4096)
+def _columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
+    """The code columns of :func:`branches`, one entry per branch in table order."""
+    rows = zip(*map(_row, branches(params, alice_label, bob_label)))
+    return _Columns._make(None if column[0] is None else _frozen(column) for column in rows)
 
 
 def clear_caches() -> None:
-    """Drop every memoized table: branches, verifier bits, engine index tables."""
-    for cached in (branches, _expected_stored_bit):
+    """Drop every memoized table: branches, their columns, the verifier, engine index tables."""
+    for cached in (branches, _columns, _verifier_tables):
         cached.cache_clear()
     _clear_quantum_caches()
 
 
-def _correction_for(
-    transcript: Transcript,
+class _Check(NamedTuple):
+    """Accept bits and expected stored bits, shaped like the checked columns."""
+
+    accept: np.ndarray | bool
+    alice_expected: np.ndarray | int
+    bob_expected: np.ndarray | int | None  # None outside the multi scheme
+
+
+def _verify(
+    columns: _Columns,
     announced: BellLabel,
     mode: str,
     bob_claim: tuple[BellLabel, BellLabel] | None = None,
-) -> PauliOp:
-    """Teleportation correction the verifier applies to the probe.
+) -> _Check:
+    """The verifier, on a table's columns or on one branch's :func:`_row`.
 
-    ``R1`` rebuilds it from announcements: the committer's label and the
-    receiver side's (label, teleport outcome), which default to the
-    transcript's own records.  ``R2`` uses the true records.
+    The committer announces ``announced``.  ``R1`` rebuilds the
+    teleportation correction from announcements: that label and the
+    receiver side's (label, teleport outcome), which are ``bob_claim``
+    when given and the branch's own records otherwise.  ``R2`` uses the
+    true records.  In the multi scheme the second committer's probe copy
+    must also reproduce its stored bit under his claimed label and
+    outcome.
     """
     if mode not in VALIDATION_MODES:
         raise ValueError(f"unknown validation mode {mode!r}")
-    alice, bob, teleport = transcript.alice_label, transcript.bob_label, transcript.teleport_outcome
+    tables = _verifier_tables()
+    claim_bob, claim_tele = (columns.bob, columns.tele) if bob_claim is None else map(_code, bob_claim)
     if mode == "R1":
-        alice = announced
-        bob, teleport = bob_claim or (bob, teleport)
-    return teleport_correction(swapped_label(alice, bob, transcript.swap_outcome), teleport)
+        alice, bob, tele = _code(announced), claim_bob, claim_tele
+    else:
+        alice, bob, tele = columns.alice, columns.bob, columns.tele
+    correction = tables.correction[tables.swap[alice, bob, columns.swap], tele]
+    alice_expected = tables.prediction[columns.probe, _code(announced), correction]
+    accept = alice_expected == columns.stored_alice
+    bob_expected = None
+    if columns.stored_bob is not None:
+        bob_expected = tables.prediction[columns.probe, claim_tele, claim_bob]
+        accept = accept & (bob_expected == columns.stored_bob)
+    return _Check(accept, alice_expected, bob_expected)
+
+
+def _verdict(
+    transcript: Transcript,
+    announced: BellLabel,
+    accept: bool,
+    alice_expected: int,
+    bob_expected: int | None,
+) -> Verdict:
+    """One branch's :class:`Verdict` from its row of a :func:`_verify` check."""
+    if accept:
+        return Verdict.accepted()
+    if bob_expected is None:
+        return Verdict.aborted(
+            f"stored bit {transcript.stored_alice_bit} != expected {alice_expected} "
+            f"for announced label {announced}"
+        )
+    failures = []
+    if bob_expected != transcript.stored_bob_bit:
+        failures.append(
+            f"bob: stored probe copy bit {transcript.stored_bob_bit} != expected {bob_expected}"
+        )
+    if alice_expected != transcript.stored_alice_bit:
+        failures.append(
+            f"alice: stored bit {transcript.stored_alice_bit} != expected {alice_expected}"
+        )
+    return Verdict.aborted("; ".join(failures))
 
 
 def validate_multiparty(
@@ -435,22 +557,8 @@ def validate_multiparty(
     """
     if transcript.stored_bob_bit is None:
         raise ValueError("transcript lacks the second committer's stored bit")
-    bob_label, teleport = bob_announced
-    bob_expected = _expected_stored_bit(transcript.phi, teleport, PauliOp(bob_label.i, bob_label.j))
-    failures = []
-    if bob_expected != transcript.stored_bob_bit:
-        failures.append(
-            f"bob: stored probe copy bit {transcript.stored_bob_bit} != expected {bob_expected}"
-        )
-    correction = _correction_for(transcript, alice_announced, mode, bob_announced)
-    alice_expected = _expected_stored_bit(transcript.phi, alice_announced, correction)
-    if alice_expected != transcript.stored_alice_bit:
-        failures.append(
-            f"alice: stored bit {transcript.stored_alice_bit} != expected {alice_expected}"
-        )
-    if failures:
-        return Verdict.aborted("; ".join(failures))
-    return Verdict.accepted()
+    check = _verify(_row(transcript), alice_announced, mode, bob_announced)
+    return _verdict(transcript, alice_announced, *check)
 
 
 def validate_transcript(transcript: Transcript, announced: BellLabel, mode: str = "R2") -> Verdict:
@@ -462,11 +570,6 @@ def validate_transcript(transcript: Transcript, announced: BellLabel, mode: str 
         return validate_multiparty(
             transcript, announced, (transcript.bob_label, transcript.teleport_outcome), mode
         )
-    correction = _correction_for(transcript, announced, mode)
-    expected = _expected_stored_bit(transcript.phi, announced, correction)
-    if expected == transcript.stored_alice_bit:
-        return Verdict.accepted()
-    return Verdict.aborted(
-        f"stored bit {transcript.stored_alice_bit} != expected {expected} "
-        f"for announced label {announced}"
-    )
+    # only the multi scheme has a probe copy to check
+    row = _row(transcript)._replace(stored_bob=None)
+    return _verdict(transcript, announced, *_verify(row, announced, mode))

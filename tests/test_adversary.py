@@ -16,10 +16,12 @@ inside the package itself by the dual enumeration/algebra routes:
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from relcommit import adversary
+from relcommit import adversary, montecarlo, protocol
 from relcommit.adversary import (
     SecurityReport,
     SelfCheckError,
@@ -32,10 +34,13 @@ from relcommit.adversary import (
     extraction_guess_probability,
     string_cheat_acceptance,
 )
-from relcommit.protocol import SchemeParams
+from relcommit.protocol import SchemeParams, branches
 from relcommit.quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 Z0 = BasisStateSpec("Z", 0)
+Z1 = BasisStateSpec("Z", 1)
+X0 = BasisStateSpec("X", 0)
+X1 = BasisStateSpec("X", 1)
 DELTAS = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1)]
 
 
@@ -114,6 +119,119 @@ class TestDualRouteAgreement:
         monkeypatch.setattr(adversary, "_acceptance_by_label_algebraic", skewed)
         with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=01, label=00\]: "):
             detection_probability(SchemeParams("single"), Strategy.relabel_announce(DELTAS[0]))
+
+
+def _flipped(array: np.ndarray, index: tuple, value: int) -> np.ndarray:
+    broken = array.copy()
+    broken[index] = value
+    return broken
+
+
+class TestDualRouteGuard:
+    # An R2 scan with the Z0 probe reads every verifier entry of the
+    # probe at the zero shift, so one broken entry is caught there.
+
+    def _scan_with_tables(self, monkeypatch, **broken):
+        tables = protocol._verifier_tables()
+        monkeypatch.setattr(protocol, "_verifier_tables", lambda: tables._replace(**broken))
+        build_report(SchemeParams("single", phi_policy=Z0))
+
+    def test_flipped_prediction_entry_is_caught(self, monkeypatch):
+        # probe Z0, frame 01, no correction: the true bit is 1
+        prediction = protocol._verifier_tables().prediction
+        assert prediction[0, 1, 0] == 1
+        with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=00, label=01\]: "):
+            self._scan_with_tables(monkeypatch, prediction=_flipped(prediction, (0, 1, 0), 0))
+
+    def test_flipped_swapped_label_entry_is_caught(self, monkeypatch):
+        # labels 01 and 00 with swap outcome 00 leave the outer pair in 01
+        swap = protocol._verifier_tables().swap
+        assert swap[1, 0, 0] == 1
+        with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=00, label=01\]: "):
+            self._scan_with_tables(monkeypatch, swap=_flipped(swap, (1, 0, 0), 0))
+
+    def test_broken_flip_bit_in_the_grid_is_caught(self, monkeypatch):
+        # reading the sign bit for Z probes hides a parity flip
+        monkeypatch.setattr(adversary, "_FLIP_SHIFT", {"Z": 1, "X": 0})
+        with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=01, label=00\]: "):
+            build_report(SchemeParams("single", phi_policy=Z0))
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Count calls to ``owner.name`` in every module namespace that holds it."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for namespace in (owner, protocol, adversary, montecarlo):
+        if vars(namespace).get(name) is real:
+            monkeypatch.setattr(namespace, name, counting)
+    return calls
+
+
+class TestVerifierWork:
+    @pytest.mark.parametrize("params", [
+        SchemeParams("single", phi_policy="uniform"),
+        SchemeParams("multi", validation_mode="R1"),
+        SchemeParams("string", n_pairs=4),
+    ], ids=["single", "multi", "string"])
+    def test_cold_report_verifies_whole_tables(self, monkeypatch, params):
+        per_branch = [_counted(monkeypatch, protocol, name)
+                      for name in ("validate_transcript", "validate_multiparty")]
+        table_calls = _counted(monkeypatch, protocol, "_verify")
+        adversary.clear_caches()
+        build_report(params)
+        assert per_branch == [[], []]
+        # each of the 16 label-pair tables checked whole, once per announced label
+        checked = {(int(c.alice[0]), int(c.bob[0]), announced) for c, announced, _ in table_calls}
+        assert 0 < len(checked) == len(table_calls) <= 16 * 4
+        for columns, _, mode in table_calls:
+            table = branches(params, BELL_LABELS[columns.alice[0]], BELL_LABELS[columns.bob[0]])
+            assert columns.probability.tolist() == [t.probability for t in table]
+            assert mode == params.validation_mode
+
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    @pytest.mark.parametrize("scheme", ["single", "multi", "string"])
+    def test_algebra_route_makes_no_label_object_xor(self, monkeypatch, scheme, mode):
+        params = SchemeParams(scheme, phi_policy="uniform", validation_mode=mode)
+        xors = _counted(monkeypatch, BellLabel, "__xor__")
+        for shift in BELL_LABELS:
+            _acceptance_by_label_algebraic(params, shift)
+        assert xors == []
+
+
+# R2 acceptance of one pair announced XOR shift 00, 01, 10, 11: a Z probe
+# catches parity flips, an X probe sign flips, the four-state family half of each.
+_R2_PER_PAIR = {
+    "Z": (1, 0, 1, 0),
+    "X": (1, 1, 0, 0),
+    "four-state": (1, Fraction(1, 2), Fraction(1, 2), 0),
+}
+
+
+def _family(params: SchemeParams) -> str:
+    bases = {spec.basis for spec, _ in params.phi_choices()}
+    return bases.pop() if len(bases) == 1 else "four-state"
+
+
+class TestAlgebraCounts:
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    @pytest.mark.parametrize("scheme,policy", [
+        (s, p) for s in ("single", "multi", "string")
+        for p in ("default", "uniform", Z0, Z1) + ((X0, X1) if s == "string" else ())
+    ], ids=str)
+    def test_acceptance_is_an_exact_count(self, scheme, policy, mode):
+        params = SchemeParams(scheme, phi_policy=policy, validation_mode=mode)
+        cells = 64 * len(params.phi_choices())
+        for k, shift in enumerate(BELL_LABELS):
+            expected = 1 if mode == "R1" else _R2_PER_PAIR[_family(params)][k]
+            for label, value in _acceptance_by_label_algebraic(params, shift).items():
+                count = value * cells
+                assert count == int(count), (label, value)
+                assert Fraction(int(count), cells) == expected
 
 
 class TestBindingR2:

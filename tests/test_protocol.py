@@ -11,6 +11,7 @@ validation semantics are checked branch by branch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from collections import defaultdict
@@ -28,8 +29,10 @@ from relcommit.protocol import (
     SchemeParams,
     Transcript,
     Verdict,
+    _columns,
     _enumerate_pair,
-    _expected_stored_bit,
+    _verifier_tables,
+    _verify,
     branches,
     clear_caches,
     committed_bit,
@@ -40,6 +43,7 @@ from relcommit.protocol import (
 )
 from relcommit.quantum import (
     BELL_LABELS,
+    PAULI_OPS,
     BasisStateSpec,
     BellLabel,
     PauliOp,
@@ -48,6 +52,8 @@ from relcommit.quantum import (
     bell_measure,
     make_basis_state,
     make_bell,
+    swapped_label,
+    teleport_correction,
     tensor,
 )
 from relcommit.spacetime import SCHEMES, standard_schedule
@@ -445,29 +451,127 @@ def _pauli(label: BellLabel) -> PauliOp:
     return PauliOp(label.i, label.j)
 
 
+def _code(label: BellLabel) -> int:
+    return BELL_LABELS.index(label)
+
+
 class TestMemoizedVerifier:
     def test_expected_bit_matches_fresh_state_vectors(self):
         clear_caches()
-        inputs = [(phi, frame, _pauli(c)) for phi in FULL_FAMILY
-                  for frame in BELL_LABELS for c in BELL_LABELS]
-        assert len(inputs) == 64
-        for _ in range(2):  # first pass fills the cache, second reads it
-            for phi, frame, correction in inputs:
-                assert _expected_stored_bit(phi, frame, correction) == _fresh_bit(
-                    phi, correction, _pauli(frame)
-                )
-        assert _expected_stored_bit.cache_info().currsize == 64
+        prediction = _verifier_tables().prediction
+        assert prediction.shape == (4, 4, 4)
+        for p, phi in enumerate(FULL_FAMILY):
+            for frame in BELL_LABELS:
+                for c, correction in enumerate(PAULI_OPS):
+                    assert prediction[p, _code(frame), c] == _fresh_bit(
+                        phi, correction, _pauli(frame)
+                    )
+        assert _verifier_tables() is _verifier_tables()
+        assert _verifier_tables.cache_info().currsize == 1
 
     def test_probe_copy_bit_matches_fresh_state_vectors(self):
+        # the second committer's copy reads the frame axis with his
+        # teleportation outcome and the correction axis with his label
         clear_caches()
-        inputs = [(phi, label, tele) for phi in FULL_FAMILY
-                  for label in BELL_LABELS for tele in BELL_LABELS]
-        for _ in range(2):
-            for phi, label, tele in inputs:
-                assert _expected_stored_bit(phi, tele, _pauli(label)) == _fresh_bit(
-                    phi, _pauli(label), _pauli(tele)
-                )
-        assert _expected_stored_bit.cache_info().currsize == 64
+        prediction = _verifier_tables().prediction
+        for p, phi in enumerate(FULL_FAMILY):
+            for label in BELL_LABELS:
+                for tele in BELL_LABELS:
+                    assert prediction[p, _code(tele), _code(label)] == _fresh_bit(
+                        phi, _pauli(label), _pauli(tele)
+                    )
+
+    def test_label_lookups_match_the_certified_algebra(self):
+        tables = _verifier_tables()
+        for a in BELL_LABELS:
+            for b in BELL_LABELS:
+                assert PAULI_OPS[tables.correction[_code(a), _code(b)]] == teleport_correction(a, b)
+                for s in BELL_LABELS:
+                    assert BELL_LABELS[tables.swap[_code(a), _code(b), _code(s)]] == swapped_label(
+                        a, b, s
+                    )
+        for table in tables:
+            assert not table.flags.writeable
+
+
+# the reference verifier predicts each of its 64 inputs once, on state vectors
+_reference_bit = functools.cache(_fresh_bit)
+
+
+def _reference_verdict(t: Transcript, announced: BellLabel, mode: str, bob_claim=None) -> Verdict:
+    """The per-branch verifier on label objects and fresh state vectors.
+
+    Rebuilds the correction from the certified label algebra, predicts
+    each stored bit on state vectors, and words the reason as the
+    verifier always has.
+    """
+    if t.scheme == "multi" and bob_claim is None:
+        bob_claim = (t.bob_label, t.teleport_outcome)
+    alice, bob, tele = t.alice_label, t.bob_label, t.teleport_outcome
+    if mode == "R1":
+        alice = announced
+        bob, tele = bob_claim or (bob, tele)
+    correction = teleport_correction(swapped_label(alice, bob, t.swap_outcome), tele)
+    expected = _reference_bit(t.phi, correction, _pauli(announced))
+    if bob_claim is None:
+        if expected == t.stored_alice_bit:
+            return Verdict.accepted()
+        return Verdict.aborted(
+            f"stored bit {t.stored_alice_bit} != expected {expected} "
+            f"for announced label {announced}"
+        )
+    claim_label, claim_tele = bob_claim
+    bob_expected = _reference_bit(t.phi, _pauli(claim_label), _pauli(claim_tele))
+    failures = []
+    if bob_expected != t.stored_bob_bit:
+        failures.append(f"bob: stored probe copy bit {t.stored_bob_bit} != expected {bob_expected}")
+    if expected != t.stored_alice_bit:
+        failures.append(f"alice: stored bit {t.stored_alice_bit} != expected {expected}")
+    return Verdict.aborted("; ".join(failures)) if failures else Verdict.accepted()
+
+
+_CLAIMS = [(label, tele) for label in BELL_LABELS for tele in BELL_LABELS]
+
+
+class TestTableVerifier:
+    @pytest.mark.parametrize(
+        "scheme,policy,mode",
+        # "default" is left out: it resolves to Z0 or "uniform"
+        [(s, p, m) for s in ("single", "multi", "string")
+         for p in ("uniform", Z0, Z1) + ((X0, X1) if s == "string" else ())
+         for m in ("R1", "R2")],
+        ids=str,
+    )
+    def test_table_call_equals_the_one_row_wrappers(self, scheme, policy, mode):
+        params = SchemeParams(scheme, phi_policy=policy)
+        for alice in BELL_LABELS:
+            for bob in BELL_LABELS:
+                table = branches(params, alice, bob)
+                columns = _columns(params, alice, bob)
+                for announced in BELL_LABELS:
+                    accept = _verify(columns, announced, mode).accept
+                    assert accept.shape == (len(table),)
+                    for t, bit in zip(table, accept.tolist()):
+                        verdict = validate_transcript(t, announced, mode)
+                        assert verdict == _reference_verdict(t, announced, mode)
+                        assert verdict.accept is bit
+                    if scheme != "multi":
+                        continue
+                    for claim in _CLAIMS:
+                        accept = _verify(columns, announced, mode, claim).accept
+                        for t, bit in zip(table, accept.tolist()):
+                            verdict = validate_multiparty(t, announced, claim, mode)
+                            assert verdict == _reference_verdict(t, announced, mode, claim)
+                            assert verdict.accept is bit
+
+    def test_columns_read_the_table_in_order(self):
+        params = SchemeParams("multi", phi_policy="uniform")
+        table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
+        columns = _columns(params, BellLabel(1, 0), BellLabel(0, 1))
+        assert columns.probability.tolist() == [t.probability for t in table]
+        assert columns.stored_bob.tolist() == [t.stored_bob_bit for t in table]
+        assert columns.swap.tolist() == [_code(t.swap_outcome) for t in table]
+        assert _columns(SchemeParams("single"), BellLabel(1, 0), BellLabel(0, 1)).stored_bob is None
 
 
 _POLICIES = {
@@ -554,7 +658,8 @@ class TestCaches:
     def test_clear_caches_empties_every_cache(self):
         caches = _module_caches()
         assert {("relcommit.protocol", "branches"),
-                ("relcommit.protocol", "_expected_stored_bit"),
+                ("relcommit.protocol", "_columns"),
+                ("relcommit.protocol", "_verifier_tables"),
                 ("relcommit.quantum", "_pauli_permutation"),
                 ("relcommit.quantum", "_measured_first")} <= set(caches)
         for scheme, n_pairs in (("multi", 1), ("string", 2)):

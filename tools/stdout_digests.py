@@ -55,6 +55,8 @@ CLI_INVOCATIONS = [
     ("run --scheme multi --trials 5 --announce-delta 01", 0, None),
     ("enumerate --scheme single --phi uniform --alice-label 01 --bob-label 11", 0, None),
     ("enumerate --scheme string --n-pairs 1 --phi Z1 --alice-label 11", 0, None),
+    ("attack-scan --scheme single --phi uniform --mode R1", 0, None),
+    ("attack-scan --scheme string --n-pairs 3 --phi Z1 --mode R1", 0, None),
 ]
 
 
