@@ -53,10 +53,8 @@ import numpy as np
 
 from .protocol import (
     SchemeParams,
-    Transcript,
     _columns,
     _verify,
-    branches,
     clear_caches,
     committed_bit,
 )
@@ -112,6 +110,8 @@ class Strategy:
         if self.role == "committer":
             if self.kind not in COMMITTER_KINDS:
                 raise ValueError(f"unknown committer strategy {self.kind!r}")
+            if self.basis is not None:
+                raise ValueError(f"committer strategies take no 'basis', got {self.basis!r}")
             if self.kind == "honest" and self.delta not in (None, _ZERO):
                 raise ValueError("honest strategy takes no announcement shift")
             if self.kind != "honest" and (self.delta is None or self.delta == _ZERO):
@@ -119,6 +119,8 @@ class Strategy:
         elif self.role == "receiver":
             if self.kind not in RECEIVER_KINDS:
                 raise ValueError(f"unknown receiver strategy {self.kind!r}")
+            if self.delta is not None:
+                raise ValueError(f"receiver strategies take no 'delta', got {self.delta!r}")
             if self.kind == "early_extract" and self.basis not in ("Z", "X", "pair"):
                 raise ValueError("early_extract requires basis 'Z', 'X' or 'pair'")
         else:
@@ -333,32 +335,20 @@ def _class_labels(bit: int) -> tuple[BellLabel, BellLabel]:
     return tuple(lbl for lbl in BELL_LABELS if committed_bit(lbl) == bit)
 
 
-def _view_key(t: Transcript, upto: str):
-    if t.scheme == "multi":
-        view = (t.swap_outcome,)
-        if upto == "storage":
-            view += (t.stored_alice_bit, t.stored_bob_bit)
-        return view
-    view = (t.phi, t.swap_outcome, t.teleport_outcome)
-    if upto == "storage":
-        view += (t.stored_alice_bit,)
-    return view
-
-
 def _views_enumerated(params: SchemeParams, upto: str) -> dict:
     dists: dict[int, dict] = {0: {}, 1: {}}
+    multi = params.scheme == "multi"
+    bobs = BELL_LABELS if multi else (params.bob_label,)  # other committer's label is private too
     for bit in (0, 1):
         for alice in _class_labels(bit):
-            if params.scheme == "multi":
-                bobs = BELL_LABELS  # other committer's label is private too
-            else:
-                bobs = (params.bob_label,)
             for bob in bobs:
-                for t in branches(params, alice, bob):
-                    key = _view_key(t, upto)
-                    dists[bit][key] = dists[bit].get(key, 0.0) + (
-                        t.probability / (2.0 * len(bobs))
-                    )
+                c = _columns(params, alice, bob)
+                view = [c.swap] if multi else [c.probe, c.swap, c.tele]
+                if upto == "storage":
+                    view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
+                keys = zip(*(column.tolist() for column in view))
+                for key, probability in zip(keys, c.probability.tolist()):
+                    dists[bit][key] = dists[bit].get(key, 0.0) + probability / (2.0 * len(bobs))
     return dists
 
 

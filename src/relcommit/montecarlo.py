@@ -1,8 +1,9 @@
 """Seeded sampling against exact references: the package's one sampler.
 
-A campaign reads its configuration's cached branch table through a
-:func:`slot_table` of ``SLOTS = 256`` equiprobable slots and draws one
-random byte per pair, so it samples the exact dyadic distribution.
+A campaign checks its configuration's memoized code columns with one
+verifier call, lays their probabilities out as a :func:`slot_table` of
+``SLOTS = 256`` equiprobable slots and draws one random byte per pair,
+so it samples the exact dyadic distribution.
 Trials are drawn in chunks of ``CHUNK_TRIALS``, or of
 ``CHUNK_DRAWS // n_pairs`` when that is fewer, so a chunk holds at most
 ``CHUNK_DRAWS`` pair draws and memory stays near 2.5 MB at any
@@ -14,13 +15,13 @@ prefix of a larger budget's draws.  Every call starts at chunk 0, so
 two campaigns with the same seed repeat draws rather than splitting a
 budget between them; use distinct seeds for independent campaigns.
 
-Two functions read that one stream.  :func:`monte_carlo` tallies it:
-every reported frequency sits next to its exact probability (a count of
-slots over 256), a binomial standard error and a z-score; ``agrees``
-flags deviations beyond five standard errors.
-:func:`sample_branches` returns the validated branch table and maps
-each drawn slot to ``(branch index, pair index)``, so at one
-configuration it yields exactly the draws that :func:`monte_carlo`
+Two functions read that one stream.  :func:`monte_carlo` tallies it on
+the columns alone: every reported frequency sits next to its exact
+probability (a count of slots over 256), a binomial standard error and
+a z-score; ``agrees`` flags deviations beyond five standard errors.
+:func:`sample_branches` builds the validated branch table, each branch
+once per campaign, and maps each drawn slot to ``(branch index, pair
+index)``, so it yields exactly the draws that :func:`monte_carlo`
 counts.  :func:`sample_transcripts` looks each draw up in that table;
 ``relcommit run`` instead hands table and draws to
 :func:`~relcommit.serialize.write_draws`, which encodes each drawn
@@ -40,8 +41,9 @@ from .adversary import Strategy
 from .protocol import (
     SchemeParams,
     Transcript,
-    Verdict,
+    _Check,
     _columns,
+    _Columns,
     _verdict,
     _verify,
     branches,
@@ -153,35 +155,30 @@ def _make_row(category, outcome, count, draws, exact) -> StatsRow:
     )
 
 
-def slot_table(table: Sequence[Transcript]) -> np.ndarray:
+def slot_table(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
     """Branch index of each of ``SLOTS`` equiprobable slots, in table order.
 
-    Raises ``ValueError`` unless each branch fills at least one whole
-    slot (within ``PROB_ATOL * SLOTS``) and the slots add up to ``SLOTS``.
+    Takes a branch table's probabilities.  Raises ``ValueError`` unless
+    each branch fills at least one whole slot (within
+    ``PROB_ATOL * SLOTS``) and the slots add up to ``SLOTS``.
     """
-    scaled = np.array([t.probability for t in table]) * SLOTS
+    scaled = np.asarray(probabilities) * SLOTS
     counts = np.rint(scaled)
     if counts.min() < 1 or counts.sum() != SLOTS or np.abs(scaled - counts).max() > PROB_ATOL * SLOTS:
         raise ValueError(f"branch weights are not whole multiples of 1/{SLOTS}")
-    return np.repeat(np.arange(len(table), dtype=np.uint8), counts.astype(np.intp))
+    return np.repeat(np.arange(len(scaled), dtype=np.uint8), counts.astype(np.intp))
 
 
 def _campaign(
     config: RunConfig,
-) -> tuple[SchemeParams, tuple[Transcript, ...], np.ndarray, list[Verdict], BellLabel]:
-    """Params, branch table, slot table, per-branch verdicts and the announced label."""
+) -> tuple[SchemeParams, BellLabel, BellLabel, _Columns, _Check, np.ndarray]:
+    """Params, committed and announced label, the table's columns, its check and slot table."""
     params = config.to_params()
     strategy = config.strategy or Strategy.honest()
     committed, announced = strategy.committer_labels(config.alice_label)
-    table = branches(params, committed, config.bob_label)
-    check = _verify(_columns(params, committed, config.bob_label), announced, params.validation_mode)
-    bob_expected = [None] * len(table) if check.bob_expected is None else check.bob_expected.tolist()
-    verdicts = [
-        _verdict(t, announced, accept, alice, bob)
-        for t, accept, alice, bob
-        in zip(table, check.accept.tolist(), check.alice_expected.tolist(), bob_expected)
-    ]
-    return params, table, slot_table(table), verdicts, announced
+    columns = _columns(params, committed, config.bob_label)
+    check = _verify(columns, announced, params.validation_mode)
+    return params, committed, announced, columns, check, slot_table(columns.probability)
 
 
 def _slot_chunks(config: RunConfig) -> Iterator[np.ndarray]:
@@ -202,14 +199,9 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     strategy and validation mode (string acceptance requires all pairs
     to pass).  Counts for per-pair categories aggregate over pairs.
     """
-    params, table, slots, verdicts, _ = _campaign(config)
+    params, _, _, columns, check, slots = _campaign(config)
     n_pairs = params.n_pairs
-
-    # per-slot outcomes, read through each slot's branch
-    swap_ids = np.array([BELL_LABELS.index(t.swap_outcome) for t in table])[slots]
-    tele_ids = np.array([BELL_LABELS.index(t.teleport_outcome) for t in table])[slots]
-    bits = np.array([t.stored_alice_bit for t in table])[slots]
-    accepts = np.array([v.accept for v in verdicts])[slots]
+    accepts = check.accept[slots]  # each slot's verdict, read through its branch
 
     slot_counts = np.zeros(SLOTS, dtype=np.int64)
     accept_count = 0
@@ -220,9 +212,9 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     pair_draws = config.trials * n_pairs
     rows = []
     for category, ids, outcomes in (
-        ("swap_outcome", swap_ids, BELL_LABELS),
-        ("teleport_outcome", tele_ids, BELL_LABELS),
-        ("stored_bit", bits, (0, 1)),
+        ("swap_outcome", columns.swap[slots], BELL_LABELS),
+        ("teleport_outcome", columns.tele[slots], BELL_LABELS),
+        ("stored_bit", columns.stored_alice[slots], (0, 1)),
     ):
         for k, outcome in enumerate(outcomes):
             hits = ids == k
@@ -248,10 +240,13 @@ def sample_branches(
     Set-up (and any configuration error) happens at the call; draws are
     made lazily, one chunk at a time.
     """
-    params, table, slots, verdicts, announced = _campaign(config)
+    params, committed, announced, _, check, slots = _campaign(config)
+    table = branches(params, committed, config.bob_label)
+    bob_expected = [None] * len(table) if check.bob_expected is None else check.bob_expected.tolist()
+    checks = zip(check.accept.tolist(), check.alice_expected.tolist(), bob_expected)
     validated = tuple(
-        dataclasses.replace(t, announced_alice_label=announced, verdict=verdict)
-        for t, verdict in zip(table, verdicts)
+        dataclasses.replace(t, announced_alice_label=announced, verdict=_verdict(t, announced, *row))
+        for t, row in zip(table, checks)
     )
     indices = range(params.n_pairs) if params.scheme == "string" else (None,) * params.n_pairs
     return validated, (

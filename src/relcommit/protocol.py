@@ -30,16 +30,16 @@ Validation knows two verifier models:
   announced frame against it.  Parity flips are then always caught,
   sign flips pass on parity-preserving announcements.
 
-:func:`run_pairs` enumerates any scheme exactly, reading one memoized
-table per pair, :func:`branches`.  A table is built with the quantum
-engine's stack kernel: each measurement step takes every branch of the
-step before it as one stack of state rows.
+:func:`run_pairs` enumerates any scheme exactly.  Each pair's table is
+held once, as memoized code columns that the enumerators fill with the
+quantum engine's stack kernel (each measurement step takes every branch
+of the step before it as one stack); :func:`branches` reads
+:class:`Transcript` objects out of them on each call.
 
 The verifier is tabulated once per process: lookup arrays read off the
 certified label arithmetic, and its stored-bit predictions, computed on
-state vectors.  One function checks a whole table at a time, on code
-columns memoized next to the table, or one branch;
-:func:`validate_transcript` (one pair of any scheme) and
+state vectors.  One function checks a whole table's columns at a time,
+or one branch; :func:`validate_transcript` (one pair of any scheme) and
 :func:`validate_multiparty` (also a second committer's claims) are its
 one-branch wrappers, while the analyzer and the sampler check whole
 tables.  :func:`clear_caches` drops every memo.  This module never
@@ -230,10 +230,38 @@ class Transcript:
             raise ValueError(f"branch probability out of range: {self.probability!r}")
 
 
+class _Columns(NamedTuple):
+    """Code columns of branches: arrays over a whole table, or one branch's scalars.
+
+    Labels and outcomes are codes as in :class:`_VerifierTables`;
+    ``stored_bob`` and ``mid`` (the committer's mid-protocol Z outcome)
+    are ``None`` outside the multi scheme.
+    """
+
+    probe: np.ndarray | int
+    alice: np.ndarray | int
+    bob: np.ndarray | int
+    swap: np.ndarray | int
+    tele: np.ndarray | int
+    stored_alice: np.ndarray | int
+    stored_bob: np.ndarray | int | None
+    mid: np.ndarray | int | None
+    probability: np.ndarray | float
+
+
+def _row(t: Transcript) -> _Columns:
+    """One branch as scalar code columns."""
+    return _Columns(
+        BASIS_STATES.index(t.phi), _code(t.alice_label), _code(t.bob_label), _code(t.swap_outcome),
+        _code(t.teleport_outcome), t.stored_alice_bit, t.stored_bob_bit, t.alice_mid_measurement,
+        t.probability,
+    )
+
+
 def _enumerate_pair(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
-) -> list[Transcript]:
-    """Exhaustive branches of one single or string pair.
+) -> list[_Columns]:
+    """Exhaustive branches of one single or string pair, one row each.
 
     Register order: Alice's retained half, her flying half, the
     receiver's flying half, the receiver's retained half, the probe.
@@ -244,8 +272,9 @@ def _enumerate_pair(
     before it as one stack.
     """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
-    out: list[Transcript] = []
+    out: list[_Columns] = []
     for phi, phi_weight in params.phi_choices():
+        codes = BASIS_STATES.index(phi), _code(alice_label), _code(bob_label)
         register = tensor([
             make_bell(alice_label),
             make_bell(bob_label),
@@ -256,27 +285,17 @@ def _enumerate_pair(
         final = _measure_stack(_pauli_stack(tele.states, 0, alice_frame), (0,), phi.basis)
         for t, stored, final_probability in zip(final.parents, final.outcomes, final.probabilities):
             s = tele.parents[t]
-            out.append(
-                Transcript(
-                    scheme=params.scheme,
-                    alice_label=alice_label,
-                    bob_label=bob_label,
-                    swap_outcome=swap.outcomes[s],
-                    teleport_outcome=tele.outcomes[t],
-                    phi=phi,
-                    stored_alice_bit=stored,
-                    probability=phi_weight * swap.probabilities[s]
-                    * tele.probabilities[t] * final_probability,
-                    schedule=params.schedule,
-                    announced_alice_label=alice_label,
-                )
-            )
+            out.append(_Columns(
+                *codes, _code(swap.outcomes[s]), _code(tele.outcomes[t]),
+                stored, None, None,
+                phi_weight * swap.probabilities[s] * tele.probabilities[t] * final_probability,
+            ))
     return out
 
 
 def _enumerate_multi(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
-) -> list[Transcript]:
+) -> list[_Columns]:
     """Exhaustive branches of the two-committer scheme around a verifying center.
 
     Both committers learn the center's swap outcome.  Alice measures her
@@ -288,8 +307,9 @@ def _enumerate_multi(
     """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
     bob_frame = PauliOp(bob_label.i, bob_label.j)
-    out: list[Transcript] = []
+    out: list[_Columns] = []
     for phi, phi_weight in params.phi_choices():
+        codes = BASIS_STATES.index(phi), _code(alice_label), _code(bob_label)
         probe = make_basis_state(phi)
         register = tensor([make_bell(alice_label), make_bell(bob_label), probe])
         # Bob's probe copy depends only on phi and his teleportation outcome:
@@ -308,48 +328,64 @@ def _enumerate_multi(
             t = mid.parents[m]
             s = tele.parents[t]
             for bob_stored, bob_probability in bob_finals[tele.outcomes[t]]:
-                out.append(
-                    Transcript(
-                        scheme="multi",
-                        alice_label=alice_label,
-                        bob_label=bob_label,
-                        swap_outcome=swap.outcomes[s],
-                        teleport_outcome=tele.outcomes[t],
-                        phi=phi,
-                        stored_alice_bit=stored,
-                        stored_bob_bit=bob_stored,
-                        alice_mid_measurement=mid.outcomes[m],
-                        probability=phi_weight
-                        * swap.probabilities[s]
-                        * tele.probabilities[t]
-                        * mid.probabilities[m]
-                        * final_probability
-                        * bob_probability,
-                        schedule=params.schedule,
-                        announced_alice_label=alice_label,
-                        announced_bob_label=bob_label,
-                        announced_teleport_outcome=tele.outcomes[t],
-                    )
-                )
+                out.append(_Columns(
+                    *codes, _code(swap.outcomes[s]), _code(tele.outcomes[t]),
+                    stored, bob_stored, mid.outcomes[m],
+                    phi_weight * swap.probabilities[s] * tele.probabilities[t]
+                    * mid.probabilities[m] * final_probability * bob_probability,
+                ))
     return out
 
 
 @lru_cache(maxsize=4096)
+def _columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
+    """Every classical branch of one pair as code columns, in enumeration order.
+
+    The one memo of branch tables and the one place that picks an
+    enumerator by scheme; ``bob_label`` overrides ``params.bob_label``.
+    Raises ``ValueError`` unless every stored bit is 0 or 1 and every
+    probability lies in ``(0, 1 + PROB_ATOL]``.
+    """
+    enumerate_rows = _enumerate_multi if params.scheme == "multi" else _enumerate_pair
+    rows = zip(*enumerate_rows(params, alice_label, bob_label))
+    columns = _Columns._make(None if column[0] is None else _frozen(column) for column in rows)
+    stored = [bits for bits in (columns.stored_alice, columns.stored_bob) if bits is not None]
+    if not np.isin(stored, (0, 1)).all():
+        raise ValueError(f"stored bit must be 0 or 1, got {np.unique(stored).tolist()!r}")
+    probability = columns.probability
+    if not ((probability > 0.0) & (probability <= 1.0 + PROB_ATOL)).all():
+        raise ValueError(f"branch probability out of range: {probability.tolist()!r}")
+    return columns
+
+
 def branches(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> tuple[Transcript, ...]:
     """Every classical branch of one pair, with exact weights summing to 1.
 
-    The one place that picks an enumerator by scheme.  ``bob_label`` is
-    the receiver-side label (the second committer's in the multi
-    scheme) and overrides ``params.bob_label``.  A string pair is
-    enumerated on its own, so its transcripts carry ``pair_index=None``;
-    :func:`run_pairs` and the sampler stamp the index.  Memoized on the
-    hashable arguments; ``clear_caches`` drops the table.
+    The :func:`_columns` table read out as transcripts, built afresh on
+    each call.  ``bob_label`` is the receiver-side label (the second
+    committer's in the multi scheme) and overrides ``params.bob_label``.
+    A string pair is enumerated on its own, so its transcripts carry
+    ``pair_index=None``; :func:`run_pairs` and the sampler stamp the
+    index.
     """
-    if params.scheme == "multi":
-        return tuple(_enumerate_multi(params, alice_label, bob_label))
-    return tuple(_enumerate_pair(params, alice_label, bob_label))
+    columns = _columns(params, alice_label, bob_label)
+    multi = columns.stored_bob is not None
+    count = len(columns.probability)
+    rows = zip(*([None] * count if column is None else column.tolist() for column in columns))
+    return tuple(
+        Transcript(
+            scheme=params.scheme, alice_label=alice_label, bob_label=bob_label,
+            swap_outcome=BELL_LABELS[swap], teleport_outcome=BELL_LABELS[tele],
+            phi=BASIS_STATES[probe], stored_alice_bit=stored, probability=probability,
+            schedule=params.schedule, stored_bob_bit=stored_bob, alice_mid_measurement=mid,
+            announced_alice_label=alice_label,
+            announced_bob_label=bob_label if multi else None,
+            announced_teleport_outcome=BELL_LABELS[tele] if multi else None,
+        )
+        for probe, _, _, swap, tele, stored, stored_bob, mid, probability in rows
+    )
 
 
 def run_pairs(
@@ -359,14 +395,16 @@ def run_pairs(
 ) -> list[list[Transcript]]:
     """Every branch of any scheme, one branch list per committed pair.
 
-    One committer label per pair; string transcripts carry
-    ``pair_index=k``, the one-pair schemes' carry no index.
+    One committer label per pair, each distinct label's table read out
+    once; string transcripts carry ``pair_index=k``, the one-pair
+    schemes' carry no index.
     """
     if len(alice_labels) != params.n_pairs:
         raise ValueError(f"expected {params.n_pairs} committer labels, got {len(alice_labels)}")
+    tables = {label: branches(params, label, bob_label) for label in set(alice_labels)}
     out = []
     for k, label in enumerate(alice_labels):
-        table = branches(params, label, bob_label)
+        table = tables[label]
         if params.scheme == "string":
             table = [dataclasses.replace(t, pair_index=k) for t in table]
         out.append(list(table))
@@ -376,9 +414,6 @@ def run_pairs(
 def _code(label: BellLabel) -> int:
     """A pair label's 2-bit code: its index in ``BELL_LABELS``."""
     return 2 * label.i + label.j
-
-
-_PROBE_CODES = {phi: k for k, phi in enumerate(BASIS_STATES)}
 
 
 def _frozen(values) -> np.ndarray:
@@ -433,41 +468,9 @@ def _verifier_tables() -> _VerifierTables:
     return _VerifierTables(_frozen(swap), _frozen(correction), _frozen(prediction))
 
 
-class _Columns(NamedTuple):
-    """Code columns of branches: arrays over a whole table, or one branch's scalars.
-
-    Labels and outcomes are codes as in :class:`_VerifierTables`;
-    ``stored_bob`` is ``None`` outside the multi scheme.
-    """
-
-    probe: np.ndarray | int
-    alice: np.ndarray | int
-    bob: np.ndarray | int
-    swap: np.ndarray | int
-    tele: np.ndarray | int
-    stored_alice: np.ndarray | int
-    stored_bob: np.ndarray | int | None
-    probability: np.ndarray | float
-
-
-def _row(t: Transcript) -> _Columns:
-    """One branch as scalar code columns."""
-    return _Columns(
-        _PROBE_CODES[t.phi], _code(t.alice_label), _code(t.bob_label), _code(t.swap_outcome),
-        _code(t.teleport_outcome), t.stored_alice_bit, t.stored_bob_bit, t.probability,
-    )
-
-
-@lru_cache(maxsize=4096)
-def _columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
-    """The code columns of :func:`branches`, one entry per branch in table order."""
-    rows = zip(*map(_row, branches(params, alice_label, bob_label)))
-    return _Columns._make(None if column[0] is None else _frozen(column) for column in rows)
-
-
 def clear_caches() -> None:
-    """Drop every memoized table: branches, their columns, the verifier, engine index tables."""
-    for cached in (branches, _columns, _verifier_tables):
+    """Drop every memoized table: branch columns, the verifier, engine index tables."""
+    for cached in (_columns, _verifier_tables):
         cached.cache_clear()
     _clear_quantum_caches()
 

@@ -249,7 +249,11 @@ def transcript_from_json(doc: dict) -> Transcript:
     stored = _require(doc, "stored_bits")
     if not isinstance(stored, dict) or "alice" not in stored:
         raise TranscriptParseError("field 'stored_bits' must carry at least the alice bit")
-    announcements = doc.get("announcements") or {}
+    announcements = {} if doc.get("announcements") is None else doc["announcements"]
+    if not isinstance(announcements, dict):
+        raise TranscriptParseError(
+            f"field 'announcements' must be an object or null, got {announcements!r}"
+        )
 
     def opt_label(container: dict, field: str, qualified: str):
         value = container.get(field)
@@ -393,7 +397,7 @@ def strategy_from_json(doc: dict) -> Strategy:
             role=_require(doc, "role"),
             kind=_require(doc, "kind"),
             delta=None if delta is None else _label_from_json(delta, "delta"),
-            basis=doc.get("basis"),
+            basis=_text(doc, "basis", nullable=True),
         )
     except ValueError as exc:
         raise TranscriptParseError(f"bad strategy document: {exc}") from exc
@@ -451,6 +455,15 @@ def _scanned_params(doc: dict) -> SchemeParams:
         raise TranscriptParseError(f"bad scan header: {exc}") from exc
 
 
+def _row_strategy(row: dict, role: str) -> Strategy:
+    strategy = strategy_from_json(_require(row, "strategy"))
+    if strategy.role != role:
+        raise TranscriptParseError(
+            f"field 'strategy' must be a {role} strategy, got {strategy.describe()}"
+        )
+    return strategy
+
+
 def report_from_json(doc: dict) -> SecurityReport:
     """Inverse of :func:`report_to_json`, checking every field's type.
 
@@ -459,7 +472,9 @@ def report_from_json(doc: dict) -> SecurityReport:
     and an integer ``n_pairs``) must describe an instance that
     :class:`~relcommit.protocol.SchemeParams` accepts.  Probabilities
     must be finite numbers; ``claimed_acceptance``, ``agrees`` and
-    ``extraction_guess_probability`` may be null.
+    ``extraction_guess_probability`` may be null.  ``strategy_rows``
+    must hold committer strategies and ``extraction_rows`` receiver
+    strategies; an error names the row.
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError("scan document must be an object")
@@ -469,26 +484,20 @@ def report_from_json(doc: dict) -> SecurityReport:
         mode=params.validation_mode,
         phi_policy=str(params.phi_policy),
         n_pairs=params.n_pairs,
-        strategy_rows=tuple(
-            StrategyRow(
-                strategy_from_json(_require(row, "strategy")),
-                _number(row, "acceptance_probability"),
-                _number(row, "worst_case_acceptance"),
-                _number(row, "detection_probability"),
-                _number(row, "claimed_acceptance", nullable=True),
-                _flag(row, "agrees", nullable=True),
-            )
-            for row in _rows(doc, "strategy_rows")
-        ),
-        extraction_rows=tuple(
-            ExtractionRow(
-                strategy_from_json(_require(row, "strategy")),
-                _number(row, "guess_probability"),
-                _number(row, "claimed_guess"),
-                _flag(row, "agrees", nullable=True),
-            )
-            for row in _rows(doc, "extraction_rows")
-        ),
+        strategy_rows=_each(doc, "strategy_rows", lambda row: StrategyRow(
+            _row_strategy(row, "committer"),
+            _number(row, "acceptance_probability"),
+            _number(row, "worst_case_acceptance"),
+            _number(row, "detection_probability"),
+            _number(row, "claimed_acceptance", nullable=True),
+            _flag(row, "agrees", nullable=True),
+        )),
+        extraction_rows=_each(doc, "extraction_rows", lambda row: ExtractionRow(
+            _row_strategy(row, "receiver"),
+            _number(row, "guess_probability"),
+            _number(row, "claimed_guess"),
+            _flag(row, "agrees", nullable=True),
+        )),
         concealment_tv=_number(doc, "concealment_tv"),
         extraction_guess_probability=_number(doc, "extraction_guess_probability", nullable=True),
     )

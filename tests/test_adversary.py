@@ -34,7 +34,8 @@ from relcommit.adversary import (
     extraction_guess_probability,
     string_cheat_acceptance,
 )
-from relcommit.protocol import SchemeParams, branches
+from relcommit.montecarlo import RunConfig, monte_carlo
+from relcommit.protocol import SchemeParams, Transcript, branches
 from relcommit.quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 Z0 = BasisStateSpec("Z", 0)
@@ -58,6 +59,17 @@ class TestStrategyValidation:
     def test_extract_basis_required(self):
         with pytest.raises(ValueError):
             Strategy("receiver", "early_extract", basis="Y")
+
+    @pytest.mark.parametrize("kind", ["honest", "relabel_announce", "delayed_rechoice"])
+    def test_committer_takes_no_basis(self, kind):
+        delta = None if kind == "honest" else BellLabel(0, 1)
+        with pytest.raises(ValueError, match="'basis'"):
+            Strategy("committer", kind, delta=delta, basis="Z")
+
+    @pytest.mark.parametrize("kind,basis", [("early_extract", "X"), ("receiver_skip", None)])
+    def test_receiver_takes_no_delta(self, kind, basis):
+        with pytest.raises(ValueError, match="'delta'"):
+            Strategy("receiver", kind, delta=BellLabel(0, 1), basis=basis)
 
     def test_role_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -192,6 +204,23 @@ class TestVerifierWork:
             table = branches(params, BELL_LABELS[columns.alice[0]], BELL_LABELS[columns.bob[0]])
             assert columns.probability.tolist() == [t.probability for t in table]
             assert mode == params.validation_mode
+
+    @pytest.mark.parametrize("run", [
+        lambda: build_report(SchemeParams("single", phi_policy="uniform")),
+        lambda: build_report(SchemeParams("multi", validation_mode="R1")),
+        lambda: build_report(SchemeParams("string", n_pairs=4)),
+        lambda: monte_carlo(RunConfig(scheme="multi", validation_mode="R1", trials=100)),
+        lambda: monte_carlo(RunConfig(scheme="string", n_pairs=3, phi="X1", trials=100,
+                                      strategy=Strategy.relabel_announce(BellLabel(1, 0)))),
+    ], ids=["report-single", "report-multi", "report-string", "stats-multi", "stats-string"])
+    def test_cold_analysis_builds_no_transcript(self, monkeypatch, run):
+        # the analyzer and the tally read code columns; transcripts and
+        # verdict reasons are built only for output that shows them
+        built = _counted(monkeypatch, Transcript, "__post_init__")
+        verdicts = _counted(monkeypatch, protocol, "_verdict")
+        adversary.clear_caches()
+        run()
+        assert built == [] and verdicts == []
 
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     @pytest.mark.parametrize("scheme", ["single", "multi", "string"])

@@ -280,6 +280,25 @@ class TestAttackScanAndReport:
         assert out == ""
         assert err.startswith("error:") and field in err
 
+    # each edit leaves every field well typed on its own; the strategy
+    # does not take the field, or the row list does not take the strategy
+    @pytest.mark.parametrize("rows,edit,named", [
+        ("strategy_rows", {"basis": ["x"]}, "basis"),
+        ("strategy_rows", {"basis": "Z"}, "basis"),
+        ("extraction_rows", {"delta": {"i": 0, "j": 1}}, "delta"),
+        ("strategy_rows", {"role": "receiver", "kind": "early_extract", "basis": "Z"},
+         "strategy_rows"),
+    ], ids=["basis-list", "basis-text", "delta", "receiver-row"])
+    def test_report_rejects_misplaced_strategy(self, capsys, tmp_path, rows, edit, named):
+        scan = tmp_path / "scan.json"
+        run_cli(capsys, "attack-scan", "--scheme", "single", "--output", str(scan))
+        doc = json.loads(scan.read_text())
+        doc[rows][0]["strategy"].update(edit)
+        scan.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "report", "--input", str(scan))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and named in err
+
     @pytest.mark.parametrize("flags", [
         ("--scheme", "multi", "--mode", "R1"), ("--scheme", "single"), ("--x", "2"),
         ("--c", "1"), ("--T", "30"), ("--n-pairs", "1"), ("--phi", "Z0"),

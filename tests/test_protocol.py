@@ -30,7 +30,6 @@ from relcommit.protocol import (
     Transcript,
     Verdict,
     _columns,
-    _enumerate_pair,
     _verifier_tables,
     _verify,
     branches,
@@ -395,13 +394,15 @@ class TestRunString:
         labels = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(0, 1)]
         enumerated = run_pairs(params, labels, params.bob_label)
         for k, label in enumerate(labels):
-            direct = _enumerate_pair(params, label, params.bob_label)
+            clear_caches()
+            direct = branches(params, label, params.bob_label)
             assert enumerated[k] == [dataclasses.replace(t, pair_index=k) for t in direct]
         # sampled transcripts are the drawn slots read through the same branches
         config = RunConfig(scheme="string", n_pairs=3, bob_label=BellLabel(1, 1),
                            alice_label=labels[0], seed=7, trials=2)
-        direct = _enumerate_pair(params, labels[0], params.bob_label)
-        slots = slot_table(direct)
+        clear_caches()
+        direct = branches(params, labels[0], params.bob_label)
+        slots = slot_table([t.probability for t in direct])
         drawn = np.concatenate(list(montecarlo._slot_chunks(config))).ravel()
         sampled = list(sample_transcripts(config))
         assert len(sampled) == len(drawn) == 6
@@ -574,6 +575,34 @@ class TestTableVerifier:
         assert _columns(SchemeParams("single"), BellLabel(1, 0), BellLabel(0, 1)).stored_bob is None
 
 
+class TestTableChecks:
+    # one row of a freshly enumerated table breaks a rule every branch keeps
+    @pytest.mark.parametrize("scheme,column,value", [
+        ("single", "probability", 0.0),
+        ("single", "probability", 1.5),
+        ("string", "stored_alice", 2),
+        ("multi", "probability", 0.0),
+        ("multi", "stored_alice", 2),
+        ("multi", "stored_bob", 2),
+    ])
+    def test_bad_enumerated_row_rejected(self, monkeypatch, scheme, column, value):
+        name = "_enumerate_multi" if scheme == "multi" else "_enumerate_pair"
+        real = getattr(protocol, name)
+
+        def broken(*args):
+            rows = real(*args)
+            rows[3] = rows[3]._replace(**{column: value})
+            return rows
+
+        monkeypatch.setattr(protocol, name, broken)
+        clear_caches()
+        message = "branch probability" if column == "probability" else "stored bit"
+        with pytest.raises(ValueError, match=f"^{message}.*{value}"):
+            _columns(SchemeParams(scheme), BellLabel(0, 1), BellLabel(1, 0))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            branches(SchemeParams(scheme), BellLabel(0, 1), BellLabel(1, 0))
+
+
 _POLICIES = {
     "single": ("default", "uniform", Z0, Z1),
     "multi": ("default", "uniform", Z0, Z1),
@@ -589,7 +618,7 @@ class TestSlotTable:
         for alice in BELL_LABELS:
             for bob in BELL_LABELS:
                 table = branches(params, alice, bob)
-                slots = slot_table(table)
+                slots = slot_table([t.probability for t in table])
                 assert slots.dtype == np.uint8 and len(slots) == SLOTS
                 filled = np.bincount(slots, minlength=len(table)) / SLOTS
                 for t, weight in zip(table, filled):
@@ -605,7 +634,7 @@ class TestSlotTable:
         template = branches(SchemeParams("single"), BellLabel(0, 0), BellLabel(0, 0))[0]
         table = [dataclasses.replace(template, probability=w) for w in weights]
         with pytest.raises(ValueError):
-            slot_table(table)
+            slot_table([t.probability for t in table])
 
 
 # Every table of every scheme and probe policy, hashed field by field
@@ -657,8 +686,7 @@ def _module_caches():
 class TestCaches:
     def test_clear_caches_empties_every_cache(self):
         caches = _module_caches()
-        assert {("relcommit.protocol", "branches"),
-                ("relcommit.protocol", "_columns"),
+        assert {("relcommit.protocol", "_columns"),
                 ("relcommit.protocol", "_verifier_tables"),
                 ("relcommit.quantum", "_pauli_permutation"),
                 ("relcommit.quantum", "_measured_first")} <= set(caches)

@@ -102,6 +102,9 @@ class TestTranscriptRoundTrip:
         ("pair_index", -1),
         ("pair_index", 1.0),
         ("scheme", "nonsense"),
+        ("announcements", [1]),
+        ("announcements", "x"),
+        ("announcements", 5),
     ])
     def test_mistyped_field_named(self, path, value):
         t = run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2,
@@ -280,6 +283,27 @@ class TestReportFromJson:
                "phi_policy": "X1"}
         report = report_from_json(doc)
         assert (report.scheme, report.n_pairs, report.phi_policy) == ("string", 3, "X1")
+
+    # each edit leaves every field well typed on its own; the strategy
+    # does not take the field, or the row list does not take the strategy
+    @pytest.mark.parametrize("rows,edit,message", [
+        ("strategy_rows", {"basis": ["x"]},
+         r"^strategy_rows\[0\]: .*field 'basis' must be a string or null, got \['x'\]$"),
+        ("strategy_rows", {"basis": "Z"},
+         r"^strategy_rows\[0\]: .*committer strategies take no 'basis', got 'Z'$"),
+        ("extraction_rows", {"delta": {"i": 0, "j": 1}},
+         r"^extraction_rows\[0\]: .*receiver strategies take no 'delta', got "),
+        ("strategy_rows", {"role": "receiver", "kind": "early_extract", "basis": "Z"},
+         r"^strategy_rows\[0\]: field 'strategy' must be a committer strategy, "
+         r"got early_extract\(Z\)$"),
+        ("extraction_rows", {"role": "committer", "kind": "honest", "basis": None},
+         r"^extraction_rows\[0\]: field 'strategy' must be a receiver strategy, got honest$"),
+    ], ids=["basis-list", "basis-text", "delta", "receiver-row", "committer-row"])
+    def test_misplaced_strategy_rejected(self, single_scan, rows, edit, message):
+        doc = json.loads(dumps(single_scan))
+        doc[rows][0]["strategy"].update(edit)
+        with pytest.raises(TranscriptParseError, match=message):
+            report_from_json(doc)
 
     @pytest.mark.parametrize("field", ["scheme", "strategy_rows", "extraction_rows"])
     def test_missing_field_named(self, single_scan, field):

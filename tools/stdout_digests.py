@@ -57,6 +57,8 @@ CLI_INVOCATIONS = [
     ("enumerate --scheme string --n-pairs 1 --phi Z1 --alice-label 11", 0, None),
     ("attack-scan --scheme single --phi uniform --mode R1", 0, None),
     ("attack-scan --scheme string --n-pairs 3 --phi Z1 --mode R1", 0, None),
+    ("stats --scheme multi --mode R1 --trials 1000 --seed 2", 0, None),
+    ("stats --scheme string --n-pairs 3 --phi X1 --trials 300 --seed 4", 0, None),
 ]
 
 
