@@ -54,6 +54,7 @@ import numpy as np
 from .protocol import (
     SchemeParams,
     _columns,
+    _pair_columns,
     _verify,
     clear_caches,
     committed_bit,
@@ -62,9 +63,8 @@ from .quantum import (
     BELL_LABELS,
     BellLabel,
     PauliOp,
-    apply_pauli,
-    basis_measure,
-    bell_measure,
+    _measure_stack,
+    _pauli_stack,
     make_bell,
 )
 
@@ -123,6 +123,8 @@ class Strategy:
                 raise ValueError(f"receiver strategies take no 'delta', got {self.delta!r}")
             if self.kind == "early_extract" and self.basis not in ("Z", "X", "pair"):
                 raise ValueError("early_extract requires basis 'Z', 'X' or 'pair'")
+            if self.kind == "receiver_skip" and self.basis is not None:
+                raise ValueError(f"receiver_skip takes no 'basis', got {self.basis!r}")
         else:
             raise ValueError(f"role must be committer or receiver, got {self.role!r}")
 
@@ -177,17 +179,14 @@ def _acceptance_by_label_enumerated(
 ) -> dict[BellLabel, float]:
     """Acceptance conditioned on each committed label, announced XOR ``shift``.
 
-    One verifier call per branch table, summing the accepted weights.
+    One verifier call per committed label's table, which holds its
+    branches against every receiver label, summing the accepted weights.
     """
     conditional = {}
     for committed in BELL_LABELS:
-        announced = committed ^ shift
-        accepted = []
-        for bob in BELL_LABELS:
-            columns = _columns(params, committed, bob)
-            accept = _verify(columns, announced, params.validation_mode).accept
-            accepted += (columns.probability[accept] / 4.0).tolist()
-        conditional[committed] = math.fsum(accepted)
+        columns = _columns(params, committed)
+        accept = _verify(columns, committed ^ shift, params.validation_mode).accept
+        conditional[committed] = math.fsum((columns.probability[accept] / 4.0).tolist())
     return conditional
 
 
@@ -196,12 +195,8 @@ def _acceptance_by_label_enumerated(
 # --------------------------------------------------------------------------
 
 
-def _flip_bit(label: BellLabel, basis: str) -> int:
-    """Which exponent of a Pauli frame flips this basis family's value."""
-    return label.j if basis == "Z" else label.i
-
-
-# The same exponent as a bit of the 2-bit code ``2 * i + j`` of a label.
+# Which exponent of a Pauli frame flips a basis family's value, as a bit
+# of the 2-bit code ``2 * i + j`` of a label.
 _FLIP_SHIFT = {"Z": 0, "X": 1}
 
 
@@ -338,45 +333,48 @@ def _class_labels(bit: int) -> tuple[BellLabel, BellLabel]:
 def _views_enumerated(params: SchemeParams, upto: str) -> dict:
     dists: dict[int, dict] = {0: {}, 1: {}}
     multi = params.scheme == "multi"
-    bobs = BELL_LABELS if multi else (params.bob_label,)  # other committer's label is private too
+    receivers = len(BELL_LABELS) if multi else 1  # other committer's label is private too
     for bit in (0, 1):
         for alice in _class_labels(bit):
-            for bob in bobs:
-                c = _columns(params, alice, bob)
-                view = [c.swap] if multi else [c.probe, c.swap, c.tele]
-                if upto == "storage":
-                    view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
-                keys = zip(*(column.tolist() for column in view))
-                for key, probability in zip(keys, c.probability.tolist()):
-                    dists[bit][key] = dists[bit].get(key, 0.0) + probability / (2.0 * len(bobs))
+            c = _columns(params, alice) if multi else _pair_columns(params, alice, params.bob_label)
+            view = [c.swap] if multi else [c.probe, c.swap, c.tele]
+            if upto == "storage":
+                view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
+            keys = zip(*(column.tolist() for column in view))
+            for key, probability in zip(keys, c.probability.tolist()):
+                dists[bit][key] = dists[bit].get(key, 0.0) + probability / (2.0 * receivers)
     return dists
 
 
 def _views_algebraic(params: SchemeParams, upto: str) -> dict:
-    dists: dict[int, dict] = {0: {}, 1: {}}
+    """Count each bit class's receiver views on a grid of 2-bit label codes.
+
+    Axes: committed label, receiver label (all four in the multi scheme,
+    else ``params.bob_label``), swap and teleport outcome, each a code
+    ``2 * i + j`` and every cell equally likely; probe states are
+    counted one by one.  A view is an integer code, and its weight is
+    its count times the weight of one cell, so it is exactly dyadic.
+    """
     multi = params.scheme == "multi"
-    for bit in (0, 1):
-        for alice in _class_labels(bit):
-            bobs = BELL_LABELS if multi else (params.bob_label,)
-            for bob in bobs:
-                for swap in BELL_LABELS:
-                    for tele in BELL_LABELS:
-                        for phi, phi_weight in params.phi_choices():
-                            net = bob ^ swap ^ tele
-                            stored = phi.value ^ _flip_bit(net, phi.basis)
-                            if multi:
-                                copy_net = bob ^ tele
-                                copy_bit = phi.value ^ _flip_bit(copy_net, phi.basis)
-                                key = (swap,)
-                                if upto == "storage":
-                                    key += (stored, copy_bit)
-                            else:
-                                key = (phi, swap, tele)
-                                if upto == "storage":
-                                    key += (stored,)
-                            weight = phi_weight / (2.0 * len(bobs) * 16.0)
-                            dists[bit][key] = dists[bit].get(key, 0.0) + weight
-    return dists
+    bobs = np.arange(4) if multi else np.array([2 * params.bob_label.i + params.bob_label.j])
+    alice, bob, swap, tele = np.ix_(np.arange(4), bobs, np.arange(4), np.arange(4))
+    bit = np.broadcast_to(alice & 1, (4, len(bobs), 4, 4))  # a label's parity bit
+    choices = params.phi_choices()
+    counts = np.zeros((2, 64 * len(choices)), dtype=np.intp)  # [bit, view]
+    for index, (phi, _) in enumerate(choices):
+        flip = _FLIP_SHIFT[phi.basis]
+        # stored bit: probe value xor the net frame picked up
+        stored = phi.value ^ (((bob ^ swap ^ tele) >> flip) & 1)
+        if multi:  # the center sees the swap outcome and the stored bits only
+            copy_bit = phi.value ^ (((bob ^ tele) >> flip) & 1)
+            view = 4 * swap + (2 * stored + copy_bit if upto == "storage" else 0)
+        else:
+            view = 2 * (16 * index + 4 * swap + tele) + (stored if upto == "storage" else 0)
+        cells = (bit * counts.shape[1] + view).ravel()
+        counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
+    weight = 1.0 / (2 * len(bobs) * 16 * len(choices))  # probe states are equally likely
+    return {b: {view: int(count) * weight for view, count in enumerate(counts[b]) if count}
+            for b in (0, 1)}
 
 
 def _tv(dists: dict) -> float:
@@ -409,21 +407,24 @@ def concealment_tv(params: SchemeParams, upto: str = "storage") -> float:
 
 
 def _extraction_views_enumerated(strategy: Strategy) -> dict:
+    """Measure the four committed pairs as one stack, one row per label."""
+    pairs = np.stack([make_bell(alice).amplitudes for alice in BELL_LABELS])
+    if strategy.kind == "early_extract" and strategy.basis in ("Z", "X"):
+        measured = _measure_stack(pairs, (1,), strategy.basis)
+    else:
+        # skip/forward-less attack: the confirmation qubit comes back
+        # rotated by the pair's own label, so measure both jointly
+        returned = np.stack([
+            _pauli_stack(pair, 0, PauliOp(alice.i, alice.j))
+            for alice, pair in zip(BELL_LABELS, pairs)
+        ])
+        measured = _measure_stack(returned, (1, 0), "bell")
     joint: dict = {}
-    for alice in BELL_LABELS:
-        prior = 0.25
-        pair = make_bell(alice)
-        if strategy.kind == "early_extract" and strategy.basis in ("Z", "X"):
-            outcomes = basis_measure(pair, 1, strategy.basis)
-        else:
-            # skip/forward-less attack: the confirmation qubit comes back
-            # rotated by the pair's own label, so measure both jointly
-            returned = apply_pauli(pair, 0, PauliOp(alice.i, alice.j))
-            outcomes = bell_measure(returned, 1, 0)
-        d = committed_bit(alice)
-        for branch in outcomes:
-            key = (d, branch.outcome)
-            joint[key] = joint.get(key, 0.0) + prior * branch.probability
+    prior = 0.25
+    rows = zip(measured.parents, measured.outcomes, measured.probabilities)
+    for row, outcome, probability in rows:
+        key = (committed_bit(BELL_LABELS[row]), outcome)
+        joint[key] = joint.get(key, 0.0) + prior * probability
     return joint
 
 

@@ -42,8 +42,8 @@ from .protocol import (
     SchemeParams,
     Transcript,
     _Check,
-    _columns,
     _Columns,
+    _pair_columns,
     _verdict,
     _verify,
     branches,
@@ -176,7 +176,7 @@ def _campaign(
     params = config.to_params()
     strategy = config.strategy or Strategy.honest()
     committed, announced = strategy.committer_labels(config.alice_label)
-    columns = _columns(params, committed, config.bob_label)
+    columns = _pair_columns(params, committed, config.bob_label)
     check = _verify(columns, announced, params.validation_mode)
     return params, committed, announced, columns, check, slot_table(columns.probability)
 

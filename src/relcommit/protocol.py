@@ -30,11 +30,15 @@ Validation knows two verifier models:
   announced frame against it.  Parity flips are then always caught,
   sign flips pass on parity-preserving announcements.
 
-:func:`run_pairs` enumerates any scheme exactly.  Each pair's table is
-held once, as memoized code columns that the enumerators fill with the
-quantum engine's stack kernel (each measurement step takes every branch
-of the step before it as one stack); :func:`branches` reads
-:class:`Transcript` objects out of them on each call.
+:func:`run_pairs` enumerates any scheme exactly.  Each committed
+label's branches against all four receiver labels are held once, as
+one table of memoized code columns that the enumerators fill with the
+quantum engine's stack kernel: per probe state, the four registers (one
+per receiver label) are one stack, and each measurement step takes
+every branch of the step before it as one stack.  The table is
+receiver-label-major, so each label pair's branches are a contiguous
+slice of it; :func:`branches` reads :class:`Transcript` objects out of
+that slice on each call.
 
 The verifier is tabulated once per process: lookup arrays read off the
 certified label arithmetic, and its stored-bit predictions, computed on
@@ -64,13 +68,12 @@ from .quantum import (
     BasisStateSpec,
     BellLabel,
     PauliOp,
+    _BELL_KETS,
     _measure_stack,
     _pauli_stack,
     make_basis_state,
-    make_bell,
     swapped_label,
     teleport_correction,
-    tensor,
 )
 from .quantum import clear_caches as _clear_quantum_caches
 from .spacetime import Schedule, standard_schedule
@@ -258,44 +261,49 @@ def _row(t: Transcript) -> _Columns:
     )
 
 
-def _enumerate_pair(
-    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
-) -> list[_Columns]:
-    """Exhaustive branches of one single or string pair, one row each.
+def _registers(alice_label: BellLabel, probe: np.ndarray) -> np.ndarray:
+    """The register of every receiver label, one row each in ``BELL_LABELS`` order.
+
+    The kets are multiplied as :func:`~relcommit.quantum.tensor` does
+    (``np.kron``'s broadcast products, left factor first), so each row
+    equals that tensor product bit for bit.
+    """
+    pairs = _BELL_KETS[_code(alice_label)][None, :, None] * _BELL_KETS[:, None, :]
+    return (pairs.reshape(4, 16)[:, :, None] * probe).reshape(4, 32)
+
+
+def _enumerate_pair(params: SchemeParams, alice_label: BellLabel) -> list[_Columns]:
+    """Exhaustive branches of one single or string committed label, one block per probe state.
 
     Register order: Alice's retained half, her flying half, the
     receiver's flying half, the receiver's retained half, the probe.
     The middle agent's joint measurement hits qubits 1 and 2; the
     receiver's teleportation measurement hits the probe and his retained
     half (4 and 3); the confirmation measurement reads qubit 0 in the
-    probe's basis family.  Each step measures every branch of the step
-    before it as one stack.
+    probe's basis family.  A probe state's four registers, one per
+    receiver label, are measured as one stack, and each step measures
+    every branch of the step before it as one stack; a block's rows come
+    in stack order, so each receiver label's rows are contiguous.
     """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
-    out: list[_Columns] = []
+    blocks = []
     for phi, phi_weight in params.phi_choices():
-        codes = BASIS_STATES.index(phi), _code(alice_label), _code(bob_label)
-        register = tensor([
-            make_bell(alice_label),
-            make_bell(bob_label),
-            make_basis_state(phi),
-        ])
-        swap = _measure_stack(register.amplitudes[None], (1, 2), "bell")
+        register = _registers(alice_label, make_basis_state(phi).amplitudes)
+        swap = _measure_stack(register, (1, 2), "bell")
         tele = _measure_stack(swap.states, (4, 3), "bell")
         final = _measure_stack(_pauli_stack(tele.states, 0, alice_frame), (0,), phi.basis)
-        for t, stored, final_probability in zip(final.parents, final.outcomes, final.probabilities):
-            s = tele.parents[t]
-            out.append(_Columns(
-                *codes, _code(swap.outcomes[s]), _code(tele.outcomes[t]),
-                stored, None, None,
-                phi_weight * swap.probabilities[s] * tele.probabilities[t] * final_probability,
-            ))
-    return out
+        t = np.array(final.parents)
+        s = np.take(tele.parents, t)
+        blocks.append(_Columns(
+            np.full(len(t), BASIS_STATES.index(phi)), np.full(len(t), _code(alice_label)),
+            np.take(swap.parents, s), swap.codes[s], tele.codes[t], final.codes, None, None,
+            phi_weight * np.take(swap.probabilities, s) * np.take(tele.probabilities, t)
+            * np.array(final.probabilities),
+        ))
+    return blocks
 
 
-def _enumerate_multi(
-    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
-) -> list[_Columns]:
+def _enumerate_multi(params: SchemeParams, alice_label: BellLabel) -> list[_Columns]:
     """Exhaustive branches of the two-committer scheme around a verifying center.
 
     Both committers learn the center's swap outcome.  Alice measures her
@@ -303,52 +311,61 @@ def _enumerate_multi(
     if the parties later choose to), then rotates and returns it.  Bob
     prepares a fresh copy of the probe rotated by his teleportation
     outcome and his own pair label and returns that; the center stores
-    both measured bits.  Steps are stacked as in :func:`_enumerate_pair`.
+    both measured bits.  Steps are stacked as in :func:`_enumerate_pair`,
+    and the copies returned on a probe state's final branches are one
+    more stack.
     """
     alice_frame = PauliOp(alice_label.i, alice_label.j)
-    bob_frame = PauliOp(bob_label.i, bob_label.j)
-    out: list[_Columns] = []
+    blocks = []
     for phi, phi_weight in params.phi_choices():
-        codes = BASIS_STATES.index(phi), _code(alice_label), _code(bob_label)
-        probe = make_basis_state(phi)
-        register = tensor([make_bell(alice_label), make_bell(bob_label), probe])
-        # Bob's probe copy depends only on phi and his teleportation outcome:
-        # one row per outcome, in BELL_LABELS order.
-        bob_probe = _pauli_stack(probe.amplitudes, 0, bob_frame)
-        bob_copies = [_pauli_stack(bob_probe, 0, PauliOp(label.i, label.j)) for label in BELL_LABELS]
-        bob = _measure_stack(np.stack(bob_copies), (0,), phi.basis)
-        bob_finals: dict[BellLabel, list[tuple[int, float]]] = {label: [] for label in BELL_LABELS}
-        for row, stored, probability in zip(bob.parents, bob.outcomes, bob.probabilities):
-            bob_finals[BELL_LABELS[row]].append((stored, probability))
-        swap = _measure_stack(register.amplitudes[None], (1, 2), "bell")
+        probe = make_basis_state(phi).amplitudes
+        # Bob's probe copy, rotated by his label and then by his
+        # teleportation outcome: one row per (label, outcome), in
+        # BELL_LABELS order.
+        rotated = np.stack([
+            _pauli_stack(_pauli_stack(probe, 0, PauliOp(label.i, label.j)), 0,
+                         PauliOp(outcome.i, outcome.j))
+            for label in BELL_LABELS for outcome in BELL_LABELS
+        ])
+        swap = _measure_stack(_registers(alice_label, probe), (1, 2), "bell")
         tele = _measure_stack(swap.states, (4, 3), "bell")
         mid = _measure_stack(tele.states, (0,), "Z")
         final = _measure_stack(_pauli_stack(mid.states, 0, alice_frame), (0,), phi.basis)
-        for m, stored, final_probability in zip(final.parents, final.outcomes, final.probabilities):
-            t = mid.parents[m]
-            s = tele.parents[t]
-            for bob_stored, bob_probability in bob_finals[tele.outcomes[t]]:
-                out.append(_Columns(
-                    *codes, _code(swap.outcomes[s]), _code(tele.outcomes[t]),
-                    stored, bob_stored, mid.outcomes[m],
-                    phi_weight * swap.probabilities[s] * tele.probabilities[t]
-                    * mid.probabilities[m] * final_probability * bob_probability,
-                ))
-    return out
+        m = np.array(final.parents)
+        t = np.take(mid.parents, m)
+        s = np.take(tele.parents, t)
+        bob = np.take(swap.parents, s)
+        # the copy Bob returns on each final branch, one row each
+        copies = _measure_stack(rotated[4 * bob + tele.codes[t]], (0,), phi.basis)
+        f = np.array(copies.parents)
+        m, t, s = m[f], t[f], s[f]
+        blocks.append(_Columns(
+            np.full(len(f), BASIS_STATES.index(phi)), np.full(len(f), _code(alice_label)),
+            bob[f], swap.codes[s], tele.codes[t], final.codes[f], copies.codes, mid.codes[m],
+            phi_weight * np.take(swap.probabilities, s) * np.take(tele.probabilities, t)
+            * np.take(mid.probabilities, m) * np.take(final.probabilities, f)
+            * np.array(copies.probabilities),
+        ))
+    return blocks
 
 
-@lru_cache(maxsize=4096)
-def _columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
-    """Every classical branch of one pair as code columns, in enumeration order.
+@lru_cache(maxsize=1024)
+def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
+    """Every classical branch of one committed label against each receiver label.
 
-    The one memo of branch tables and the one place that picks an
-    enumerator by scheme; ``bob_label`` overrides ``params.bob_label``.
-    Raises ``ValueError`` unless every stored bit is 0 or 1 and every
-    probability lies in ``(0, 1 + PROB_ATOL]``.
+    Code columns, receiver-label-major: each receiver label's rows are
+    one contiguous slice (see :func:`_pair_columns`), in enumeration
+    order.  The one memo of branch tables and the one place that picks
+    an enumerator by scheme.  Raises ``ValueError`` unless every stored
+    bit is 0 or 1 and every probability lies in ``(0, 1 + PROB_ATOL]``.
     """
-    enumerate_rows = _enumerate_multi if params.scheme == "multi" else _enumerate_pair
-    rows = zip(*enumerate_rows(params, alice_label, bob_label))
-    columns = _Columns._make(None if column[0] is None else _frozen(column) for column in rows)
+    enumerate_blocks = _enumerate_multi if params.scheme == "multi" else _enumerate_pair
+    blocks = enumerate_blocks(params, alice_label)
+    order = np.argsort(np.concatenate([block.bob for block in blocks]), kind="stable")
+    columns = _Columns._make(
+        None if column[0] is None else _frozen(np.concatenate(column)[order])
+        for column in zip(*blocks)
+    )
     stored = [bits for bits in (columns.stored_alice, columns.stored_bob) if bits is not None]
     if not np.isin(stored, (0, 1)).all():
         raise ValueError(f"stored bit must be 0 or 1, got {np.unique(stored).tolist()!r}")
@@ -358,19 +375,30 @@ def _columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel)
     return columns
 
 
+def _pair_columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
+    """One label pair's branches: its receiver label's slice of :func:`_columns`.
+
+    ``bob_label`` overrides ``params.bob_label``.
+    """
+    columns = _columns(params, alice_label)
+    code = _code(bob_label)
+    start, stop = np.searchsorted(columns.bob, (code, code + 1))
+    return _Columns._make(None if column is None else column[start:stop] for column in columns)
+
+
 def branches(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> tuple[Transcript, ...]:
     """Every classical branch of one pair, with exact weights summing to 1.
 
-    The :func:`_columns` table read out as transcripts, built afresh on
-    each call.  ``bob_label`` is the receiver-side label (the second
+    The :func:`_pair_columns` table read out as transcripts, built afresh
+    on each call.  ``bob_label`` is the receiver-side label (the second
     committer's in the multi scheme) and overrides ``params.bob_label``.
     A string pair is enumerated on its own, so its transcripts carry
     ``pair_index=None``; :func:`run_pairs` and the sampler stamp the
     index.
     """
-    columns = _columns(params, alice_label, bob_label)
+    columns = _pair_columns(params, alice_label, bob_label)
     multi = columns.stored_bob is not None
     count = len(columns.probability)
     rows = zip(*([None] * count if column is None else column.tolist() for column in columns))

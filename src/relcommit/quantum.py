@@ -355,6 +355,7 @@ class _Projection(NamedTuple):
     outcomes: list[BellLabel | int]
     probabilities: list[float]
     states: np.ndarray  # collapsed amplitudes, one row per kept branch
+    codes: np.ndarray  # each outcome's row of the outcome kets: a label's code, or the bit
 
 
 def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _Projection:
@@ -391,7 +392,7 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     if (abs(norms - 1.0) > PROB_ATOL).any():
         raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")
     return _Projection(
-        parents.tolist(), [outcomes[k] for k in picked.tolist()], weights.tolist(), posts
+        parents.tolist(), [outcomes[k] for k in picked.tolist()], weights.tolist(), posts, picked
     )
 
 

@@ -16,6 +16,7 @@ inside the package itself by the dual enumeration/algebra routes:
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,11 @@ class TestStrategyValidation:
     def test_extract_basis_required(self):
         with pytest.raises(ValueError):
             Strategy("receiver", "early_extract", basis="Y")
+
+    @pytest.mark.parametrize("basis", ["Z", "X", "pair"])
+    def test_receiver_skip_takes_no_basis(self, basis):
+        with pytest.raises(ValueError, match="receiver_skip takes no 'basis'"):
+            Strategy("receiver", "receiver_skip", basis=basis)
 
     @pytest.mark.parametrize("kind", ["honest", "relabel_announce", "delayed_rechoice"])
     def test_committer_takes_no_basis(self, kind):
@@ -197,13 +203,50 @@ class TestVerifierWork:
         adversary.clear_caches()
         build_report(params)
         assert per_branch == [[], []]
-        # each of the 16 label-pair tables checked whole, once per announced label
-        checked = {(int(c.alice[0]), int(c.bob[0]), announced) for c, announced, _ in table_calls}
-        assert 0 < len(checked) == len(table_calls) <= 16 * 4
+        # each committed label's table, against all four receiver labels,
+        # checked whole, once per announced label
+        checked = {(int(c.alice[0]), announced) for c, announced, _ in table_calls}
+        assert 0 < len(checked) == len(table_calls) <= 4 * 4
         for columns, _, mode in table_calls:
-            table = branches(params, BELL_LABELS[columns.alice[0]], BELL_LABELS[columns.bob[0]])
-            assert columns.probability.tolist() == [t.probability for t in table]
+            alice = BELL_LABELS[columns.alice[0]]
+            rows = [t for bob in BELL_LABELS for t in branches(params, alice, bob)]
+            assert (columns.alice == columns.alice[0]).all()
+            assert columns.probability.tolist() == [t.probability for t in rows]
+            assert columns.bob.tolist() == [BELL_LABELS.index(t.bob_label) for t in rows]
             assert mode == params.validation_mode
+
+    @pytest.mark.parametrize("params", [
+        SchemeParams("single", phi_policy="uniform"),
+        SchemeParams("multi", validation_mode="R1"),
+        SchemeParams("multi", phi_policy="uniform"),
+        SchemeParams("string", n_pairs=4),
+        SchemeParams("string", phi_policy=X1),
+    ], ids=["single", "multi", "multi-uniform", "string", "string-X1"])
+    def test_cold_report_measures_a_few_stacks_per_committed_label(self, monkeypatch, params):
+        # a stack per step for each probe state and committed label, the
+        # receiver labels being its rows: 3 steps, or in the multi scheme
+        # 4 and the second committer's probe copies
+        adversary.clear_caches()
+        protocol._verifier_tables()  # measures its predictions once per process
+        stacks = []
+        real = protocol._measure_stack
+        monkeypatch.setattr(protocol, "_measure_stack",
+                            lambda *args: stacks.append(args[1:]) or real(*args))
+        build_report(params)
+        steps = 5 if params.scheme == "multi" else 3
+        assert 0 < len(stacks) <= steps * len(params.phi_choices()) * len(BELL_LABELS)
+
+    def test_cold_string_report_memory_is_bounded(self):
+        params = SchemeParams("string", n_pairs=20)
+        build_report(params)  # lazy imports and interned tables settle first
+        adversary.clear_caches()
+        tracemalloc.start()
+        try:
+            build_report(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("run", [
         lambda: build_report(SchemeParams("single", phi_policy="uniform")),
@@ -229,6 +272,8 @@ class TestVerifierWork:
         xors = _counted(monkeypatch, BellLabel, "__xor__")
         for shift in BELL_LABELS:
             _acceptance_by_label_algebraic(params, shift)
+        for upto in ("confirmation", "storage"):
+            concealment_tv(params, upto)
         assert xors == []
 
 
@@ -372,6 +417,12 @@ class TestExtraction:
     )
     def test_guessing_is_a_coin_toss(self, strategy):
         assert abs(extraction_guess_probability(strategy) - 0.5) <= 1e-12
+
+    def test_four_committed_pairs_are_one_stack(self, monkeypatch):
+        stacks = _counted(monkeypatch, adversary, "_measure_stack")
+        for strategy in adversary._DEFAULT_RECEIVER:
+            extraction_guess_probability(strategy)
+        assert [len(stack) for stack, _, _ in stacks] == [4] * len(adversary._DEFAULT_RECEIVER)
 
 
 class TestSecurityReport:

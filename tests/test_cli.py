@@ -299,6 +299,18 @@ class TestAttackScanAndReport:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and named in err
 
+    def test_report_rejects_basis_on_receiver_skip(self, capsys, tmp_path):
+        scan = tmp_path / "scan.json"
+        run_cli(capsys, "attack-scan", "--scheme", "single", "--output", str(scan))
+        doc = json.loads(scan.read_text())
+        [skip] = [row["strategy"] for row in doc["extraction_rows"]
+                  if row["strategy"]["kind"] == "receiver_skip"]
+        skip["basis"] = "Z"
+        scan.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "report", "--input", str(scan))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "'basis'" in err
+
     @pytest.mark.parametrize("flags", [
         ("--scheme", "multi", "--mode", "R1"), ("--scheme", "single"), ("--x", "2"),
         ("--c", "1"), ("--T", "30"), ("--n-pairs", "1"), ("--phi", "Z0"),

@@ -30,6 +30,7 @@ from relcommit.protocol import (
     Transcript,
     Verdict,
     _columns,
+    _pair_columns,
     _verifier_tables,
     _verify,
     branches,
@@ -534,6 +535,13 @@ def _reference_verdict(t: Transcript, announced: BellLabel, mode: str, bob_claim
 _CLAIMS = [(label, tele) for label in BELL_LABELS for tele in BELL_LABELS]
 
 
+_POLICIES = {
+    "single": ("default", "uniform", Z0, Z1),
+    "multi": ("default", "uniform", Z0, Z1),
+    "string": ("default", "uniform", Z0, Z1, X0, X1),
+}
+
+
 class TestTableVerifier:
     @pytest.mark.parametrize(
         "scheme,policy,mode",
@@ -548,7 +556,7 @@ class TestTableVerifier:
         for alice in BELL_LABELS:
             for bob in BELL_LABELS:
                 table = branches(params, alice, bob)
-                columns = _columns(params, alice, bob)
+                columns = _pair_columns(params, alice, bob)
                 for announced in BELL_LABELS:
                     accept = _verify(columns, announced, mode).accept
                     assert accept.shape == (len(table),)
@@ -568,11 +576,23 @@ class TestTableVerifier:
     def test_columns_read_the_table_in_order(self):
         params = SchemeParams("multi", phi_policy="uniform")
         table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
-        columns = _columns(params, BellLabel(1, 0), BellLabel(0, 1))
+        columns = _pair_columns(params, BellLabel(1, 0), BellLabel(0, 1))
         assert columns.probability.tolist() == [t.probability for t in table]
         assert columns.stored_bob.tolist() == [t.stored_bob_bit for t in table]
         assert columns.swap.tolist() == [_code(t.swap_outcome) for t in table]
-        assert _columns(SchemeParams("single"), BellLabel(1, 0), BellLabel(0, 1)).stored_bob is None
+        assert _columns(SchemeParams("single"), BellLabel(1, 0)).stored_bob is None
+
+    @pytest.mark.parametrize("scheme,policy", [(s, p) for s, policies in _POLICIES.items()
+                                               for p in policies], ids=str)
+    def test_committed_label_table_is_its_pair_tables_receiver_major(self, scheme, policy):
+        params = SchemeParams(scheme, phi_policy=policy)
+        for alice in BELL_LABELS:
+            columns = _columns(params, alice)
+            rows = [t for bob in BELL_LABELS for t in branches(params, alice, bob)]
+            assert columns.bob.tolist() == [_code(t.bob_label) for t in rows]
+            assert columns.probability.tolist() == [t.probability for t in rows]
+            assert columns.tele.tolist() == [_code(t.teleport_outcome) for t in rows]
+            assert columns.probability.flags.writeable is False
 
 
 class TestTableChecks:
@@ -590,24 +610,19 @@ class TestTableChecks:
         real = getattr(protocol, name)
 
         def broken(*args):
-            rows = real(*args)
-            rows[3] = rows[3]._replace(**{column: value})
-            return rows
+            blocks = real(*args)
+            values = getattr(blocks[0], column).copy()
+            values[3] = value
+            blocks[0] = blocks[0]._replace(**{column: values})
+            return blocks
 
         monkeypatch.setattr(protocol, name, broken)
         clear_caches()
         message = "branch probability" if column == "probability" else "stored bit"
         with pytest.raises(ValueError, match=f"^{message}.*{value}"):
-            _columns(SchemeParams(scheme), BellLabel(0, 1), BellLabel(1, 0))
+            _columns(SchemeParams(scheme), BellLabel(0, 1))
         with pytest.raises(ValueError, match=f"^{message}"):
             branches(SchemeParams(scheme), BellLabel(0, 1), BellLabel(1, 0))
-
-
-_POLICIES = {
-    "single": ("default", "uniform", Z0, Z1),
-    "multi": ("default", "uniform", Z0, Z1),
-    "string": ("default", "uniform", Z0, Z1, X0, X1),
-}
 
 
 class TestSlotTable:

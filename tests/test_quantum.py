@@ -516,6 +516,8 @@ class TestMeasureStack:
                          for b in measured]
         assert list(zip(rows.parents, rows.outcomes, rows.probabilities,
                         [post.tobytes() for post in rows.states])) == expected
+        named = quantum._MEASUREMENTS[basis][1]  # the outcome each ket row names
+        assert rows.codes.tolist() == [named.index(outcome) for outcome in rows.outcomes]
 
     def test_unnormalized_row_rejected(self):
         # 2|0> measured in Z: one branch of weight 4

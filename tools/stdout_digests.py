@@ -59,6 +59,8 @@ CLI_INVOCATIONS = [
     ("attack-scan --scheme string --n-pairs 3 --phi Z1 --mode R1", 0, None),
     ("stats --scheme multi --mode R1 --trials 1000 --seed 2", 0, None),
     ("stats --scheme string --n-pairs 3 --phi X1 --trials 300 --seed 4", 0, None),
+    ("attack-scan --scheme multi --phi uniform --mode R1", 0, None),
+    ("enumerate --scheme multi --phi Z1 --alice-label 01 --bob-label 10", 0, None),
 ]
 
 
