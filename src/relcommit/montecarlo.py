@@ -6,26 +6,30 @@ verifier call, lays their probabilities out as a :func:`slot_table` of
 so it samples the exact dyadic distribution.
 Trials are drawn in chunks of ``CHUNK_TRIALS``, or of
 ``CHUNK_DRAWS // n_pairs`` when that is fewer, so a chunk holds at most
-``CHUNK_DRAWS`` pair draws and memory stays near 2.5 MB at any
-``n_pairs`` up to ``CHUNK_DRAWS``.  Chunk ``k`` draws from its own
-generator derived from ``(seed, k)``, so every draw is reproducible bit
-for bit at a fixed seed and trial budget.  The chunk size depends only
-on ``n_pairs``, so at one seed the draws of a smaller budget are a
-prefix of a larger budget's draws.  Every call starts at chunk 0, so
-two campaigns with the same seed repeat draws rather than splitting a
+``CHUNK_DRAWS`` pair draws and memory stays near 3 MB at any
+``n_pairs`` up to ``CHUNK_DRAWS``.  Chunk ``k``'s bytes are the raw
+64-bit words of a generator derived from ``(seed, k)``, read as
+little-endian bytes: the stream ``integers(256, dtype=np.uint8)`` draws,
+at a third of its cost.  So every draw is reproducible bit for bit at a
+fixed seed and trial budget, and since the chunk size depends only on
+``n_pairs``, the draws of a smaller budget are a prefix of a larger
+budget's draws at one seed.  Every call starts at chunk 0, so two
+campaigns with the same seed repeat draws rather than splitting a
 budget between them; use distinct seeds for independent campaigns.
 
 Two functions read that one stream.  :func:`monte_carlo` tallies it on
-the columns alone: every reported frequency sits next to its exact
-probability (a count of slots over 256), a binomial standard error and
-a z-score; ``agrees`` flags deviations beyond five standard errors.
-:func:`sample_branches` builds the validated branch table, each branch
-once per campaign, and maps each drawn slot to ``(branch index, pair
-index)``, so it yields exactly the draws that :func:`monte_carlo`
-counts.  :func:`sample_transcripts` looks each draw up in that table;
-``relcommit run`` instead hands table and draws to
-:func:`~relcommit.serialize.write_draws`, which encodes each drawn
-branch once.
+the columns alone, one pass per chunk: one cast of the bytes to indices
+feeds both the slot histogram and a lookup of each slot's reject bit,
+and a trial accepts when its row sums to no rejects (summed in uint8
+over blocks of at most 255 columns, so no sum wraps).  Every reported
+frequency sits next to its exact probability (a count of slots over
+256), a binomial standard error and a z-score; ``agrees`` flags
+deviations beyond five standard errors.  :func:`sample_branches` builds
+the validated branch table, each branch once per campaign, and maps
+each drawn slot to ``(branch index, pair index)``, so it yields exactly
+the draws that :func:`monte_carlo` counts; ``relcommit run`` hands
+table and draws to :func:`~relcommit.serialize.write_draws`, which
+encodes each drawn branch once.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ __all__ = [
     "StatsSummary",
     "monte_carlo",
     "sample_branches",
-    "sample_transcripts",
     "slot_table",
     "stats_to_json",
 ]
@@ -68,6 +71,7 @@ __all__ = [
 CHUNK_TRIALS = 1 << 16
 CHUNK_DRAWS = 1 << 18
 SLOTS = 256  # one sampling slot per value of a random byte
+_SUM_COLUMNS = 255  # most 0/1 columns whose uint8 row sum cannot wrap
 
 
 @dataclass(frozen=True)
@@ -182,13 +186,19 @@ def _campaign(
 
 
 def _slot_chunks(config: RunConfig) -> Iterator[np.ndarray]:
-    """The campaign's drawn slots, one ``(trials, n_pairs)`` uint8 chunk at a time."""
+    """The campaign's drawn slots, one ``(trials, n_pairs)`` uint8 chunk at a time.
+
+    These are the bytes ``integers(SLOTS, dtype=np.uint8)`` draws: it fills
+    from 32-bit outputs low byte first, and PCG64 gives each raw 64-bit
+    word's low half first.
+    """
     n_pairs = config.n_pairs
     chunk = max(1, min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs))
     for index, start in enumerate(range(0, config.trials, chunk)):
+        draws = min(chunk, config.trials - start) * n_pairs
         rng = np.random.default_rng((config.seed, index))
-        size = min(chunk, config.trials - start)
-        yield rng.integers(SLOTS, size=(size, n_pairs), dtype=np.uint8)
+        words = rng.bit_generator.random_raw(-(-draws // 8))
+        yield words.astype("<u8", copy=False).view(np.uint8)[:draws].reshape(-1, n_pairs)
 
 
 def monte_carlo(config: RunConfig) -> StatsSummary:
@@ -202,12 +212,21 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     params, _, _, columns, check, slots = _campaign(config)
     n_pairs = params.n_pairs
     accepts = check.accept[slots]  # each slot's verdict, read through its branch
+    rejects = (~accepts).view(np.uint8)
 
     slot_counts = np.zeros(SLOTS, dtype=np.int64)
     accept_count = 0
+    # one index buffer, as large as any chunk: a fresh one per chunk costs page faults
+    buffer = np.empty(min(config.trials * n_pairs, max(CHUNK_DRAWS, n_pairs)), dtype=np.intp)
     for drawn in _slot_chunks(config):
-        slot_counts += np.bincount(drawn.ravel(), minlength=SLOTS)
-        accept_count += int(np.take(accepts, drawn).all(axis=1).sum())
+        index = buffer[:drawn.size].reshape(drawn.shape)
+        index[...] = drawn  # the one cast, read by both passes
+        slot_counts += np.bincount(index.ravel(), minlength=SLOTS)
+        rejected = np.take(rejects, index)
+        row_rejects = np.zeros(len(drawn), dtype=np.intp)
+        for start in range(0, n_pairs, _SUM_COLUMNS):
+            row_rejects += np.einsum("ij->i", rejected[:, start:start + _SUM_COLUMNS])
+        accept_count += int(np.count_nonzero(row_rejects == 0))
 
     pair_draws = config.trials * n_pairs
     rows = []
@@ -254,19 +273,6 @@ def sample_branches(
         for drawn in _slot_chunks(config)
         for row in slots[drawn]
         for draw in zip(row.tolist(), indices)
-    )
-
-
-def sample_transcripts(config: RunConfig) -> Iterator[Transcript]:
-    """The campaign's drawn transcripts, validated, one per pair per trial.
-
-    :func:`sample_branches` with each draw looked up in the table; string
-    transcripts carry ``pair_index=k``.
-    """
-    table, draws = sample_branches(config)
-    return (
-        table[branch] if k is None else dataclasses.replace(table[branch], pair_index=k)
-        for branch, k in draws
     )
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "report_to_json",
     "report_from_json",
     "write_draws",
-    "write_transcripts",
     "read_transcripts",
     "dumps",
 ]
@@ -311,16 +310,6 @@ def parse_transcript(text: str) -> Transcript:
     except json.JSONDecodeError as exc:
         raise TranscriptParseError(f"not valid JSON: {exc}") from exc
     return transcript_from_json(doc)
-
-
-def write_transcripts(stream: IO[str], transcripts: Iterable[Transcript]) -> int:
-    """Write transcripts as JSONL; returns the number of lines."""
-    count = 0
-    for transcript in transcripts:
-        stream.write(serialize_transcript(transcript))
-        stream.write("\n")
-        count += 1
-    return count
 
 
 # A hole in a line template: it encodes as "\u0000", which no other

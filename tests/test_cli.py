@@ -15,7 +15,7 @@ import pytest
 from relcommit import serialize
 from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main, parse_label, render_report_table
-from relcommit.montecarlo import RunConfig, sample_transcripts
+from relcommit.montecarlo import RunConfig
 from relcommit.protocol import SchemeParams, branches
 from relcommit.quantum import BellLabel
 from relcommit.serialize import (
@@ -150,7 +150,7 @@ class TestRun:
     @pytest.mark.parametrize("scheme,n_pairs", [("single", 1), ("multi", 1), ("string", 3),
                                                 ("string", 20)])
     def test_lines_are_the_sampled_transcripts(self, capsys, tmp_path, scheme, n_pairs, mode,
-                                               delta):
+                                               delta, sampled_transcripts):
         target = tmp_path / "run.jsonl"
         args = ["run", "--scheme", scheme, "--n-pairs", str(n_pairs), "--mode", mode,
                 "--trials", "4", "--seed", "7", "--alice-label", "10"]
@@ -161,7 +161,7 @@ class TestRun:
         strategy = None if delta is None else Strategy.relabel_announce(parse_label(delta))
         config = RunConfig(scheme=scheme, n_pairs=n_pairs, validation_mode=mode, trials=4,
                            seed=7, alice_label=BellLabel(1, 0), strategy=strategy)
-        lines = [serialize_transcript(t) for t in sample_transcripts(config)]
+        lines = [serialize_transcript(t) for t in sampled_transcripts(config)]
         assert code == 0 and written == ""
         assert out == target.read_text() == "\n".join(lines) + "\n"
 

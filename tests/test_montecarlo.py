@@ -5,16 +5,18 @@ from __future__ import annotations
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from relcommit.adversary import Strategy
 from relcommit.montecarlo import (
     CHUNK_DRAWS,
     CHUNK_TRIALS,
+    SLOTS,
     RunConfig,
+    _slot_chunks,
     monte_carlo,
     parse_phi_policy,
-    sample_transcripts,
 )
 from relcommit.quantum import BasisStateSpec, BellLabel
 
@@ -83,6 +85,37 @@ class TestMonteCarlo:
         # at 64 pairs a chunk is cut short by CHUNK_DRAWS, not CHUNK_TRIALS
         _assert_budgets_nest(n_pairs=64)
 
+    @pytest.mark.parametrize("n_pairs", [1, 3, 7, 64, 300])
+    def test_chunks_are_the_integers_stream(self, n_pairs):
+        # the raw little-endian words are the bytes integers(256, uint8)
+        # draws; budgets end inside the first chunk and 3 trials into the
+        # second, which leaves 3 * n_pairs bytes (no multiple of 8 but at 64)
+        chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
+        for trials in (1, chunk + 3):
+            chunks = list(_slot_chunks(RunConfig(scheme="string", n_pairs=n_pairs,
+                                                 trials=trials, seed=9)))
+            sizes = [min(chunk, trials - start) for start in range(0, trials, chunk)]
+            assert len(chunks) == len(sizes)
+            for k, (drawn, size) in enumerate(zip(chunks, sizes)):
+                reference = np.random.default_rng((9, k)).integers(
+                    SLOTS, size=(size, n_pairs), dtype=np.uint8)
+                assert drawn.dtype == np.uint8 and drawn.shape == reference.shape
+                assert np.array_equal(drawn, reference), (trials, k)
+
+    @pytest.mark.parametrize("n_pairs,delta,accepted", [
+        (256, BellLabel(1, 1), 0), (512, BellLabel(1, 1), 0), (256, None, 1500),
+    ])
+    def test_row_reject_count_cannot_wrap(self, n_pairs, delta, accepted):
+        # relabel 11 rejects every pair, so each row holds n_pairs rejects: a
+        # plain uint8 row sum wraps that to 0 and would accept every trial.
+        # 1500 trials cross the 1024-trial chunk boundary at 256 pairs.
+        strategy = None if delta is None else Strategy.relabel_announce(delta)
+        config = RunConfig(scheme="string", n_pairs=n_pairs, trials=1500, seed=6,
+                           strategy=strategy)
+        row = monte_carlo(config).row("acceptance", "accept")
+        assert row.exact_probability == (1.0 if delta is None else 0.0)
+        assert row.count == accepted
+
     def test_memory_stays_bounded(self):
         # 65536 trials of 64 pairs held at once would take 65536 * 64 draws
         config = RunConfig(scheme="string", n_pairs=64, trials=CHUNK_TRIALS, seed=8)
@@ -141,13 +174,13 @@ class TestMonteCarlo:
         swap_total = sum(r.count for r in summary.rows if r.category == "swap_outcome")
         assert swap_total == 30_000 * 4
 
-    def test_sampled_transcripts_are_the_counted_draws(self):
+    def test_sampled_transcripts_are_the_counted_draws(self, sampled_transcripts):
         # one more chunk than CHUNK_TRIALS fills; a sign flip on a uniform
         # string probe is accepted half the time
         config = RunConfig(scheme="string", phi="uniform", trials=CHUNK_TRIALS + 1000, seed=4,
                            strategy=Strategy.relabel_announce(BellLabel(1, 0)))
         tally = Counter()
-        for t in sample_transcripts(config):
+        for t in sampled_transcripts(config):
             assert t.announced_alice_label == BellLabel(1, 0) and t.pair_index == 0
             tally["swap_outcome", str(t.swap_outcome)] += 1
             tally["teleport_outcome", str(t.teleport_outcome)] += 1

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit import adversary, montecarlo, protocol, quantum
-from relcommit.montecarlo import SLOTS, RunConfig, sample_transcripts, slot_table
+from relcommit.montecarlo import SLOTS, RunConfig, slot_table
 from relcommit.protocol import (
     FULL_FAMILY,
     PROB_ATOL,
@@ -213,18 +213,18 @@ class TestRunSingle:
                 for key in dist:
                     assert abs(dist[key] - reference[key]) <= 1e-12
 
-    def test_sample_is_deterministic(self):
+    def test_sample_is_deterministic(self, sampled_transcripts):
         config = RunConfig(scheme="single", alice_label=BellLabel(1, 0), seed=42)
-        first = list(sample_transcripts(config))
-        second = list(sample_transcripts(config))
+        first = sampled_transcripts(config)
+        second = sampled_transcripts(config)
         assert first == second
         assert len(first) == 1
 
-    def test_distinct_seeds_eventually_differ(self):
+    def test_distinct_seeds_eventually_differ(self, sampled_transcripts):
         draws = {
             (t.swap_outcome, t.teleport_outcome)
             for seed in range(12)
-            for t in sample_transcripts(RunConfig(scheme="single", seed=seed))
+            for t in sampled_transcripts(RunConfig(scheme="single", seed=seed))
         }
         assert len(draws) > 1
 
@@ -382,14 +382,14 @@ class TestRunString:
             for t in run_pairs(params, [a], params.bob_label)[0]:
                 assert t.stored_alice_bit == stored_bit_oracle(t)
 
-    def test_sample_is_deterministic_per_pair(self):
+    def test_sample_is_deterministic_per_pair(self, sampled_transcripts):
         config = RunConfig(scheme="string", n_pairs=4, alice_label=BellLabel(0, 1), seed=7)
-        first = list(sample_transcripts(config))
-        second = list(sample_transcripts(config))
+        first = sampled_transcripts(config)
+        second = sampled_transcripts(config)
         assert first == second
         assert [t.pair_index for t in first] == [0, 1, 2, 3]
 
-    def test_runs_match_direct_pair_enumeration(self):
+    def test_runs_match_direct_pair_enumeration(self, sampled_transcripts):
         clear_caches()
         params = SchemeParams("string", n_pairs=3, bob_label=BellLabel(1, 1))
         labels = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(0, 1)]
@@ -405,7 +405,7 @@ class TestRunString:
         direct = branches(params, labels[0], params.bob_label)
         slots = slot_table([t.probability for t in direct])
         drawn = np.concatenate(list(montecarlo._slot_chunks(config))).ravel()
-        sampled = list(sample_transcripts(config))
+        sampled = sampled_transcripts(config)
         assert len(sampled) == len(drawn) == 6
         for n, (t, slot) in enumerate(zip(sampled, drawn)):
             expected = direct[slots[slot]]

@@ -23,7 +23,6 @@ from relcommit.serialize import (
     serialize_transcript,
     strategy_from_json,
     strategy_to_json,
-    write_transcripts,
 )
 from relcommit.spacetime import standard_schedule
 
@@ -125,10 +124,8 @@ class TestTranscriptRoundTrip:
 class TestJsonl:
     def test_stream_round_trip(self):
         transcripts = sample_transcripts()
-        buffer = io.StringIO()
-        count = write_transcripts(buffer, transcripts)
-        assert count == len(transcripts)
-        buffer.seek(0)
+        buffer = io.StringIO("".join(serialize_transcript(t) + "\n" for t in transcripts))
+        assert buffer.getvalue().count("\n") == len(transcripts)
         assert read_transcripts(buffer) == transcripts
 
     def test_blank_lines_skipped(self):

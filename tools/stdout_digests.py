@@ -61,6 +61,8 @@ CLI_INVOCATIONS = [
     ("stats --scheme string --n-pairs 3 --phi X1 --trials 300 --seed 4", 0, None),
     ("attack-scan --scheme multi --phi uniform --mode R1", 0, None),
     ("enumerate --scheme multi --phi Z1 --alice-label 01 --bob-label 10", 0, None),
+    ("stats --trials 70000 --seed 8", 0, None),
+    ("stats --scheme string --n-pairs 256 --trials 2000 --seed 6 --announce-delta 11", 0, None),
 ]
 
 
