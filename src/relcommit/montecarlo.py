@@ -18,10 +18,14 @@ campaigns with the same seed repeat draws rather than splitting a
 budget between them; use distinct seeds for independent campaigns.
 
 Two functions read that one stream.  :func:`monte_carlo` tallies it on
-the columns alone, one pass per chunk: one cast of the bytes to indices
-feeds both the slot histogram and a lookup of each slot's reject bit,
-and a trial accepts when its row sums to no rejects (summed in uint8
-over blocks of at most 255 columns, so no sum wraps).  Every reported
+the columns alone, one pass per chunk.  At an even pair count it reads
+each row as little-endian 16-bit words, two draws per word; at an odd
+count, one byte per draw.  One cast of those words to indices feeds
+both a word histogram, folded to slot counts once per campaign, and a
+lookup of each word's reject bit (set when either of its draws
+rejects).  A trial accepts when its row sums to no rejects (summed in
+uint8 over blocks of at most 255 words, so no sum wraps).  Either width
+reads the same stream and gives the same counts.  Every reported
 frequency sits next to its exact probability (a count of slots over
 256), a binomial standard error and a z-score; ``agrees`` flags
 deviations beyond five standard errors.  :func:`sample_branches` builds
@@ -213,20 +217,30 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     n_pairs = params.n_pairs
     accepts = check.accept[slots]  # each slot's verdict, read through its branch
     rejects = (~accepts).view(np.uint8)
+    # an even row is read as whole 16-bit words, two pairs each; a word
+    # rejects when either of its bytes does, so it adds 0 or 1 to its row
+    width = 2 if n_pairs % 2 == 0 else 1
+    words = SLOTS**width
+    word_rejects = rejects if width == 1 else (rejects[:, None] | rejects[None, :]).reshape(-1)
 
-    slot_counts = np.zeros(SLOTS, dtype=np.int64)
+    word_counts = np.zeros(words, dtype=np.int64)
     accept_count = 0
     # one index buffer, as large as any chunk: a fresh one per chunk costs page faults
-    buffer = np.empty(min(config.trials * n_pairs, max(CHUNK_DRAWS, n_pairs)), dtype=np.intp)
+    draws = min(config.trials * n_pairs, max(CHUNK_DRAWS, n_pairs))
+    buffer = np.empty(draws // width, dtype=np.intp)
     for drawn in _slot_chunks(config):
+        drawn = drawn.view(f"<u{width}")  # low byte first: a row never straddles a word
         index = buffer[:drawn.size].reshape(drawn.shape)
         index[...] = drawn  # the one cast, read by both passes
-        slot_counts += np.bincount(index.ravel(), minlength=SLOTS)
-        rejected = np.take(rejects, index)
+        word_counts += np.bincount(index.ravel(), minlength=words)
+        rejected = np.take(word_rejects, index)
         row_rejects = np.zeros(len(drawn), dtype=np.intp)
-        for start in range(0, n_pairs, _SUM_COLUMNS):
+        for start in range(0, drawn.shape[1], _SUM_COLUMNS):
             row_rejects += np.einsum("ij->i", rejected[:, start:start + _SUM_COLUMNS])
         accept_count += int(np.count_nonzero(row_rejects == 0))
+    # a word's count goes to both of its slots: high byte by row, low by column
+    grid = word_counts.reshape(-1, SLOTS)
+    slot_counts = grid.sum(1) + grid.sum(0) if width == 2 else word_counts
 
     pair_draws = config.trials * n_pairs
     rows = []

@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from relcommit import montecarlo
 from relcommit.adversary import Strategy
 from relcommit.montecarlo import (
     CHUNK_DRAWS,
     CHUNK_TRIALS,
     SLOTS,
     RunConfig,
+    _campaign,
     _slot_chunks,
     monte_carlo,
     parse_phi_policy,
+    sample_branches,
 )
-from relcommit.quantum import BasisStateSpec, BellLabel
+from relcommit.quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 
 def _assert_budgets_nest(n_pairs):
@@ -102,19 +106,65 @@ class TestMonteCarlo:
                 assert drawn.dtype == np.uint8 and drawn.shape == reference.shape
                 assert np.array_equal(drawn, reference), (trials, k)
 
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 4, 20, 200, 512, 513])
+    def test_counts_equal_a_per_byte_tally(self, n_pairs):
+        # even rows are counted two draws per 16-bit word; tally the same
+        # bytes one at a time.  A sign flip on the four-state probe rejects
+        # half the slots, and the budget ends 3 trials into the second chunk.
+        chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
+        config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=chunk + 3,
+                           seed=10, strategy=Strategy.relabel_announce(BellLabel(1, 0)))
+        _, _, _, columns, check, slots = _campaign(config)
+        accepts = check.accept[slots]
+        slot_counts = np.zeros(SLOTS, dtype=np.int64)
+        accepted = 0
+        for drawn in _slot_chunks(config):
+            slot_counts += np.bincount(drawn.ravel(), minlength=SLOTS)
+            accepted += int(np.count_nonzero(accepts[drawn].all(axis=1)))
+        assert np.count_nonzero(accepts) == SLOTS // 2
+        expected = {("acceptance", "accept"): accepted}
+        for category, ids, outcomes in (("swap_outcome", columns.swap[slots], BELL_LABELS),
+                                        ("teleport_outcome", columns.tele[slots], BELL_LABELS),
+                                        ("stored_bit", columns.stored_alice[slots], (0, 1))):
+            for k, outcome in enumerate(outcomes):
+                expected[category, str(outcome)] = int(slot_counts[ids == k].sum())
+        counted = {(r.category, r.outcome): r.count for r in monte_carlo(config).rows}
+        assert counted == expected
+        assert sum(slot_counts) == config.trials * n_pairs
+
     @pytest.mark.parametrize("n_pairs,delta,accepted", [
-        (256, BellLabel(1, 1), 0), (512, BellLabel(1, 1), 0), (256, None, 1500),
+        (256, BellLabel(1, 1), 0), (510, BellLabel(1, 1), 0), (512, BellLabel(1, 1), 0),
+        (514, BellLabel(1, 1), 0), (256, None, 1500), (514, None, 1500),
     ])
     def test_row_reject_count_cannot_wrap(self, n_pairs, delta, accepted):
-        # relabel 11 rejects every pair, so each row holds n_pairs rejects: a
-        # plain uint8 row sum wraps that to 0 and would accept every trial.
-        # 1500 trials cross the 1024-trial chunk boundary at 256 pairs.
+        # relabel 11 rejects every pair, so each row holds n_pairs rejects, or
+        # n_pairs / 2 rejecting words: a plain uint8 row sum wraps 256 of them
+        # to 0 and would accept every trial.  510 pairs fill exactly one
+        # 255-word block, 514 pairs spill two words into a second.  1500
+        # trials cross the chunk boundary (1024 trials at 256 pairs, 510 at 514).
         strategy = None if delta is None else Strategy.relabel_announce(delta)
         config = RunConfig(scheme="string", n_pairs=n_pairs, trials=1500, seed=6,
                            strategy=strategy)
         row = monte_carlo(config).row("acceptance", "accept")
         assert row.exact_probability == (1.0 if delta is None else 0.0)
         assert row.count == accepted
+
+    @pytest.mark.parametrize("n_pairs", [3, 4, 510, 511, 512, 514])
+    def test_one_reject_anywhere_rejects_its_trial(self, monkeypatch, n_pairs):
+        # crafted draws: row i rejects at pair positions[i] alone (first and
+        # last column, each side of the 255-word and 255-byte block edges),
+        # and a last row accepts throughout
+        config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=1,
+                           strategy=Strategy.relabel_announce(BellLabel(1, 0)))
+        _, _, _, _, check, slots = _campaign(config)
+        accepts = check.accept[slots]
+        accept, reject = int(np.argmax(accepts)), int(np.argmin(accepts))
+        positions = sorted({0, 1, 253, 254, 255, 256, 509, 510, 511, n_pairs - 1} & set(range(n_pairs)))
+        drawn = np.full((len(positions) + 1, n_pairs), accept, dtype=np.uint8)
+        drawn[np.arange(len(positions)), positions] = reject
+        monkeypatch.setattr(montecarlo, "_slot_chunks", lambda config: iter([drawn]))
+        config = dataclasses.replace(config, trials=len(drawn))
+        assert monte_carlo(config).row("acceptance", "accept").count == 1
 
     def test_memory_stays_bounded(self):
         # 65536 trials of 64 pairs held at once would take 65536 * 64 draws
@@ -174,18 +224,26 @@ class TestMonteCarlo:
         swap_total = sum(r.count for r in summary.rows if r.category == "swap_outcome")
         assert swap_total == 30_000 * 4
 
-    def test_sampled_transcripts_are_the_counted_draws(self, sampled_transcripts):
-        # one more chunk than CHUNK_TRIALS fills; a sign flip on a uniform
-        # string probe is accepted half the time
-        config = RunConfig(scheme="string", phi="uniform", trials=CHUNK_TRIALS + 1000, seed=4,
-                           strategy=Strategy.relabel_announce(BellLabel(1, 0)))
+    @pytest.mark.parametrize("n_pairs", [1, 4])
+    def test_sampled_transcripts_are_the_counted_draws(self, n_pairs):
+        # one more chunk than fills, at one pair (counted byte by byte) and at
+        # four (two draws per word); a sign flip on a uniform string probe is
+        # accepted half the time per pair, and a trial when all its pairs are
+        chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
+        config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=chunk + 1000,
+                           seed=4, strategy=Strategy.relabel_announce(BellLabel(1, 0)))
+        table, draws = sample_branches(config)
+        drawn = list(draws)
+        assert [k for _, k in drawn] == list(range(n_pairs)) * config.trials
+        rows = np.array([branch for branch, _ in drawn]).reshape(config.trials, n_pairs)
         tally = Counter()
-        for t in sampled_transcripts(config):
-            assert t.announced_alice_label == BellLabel(1, 0) and t.pair_index == 0
-            tally["swap_outcome", str(t.swap_outcome)] += 1
-            tally["teleport_outcome", str(t.teleport_outcome)] += 1
-            tally["stored_bit", str(t.stored_alice_bit)] += 1
-            tally["acceptance", "accept"] += t.verdict.accept
+        for t, uses in zip(table, np.bincount(rows.ravel(), minlength=len(table)).tolist()):
+            assert t.announced_alice_label == BellLabel(1, 0)
+            tally["swap_outcome", str(t.swap_outcome)] += uses
+            tally["teleport_outcome", str(t.teleport_outcome)] += uses
+            tally["stored_bit", str(t.stored_alice_bit)] += uses
+        verdicts = np.array([t.verdict.accept for t in table])
+        tally["acceptance", "accept"] = int(np.count_nonzero(verdicts[rows].all(axis=1)))
         counted = {(r.category, r.outcome): r.count for r in monte_carlo(config).rows}
         assert counted == {key: tally[key] for key in counted}
         assert sum(tally.values()) == sum(counted.values())

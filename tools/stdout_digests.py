@@ -63,6 +63,7 @@ CLI_INVOCATIONS = [
     ("enumerate --scheme multi --phi Z1 --alice-label 01 --bob-label 10", 0, None),
     ("stats --trials 70000 --seed 8", 0, None),
     ("stats --scheme string --n-pairs 256 --trials 2000 --seed 6 --announce-delta 11", 0, None),
+    ("stats --scheme string --n-pairs 2 --trials 70000 --seed 9 --announce-delta 10", 0, None),
 ]
 
 
