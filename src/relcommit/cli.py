@@ -356,6 +356,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # memory still grows with --n-pairs
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
     except SystemExit as exc:  # argparse -h
         code = exc.code
         return 0 if code is None else int(code)

@@ -30,15 +30,16 @@ Validation knows two verifier models:
   announced frame against it.  Parity flips are then always caught,
   sign flips pass on parity-preserving announcements.
 
-:func:`run_pairs` enumerates any scheme exactly.  Each committed
-label's branches against all four receiver labels are held once, as
-one table of memoized code columns that the enumerators fill with the
-quantum engine's stack kernel: per probe state, the four registers (one
-per receiver label) are one stack, and each measurement step takes
-every branch of the step before it as one stack.  The table is
+:func:`run_pairs` enumerates any scheme exactly.  One enumerator fills
+each committed label's table of code columns, its branches against all
+four receiver labels, with the quantum engine's stack kernel; the multi
+scheme adds two steps to the single scheme's, which string pairs share.
+Tables are memoized on all the enumerator reads (multi or not, the
+probe states, the committed label), so they are shared across pair
+counts, receiver labels, geometry and validation mode.  A table is
 receiver-label-major, so each label pair's branches are a contiguous
 slice of it; :func:`branches` reads :class:`Transcript` objects out of
-that slice on each call.
+that slice on each call, stamped with the caller's scheme and schedule.
 
 The verifier is tabulated once per process: lookup arrays read off the
 certified label arithmetic, and its stored-bit predictions, computed on
@@ -67,7 +68,6 @@ from .quantum import (
     PROB_ATOL,
     BasisStateSpec,
     BellLabel,
-    PauliOp,
     _BELL_KETS,
     _measure_stack,
     _pauli_stack,
@@ -272,95 +272,74 @@ def _registers(alice_label: BellLabel, probe: np.ndarray) -> np.ndarray:
     return (pairs.reshape(4, 16)[:, :, None] * probe).reshape(4, 32)
 
 
-def _enumerate_pair(params: SchemeParams, alice_label: BellLabel) -> list[_Columns]:
-    """Exhaustive branches of one single or string committed label, one block per probe state.
+def _lineage(steps) -> list[np.ndarray]:
+    """Per branch of the last step: its register, then its branch of each step."""
+    rows = [np.arange(len(steps[-1].probabilities))]
+    for step in reversed(steps):
+        rows.insert(0, np.array(step.parents)[rows[0]])
+    return rows
+
+
+def _enumerate(
+    multi: bool, probes: tuple[BasisStateSpec, ...], alice_label: BellLabel
+) -> list[_Columns]:
+    """Exhaustive branches of one committed label, one block per equally likely probe state.
 
     Register order: Alice's retained half, her flying half, the
     receiver's flying half, the receiver's retained half, the probe.
     The middle agent's joint measurement hits qubits 1 and 2; the
     receiver's teleportation measurement hits the probe and his retained
-    half (4 and 3); the confirmation measurement reads qubit 0 in the
-    probe's basis family.  A probe state's four registers, one per
-    receiver label, are measured as one stack, and each step measures
-    every branch of the step before it as one stack; a block's rows come
-    in stack order, so each receiver label's rows are contiguous.
+    half (4 and 3); Alice rotates qubit 0 by her label's Pauli frame and
+    the confirmation measurement reads it in the probe's basis family.
+    ``multi`` adds two steps: Alice's recorded Z measurement of qubit 0
+    before her frame, and the second committer's returned copy of the
+    probe, rotated by his label and then his teleportation outcome.
+    Each step measures every branch of the step before it as one stack,
+    starting from a probe state's four registers (one per receiver
+    label), so each receiver label's rows are contiguous in its block.
     """
-    alice_frame = PauliOp(alice_label.i, alice_label.j)
+    alice_frame = PAULI_OPS[_code(alice_label)]
+    weight = 1.0 / len(probes)
     blocks = []
-    for phi, phi_weight in params.phi_choices():
-        register = _registers(alice_label, make_basis_state(phi).amplitudes)
-        swap = _measure_stack(register, (1, 2), "bell")
-        tele = _measure_stack(swap.states, (4, 3), "bell")
-        final = _measure_stack(_pauli_stack(tele.states, 0, alice_frame), (0,), phi.basis)
-        t = np.array(final.parents)
-        s = np.take(tele.parents, t)
-        blocks.append(_Columns(
-            np.full(len(t), BASIS_STATES.index(phi)), np.full(len(t), _code(alice_label)),
-            np.take(swap.parents, s), swap.codes[s], tele.codes[t], final.codes, None, None,
-            phi_weight * np.take(swap.probabilities, s) * np.take(tele.probabilities, t)
-            * np.array(final.probabilities),
-        ))
-    return blocks
-
-
-def _enumerate_multi(params: SchemeParams, alice_label: BellLabel) -> list[_Columns]:
-    """Exhaustive branches of the two-committer scheme around a verifying center.
-
-    Both committers learn the center's swap outcome.  Alice measures her
-    retained qubit in the computational basis (recorded, announced only
-    if the parties later choose to), then rotates and returns it.  Bob
-    prepares a fresh copy of the probe rotated by his teleportation
-    outcome and his own pair label and returns that; the center stores
-    both measured bits.  Steps are stacked as in :func:`_enumerate_pair`,
-    and the copies returned on a probe state's final branches are one
-    more stack.
-    """
-    alice_frame = PauliOp(alice_label.i, alice_label.j)
-    blocks = []
-    for phi, phi_weight in params.phi_choices():
+    for phi in probes:
         probe = make_basis_state(phi).amplitudes
-        # Bob's probe copy, rotated by his label and then by his
-        # teleportation outcome: one row per (label, outcome), in
-        # BELL_LABELS order.
-        rotated = np.stack([
-            _pauli_stack(_pauli_stack(probe, 0, PauliOp(label.i, label.j)), 0,
-                         PauliOp(outcome.i, outcome.j))
-            for label in BELL_LABELS for outcome in BELL_LABELS
-        ])
         swap = _measure_stack(_registers(alice_label, probe), (1, 2), "bell")
         tele = _measure_stack(swap.states, (4, 3), "bell")
-        mid = _measure_stack(tele.states, (0,), "Z")
-        final = _measure_stack(_pauli_stack(mid.states, 0, alice_frame), (0,), phi.basis)
-        m = np.array(final.parents)
-        t = np.take(mid.parents, m)
-        s = np.take(tele.parents, t)
-        bob = np.take(swap.parents, s)
-        # the copy Bob returns on each final branch, one row each
-        copies = _measure_stack(rotated[4 * bob + tele.codes[t]], (0,), phi.basis)
-        f = np.array(copies.parents)
-        m, t, s = m[f], t[f], s[f]
+        steps = [swap, tele] + ([_measure_stack(tele.states, (0,), "Z")] if multi else [])
+        framed = _pauli_stack(steps[-1].states, 0, alice_frame)
+        steps.append(_measure_stack(framed, (0,), phi.basis))
+        if multi:
+            bob, _, t, *_ = _lineage(steps)
+            rotated = np.stack([  # one row per (label, outcome) code pair; a label names its Pauli
+                _pauli_stack(_pauli_stack(probe, 0, label), 0, outcome)
+                for label in PAULI_OPS for outcome in PAULI_OPS
+            ])
+            steps.append(_measure_stack(rotated[4 * bob + tele.codes[t]], (0,), phi.basis))
+        bob, *rows = _lineage(steps)
+        probability = weight  # step order fixes the rounding, which TestGoldenTables pins
+        for step, row in zip(steps, rows):
+            probability = probability * np.array(step.probabilities)[row]
+        swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
+        mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
         blocks.append(_Columns(
-            np.full(len(f), BASIS_STATES.index(phi)), np.full(len(f), _code(alice_label)),
-            bob[f], swap.codes[s], tele.codes[t], final.codes[f], copies.codes, mid.codes[m],
-            phi_weight * np.take(swap.probabilities, s) * np.take(tele.probabilities, t)
-            * np.take(mid.probabilities, m) * np.take(final.probabilities, f)
-            * np.array(copies.probabilities),
+            np.full(len(bob), BASIS_STATES.index(phi)), np.full(len(bob), _code(alice_label)),
+            bob, swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
         ))
     return blocks
 
 
-@lru_cache(maxsize=1024)
-def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
-    """Every classical branch of one committed label against each receiver label.
+@lru_cache(maxsize=None)
+def _table(
+    multi: bool, probes: tuple[BasisStateSpec, ...], alice_label: BellLabel
+) -> _Columns:
+    """The one memo of branch tables, keyed on all that :func:`_enumerate` reads.
 
-    Code columns, receiver-label-major: each receiver label's rows are
-    one contiguous slice (see :func:`_pair_columns`), in enumeration
-    order.  The one memo of branch tables and the one place that picks
-    an enumerator by scheme.  Raises ``ValueError`` unless every stored
-    bit is 0 or 1 and every probability lies in ``(0, 1 + PROB_ATOL]``.
+    Code columns, receiver-label-major, so each receiver label's rows
+    are one contiguous slice (see :func:`_pair_columns`).  Raises
+    ``ValueError`` unless every stored bit is 0 or 1 and every
+    probability lies in ``(0, 1 + PROB_ATOL]``.
     """
-    enumerate_blocks = _enumerate_multi if params.scheme == "multi" else _enumerate_pair
-    blocks = enumerate_blocks(params, alice_label)
+    blocks = _enumerate(multi, probes, alice_label)
     order = np.argsort(np.concatenate([block.bob for block in blocks]), kind="stable")
     columns = _Columns._make(
         None if column[0] is None else _frozen(np.concatenate(column)[order])
@@ -373,6 +352,16 @@ def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
     if not ((probability > 0.0) & (probability <= 1.0 + PROB_ATOL)).all():
         raise ValueError(f"branch probability out of range: {probability.tolist()!r}")
     return columns
+
+
+def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
+    """Every branch of one committed label against each receiver label: its :func:`_table`.
+
+    The one map from :class:`SchemeParams` to the memo key: multi or
+    not, and the probe states.
+    """
+    probes = tuple(spec for spec, _ in params.phi_choices())
+    return _table(params.scheme == "multi", probes, alice_label)
 
 
 def _pair_columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
@@ -498,7 +487,7 @@ def _verifier_tables() -> _VerifierTables:
 
 def clear_caches() -> None:
     """Drop every memoized table: branch columns, the verifier, engine index tables."""
-    for cached in (_columns, _verifier_tables):
+    for cached in (_table, _verifier_tables):
         cached.cache_clear()
     _clear_quantum_caches()
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from relcommit import serialize
+from relcommit import cli, serialize
 from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main, parse_label, render_report_table
 from relcommit.montecarlo import RunConfig
@@ -555,6 +555,17 @@ class TestConfigAndErrors:
         assert from_flag[0] == 0
         assert from_flag == from_config
         assert from_flag != honest
+
+    @pytest.mark.parametrize("command", ["attack-scan", "enumerate", "stats", "run"])
+    @pytest.mark.parametrize("message,detail",
+                             [("", ""), ("Unable to allocate", ": Unable to allocate")])
+    def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch, command, message, detail):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._COMMANDS, command, exhausted)
+        code, out, err = run_cli(capsys, command, "--scheme", "string", "--n-pairs", "99999999999")
+        assert (code, out, err) == (1, "", f"error: out of memory{detail}\n")
 
     @pytest.mark.parametrize("key", ["strict", "output", "config", "input", "command"])
     def test_non_setting_config_key_rejected(self, capsys, tmp_path, key):

@@ -606,8 +606,7 @@ class TestTableChecks:
         ("multi", "stored_bob", 2),
     ])
     def test_bad_enumerated_row_rejected(self, monkeypatch, scheme, column, value):
-        name = "_enumerate_multi" if scheme == "multi" else "_enumerate_pair"
-        real = getattr(protocol, name)
+        real = protocol._enumerate
 
         def broken(*args):
             blocks = real(*args)
@@ -616,7 +615,7 @@ class TestTableChecks:
             blocks[0] = blocks[0]._replace(**{column: values})
             return blocks
 
-        monkeypatch.setattr(protocol, name, broken)
+        monkeypatch.setattr(protocol, "_enumerate", broken)
         clear_caches()
         message = "branch probability" if column == "probability" else "stored bit"
         with pytest.raises(ValueError, match=f"^{message}.*{value}"):
@@ -701,7 +700,7 @@ def _module_caches():
 class TestCaches:
     def test_clear_caches_empties_every_cache(self):
         caches = _module_caches()
-        assert {("relcommit.protocol", "_columns"),
+        assert {("relcommit.protocol", "_table"),
                 ("relcommit.protocol", "_verifier_tables"),
                 ("relcommit.quantum", "_pauli_permutation"),
                 ("relcommit.quantum", "_measured_first")} <= set(caches)
@@ -712,6 +711,23 @@ class TestCaches:
         adversary.clear_caches()
         for key, cache in caches.items():
             assert cache.cache_info().currsize == 0, key
+
+    def test_one_table_per_scheme_family_probe_set_and_label(self):
+        # pair count, receiver label, geometry and mode leave a table unchanged
+        clear_caches()
+        for n_pairs, bob in ((4, BellLabel(0, 0)), (4, BellLabel(0, 1)), (5, BellLabel(0, 0))):
+            adversary.build_report(SchemeParams("string", n_pairs=n_pairs, bob_label=bob))
+        assert protocol._table.cache_info().misses == 4
+        z0 = (SchemeParams("single"), SchemeParams("single", x=2.0, validation_mode="R1"),
+              SchemeParams("string", phi_policy=Z0))
+        for params in z0:
+            adversary.build_report(params)
+        assert protocol._table.cache_info().misses == 8
+        assert len({params.schedule for params in z0}) == 3
+        for params in z0:
+            for t in branches(params, BellLabel(1, 0), BellLabel(0, 1)):
+                assert (t.scheme, t.schedule) == (params.scheme, params.schedule)
+        assert protocol._table.cache_info().misses == 8
 
     def test_callers_cannot_mutate_the_cached_table(self):
         params = SchemeParams("single")
