@@ -421,7 +421,7 @@ def _extraction_views_enumerated(strategy: Strategy) -> dict:
         measured = _measure_stack(returned, (1, 0), "bell")
     joint: dict = {}
     prior = 0.25
-    rows = zip(measured.parents, measured.outcomes, measured.probabilities)
+    rows = zip(measured.parents.tolist(), measured.outcomes, measured.probabilities.tolist())
     for row, outcome, probability in rows:
         key = (committed_bit(BELL_LABELS[row]), outcome)
         joint[key] = joint.get(key, 0.0) + prior * probability

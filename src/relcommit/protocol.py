@@ -57,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -261,29 +262,52 @@ def _row(t: Transcript) -> _Columns:
     )
 
 
-def _registers(alice_label: BellLabel, probe: np.ndarray) -> np.ndarray:
-    """The register of every receiver label, one row each in ``BELL_LABELS`` order.
+def _registers(alice_label: BellLabel, probes: np.ndarray) -> np.ndarray:
+    """The register of every (probe, receiver label), probe-major: row ``4p + b``.
 
-    The kets are multiplied as :func:`~relcommit.quantum.tensor` does
-    (``np.kron``'s broadcast products, left factor first), so each row
-    equals that tensor product bit for bit.
+    ``probes`` holds one probe state's amplitudes per row, and ``b`` is
+    the receiver label's code.  The kets are multiplied as
+    :func:`~relcommit.quantum.tensor` does (``np.kron``'s broadcast
+    products, left factor first), so each row equals that tensor
+    product bit for bit.
     """
     pairs = _BELL_KETS[_code(alice_label)][None, :, None] * _BELL_KETS[:, None, :]
-    return (pairs.reshape(4, 16)[:, :, None] * probe).reshape(4, 32)
+    return (pairs.reshape(4, 16)[None, :, :, None] * probes[:, None, None, :]).reshape(-1, 32)
 
 
-def _lineage(steps) -> list[np.ndarray]:
+class _Step(NamedTuple):
+    """What the enumerator keeps of a measured stack once its states are spent."""
+
+    parents: np.ndarray
+    probabilities: np.ndarray
+    codes: np.ndarray
+
+
+def _lineage(steps: Sequence[_Step]) -> list[np.ndarray]:
     """Per branch of the last step: its register, then its branch of each step."""
     rows = [np.arange(len(steps[-1].probabilities))]
     for step in reversed(steps):
-        rows.insert(0, np.array(step.parents)[rows[0]])
+        rows.insert(0, step.parents[rows[0]])
     return rows
+
+
+def _measure_probes(stack: np.ndarray, bases: np.ndarray) -> _Step:
+    """Qubit 0 of each row measured in its probe's basis family ``bases[row]``, as one step.
+
+    Each run of rows sharing a basis is measured as one stack.
+    """
+    starts = np.flatnonzero(np.r_[True, bases[1:] != bases[:-1]]).tolist()
+    parts = []
+    for start, stop in zip(starts, starts[1:] + [len(bases)]):
+        measured = _measure_stack(stack[start:stop], (0,), str(bases[start]))
+        parts.append(_Step(measured.parents + start, measured.probabilities, measured.codes))
+    return _Step._make(map(np.concatenate, zip(*parts)))
 
 
 def _enumerate(
     multi: bool, probes: tuple[BasisStateSpec, ...], alice_label: BellLabel
-) -> list[_Columns]:
-    """Exhaustive branches of one committed label, one block per equally likely probe state.
+) -> _Columns:
+    """Exhaustive branches of one committed label, every probe state at once.
 
     Register order: Alice's retained half, her flying half, the
     receiver's flying half, the receiver's retained half, the probe.
@@ -295,37 +319,45 @@ def _enumerate(
     before her frame, and the second committer's returned copy of the
     probe, rotated by his label and then his teleportation outcome.
     Each step measures every branch of the step before it as one stack,
-    starting from a probe state's four registers (one per receiver
-    label), so each receiver label's rows are contiguous in its block.
+    starting from the registers of every (probe, receiver label) pair,
+    probe-major; a step that measures in the probe's basis makes one
+    stack per run of rows sharing a basis, and probe families list their
+    Z states first.  Rows stay in the order of their registers, so a
+    row's register ``4p + b`` names its probe ``p`` and its receiver
+    label ``b``.  Each step's states are dropped once the next step has
+    measured them.
     """
-    alice_frame = PAULI_OPS[_code(alice_label)]
-    weight = 1.0 / len(probes)
-    blocks = []
-    for phi in probes:
-        probe = make_basis_state(phi).amplitudes
-        swap = _measure_stack(_registers(alice_label, probe), (1, 2), "bell")
-        tele = _measure_stack(swap.states, (4, 3), "bell")
-        steps = [swap, tele] + ([_measure_stack(tele.states, (0,), "Z")] if multi else [])
-        framed = _pauli_stack(steps[-1].states, 0, alice_frame)
-        steps.append(_measure_stack(framed, (0,), phi.basis))
-        if multi:
-            bob, _, t, *_ = _lineage(steps)
-            rotated = np.stack([  # one row per (label, outcome) code pair; a label names its Pauli
-                _pauli_stack(_pauli_stack(probe, 0, label), 0, outcome)
-                for label in PAULI_OPS for outcome in PAULI_OPS
-            ])
-            steps.append(_measure_stack(rotated[4 * bob + tele.codes[t]], (0,), phi.basis))
-        bob, *rows = _lineage(steps)
-        probability = weight  # step order fixes the rounding, which TestGoldenTables pins
-        for step, row in zip(steps, rows):
-            probability = probability * np.array(step.probabilities)[row]
-        swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
-        mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
-        blocks.append(_Columns(
-            np.full(len(bob), BASIS_STATES.index(phi)), np.full(len(bob), _code(alice_label)),
-            bob, swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
-        ))
-    return blocks
+    amplitudes = np.stack([make_basis_state(phi).amplitudes for phi in probes])
+    bases = np.array([phi.basis for phi in probes])
+    stack = _registers(alice_label, amplitudes)
+    steps = []
+    for qubits, basis in [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else []):
+        measured = _measure_stack(stack, qubits, basis)
+        steps.append(_Step(measured.parents, measured.probabilities, measured.codes))
+        stack = measured.states
+    del measured
+    stack = _pauli_stack(stack, 0, PAULI_OPS[_code(alice_label)])
+    steps.append(_measure_probes(stack, bases[_lineage(steps)[0] // 4]))
+    if multi:
+        register, _, t, *_ = _lineage(steps)
+        rotated = np.stack([  # [probe, (label, outcome) code pair]; a label names its Pauli
+            _pauli_stack(_pauli_stack(amplitudes, 0, label), 0, outcome)
+            for label in PAULI_OPS for outcome in PAULI_OPS
+        ], axis=1)
+        probe = register // 4
+        copies = rotated[probe, 4 * (register % 4) + steps[1].codes[t]]
+        steps.append(_measure_probes(copies, bases[probe]))
+    register, *rows = _lineage(steps)
+    probability = 1.0 / len(probes)  # step order fixes the rounding, which TestGoldenTables pins
+    for step, row in zip(steps, rows):
+        probability = probability * step.probabilities[row]
+    swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
+    mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
+    probe_codes = np.array([BASIS_STATES.index(phi) for phi in probes])
+    return _Columns(
+        probe_codes[register // 4], np.full(len(register), _code(alice_label)), register % 4,
+        swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -339,11 +371,10 @@ def _table(
     ``ValueError`` unless every stored bit is 0 or 1 and every
     probability lies in ``(0, 1 + PROB_ATOL]``.
     """
-    blocks = _enumerate(multi, probes, alice_label)
-    order = np.argsort(np.concatenate([block.bob for block in blocks]), kind="stable")
+    enumerated = _enumerate(multi, probes, alice_label)
+    order = np.argsort(enumerated.bob, kind="stable")
     columns = _Columns._make(
-        None if column[0] is None else _frozen(np.concatenate(column)[order])
-        for column in zip(*blocks)
+        None if column is None else _frozen(column[order]) for column in enumerated
     )
     stored = [bits for bits in (columns.stored_alice, columns.stored_bob) if bits is not None]
     if not np.isin(stored, (0, 1)).all():
@@ -479,7 +510,7 @@ def _verifier_tables() -> _VerifierTables:
     for basis in ("Z", "X"):
         rows = [k for k, phi in enumerate(BASIS_STATES) if phi.basis == basis]
         measured = _measure_stack(rotated[rows].reshape(-1, 2), (0,), basis)
-        if measured.parents != list(range(16 * len(rows))):
+        if not np.array_equal(measured.parents, np.arange(16 * len(rows))):
             raise AssertionError("expected a deterministic confirmation measurement")
         prediction[rows] = np.reshape(measured.outcomes, (len(rows), 4, 4))
     return _VerifierTables(_frozen(swap), _frozen(correction), _frozen(prediction))

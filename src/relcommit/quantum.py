@@ -351,9 +351,9 @@ _MEASUREMENTS = {
 class _Projection(NamedTuple):
     """Kept branches of a measured stack, in (parent row, outcome) order."""
 
-    parents: list[int]
+    parents: np.ndarray  # each kept branch's row of the measured stack
     outcomes: list[BellLabel | int]
-    probabilities: list[float]
+    probabilities: np.ndarray
     states: np.ndarray  # collapsed amplitudes, one row per kept branch
     codes: np.ndarray  # each outcome's row of the outcome kets: a label's code, or the bit
 
@@ -382,7 +382,12 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     weights = probs[parents, picked]
     if (weights > 1.0 + PROB_ATOL).any():
         raise ValueError(f"branch probability out of range: {float(weights.max())!r}")
-    for total in map(math.fsum, np.where(kept, probs, 0.0).tolist()):
+    # A float sum of at most four weights in [0, 1 + PROB_ATOL] is within
+    # 1e-15 of the exact one, so every row whose exact sum misses 1 by
+    # more than PROB_ATOL is among these suspects, and is summed exactly.
+    kept_probs = np.where(kept, probs, 0.0)
+    suspects = np.abs(kept_probs.sum(axis=1) - 1.0) > PROB_ATOL / 2
+    for total in map(math.fsum, kept_probs[suspects].tolist()):
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"branch probabilities sum to {total!r}, expected 1")
     scaled = residuals[parents, picked] / np.sqrt(weights)[:, None]
@@ -391,9 +396,7 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     norms = np.einsum("bi,bi->b", posts.conj(), posts).real
     if (abs(norms - 1.0) > PROB_ATOL).any():
         raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")
-    return _Projection(
-        parents.tolist(), [outcomes[k] for k in picked.tolist()], weights.tolist(), posts, picked
-    )
+    return _Projection(parents, [outcomes[k] for k in picked.tolist()], weights, posts, picked)
 
 
 def _branch_set(state: StateVector, qubits: tuple[int, ...], basis: str) -> BranchSet:
@@ -401,7 +404,7 @@ def _branch_set(state: StateVector, qubits: tuple[int, ...], basis: str) -> Bran
     rows = _measure_stack(state.amplitudes[None], qubits, basis)
     return BranchSet(tuple(
         Branch(outcome, prob, StateVector(post))
-        for outcome, prob, post in zip(rows.outcomes, rows.probabilities, rows.states)
+        for outcome, prob, post in zip(rows.outcomes, rows.probabilities.tolist(), rows.states)
     ))
 
 

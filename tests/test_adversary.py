@@ -223,9 +223,10 @@ class TestVerifierWork:
         SchemeParams("string", phi_policy=X1),
     ], ids=["single", "multi", "multi-uniform", "string", "string-X1"])
     def test_cold_report_measures_a_few_stacks_per_committed_label(self, monkeypatch, params):
-        # a stack per step for each probe state and committed label, the
-        # receiver labels being its rows: 3 steps, or in the multi scheme
-        # 4 and the second committer's probe copies
+        # per committed label, a stack per step whatever the number of probe
+        # states, the (probe, receiver label) pairs being its rows: 3 steps,
+        # or in the multi scheme 4 and the second committer's probe copies;
+        # the confirmation measurement adds a stack per extra probe basis
         adversary.clear_caches()
         protocol._verifier_tables()  # measures its predictions once per process
         stacks = []
@@ -234,7 +235,8 @@ class TestVerifierWork:
                             lambda *args: stacks.append(args[1:]) or real(*args))
         build_report(params)
         steps = 5 if params.scheme == "multi" else 3
-        assert 0 < len(stacks) <= steps * len(params.phi_choices()) * len(BELL_LABELS)
+        bases = {spec.basis for spec, _ in params.phi_choices()}
+        assert len(stacks) == (steps + len(bases) - 1) * len(BELL_LABELS)
 
     def test_cold_string_report_memory_is_bounded(self):
         params = SchemeParams("string", n_pairs=20)

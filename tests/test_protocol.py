@@ -609,11 +609,10 @@ class TestTableChecks:
         real = protocol._enumerate
 
         def broken(*args):
-            blocks = real(*args)
-            values = getattr(blocks[0], column).copy()
+            columns = real(*args)
+            values = getattr(columns, column).copy()
             values[3] = value
-            blocks[0] = blocks[0]._replace(**{column: values})
-            return blocks
+            return columns._replace(**{column: values})
 
         monkeypatch.setattr(protocol, "_enumerate", broken)
         clear_caches()

@@ -531,6 +531,18 @@ class TestMeasureStack:
         with pytest.raises(ValueError, match="sum to"):
             _measure_stack(stack, (0,), "X")
 
+    @pytest.mark.parametrize("excess,ok", [(0.3e-12, True), (0.7e-12, True),
+                                           (1.2e-12, False), (3e-12, False)])
+    def test_sum_check_is_exact_near_the_tolerance(self, excess, ok):
+        # |0> scaled so its two X weights sum to 1 + excess, on either side
+        # of both the float pre-screen (PROB_ATOL / 2) and the check itself
+        stack = np.array([[1.0, 0.0], [math.sqrt(1.0 + excess), 0.0]], dtype=np.complex128)
+        if ok:
+            assert len(_measure_stack(stack, (0,), "X").parents) == 4
+        else:
+            with pytest.raises(ValueError, match="sum to"):
+                _measure_stack(stack, (0,), "X")
+
     def test_row_with_no_kept_branch_rejected(self):
         stack = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
         with pytest.raises(ValueError, match="sum to"):

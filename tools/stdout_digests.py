@@ -65,6 +65,7 @@ CLI_INVOCATIONS = [
     ("stats --scheme string --n-pairs 256 --trials 2000 --seed 6 --announce-delta 11", 0, None),
     ("stats --scheme string --n-pairs 2 --trials 70000 --seed 9 --announce-delta 10", 0, None),
     ("stats --scheme string --n-pairs 99999999999 --trials 1", 1, None),
+    ("run --scheme string --n-pairs 4 --trials 3 --seed 11 --alice-label 11 --bob-label 10", 0, None),
 ]
 
 
