@@ -10,12 +10,16 @@ Subcommands:
 * ``stats``: sampled outcome counts against exact probabilities as JSON.
 
 Each subcommand takes exactly the flags it reads (see
-:func:`build_parser`); any other flag is a usage error.  ``run`` and
-``stats`` take the same flags, differing only in the ``--trials``
-default (1 and 10000), build the same sampling campaign from them and
-read the same seeded stream, so at equal flags ``run`` writes out
-exactly the draws that ``stats`` counts.  ``--announce-delta`` (other
-than ``00``) makes the committer relabel her announcement by it.
+:func:`build_parser`); any other flag is a usage error.  A call builds
+only the subparser of the subcommand it names; ``-h``, an unknown
+command or no command builds all six, to list or to choose from.
+
+``run`` and ``stats`` take the same flags, differing only in the
+``--trials`` default (1 and 10000), build the same sampling campaign
+from them and read the same seeded stream, so at equal flags ``run``
+writes out exactly the draws that ``stats`` counts.
+``--announce-delta`` (other than ``00``) makes the committer relabel
+her announcement by it.
 
 ``report --input`` and ``audit --input`` take the scan or schedule
 from the file, so any scan or geometry flag given beside ``--input`` on
@@ -83,45 +87,64 @@ def parse_label(text: str) -> BellLabel:
     return BellLabel(int(text[0]), int(text[1]))
 
 
-def build_parser() -> _Parser:
+# Every subcommand with its help line, in the order ``relcommit -h`` lists them.
+_HELP = {
+    "run": "sample transcripts to JSONL",
+    "enumerate": "exact branch enumeration as JSON",
+    "attack-scan": "security report as JSON",
+    "audit": "causality-check a schedule",
+    "report": "render a scan as a table",
+    "stats": "mass sampling statistics as JSON",
+}
+
+
+def build_parser(commands: Sequence[str] = tuple(_HELP)) -> _Parser:
+    """The ``relcommit`` parser with the subparsers of ``commands`` only.
+
+    Each subparser takes the same flags, in the same order, whichever
+    others are built beside it.
+    """
     parser = _Parser(prog="relcommit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="sample transcripts to JSONL")
-    enum = sub.add_parser("enumerate", help="exact branch enumeration as JSON")
-    scan = sub.add_parser("attack-scan", help="security report as JSON")
-    aud = sub.add_parser("audit", help="causality-check a schedule")
-    rep = sub.add_parser("report", help="render a scan as a table")
-    stats = sub.add_parser("stats", help="mass sampling statistics as JSON")
+    built = {name: sub.add_parser(name, help=_HELP[name]) for name in commands}
 
-    for command in sub.choices.values():
+    def each(*names: str) -> list[_Parser]:
+        return [built[name] for name in names if name in built]
+
+    for command in built.values():
         command.add_argument("--scheme", choices=("single", "multi", "string"), default="single")
         command.add_argument("--x", type=float, default=1.0, help="half-separation")
         command.add_argument("--c", type=float, default=1.0, help="signal speed")
         command.add_argument("--T", type=float, default=None, help="reveal time (default 10 x/c)")
         command.add_argument("--output", default=None, help="write to file instead of stdout")
         command.add_argument("--config", default=None, help="JSON file of default flag values")
-    for command in (run, enum, scan, rep, stats):
+    for command in each("run", "enumerate", "attack-scan", "report", "stats"):
         command.add_argument("--n-pairs", type=int, default=1, dest="n_pairs",
                              help="committed pairs (string scheme only)")
         command.add_argument("--phi", default="default", help="probe policy: Z0 Z1 X0 X1 uniform")
         command.add_argument("--bob-label", type=parse_label, default=BellLabel(0, 0))
-    for command in (run, scan, rep, stats):
+    for command in each("run", "attack-scan", "report", "stats"):
         command.add_argument("--mode", choices=("R1", "R2"), default="R2",
                              help="validation mode")
-    for command in (run, enum, stats):
+    for command in each("run", "enumerate", "stats"):
         command.add_argument("--alice-label", type=parse_label, default=BellLabel(0, 0))
-    for command, trials, strict in (
-        (run, 1, "exit 2 when any sampled transcript fails validation"),
-        (stats, 10000, "exit 2 when any frequency deviates beyond 5 standard errors"),
+    for name, trials, strict in (
+        ("run", 1, "exit 2 when any sampled transcript fails validation"),
+        ("stats", 10000, "exit 2 when any frequency deviates beyond 5 standard errors"),
     ):
-        command.add_argument("--seed", type=int, default=0)
-        command.add_argument("--trials", type=int, default=trials)
-        command.add_argument("--announce-delta", type=parse_label, default=None,
-                             dest="announce_delta",
-                             help="shift announced labels by this label (cheating committer)")
-        command.add_argument("--strict", action="store_true", help=strict)
-    aud.add_argument("--input", default=None, help="schedule JSON to audit instead of canonical")
-    rep.add_argument("--input", default=None, help="scan JSON produced by attack-scan")
+        for command in each(name):
+            command.add_argument("--seed", type=int, default=0)
+            command.add_argument("--trials", type=int, default=trials)
+            command.add_argument("--announce-delta", type=parse_label, default=None,
+                                 dest="announce_delta",
+                                 help="shift announced labels by this label (cheating committer)")
+            command.add_argument("--strict", action="store_true", help=strict)
+    for name, text in (
+        ("audit", "schedule JSON to audit instead of canonical"),
+        ("report", "scan JSON produced by attack-scan"),
+    ):
+        for command in each(name):
+            command.add_argument("--input", default=None, help=text)
     parser.subcommands = sub
     return parser
 
@@ -134,8 +157,8 @@ def _apply_config(parser: _Parser, path: str) -> None:
         raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path!r} must be a JSON object")
-    commands = parser.subcommands.choices
-    flags = commands["run"]  # the one subcommand with every config key
+    # ``run`` is the one subcommand with every config key
+    flags = build_parser(("run",)).subcommands.choices["run"]
     keys = set(vars(flags.parse_args([]))) - {"strict", "output", "config"}
     defaults = {}
     for key, value in raw.items():
@@ -152,7 +175,7 @@ def _apply_config(parser: _Parser, path: str) -> None:
     # fresh namespace, so top-level set_defaults would be shadowed by the
     # subparser's own argument defaults.  A subcommand without the flag
     # never reads the key.
-    for command in commands.values():
+    for command in parser.subcommands.choices.values():
         command.set_defaults(**defaults)
 
 
@@ -344,7 +367,9 @@ _COMMANDS = {
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # a subcommand's name builds its subparser alone; anything else (``-h``,
+    # a typo, nothing) needs every subcommand, to list or to choose from
+    parser = build_parser(argv[:1] if argv and argv[0] in _HELP else tuple(_HELP))
     try:
         args = parser.parse_args(argv)
         if args.config is not None:  # parsed as every flag is, abbreviations included

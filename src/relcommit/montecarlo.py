@@ -52,9 +52,10 @@ from .protocol import (
     _Check,
     _Columns,
     _pair_columns,
+    _scalar_rows,
+    _transcript,
     _verdict,
     _verify,
-    branches,
     parse_phi_policy,
 )
 from .quantum import BELL_LABELS, PROB_ATOL, BellLabel
@@ -273,13 +274,11 @@ def sample_branches(
     Set-up (and any configuration error) happens at the call; draws are
     made lazily, one chunk at a time.
     """
-    params, committed, announced, _, check, slots = _campaign(config)
-    table = branches(params, committed, config.bob_label)
-    bob_expected = [None] * len(table) if check.bob_expected is None else check.bob_expected.tolist()
-    checks = zip(check.accept.tolist(), check.alice_expected.tolist(), bob_expected)
+    params, committed, announced, columns, check, slots = _campaign(config)
     validated = tuple(
-        dataclasses.replace(t, announced_alice_label=announced, verdict=_verdict(t, announced, *row))
-        for t, row in zip(table, checks)
+        _transcript(params, committed, config.bob_label, row, announced,
+                    _verdict(row, announced, *checked))
+        for row, checked in zip(_scalar_rows(columns), _scalar_rows(check))
     )
     indices = range(params.n_pairs) if params.scheme == "string" else (None,) * params.n_pairs
     return validated, (

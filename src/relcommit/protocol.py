@@ -58,7 +58,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -406,6 +406,41 @@ def _pair_columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellL
     return _Columns._make(None if column is None else column[start:stop] for column in columns)
 
 
+def _scalar_rows(columns: _Columns | _Check) -> Iterator[_Columns | _Check]:
+    """A table's columns, or a check over them, as one row of scalars per branch."""
+    count = len(columns[0])
+    rows = zip(*([None] * count if column is None else column.tolist() for column in columns))
+    return map(type(columns)._make, rows)
+
+
+def _transcript(
+    params: SchemeParams,
+    alice_label: BellLabel,
+    bob_label: BellLabel,
+    row: _Columns,
+    announced: BellLabel,
+    verdict: Verdict | None = None,
+) -> Transcript:
+    """One branch of a :func:`_pair_columns` table as a transcript.
+
+    ``row`` is one of :func:`_scalar_rows`; the committer announces
+    ``announced``.  In the multi scheme the second committer announces
+    his true label and teleportation outcome.
+    """
+    probe, _, _, swap, tele, stored, stored_bob, mid, probability = row
+    multi = stored_bob is not None
+    return Transcript(
+        scheme=params.scheme, alice_label=alice_label, bob_label=bob_label,
+        swap_outcome=BELL_LABELS[swap], teleport_outcome=BELL_LABELS[tele],
+        phi=BASIS_STATES[probe], stored_alice_bit=stored, probability=probability,
+        schedule=params.schedule, stored_bob_bit=stored_bob, alice_mid_measurement=mid,
+        announced_alice_label=announced,
+        announced_bob_label=bob_label if multi else None,
+        announced_teleport_outcome=BELL_LABELS[tele] if multi else None,
+        verdict=verdict,
+    )
+
+
 def branches(
     params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
 ) -> tuple[Transcript, ...]:
@@ -419,20 +454,9 @@ def branches(
     index.
     """
     columns = _pair_columns(params, alice_label, bob_label)
-    multi = columns.stored_bob is not None
-    count = len(columns.probability)
-    rows = zip(*([None] * count if column is None else column.tolist() for column in columns))
     return tuple(
-        Transcript(
-            scheme=params.scheme, alice_label=alice_label, bob_label=bob_label,
-            swap_outcome=BELL_LABELS[swap], teleport_outcome=BELL_LABELS[tele],
-            phi=BASIS_STATES[probe], stored_alice_bit=stored, probability=probability,
-            schedule=params.schedule, stored_bob_bit=stored_bob, alice_mid_measurement=mid,
-            announced_alice_label=alice_label,
-            announced_bob_label=bob_label if multi else None,
-            announced_teleport_outcome=BELL_LABELS[tele] if multi else None,
-        )
-        for probe, _, _, swap, tele, stored, stored_bob, mid, probability in rows
+        _transcript(params, alice_label, bob_label, row, alice_label)
+        for row in _scalar_rows(columns)
     )
 
 
@@ -566,29 +590,26 @@ def _verify(
 
 
 def _verdict(
-    transcript: Transcript,
+    row: _Columns,
     announced: BellLabel,
     accept: bool,
     alice_expected: int,
     bob_expected: int | None,
 ) -> Verdict:
-    """One branch's :class:`Verdict` from its row of a :func:`_verify` check."""
+    """One branch's :class:`Verdict` from its scalar row and its row of a :func:`_verify` check."""
     if accept:
         return Verdict.accepted()
+    stored_alice, stored_bob = row.stored_alice, row.stored_bob
     if bob_expected is None:
         return Verdict.aborted(
-            f"stored bit {transcript.stored_alice_bit} != expected {alice_expected} "
+            f"stored bit {stored_alice} != expected {alice_expected} "
             f"for announced label {announced}"
         )
     failures = []
-    if bob_expected != transcript.stored_bob_bit:
-        failures.append(
-            f"bob: stored probe copy bit {transcript.stored_bob_bit} != expected {bob_expected}"
-        )
-    if alice_expected != transcript.stored_alice_bit:
-        failures.append(
-            f"alice: stored bit {transcript.stored_alice_bit} != expected {alice_expected}"
-        )
+    if bob_expected != stored_bob:
+        failures.append(f"bob: stored probe copy bit {stored_bob} != expected {bob_expected}")
+    if alice_expected != stored_alice:
+        failures.append(f"alice: stored bit {stored_alice} != expected {alice_expected}")
     return Verdict.aborted("; ".join(failures))
 
 
@@ -608,8 +629,8 @@ def validate_multiparty(
     """
     if transcript.stored_bob_bit is None:
         raise ValueError("transcript lacks the second committer's stored bit")
-    check = _verify(_row(transcript), alice_announced, mode, bob_announced)
-    return _verdict(transcript, alice_announced, *check)
+    row = _row(transcript)
+    return _verdict(row, alice_announced, *_verify(row, alice_announced, mode, bob_announced))
 
 
 def validate_transcript(transcript: Transcript, announced: BellLabel, mode: str = "R2") -> Verdict:
@@ -623,4 +644,4 @@ def validate_transcript(transcript: Transcript, announced: BellLabel, mode: str 
         )
     # only the multi scheme has a probe copy to check
     row = _row(transcript)._replace(stored_bob=None)
-    return _verdict(transcript, announced, *_verify(row, announced, mode))
+    return _verdict(row, announced, *_verify(row, announced, mode))

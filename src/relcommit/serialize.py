@@ -18,14 +18,16 @@ fields (``dataclasses.asdict``), so renaming a field of
 Serialization is deterministic: keys sorted, compact separators, floats
 in shortest round-trip form, so equal values serialize to equal bytes.
 The lines of ``relcommit run`` come from :func:`write_draws`, which
-encodes each drawn branch once with that same encoder, the shared
-schedule once, and splices each draw's pair index into the branch's
-text: each line is byte for byte :func:`serialize_transcript` of the
-draw.
+encodes each drawn branch once with that same encoder, the schedule
+its table shares once per table, and splices each draw's pair index
+into the branch's text: each line is byte for byte
+:func:`serialize_transcript` of the draw.
 
 Readers check JSON types as well as values: bits are the integers 0
 and 1 (not ``true`` or ``1.0``), flags are booleans, probabilities
-finite numbers, and a pair index a non-negative integer or null.
+finite numbers, a pair index a non-negative integer or null, and a
+schedule and its ``phase_times`` objects.  A parsed pair label or probe
+state is the shared member of ``BELL_LABELS`` or ``BASIS_STATES``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import IO, Iterable, Sequence
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
 from .protocol import SchemeParams, Transcript, Verdict, parse_phi_policy
-from .quantum import BASIS_STATES, BasisStateSpec, BellLabel
+from .quantum import BASIS_STATES, BELL_LABELS, BasisStateSpec, BellLabel
 from .spacetime import SCHEMES, Message, PhaseTimes, Schedule, SpacetimeEvent
 
 __all__ = [
@@ -79,9 +81,13 @@ def _label_from_json(doc, field: str) -> BellLabel:
     if not isinstance(doc, dict) or "i" not in doc or "j" not in doc:
         raise TranscriptParseError(f"field {field!r} must be a label object with i and j")
     try:
-        return BellLabel(_bit(doc, "i"), _bit(doc, "j"))
+        return BELL_LABELS[2 * _bit(doc, "i") + _bit(doc, "j")]
     except TranscriptParseError as exc:
         raise TranscriptParseError(f"field {field!r}: {exc}") from exc
+
+
+# parsed labels and probes are these shared members, not fresh objects
+_PROBES = {(spec.basis, spec.value): spec for spec in BASIS_STATES}
 
 
 def _phi_to_json(spec: BasisStateSpec):
@@ -92,7 +98,7 @@ def _phi_from_json(doc, field: str) -> BasisStateSpec:
     if not isinstance(doc, dict) or "basis" not in doc or "value" not in doc:
         raise TranscriptParseError(f"field {field!r} must have basis and value")
     try:
-        return BasisStateSpec(_choice(doc, "basis", ("Z", "X")), _bit(doc, "value"))
+        return _PROBES[_choice(doc, "basis", ("Z", "X")), _bit(doc, "value")]
     except TranscriptParseError as exc:
         raise TranscriptParseError(f"field {field!r}: {exc}") from exc
 
@@ -187,6 +193,10 @@ def _schedule_from_marshal(key: bytes) -> Schedule:
     doc = marshal.loads(key)
     try:
         phases = _require(doc, "phase_times")
+        if not isinstance(phases, dict):
+            raise TranscriptParseError(
+                f"field 'phase_times' must be an object, got {type(phases).__name__}"
+            )
         return Schedule(
             _choice(doc, "scheme", SCHEMES),
             _number(doc, "x"),
@@ -209,6 +219,8 @@ def schedule_from_json(doc: dict) -> Schedule:
     apart by their ``marshal`` bytes, which keep what ``==`` conflates
     (``true`` and ``1``, ``1`` and ``1.0``, ``-0.0`` and ``0.0``).
     """
+    if not isinstance(doc, dict):
+        raise TranscriptParseError(f"schedule must be an object, got {type(doc).__name__}")
     try:
         key = marshal.dumps(doc)
     except ValueError as exc:
@@ -216,7 +228,8 @@ def schedule_from_json(doc: dict) -> Schedule:
     return _schedule_from_marshal(key)
 
 
-def transcript_to_json(transcript: Transcript) -> dict:
+def _transcript_fields(transcript: Transcript) -> dict:
+    """Every field of :func:`transcript_to_json` but the schedule."""
     verdict = transcript.verdict
     return {
         "scheme": transcript.scheme,
@@ -237,9 +250,12 @@ def transcript_to_json(transcript: Transcript) -> dict:
         },
         "pair_index": transcript.pair_index,
         "probability": transcript.probability,
-        "schedule": schedule_to_json(transcript.schedule),
         "verdict": None if verdict is None else {"accept": verdict.accept, "reason": verdict.reason},
     }
+
+
+def transcript_to_json(transcript: Transcript) -> dict:
+    return {**_transcript_fields(transcript), "schedule": schedule_to_json(transcript.schedule)}
 
 
 def transcript_from_json(doc: dict) -> Transcript:
@@ -322,12 +338,12 @@ def _line_template(transcript: Transcript, schedules: dict[int, str]) -> tuple[s
     ``head + k + middle + schedule + tail``.
 
     ``schedules`` holds the text of each schedule met so far, by ``id``:
-    a table's branches share one schedule, which is encoded and kept once.
+    a table's branches share one schedule, which is encoded once.
     """
-    doc = transcript_to_json(transcript)
     key = id(transcript.schedule)
     if key not in schedules:
-        schedules[key] = dumps(doc["schedule"])
+        schedules[key] = dumps(schedule_to_json(transcript.schedule))
+    doc = _transcript_fields(transcript)
     doc["pair_index"] = doc["schedule"] = _HOLE
     # keys are sorted, so the pair index comes before the schedule
     head, middle, tail = dumps(doc).split(dumps(_HOLE))
@@ -341,8 +357,9 @@ def write_draws(
 
     Each line is :func:`serialize_transcript` of ``table[branch]`` with
     ``pair_index`` set, byte for byte; but each branch is encoded once,
-    on its first draw, by :func:`transcript_to_json` and :func:`dumps`,
-    and later draws splice their pair index into that template.  Lines
+    on its first draw, by the encoder of :func:`transcript_to_json` and
+    :func:`dumps`, with the schedule its branches share encoded once, and
+    later draws splice their pair index into that template.  Lines
     are written as drawn.  Returns the number of lines of each branch.
     """
     schedules: dict[int, str] = {}

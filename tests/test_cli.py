@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shlex
 import subprocess
@@ -166,16 +167,19 @@ class TestRun:
         assert out == target.read_text() == "\n".join(lines) + "\n"
 
     def test_each_branch_is_encoded_once(self, tmp_path, monkeypatch):
-        calls = []
-        encode = serialize.transcript_to_json
-        monkeypatch.setattr(serialize, "transcript_to_json",
+        calls, schedules = [], []
+        encode, encode_schedule = serialize._transcript_fields, serialize.schedule_to_json
+        monkeypatch.setattr(serialize, "_transcript_fields",
                             lambda t: calls.append(t) or encode(t))
+        monkeypatch.setattr(serialize, "schedule_to_json",
+                            lambda s: schedules.append(s) or encode_schedule(s))
         code = cli_main(["run", "--scheme", "string", "--n-pairs", "20", "--trials", "200",
                          "--output", str(tmp_path / "run.jsonl")])
         params = RunConfig(scheme="string", n_pairs=20).to_params()
         table = branches(params, BellLabel(0, 0), params.bob_label)
         assert code == 0
         assert 0 < len(calls) <= len(table) <= 64
+        assert len(schedules) == 1
 
     def test_output_is_written_as_drawn(self, capsys, tmp_path):
         # joining 2000 lines of about 2.7 KB before writing peaks near 17 MB
@@ -419,6 +423,19 @@ class TestAudit:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read schedule {str(path)!r}: {named}"), err
 
+    @pytest.mark.parametrize("doc,message", [
+        ([1, 2], "schedule must be an object, got list"),
+        (["phase_times"], "schedule must be an object, got list"),
+        (dict(schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single")),
+              phase_times=["commit"]), "field 'phase_times' must be an object, got list"),
+    ], ids=["list", "list-of-field-names", "phase_times-list"])
+    def test_input_not_an_object_named(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "audit", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read schedule {str(path)!r}: {message}\n"
+
     def test_tampered_schedule_file_flagged(self, capsys, tmp_path):
         schedule = standard_schedule(1.0, 1.0, 10.0, "single")
         messages = list(schedule.messages)
@@ -661,6 +678,52 @@ class TestConfigAndErrors:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
+
+
+class TestParserBuild:
+    """``cli_main`` builds only the invoked subcommand's subparser."""
+
+    @pytest.mark.parametrize("command", SUBCOMMAND_FLAGS)
+    def test_one_command_help_equals_full_build(self, command):
+        alone = cli.build_parser((command,)).subcommands.choices
+        assert list(alone) == [command]
+        full = cli.build_parser().subcommands.choices[command]
+        assert alone[command].format_help() == full.format_help()
+
+    def test_run_builds_one_subparser(self, monkeypatch, tmp_path):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: calls.append(name) or add_parser(self, name, **kw))
+        assert cli_main(["run", "--output", str(tmp_path / "run.jsonl")]) == 0
+        assert calls == ["run"]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+    def test_top_level_help_lists_every_subcommand(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == cli.build_parser().format_help()
+        assert "{run,enumerate,attack-scan,audit,report,stats}" in out
+
+    @pytest.mark.parametrize("argv", [["fnord"], ["ru"], []], ids=["typo", "prefix", "empty"])
+    def test_no_subcommand_chooses_among_all(self, capsys, argv):
+        with pytest.raises(cli._UsageError) as caught:
+            cli.build_parser().parse_args(argv)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {caught.value}\n")
+        if argv:
+            assert str(caught.value).startswith(f"argument command: invalid choice: {argv[0]!r}")
+            assert all(command in str(caught.value) for command in SUBCOMMAND_FLAGS)
+
+    def test_extra_argument(self, capsys):
+        assert run_cli(capsys, "run", "extra") == (1, "", "error: unrecognized arguments: extra\n")
+
+    def test_audit_config_read_with_run_flags(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"x": 2, "trials": 5, "alice_label": "01"}))
+        assert run_cli(capsys, "audit", "--config", str(path)) == run_cli(capsys, "audit", "--x", "2")
+        path.write_text(json.dumps({"x": "abc"}))
+        assert run_cli(capsys, "audit", "--config", str(path)) == (
+            1, "", "error: config key 'x': argument --x: invalid float value: 'abc'\n")
 
 
 def _readme_commands():

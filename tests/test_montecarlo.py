@@ -22,6 +22,7 @@ from relcommit.montecarlo import (
     parse_phi_policy,
     sample_branches,
 )
+from relcommit.protocol import Transcript, branches, validate_transcript
 from relcommit.quantum import BELL_LABELS, BasisStateSpec, BellLabel
 
 
@@ -248,6 +249,35 @@ class TestMonteCarlo:
         assert counted == {key: tally[key] for key in counted}
         assert sum(tally.values()) == sum(counted.values())
         assert 0 < counted["acceptance", "accept"] < config.trials
+
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    @pytest.mark.parametrize("scheme,n_pairs", [("single", 1), ("multi", 1), ("string", 3)])
+    def test_table_equals_stamped_branches(self, scheme, n_pairs, mode):
+        # each branch is built once with its announced label and verdict: the
+        # same transcript as a plain branch stamped with both afterwards
+        aborted = []
+        for delta in BELL_LABELS:
+            config = RunConfig(scheme=scheme, n_pairs=n_pairs, phi="uniform", validation_mode=mode,
+                               alice_label=BellLabel(1, 0), bob_label=BellLabel(0, 1),
+                               strategy=None if delta == BellLabel(0, 0)
+                               else Strategy.relabel_announce(delta))
+            announced = delta ^ config.alice_label
+            reference = [
+                dataclasses.replace(t, announced_alice_label=announced,
+                                    verdict=validate_transcript(t, announced, mode))
+                for t in branches(config.to_params(), config.alice_label, config.bob_label)
+            ]
+            table, _ = sample_branches(config)
+            assert len(table) == len(reference)
+            for built, expected in zip(table, reference):
+                for field in dataclasses.fields(Transcript):
+                    assert getattr(built, field.name) == getattr(expected, field.name), field.name
+            aborted += [t.verdict.reason for t in table if not t.verdict.accept]
+        if mode == "R2":  # a parity flip is caught in R2 only
+            prefix = "alice: stored bit " if scheme == "multi" else "stored bit "
+            assert aborted and all(reason.startswith(prefix) for reason in aborted)
+        else:
+            assert aborted == []
 
     def test_missing_row_lookup(self):
         summary = monte_carlo(RunConfig(trials=10))

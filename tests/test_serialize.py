@@ -10,7 +10,7 @@ import pytest
 
 from relcommit.adversary import Strategy, build_report
 from relcommit.protocol import SchemeParams, Verdict, run_pairs
-from relcommit.quantum import BellLabel
+from relcommit.quantum import BASIS_STATES, BELL_LABELS, BellLabel
 from relcommit.serialize import (
     TranscriptParseError,
     dumps,
@@ -121,6 +121,34 @@ class TestTranscriptRoundTrip:
             parse_transcript(dumps(doc))
 
 
+class TestSharedValues:
+    def test_parsed_labels_and_probes_are_shared_members(self):
+        stamped = [dataclasses.replace(t, announced_alice_label=BellLabel(1, 1))
+                   for t in sample_transcripts()]
+        labels = ("alice_label", "bob_label", "swap_outcome", "teleport_outcome",
+                  "announced_alice_label", "announced_bob_label", "announced_teleport_outcome")
+        for t in stamped:
+            parsed = parse_transcript(serialize_transcript(t))
+            assert parsed == t
+            for field in labels:
+                value = getattr(parsed, field)
+                assert value is None or any(value is label for label in BELL_LABELS), field
+            assert any(parsed.phi is spec for spec in BASIS_STATES)
+        delta = strategy_from_json(strategy_to_json(Strategy.relabel_announce(BellLabel(0, 1))))
+        assert delta.delta is BELL_LABELS[1]
+
+    @pytest.mark.parametrize("value", [True, 1.0, 2], ids=["true", "1.0", "2"])
+    @pytest.mark.parametrize("field,bit", [
+        ("alice_label", "i"), ("swap_outcome", "j"), ("phi", "value"),
+    ])
+    def test_bits_still_refused(self, field, bit, value):
+        doc = json.loads(serialize_transcript(sample_transcripts()[0]))
+        doc[field][bit] = value
+        with pytest.raises(TranscriptParseError) as caught:
+            parse_transcript(dumps(doc))
+        assert str(caught.value) == f"field {field!r}: field {bit!r} must be 0 or 1, got {value!r}"
+
+
 class TestJsonl:
     def test_stream_round_trip(self):
         transcripts = sample_transcripts()
@@ -162,6 +190,23 @@ class TestScheduleRoundTrip:
             phases = dict(doc["phase_times"], commit=commit)
             parsed = schedule_from_json(dict(doc, phase_times=phases))
             assert math.copysign(1.0, parsed.phase_times.commit) == math.copysign(1.0, commit)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [1, 2], "schedule must be an object, got list"),
+        (lambda doc: ["phase_times"], "schedule must be an object, got list"),
+        (lambda doc: dict(doc, phase_times=["commit"]),
+         "field 'phase_times' must be an object, got list"),
+    ], ids=["list", "list-of-field-names", "phase_times-list"])
+    def test_non_object_named(self, edit, message):
+        doc = edit(schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single")))
+        with pytest.raises(TranscriptParseError) as caught:
+            schedule_from_json(doc)
+        assert str(caught.value) == message
+        line = json.loads(serialize_transcript(sample_transcripts()[0]))
+        line["schedule"] = edit(line["schedule"])
+        with pytest.raises(TranscriptParseError) as caught:
+            parse_transcript(dumps(line))
+        assert str(caught.value) == message
 
     def test_unmarshallable_document(self):
         doc = schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single"))

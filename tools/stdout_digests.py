@@ -6,7 +6,8 @@ Run from the repository root, with only the standard library:
 
 Each line is ``<sha256>  <command>``.  Run it on two commits and diff
 the outputs to see which commands changed their stdout.  Commands and
-demos run under ``python -W error`` with ``PYTHONPATH=src`` in a fresh
+demos run under ``python -W error`` with ``PYTHONPATH=src`` and
+``COLUMNS=80`` (so help text wraps alike in any terminal) in a fresh
 temporary directory, in list order, so ``report --input`` reads the
 scan an earlier line saved.  Exits 1 if a command exits with a code
 other than the one expected for it (a warning is an error, so it
@@ -66,6 +67,9 @@ CLI_INVOCATIONS = [
     ("stats --scheme string --n-pairs 2 --trials 70000 --seed 9 --announce-delta 10", 0, None),
     ("stats --scheme string --n-pairs 99999999999 --trials 1", 1, None),
     ("run --scheme string --n-pairs 4 --trials 3 --seed 11 --alice-label 11 --bob-label 10", 0, None),
+    ("--help", 0, None),
+    *((f"{command} -h", 0, None)
+      for command in ("run", "enumerate", "attack-scan", "audit", "report", "stats")),
 ]
 
 
@@ -80,7 +84,7 @@ def _digest(argv: list[str], label: str, expected: int, cwd: str, env: dict) -> 
 
 
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     python = [sys.executable, "-W", "error"]
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
