@@ -421,9 +421,9 @@ def _extraction_views_enumerated(strategy: Strategy) -> dict:
         measured = _measure_stack(returned, (1, 0), "bell")
     joint: dict = {}
     prior = 0.25
-    rows = zip(measured.parents.tolist(), measured.outcomes, measured.probabilities.tolist())
-    for row, outcome, probability in rows:
-        key = (committed_bit(BELL_LABELS[row]), outcome)
+    rows = zip(measured.parents.tolist(), measured.codes.tolist(), measured.probabilities.tolist())
+    for row, code, probability in rows:
+        key = (committed_bit(BELL_LABELS[row]), code)
         joint[key] = joint.get(key, 0.0) + prior * probability
     return joint
 

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``: sample transcripts, validate them, emit JSONL line by line.
-* ``enumerate``: exact branch enumeration of one configuration as JSON.
+* ``enumerate``: exact branch enumeration of one configuration as JSON,
+  streamed: one table's branches, each encoded once, written pair by pair.
 * ``attack-scan``: full security report as JSON.
 * ``audit``: causality-check a canonical or serialized schedule.
 * ``report``: human-readable table for a scan (fresh or from JSON).
@@ -54,15 +55,15 @@ from .montecarlo import (
     sample_branches,
     stats_to_json,
 )
-from .protocol import SchemeParams, parse_phi_policy, run_pairs
+from .protocol import SchemeParams, branches, parse_phi_policy
 from .quantum import BellLabel
 from .serialize import (
+    _lines,
     dumps,
     report_from_json,
     report_to_json,
     schedule_from_json,
     schedule_to_json,
-    transcript_to_json,
     write_draws,
 )
 from .spacetime import standard_schedule
@@ -261,16 +262,21 @@ def _cmd_run(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = _scheme_params(args)
-    per_pair = run_pairs(params, [args.alice_label] * params.n_pairs, args.bob_label)
-    branches = [t for pair in per_pair for t in pair]
-    doc = {
+    table = branches(params, args.alice_label, args.bob_label)
+    pairs = range(params.n_pairs) if params.scheme == "string" else [None]
+    head, tail = dumps({
         "scheme": args.scheme,
         "alice_label": asdict(args.alice_label),
         "bob_label": asdict(args.bob_label),
-        "branch_count": len(branches),
-        "branches": [transcript_to_json(t) for t in branches],
-    }
-    _emit(args, dumps(doc))
+        "branch_count": len(pairs) * len(table),
+        "branches": [],
+    }).split("[]")
+    lines = _lines(table, ((branch, k) for k in pairs for branch in range(len(table))))
+    with _output(args) as out:
+        out.write(f"{head}[")
+        for n, (_, text) in enumerate(lines):
+            out.write(f",{text}" if n else text)
+        out.write(f"]{tail}\n")
     return 0
 
 

@@ -32,8 +32,11 @@ Validation knows two verifier models:
 
 :func:`run_pairs` enumerates any scheme exactly.  One enumerator fills
 each committed label's table of code columns, its branches against all
-four receiver labels, with the quantum engine's stack kernel; the multi
-scheme adds two steps to the single scheme's, which string pairs share.
+four receiver labels, with the quantum engine's stack kernel: a step is
+one measured stack, of which the enumerator keeps the weights and the
+outcome codes, and only a step measured again has its collapsed states
+built.  The multi scheme adds two steps to the single scheme's, which
+string pairs share.
 Tables are memoized on all the enumerator reads (multi or not, the
 probe states, the committed label), so they are shared across pair
 counts, receiver labels, geometry and validation mode.  A table is
@@ -70,6 +73,8 @@ from .quantum import (
     BasisStateSpec,
     BellLabel,
     _BELL_KETS,
+    _Projection,
+    _collapsed,
     _measure_stack,
     _pauli_stack,
     make_basis_state,
@@ -275,15 +280,7 @@ def _registers(alice_label: BellLabel, probes: np.ndarray) -> np.ndarray:
     return (pairs.reshape(4, 16)[None, :, :, None] * probes[:, None, None, :]).reshape(-1, 32)
 
 
-class _Step(NamedTuple):
-    """What the enumerator keeps of a measured stack once its states are spent."""
-
-    parents: np.ndarray
-    probabilities: np.ndarray
-    codes: np.ndarray
-
-
-def _lineage(steps: Sequence[_Step]) -> list[np.ndarray]:
+def _lineage(steps: Sequence[_Projection]) -> list[np.ndarray]:
     """Per branch of the last step: its register, then its branch of each step."""
     rows = [np.arange(len(steps[-1].probabilities))]
     for step in reversed(steps):
@@ -291,7 +288,7 @@ def _lineage(steps: Sequence[_Step]) -> list[np.ndarray]:
     return rows
 
 
-def _measure_probes(stack: np.ndarray, bases: np.ndarray) -> _Step:
+def _measure_probes(stack: np.ndarray, bases: np.ndarray) -> _Projection:
     """Qubit 0 of each row measured in its probe's basis family ``bases[row]``, as one step.
 
     Each run of rows sharing a basis is measured as one stack.
@@ -300,8 +297,8 @@ def _measure_probes(stack: np.ndarray, bases: np.ndarray) -> _Step:
     parts = []
     for start, stop in zip(starts, starts[1:] + [len(bases)]):
         measured = _measure_stack(stack[start:stop], (0,), str(bases[start]))
-        parts.append(_Step(measured.parents + start, measured.probabilities, measured.codes))
-    return _Step._make(map(np.concatenate, zip(*parts)))
+        parts.append((measured.parents + start, measured.probabilities, measured.codes))
+    return _Projection(*map(np.concatenate, zip(*parts)), residuals=None)
 
 
 def _enumerate(
@@ -324,8 +321,9 @@ def _enumerate(
     stack per run of rows sharing a basis, and probe families list their
     Z states first.  Rows stay in the order of their registers, so a
     row's register ``4p + b`` names its probe ``p`` and its receiver
-    label ``b``.  Each step's states are dropped once the next step has
-    measured them.
+    label ``b``.  A step keeps its measurement's weights and outcome
+    codes; collapsed states are built only for a step that another step
+    measures, and dropped once it has measured them.
     """
     amplitudes = np.stack([make_basis_state(phi).amplitudes for phi in probes])
     bases = np.array([phi.basis for phi in probes])
@@ -333,9 +331,9 @@ def _enumerate(
     steps = []
     for qubits, basis in [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else []):
         measured = _measure_stack(stack, qubits, basis)
-        steps.append(_Step(measured.parents, measured.probabilities, measured.codes))
-        stack = measured.states
-    del measured
+        stack = _collapsed(measured, qubits, basis)
+        steps.append(measured._replace(residuals=None))
+        del measured
     stack = _pauli_stack(stack, 0, PAULI_OPS[_code(alice_label)])
     steps.append(_measure_probes(stack, bases[_lineage(steps)[0] // 4]))
     if multi:
@@ -536,7 +534,7 @@ def _verifier_tables() -> _VerifierTables:
         measured = _measure_stack(rotated[rows].reshape(-1, 2), (0,), basis)
         if not np.array_equal(measured.parents, np.arange(16 * len(rows))):
             raise AssertionError("expected a deterministic confirmation measurement")
-        prediction[rows] = np.reshape(measured.outcomes, (len(rows), 4, 4))
+        prediction[rows] = measured.codes.reshape(len(rows), 4, 4)  # a Z/X code is its bit
     return _VerifierTables(_frozen(swap), _frozen(correction), _frozen(prediction))
 
 

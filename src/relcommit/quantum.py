@@ -34,13 +34,14 @@ Conventions
   or below that weight are dropped as numerically empty.
 * One kernel measures a stack of states, amplitudes of shape
   ``(B, 2**n)``, with one contraction against the stacked outcome kets,
-  and checks every row; :func:`bell_measure` and :func:`basis_measure`
-  run it on one state and wrap its rows as :class:`Branch` objects,
-  while protocol enumeration keeps them as a stack.  A Pauli is a
-  signed permutation of the amplitudes read off its literal matrix,
-  one gather on a state or a stack; :func:`clear_caches` drops their
-  memoized index tables.  Label and frame algebra return members of
-  ``BELL_LABELS``/``PAULI_OPS``.
+  checks every row and returns each kept branch's weight and outcome
+  code; collapsed states are built apart, only where they are read.
+  :func:`bell_measure` and :func:`basis_measure` wrap one state's rows
+  as :class:`Branch` objects, while protocol enumeration keeps them as
+  a stack.  A Pauli is a signed permutation of the amplitudes read off
+  its literal matrix, one gather on a state or a stack;
+  :func:`clear_caches` drops their memoized index tables.  Label and
+  frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
 """
 
 from __future__ import annotations
@@ -352,10 +353,9 @@ class _Projection(NamedTuple):
     """Kept branches of a measured stack, in (parent row, outcome) order."""
 
     parents: np.ndarray  # each kept branch's row of the measured stack
-    outcomes: list[BellLabel | int]
     probabilities: np.ndarray
-    states: np.ndarray  # collapsed amplitudes, one row per kept branch
     codes: np.ndarray  # each outcome's row of the outcome kets: a label's code, or the bit
+    residuals: np.ndarray | None  # [row, outcome, rest]: what :func:`_collapsed` scales
 
 
 def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _Projection:
@@ -364,16 +364,16 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     ``basis`` is ``"bell"`` (the pair basis on two qubits) or ``"Z"`` or
     ``"X"`` (on one).  One contraction gives every row's residual per
     outcome; branches at or below ``PROB_ATOL`` are dropped.  Each kept
-    weight must lie in ``(PROB_ATOL, 1 + PROB_ATOL]``, each collapsed
-    state must have unit norm and each row's kept weights must sum to 1,
-    all within ``PROB_ATOL``; otherwise ``ValueError``.
+    weight must lie in ``(PROB_ATOL, 1 + PROB_ATOL]`` and each row's
+    kept weights must sum to 1, both within ``PROB_ATOL``; otherwise
+    ``ValueError``.  :func:`_collapsed` builds the collapsed states.
     """
-    kets, outcomes = _MEASUREMENTS[basis]
+    kets = _MEASUREMENTS[basis][0]
     count, dim = stack.shape
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
     n = dim.bit_length() - 1
-    perm, restore = _measured_first(n, qubits)
+    perm = _measured_first(n, qubits)[0]
     view = stack.reshape((count,) + (2,) * n).transpose(perm).reshape(count, kets.shape[1], -1)
     residuals = kets.conj() @ view
     probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
@@ -390,21 +390,33 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     for total in map(math.fsum, kept_probs[suspects].tolist()):
         if abs(total - 1.0) > PROB_ATOL:
             raise ValueError(f"branch probabilities sum to {total!r}, expected 1")
+    return _Projection(parents, weights, picked, residuals)
+
+
+def _collapsed(measured: _Projection, qubits: tuple[int, ...], basis: str) -> np.ndarray:
+    """Each kept branch's collapsed amplitudes, a row each, of ``measured`` on ``qubits``.
+
+    Each must have unit norm within ``PROB_ATOL``; otherwise ``ValueError``.
+    """
+    kets = _MEASUREMENTS[basis][0]
+    parents, weights, picked, residuals = measured
+    n = (kets.shape[1] * residuals.shape[2]).bit_length() - 1
+    restore = _measured_first(n, qubits)[1]
     scaled = residuals[parents, picked] / np.sqrt(weights)[:, None]
     posts = kets[picked, :, None] * scaled[:, None, :]
     posts = posts.reshape((len(weights),) + (2,) * n).transpose(restore).reshape(len(weights), -1)
     norms = np.einsum("bi,bi->b", posts.conj(), posts).real
     if (abs(norms - 1.0) > PROB_ATOL).any():
         raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")
-    return _Projection(parents, [outcomes[k] for k in picked.tolist()], weights, posts, picked)
+    return posts
 
 
 def _branch_set(state: StateVector, qubits: tuple[int, ...], basis: str) -> BranchSet:
     """One state's measurement: the stack kernel on a single row."""
     rows = _measure_stack(state.amplitudes[None], qubits, basis)
     return BranchSet(tuple(
-        Branch(outcome, prob, StateVector(post))
-        for outcome, prob, post in zip(rows.outcomes, rows.probabilities.tolist(), rows.states)
+        Branch(_MEASUREMENTS[basis][1][code], prob, StateVector(post)) for code, prob, post in
+        zip(rows.codes.tolist(), rows.probabilities.tolist(), _collapsed(rows, qubits, basis))
     ))
 
 

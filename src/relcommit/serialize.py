@@ -17,11 +17,12 @@ fields (``dataclasses.asdict``), so renaming a field of
 
 Serialization is deterministic: keys sorted, compact separators, floats
 in shortest round-trip form, so equal values serialize to equal bytes.
-The lines of ``relcommit run`` come from :func:`write_draws`, which
+One line encoder writes the lines of ``relcommit run`` (through
+:func:`write_draws`) and the branches of ``relcommit enumerate``: it
 encodes each drawn branch once with that same encoder, the schedule
 its table shares once per table, and splices each draw's pair index
-into the branch's text: each line is byte for byte
-:func:`serialize_transcript` of the draw.
+into the branch's text, byte for byte :func:`serialize_transcript` of
+the draw.
 
 Readers check JSON types as well as values: bits are the integers 0
 and 1 (not ``true`` or ``1.0``), flags are booleans, probabilities
@@ -37,7 +38,7 @@ import json
 import marshal
 import math
 from functools import lru_cache
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
 from .protocol import SchemeParams, Transcript, Verdict, parse_phi_policy
@@ -333,45 +334,46 @@ def parse_transcript(text: str) -> Transcript:
 _HOLE = "\0"
 
 
-def _line_template(transcript: Transcript, schedules: dict[int, str]) -> tuple[str, str, str, str]:
-    """``(head, middle, schedule, tail)``: the line at pair index ``k`` is
-    ``head + k + middle + schedule + tail``.
+def _lines(table: Sequence[Transcript],
+           draws: Iterable[tuple[int, int | None]]) -> Iterator[tuple[int, str]]:
+    """``(branch, text)`` per draw ``(branch, pair_index)`` of ``table``, as drawn.
 
-    ``schedules`` holds the text of each schedule met so far, by ``id``:
-    a table's branches share one schedule, which is encoded once.
+    Each text is :func:`serialize_transcript` of ``table[branch]`` with
+    ``pair_index`` set, byte for byte; but each branch is encoded once,
+    on its first draw, by the encoder of :func:`transcript_to_json` and
+    :func:`dumps`, with the schedule its branches share encoded once, and
+    later draws splice their pair index into that template.
     """
-    key = id(transcript.schedule)
-    if key not in schedules:
-        schedules[key] = dumps(schedule_to_json(transcript.schedule))
-    doc = _transcript_fields(transcript)
-    doc["pair_index"] = doc["schedule"] = _HOLE
-    # keys are sorted, so the pair index comes before the schedule
-    head, middle, tail = dumps(doc).split(dumps(_HOLE))
-    return head, middle, schedules[key], tail + "\n"
+    schedules: dict[int, str] = {}  # the text of each schedule met so far, by id
+    templates: list[tuple[str, str, str] | None] = [None] * len(table)
+    for branch, k in draws:
+        template = templates[branch]
+        if template is None:
+            transcript = table[branch]
+            key = id(transcript.schedule)
+            if key not in schedules:
+                schedules[key] = dumps(schedule_to_json(transcript.schedule))
+            doc = _transcript_fields(transcript)
+            doc["pair_index"] = doc["schedule"] = _HOLE
+            # keys are sorted, so the pair index comes before the schedule
+            head, middle, tail = dumps(doc).split(dumps(_HOLE))
+            template = templates[branch] = (head, middle + schedules[key], tail)
+        head, middle, tail = template
+        yield branch, f"{head}{'null' if k is None else k}{middle}{tail}"
 
 
 def write_draws(
     stream: IO[str], table: Sequence[Transcript], draws: Iterable[tuple[int, int | None]]
 ) -> list[int]:
-    """Write one JSONL line per draw ``(branch, pair_index)`` of ``table``.
+    """Write one JSONL line per draw ``(branch, pair_index)`` of ``table``, as drawn.
 
-    Each line is :func:`serialize_transcript` of ``table[branch]`` with
-    ``pair_index`` set, byte for byte; but each branch is encoded once,
-    on its first draw, by the encoder of :func:`transcript_to_json` and
-    :func:`dumps`, with the schedule its branches share encoded once, and
-    later draws splice their pair index into that template.  Lines
-    are written as drawn.  Returns the number of lines of each branch.
+    Each line is :func:`serialize_transcript` of the draw, from the line
+    encoder :func:`_lines`.  Returns the number of lines of each branch.
     """
-    schedules: dict[int, str] = {}
-    templates: list[tuple[str, str, str, str] | None] = [None] * len(table)
     lines = [0] * len(table)
     write = stream.write
-    for branch, k in draws:
-        template = templates[branch]
-        if template is None:
-            template = templates[branch] = _line_template(table[branch], schedules)
-        head, middle, schedule, tail = template
-        write(f"{head}{'null' if k is None else k}{middle}{schedule}{tail}")
+    for branch, text in _lines(table, draws):
+        write(f"{text}\n")
         lines[branch] += 1
     return lines
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relcommit import adversary, montecarlo, protocol
+from relcommit import adversary, montecarlo, protocol, quantum
 from relcommit.adversary import (
     SecurityReport,
     SelfCheckError,
@@ -237,6 +237,24 @@ class TestVerifierWork:
         steps = 5 if params.scheme == "multi" else 3
         bases = {spec.basis for spec, _ in params.phi_choices()}
         assert len(stacks) == (steps + len(bases) - 1) * len(BELL_LABELS)
+
+    @pytest.mark.parametrize("params,steps", [
+        (SchemeParams("single"), 2),
+        (SchemeParams("multi", phi_policy="uniform"), 3),
+        (SchemeParams("string", n_pairs=4), 2),
+    ], ids=["single", "multi", "string"])
+    def test_only_steps_measured_again_build_collapsed_states(self, monkeypatch, params, steps):
+        # the swap and teleport steps (and multi's recorded Z) are measured
+        # again; the confirmation and probe-copy steps, the verifier's
+        # predictions and the extraction route read weights and codes only
+        adversary.clear_caches()
+        collapsed = _counted(monkeypatch, quantum, "_collapsed")
+        protocol._verifier_tables()
+        for strategy in adversary._DEFAULT_RECEIVER:
+            extraction_guess_probability(strategy)
+        assert collapsed == []
+        protocol._columns(params, BellLabel(1, 0))
+        assert len(collapsed) == steps
 
     def test_cold_string_report_memory_is_bounded(self):
         params = SchemeParams("string", n_pairs=20)

@@ -17,13 +17,15 @@ from relcommit import cli, serialize
 from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main, parse_label, render_report_table
 from relcommit.montecarlo import RunConfig
-from relcommit.protocol import SchemeParams, branches
-from relcommit.quantum import BellLabel
+from relcommit.protocol import SchemeParams, branches, parse_phi_policy, run_pairs
+from relcommit.quantum import BELL_LABELS, BellLabel
 from relcommit.serialize import (
+    dumps,
     parse_transcript,
     report_to_json,
     schedule_to_json,
     serialize_transcript,
+    transcript_to_json,
 )
 from relcommit.spacetime import standard_schedule
 
@@ -91,6 +93,43 @@ class TestEnumerate:
         doc = json.loads(out)
         assert code == 0
         assert {b["pair_index"] for b in doc["branches"]} == {0, 1}
+
+    @pytest.mark.parametrize("scheme,phi,n_pairs", [
+        *((scheme, phi, 1) for scheme in ("single", "multi") for phi in ("default", "uniform")),
+        *(("string", phi, n) for phi in ("default", "uniform", "X1") for n in (1, 2, 5)),
+    ])
+    def test_document_equals_the_per_transcript_encoding(self, capsys, tmp_path, scheme, phi,
+                                                         n_pairs):
+        # the reference builds every pair's transcripts and encodes each whole
+        params = SchemeParams(scheme, n_pairs=n_pairs, phi_policy=parse_phi_policy(phi))
+        target = tmp_path / "branches.json"
+        for alice in BELL_LABELS:
+            for bob in BELL_LABELS:
+                listed = [t for pair in run_pairs(params, [alice] * n_pairs, bob) for t in pair]
+                expected = dumps({
+                    "scheme": scheme, "alice_label": dataclasses.asdict(alice),
+                    "bob_label": dataclasses.asdict(bob), "branch_count": len(listed),
+                    "branches": [transcript_to_json(t) for t in listed],
+                }) + "\n"
+                args = ("enumerate", "--scheme", scheme, "--phi", phi, "--n-pairs", str(n_pairs),
+                        "--alice-label", str(alice), "--bob-label", str(bob))
+                assert run_cli(capsys, *args) == (0, expected, ""), (alice, bob)
+                assert run_cli(capsys, *args, "--output", str(target)) == (0, "", "")
+                assert target.read_text() == expected, (alice, bob)
+
+    def test_memory_does_not_grow_with_pairs(self, capsys, tmp_path):
+        # 200 pairs are a 35 MB document; it is written as it is encoded
+        target = str(tmp_path / "branches.json")
+        args = ["enumerate", "--scheme", "string", "--phi", "uniform", "--output", target]
+        run_cli(capsys, *args, "--n-pairs", "1")  # the table and lazy imports settle first
+        tracemalloc.start()
+        try:
+            code = cli_main([*args, "--n-pairs", "200"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20, peak
 
 
 class TestRun:
@@ -179,6 +218,14 @@ class TestRun:
         table = branches(params, BellLabel(0, 0), params.bob_label)
         assert code == 0
         assert 0 < len(calls) <= len(table) <= 64
+        assert len(schedules) == 1
+        # and so is each branch of an enumeration, every pair's copy spliced
+        calls.clear()
+        schedules.clear()
+        code = cli_main(["enumerate", "--scheme", "string", "--n-pairs", "20", "--phi", "uniform",
+                         "--output", str(tmp_path / "branches.json")])
+        assert code == 0
+        assert 0 < len(calls) <= len(table)
         assert len(schedules) == 1
 
     def test_output_is_written_as_drawn(self, capsys, tmp_path):

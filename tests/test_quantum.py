@@ -507,6 +507,7 @@ class TestMeasureStack:
     def test_stack_equals_per_row_measurements_bit_for_bit(self, case):
         stack, qubits, basis = case
         rows = _measure_stack(stack, qubits, basis)
+        named = quantum._MEASUREMENTS[basis][1]  # the outcome each ket row names
         expected = []
         for parent, amps in enumerate(stack):
             state = StateVector(amps)
@@ -514,10 +515,9 @@ class TestMeasureStack:
                         else basis_measure(state, qubits[0], basis))
             expected += [(parent, b.outcome, b.probability, b.post_state.amplitudes.tobytes())
                          for b in measured]
-        assert list(zip(rows.parents, rows.outcomes, rows.probabilities,
-                        [post.tobytes() for post in rows.states])) == expected
-        named = quantum._MEASUREMENTS[basis][1]  # the outcome each ket row names
-        assert rows.codes.tolist() == [named.index(outcome) for outcome in rows.outcomes]
+        posts = quantum._collapsed(rows, qubits, basis)
+        assert list(zip(rows.parents, [named[code] for code in rows.codes], rows.probabilities,
+                        [post.tobytes() for post in posts])) == expected
 
     def test_unnormalized_row_rejected(self):
         # 2|0> measured in Z: one branch of weight 4
@@ -560,5 +560,6 @@ class TestMeasureStack:
         skewed = kets * np.sqrt([[1.5], [0.5]])
         monkeypatch.setitem(quantum._MEASUREMENTS, "Z", (skewed, outcomes))
         plus = make_basis_state(BasisStateSpec("X", 0))
+        measured = _measure_stack(plus.amplitudes[None], (0,), "Z")  # its weights pass
         with pytest.raises(ValueError, match="not normalized"):
-            _measure_stack(plus.amplitudes[None], (0,), "Z")
+            quantum._collapsed(measured, (0,), "Z")

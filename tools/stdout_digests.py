@@ -67,6 +67,7 @@ CLI_INVOCATIONS = [
     ("stats --scheme string --n-pairs 2 --trials 70000 --seed 9 --announce-delta 10", 0, None),
     ("stats --scheme string --n-pairs 99999999999 --trials 1", 1, None),
     ("run --scheme string --n-pairs 4 --trials 3 --seed 11 --alice-label 11 --bob-label 10", 0, None),
+    ("enumerate --scheme string --n-pairs 20 --phi uniform", 0, None),
     ("--help", 0, None),
     *((f"{command} -h", 0, None)
       for command in ("run", "enumerate", "attack-scan", "audit", "report", "stats")),
