@@ -29,6 +29,11 @@ and 1 (not ``true`` or ``1.0``), flags are booleans, probabilities
 finite numbers, a pair index a non-negative integer or null, and a
 schedule and its ``phase_times`` objects.  A parsed pair label or probe
 state is the shared member of ``BELL_LABELS`` or ``BASIS_STATES``.
+:func:`read_transcripts` parses the schedule text a stream repeats
+once: a line that holds the last schedule text parsed in full, in
+canonical form, is read with that text spliced out, and takes the
+schedule built from it.  Every line still reads as
+:func:`parse_transcript` of it, and fails with the same message.
 """
 
 from __future__ import annotations
@@ -215,10 +220,12 @@ def _schedule_from_marshal(key: bytes) -> Schedule:
 def schedule_from_json(doc: dict) -> Schedule:
     """Inverse of :func:`schedule_to_json`, checking every field's type.
 
-    Every line of a transcript stream repeats its schedule, so each
-    distinct document is checked and built once.  Documents are told
-    apart by their ``marshal`` bytes, which keep what ``==`` conflates
-    (``true`` and ``1``, ``1`` and ``1.0``, ``-0.0`` and ``0.0``).
+    :func:`read_transcripts` splices a stream's repeated schedule text
+    out of its lines, so this serves single lines, schedule files and
+    lines not in canonical form.  Each distinct document is still
+    checked and built once.  Documents are told apart by their
+    ``marshal`` bytes, which keep what ``==`` conflates (``true`` and
+    ``1``, ``1`` and ``1.0``, ``-0.0`` and ``0.0``).
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError(f"schedule must be an object, got {type(doc).__name__}")
@@ -260,6 +267,15 @@ def transcript_to_json(transcript: Transcript) -> dict:
 
 
 def transcript_from_json(doc: dict) -> Transcript:
+    return _transcript_from_json(doc, None)
+
+
+def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
+    """:func:`transcript_from_json`, with ``schedule`` built already unless None.
+
+    A given ``schedule`` stands for ``doc["schedule"]``: every other
+    field is checked, in the same order and with the same messages.
+    """
     if not isinstance(doc, dict):
         raise TranscriptParseError(f"transcript must be an object, got {type(doc).__name__}")
     stored = _require(doc, "stored_bits")
@@ -306,7 +322,8 @@ def transcript_from_json(doc: dict) -> Transcript:
             ),
             pair_index=pair_index,
             probability=_number(doc, "probability"),
-            schedule=schedule_from_json(_require(doc, "schedule")),
+            schedule=(schedule_from_json(_require(doc, "schedule"))
+                      if schedule is None else schedule),
             verdict=verdict,
         )
     except TranscriptParseError:
@@ -378,17 +395,76 @@ def write_draws(
     return lines
 
 
+_SCHEDULE_KEY = '"schedule":'
+_SENTINEL = dumps(_HOLE)
+# JSON's whitespace: ``str.strip()`` would also take "\xa0", "\x0c",
+# "\x1f" or "\u2028", which ``json.loads`` refuses
+_JSON_SPACE = " \t\n\r"
+
+
+def _spliced(line: str, known: str) -> dict | None:
+    """``json.loads(line)`` with schedule text ``known`` left as ``_HOLE``, or None.
+
+    None when ``known`` does not follow the first ``"schedule":`` of
+    ``line``, or when the line with ``known`` replaced by the sentinel
+    ``"\\u0000"`` does not hold it once, does not parse, or does not
+    parse to an object whose ``"schedule"`` is ``_HOLE``.
+    """
+    at = line.find(_SCHEDULE_KEY) + len(_SCHEDULE_KEY)
+    if at < len(_SCHEDULE_KEY) or not line.startswith(known, at):
+        return None
+    text = f"{line[:at]}{_SENTINEL}{line[at + len(known):]}"
+    if text.count(_SENTINEL) != 1:
+        return None
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) and doc.get("schedule") == _HOLE else None
+
+
 def read_transcripts(stream: IO[str]) -> list[Transcript]:
-    """Read a JSONL transcript stream, reporting the line of any error."""
+    """Read a JSONL transcript stream, reporting the line of any error.
+
+    Each line reads as :func:`parse_transcript` of it, stripped of JSON
+    whitespace (blank lines are skipped), and fails with the same
+    message.  Every line of a ``run`` file repeats one schedule, so its
+    text is parsed once: after a line parses in full, the canonical text
+    ``K`` of its schedule is kept, and a later line that holds ``K``
+    right after ``"schedule":`` is parsed with ``K`` replaced by the
+    sentinel ``"\\u0000"``, and takes the schedule already built.  That
+    is sound when the spliced text holds the sentinel once, parses, and
+    gives an object whose ``"schedule"`` is ``"\\0"``:
+
+    * a string equal to ``"\\0"`` can only be spelled ``"\\u0000"``,
+      since strict JSON refuses a raw NUL, so the value token of the
+      last ``"schedule"`` key is a sentinel.  It is the one spliced in:
+      another would have to share a quote with it, which leaves
+      ``\\u0000`` outside a string, and valid JSON never does that;
+    * ``K`` is one complete, self-delimiting JSON object, so putting it
+      back in that value slot gives ``json.loads(line)``, whose schedule
+      is ``json.loads(K)``, which parses to the kept schedule.
+
+    Any other line is read by :func:`parse_transcript` itself.
+    """
     out = []
+    known, schedule = "", None  # the schedule of the last line parsed in full, as text and built
     for line_number, line in enumerate(stream, start=1):
-        line = line.strip()
+        line = line.strip(_JSON_SPACE)
         if not line:
             continue
         try:
-            out.append(parse_transcript(line))
+            doc = None if schedule is None else _spliced(line, known)
+            if doc is not None:
+                out.append(_transcript_from_json(doc, schedule))
+                continue
+            transcript = parse_transcript(line)
         except TranscriptParseError as exc:
             raise TranscriptParseError(f"line {line_number}: {exc}") from exc
+        if transcript.schedule is not schedule:
+            schedule = transcript.schedule
+            known = dumps(schedule_to_json(schedule))
+        out.append(transcript)
     return out
 
 

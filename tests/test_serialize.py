@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relcommit import serialize
 from relcommit.adversary import Strategy, build_report
+from relcommit.cli import cli_main
 from relcommit.protocol import SchemeParams, Verdict, run_pairs
 from relcommit.quantum import BASIS_STATES, BELL_LABELS, BellLabel
 from relcommit.serialize import (
@@ -161,11 +167,161 @@ class TestJsonl:
         payload = serialize_transcript(t) + "\n\n" + serialize_transcript(t) + "\n"
         assert len(read_transcripts(io.StringIO(payload))) == 2
 
+    @pytest.mark.parametrize("space", ["\xa0", "\x0c", "\x1f", "\u2028"],
+                             ids=["nbsp", "form-feed", "unit-separator", "line-separator"])
+    def test_only_json_whitespace_stripped(self, space):
+        # str.strip() takes these, json.loads does not
+        line = serialize_transcript(sample_transcripts()[0])
+        for payload in (f"{line}\n{space}{line}\n", f"{line}\n{space}\n"):
+            with pytest.raises(TranscriptParseError, match="^line 2: not valid JSON"):
+                read_transcripts(io.StringIO(payload))
+
     def test_error_reports_line_number(self):
         t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
         payload = serialize_transcript(t) + "\n{\"scheme\": \"single\"}\n"
         with pytest.raises(TranscriptParseError, match="line 2"):
             read_transcripts(io.StringIO(payload))
+
+
+@lru_cache(maxsize=None)
+def run_file(*flags: str) -> str:
+    """The JSONL that ``relcommit run`` prints for ``flags``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["run", *flags]) == 0
+    return out.getvalue()
+
+
+STRING_RUN = ("--scheme", "string", "--n-pairs", "20", "--trials", "5")
+
+
+def read_line_by_line(stream) -> list:
+    """The reference reader: :func:`parse_transcript` of every line."""
+    out = []
+    for line_number, line in enumerate(stream, start=1):
+        line = line.strip(" \t\n\r")
+        if not line:
+            continue
+        try:
+            out.append(parse_transcript(line))
+        except TranscriptParseError as exc:
+            raise TranscriptParseError(f"line {line_number}: {exc}") from exc
+    return out
+
+
+def read_outcome(read, text: str):
+    """What ``read`` returns for ``text``, or the text of its parse error."""
+    try:
+        return read(io.StringIO(text))
+    except TranscriptParseError as exc:
+        return str(exc)
+
+
+def full_parses(monkeypatch) -> list:
+    """Record the lines that ``read_transcripts`` hands to ``parse_transcript``."""
+    calls = []
+    parse = serialize.parse_transcript
+    monkeypatch.setattr(serialize, "parse_transcript",
+                        lambda line: calls.append(line) or parse(line))
+    return calls
+
+
+class TestScheduleSplice:
+    """``read_transcripts`` reads a repeated schedule once, as the line-by-line parse would."""
+
+    def test_schedule_parsed_once(self, monkeypatch):
+        calls = []
+        parse = serialize.schedule_from_json
+        monkeypatch.setattr(serialize, "schedule_from_json",
+                            lambda doc: calls.append(doc) or parse(doc))
+        text = run_file(*STRING_RUN)
+        assert len(read_transcripts(io.StringIO(text))) == text.count("\n") == 100
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scheme", ["single", "multi", "string"])
+    def test_run_files_read_as_line_by_line(self, scheme, monkeypatch):
+        text = run_file("--scheme", scheme, "--n-pairs", "1" if scheme != "string" else "4",
+                        "--trials", "30")
+        expected = read_line_by_line(io.StringIO(text))
+        assert len(expected) == text.count("\n")
+        parsed = full_parses(monkeypatch)
+        assert read_transcripts(io.StringIO(text)) == expected
+        assert len(parsed) == 1
+
+    def test_concatenated_runs(self, monkeypatch):
+        runs = [run_file("--scheme", "string", "--n-pairs", "3", "--trials", "4", "--x", x)
+                for x in ("1", "2", "1")]
+        text = "".join(runs)
+        parsed = full_parses(monkeypatch)
+        transcripts = read_transcripts(io.StringIO(text))
+        assert transcripts == read_line_by_line(io.StringIO(text))
+        assert [t.schedule.x for t in transcripts[::12]] == [1.0, 2.0, 1.0]
+        assert len(parsed) == 3
+
+    def _edited(self, edit) -> tuple[str, str]:
+        """The string run with its second line replaced by ``edit(line, K)``."""
+        lines = run_file(*STRING_RUN).splitlines(keepends=True)
+        edited = edit(lines[1].rstrip("\n"), dumps(json.loads(lines[0])["schedule"]))
+        return "".join([lines[0], edited + "\n", *lines[2:]]), edited
+
+    @pytest.mark.parametrize("edit,error", [
+        (lambda line, k: json.dumps(json.loads(line), sort_keys=True), None),
+        (lambda line, k: '{"a\\"schedule":' + k + ","
+         + line[1:].replace('"schedule":' + k, '"schedule":null'),
+         "line 2: schedule must be an object, got NoneType"),
+        (lambda line, k: line[:-1] + ',"schedule":null}',
+         "line 2: schedule must be an object, got NoneType"),
+        (lambda line, k: line[:-1] + ',"schedule":"\\u0000"}',
+         "line 2: schedule must be an object, got str"),
+        (lambda line, k: line.replace('"schedule":' + k, '"schedule":[]')[:-1]
+         + ',"schedule":' + k + "}", None),
+        (lambda line, k: line.replace('"reason":"', '"reason":"\\u0000'), None),
+        (lambda line, k: line.replace(k, k + "0"), "line 2: not valid JSON"),
+        (lambda line, k: line.replace(k, k + "}"), "line 2: not valid JSON"),
+        (lambda line, k: line + "x", "line 2: not valid JSON"),
+    ], ids=["spaced-separators", "key-inside-earlier-key", "second-key-null",
+            "second-key-sentinel", "first-key-not-schedule", "sentinel-in-reason",
+            "trailing-digit", "trailing-brace", "trailing-garbage"])
+    def test_crafted_line_takes_the_full_parse(self, edit, error, monkeypatch):
+        text, edited = self._edited(edit)
+        expected = read_outcome(read_line_by_line, text)
+        if error is None:
+            assert len(expected) == 100
+        else:
+            assert expected.startswith(error)
+        parsed = full_parses(monkeypatch)
+        assert read_outcome(read_transcripts, text) == expected
+        assert parsed[1:] == [edited]
+
+    def test_bad_bit_deep_in_file(self):
+        lines = run_file(*STRING_RUN).splitlines(keepends=True)
+        for bit in '"alice":0', '"alice":1':
+            lines[49] = lines[49].replace(bit, '"alice":true')
+        text = "".join(lines)
+        message = "line 50: field 'alice' must be 0 or 1, got True"
+        assert read_outcome(read_line_by_line, text) == message
+        assert read_outcome(read_transcripts, text) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_edited_line_reads_as_line_by_line(self, data):
+        lines = run_file("--scheme", "string", "--n-pairs", "4", "--trials", "2").splitlines()
+        n = data.draw(st.integers(0, len(lines) - 1), label="line")
+        line = lines[n]
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space"]), label="edit")
+        if kind == "space":
+            # whitespace between tokens leaves the line valid JSON, but not canonical
+            at = data.draw(st.sampled_from(
+                [i for i in range(1, len(line)) if line[i - 1] in ",:{["]), label="at")
+            piece = data.draw(st.text(" \t\r\n", min_size=1, max_size=3), label="space")
+            line = line[:at] + piece + line[at:]
+        else:
+            at = data.draw(st.integers(0, len(line) - (kind != "insert")), label="at")
+            piece = "" if kind == "delete" else data.draw(
+                st.sampled_from('"\\u0{}[],: 1-.eEnul') | st.characters(), label="char")
+            line = line[:at] + piece + line[at + (kind != "insert"):]
+        text = "\n".join([*lines[:n], line, *lines[n + 1:]]) + "\n"
+        assert read_outcome(read_transcripts, text) == read_outcome(read_line_by_line, text)
 
 
 class TestScheduleRoundTrip:
