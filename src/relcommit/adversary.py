@@ -61,11 +61,11 @@ from .protocol import (
 )
 from .quantum import (
     BELL_LABELS,
+    PAULI_OPS,
     BellLabel,
-    PauliOp,
+    _BELL_KETS,
     _measure_stack,
     _pauli_stack,
-    make_bell,
 )
 
 __all__ = [
@@ -408,16 +408,13 @@ def concealment_tv(params: SchemeParams, upto: str = "storage") -> float:
 
 def _extraction_views_enumerated(strategy: Strategy) -> dict:
     """Measure the four committed pairs as one stack, one row per label."""
-    pairs = np.stack([make_bell(alice).amplitudes for alice in BELL_LABELS])
     if strategy.kind == "early_extract" and strategy.basis in ("Z", "X"):
-        measured = _measure_stack(pairs, (1,), strategy.basis)
+        measured = _measure_stack(_BELL_KETS, (1,), strategy.basis)
     else:
         # skip/forward-less attack: the confirmation qubit comes back
-        # rotated by the pair's own label, so measure both jointly
-        returned = np.stack([
-            _pauli_stack(pair, 0, PauliOp(alice.i, alice.j))
-            for alice, pair in zip(BELL_LABELS, pairs)
-        ])
+        # rotated by the pair's own label, so measure both jointly; a
+        # label's code names its Pauli
+        returned = np.stack([_pauli_stack(pair, 0, op) for op, pair in zip(PAULI_OPS, _BELL_KETS)])
         measured = _measure_stack(returned, (1, 0), "bell")
     joint: dict = {}
     prior = 0.25

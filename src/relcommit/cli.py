@@ -55,7 +55,7 @@ from .montecarlo import (
     sample_branches,
     stats_to_json,
 )
-from .protocol import SchemeParams, branches, parse_phi_policy
+from .protocol import SchemeParams, _pair_indices, branches, parse_phi_policy
 from .quantum import BellLabel
 from .serialize import (
     _lines,
@@ -150,12 +150,17 @@ def build_parser(commands: Sequence[str] = tuple(_HELP)) -> _Parser:
     return parser
 
 
-def _apply_config(parser: _Parser, path: str) -> None:
+def _read_json(what: str, path: str, parse=lambda doc: doc):
+    """``parse`` of file ``path``'s JSON; a read or parse error names the file as ``what``."""
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+            return parse(json.load(handle))
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _apply_config(parser: _Parser, path: str) -> None:
+    raw = _read_json("config", path)
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path!r} must be a JSON object")
     # ``run`` is the one subcommand with every config key
@@ -263,7 +268,7 @@ def _cmd_run(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = _scheme_params(args)
     table = branches(params, args.alice_label, args.bob_label)
-    pairs = range(params.n_pairs) if params.scheme == "string" else [None]
+    pairs = _pair_indices(params)
     head, tail = dumps({
         "scheme": args.scheme,
         "alice_label": asdict(args.alice_label),
@@ -321,12 +326,7 @@ def render_report_table(report: SecurityReport) -> str:
 
 def _cmd_report(args) -> int:
     if args.input is not None:
-        try:
-            with open(args.input, encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _UsageError(f"cannot read scan {args.input!r}: {exc}") from exc
-        report = report_from_json(doc)
+        report = report_from_json(_read_json("scan", args.input))  # its errors print unwrapped
     else:
         report = build_report(_scheme_params(args, validation_mode=args.mode))
     _emit(args, render_report_table(report))
@@ -335,11 +335,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.input is not None:
-        try:
-            with open(args.input, encoding="utf-8") as handle:
-                schedule = schedule_from_json(json.load(handle))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise _UsageError(f"cannot read schedule {args.input!r}: {exc}") from exc
+        schedule = _read_json("schedule", args.input, schedule_from_json)
     else:
         schedule = standard_schedule(args.x, args.c, args.T, args.scheme)
     report = run_audit(schedule)

@@ -52,6 +52,7 @@ from .protocol import (
     _Check,
     _Columns,
     _pair_columns,
+    _pair_indices,
     _scalar_rows,
     _transcript,
     _verdict,
@@ -280,7 +281,7 @@ def sample_branches(
                     _verdict(row, announced, *checked))
         for row, checked in zip(_scalar_rows(columns), _scalar_rows(check))
     )
-    indices = range(params.n_pairs) if params.scheme == "string" else (None,) * params.n_pairs
+    indices = _pair_indices(params)
     return validated, (
         draw
         for drawn in _slot_chunks(config)

@@ -35,8 +35,8 @@ each committed label's table of code columns, its branches against all
 four receiver labels, with the quantum engine's stack kernel: a step is
 one measured stack, of which the enumerator keeps the weights and the
 outcome codes, and only a step measured again has its collapsed states
-built.  The multi scheme adds two steps to the single scheme's, which
-string pairs share.
+built.  String pairs share the single scheme's steps; the multi scheme
+adds two, its probe copies read off the verifier's measured table.
 Tables are memoized on all the enumerator reads (multi or not, the
 probe states, the committed label), so they are shared across pair
 counts, receiver labels, geometry and validation mode.  A table is
@@ -72,12 +72,12 @@ from .quantum import (
     PROB_ATOL,
     BasisStateSpec,
     BellLabel,
+    _BASIS_KETS,
     _BELL_KETS,
     _Projection,
     _collapsed,
     _measure_stack,
     _pauli_stack,
-    make_basis_state,
     swapped_label,
     teleport_correction,
 )
@@ -105,6 +105,7 @@ VALIDATION_MODES = ("R1", "R2")
 
 FULL_FAMILY = BASIS_STATES
 Z_FAMILY = tuple(spec for spec in BASIS_STATES if spec.basis == "Z")
+_PROBE_KETS = np.stack([_BASIS_KETS[s.basis][s.value] for s in BASIS_STATES])  # a row per state
 
 
 def committed_bit(label: BellLabel) -> int:
@@ -314,20 +315,22 @@ def _enumerate(
     the confirmation measurement reads it in the probe's basis family.
     ``multi`` adds two steps: Alice's recorded Z measurement of qubit 0
     before her frame, and the second committer's returned copy of the
-    probe, rotated by his label and then his teleportation outcome.
-    Each step measures every branch of the step before it as one stack,
-    starting from the registers of every (probe, receiver label) pair,
-    probe-major; a step that measures in the probe's basis makes one
-    stack per run of rows sharing a basis, and probe families list their
-    Z states first.  Rows stay in the order of their registers, so a
-    row's register ``4p + b`` names its probe ``p`` and its receiver
-    label ``b``.  A step keeps its measurement's weights and outcome
-    codes; collapsed states are built only for a step that another step
-    measures, and dropped once it has measured them.
+    probe, rotated by his label and then his teleportation outcome.  The
+    copy is built from labels, never evolved through the register, so
+    its step is read off :func:`_verifier_tables`, which the label
+    algebra route cross-checks.  Every other step measures every branch
+    of the step before it as one stack, starting from the registers of
+    every (probe, receiver label) pair, probe-major; a step measuring in
+    the probe's basis makes one stack per run of rows sharing a basis,
+    and probe families list their Z states first.  Rows stay in the
+    order of their registers, so a row's register ``4p + b`` names its
+    probe ``p`` and its receiver label ``b``.  A step keeps its weights
+    and outcome codes; collapsed states are built only for a step that
+    another step measures, and dropped once it has measured them.
     """
-    amplitudes = np.stack([make_basis_state(phi).amplitudes for phi in probes])
+    probe_codes = np.array([BASIS_STATES.index(phi) for phi in probes])
     bases = np.array([phi.basis for phi in probes])
-    stack = _registers(alice_label, amplitudes)
+    stack = _registers(alice_label, _PROBE_KETS[probe_codes])
     steps = []
     for qubits, basis in [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else []):
         measured = _measure_stack(stack, qubits, basis)
@@ -338,20 +341,16 @@ def _enumerate(
     steps.append(_measure_probes(stack, bases[_lineage(steps)[0] // 4]))
     if multi:
         register, _, t, *_ = _lineage(steps)
-        rotated = np.stack([  # [probe, (label, outcome) code pair]; a label names its Pauli
-            _pauli_stack(_pauli_stack(amplitudes, 0, label), 0, outcome)
-            for label in PAULI_OPS for outcome in PAULI_OPS
-        ], axis=1)
-        probe = register // 4
-        copies = rotated[probe, 4 * (register % 4) + steps[1].codes[t]]
-        steps.append(_measure_probes(copies, bases[probe]))
+        tables = _verifier_tables()  # indexed [probe, frame, correction]
+        at = (probe_codes[register // 4], steps[1].codes[t], register % 4)
+        parents = np.arange(len(register))  # each copy has one outcome
+        steps.append(_Projection(parents, tables.weight[at], tables.prediction[at], None))
     register, *rows = _lineage(steps)
     probability = 1.0 / len(probes)  # step order fixes the rounding, which TestGoldenTables pins
     for step, row in zip(steps, rows):
         probability = probability * step.probabilities[row]
     swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
     mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
-    probe_codes = np.array([BASIS_STATES.index(phi) for phi in probes])
     return _Columns(
         probe_codes[register // 4], np.full(len(register), _code(alice_label)), register % 4,
         swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
@@ -472,13 +471,13 @@ def run_pairs(
     if len(alice_labels) != params.n_pairs:
         raise ValueError(f"expected {params.n_pairs} committer labels, got {len(alice_labels)}")
     tables = {label: branches(params, label, bob_label) for label in set(alice_labels)}
-    out = []
-    for k, label in enumerate(alice_labels):
-        table = tables[label]
-        if params.scheme == "string":
-            table = [dataclasses.replace(t, pair_index=k) for t in table]
-        out.append(list(table))
-    return out
+    return [[t if k is None else dataclasses.replace(t, pair_index=k) for t in tables[label]]
+            for k, label in zip(_pair_indices(params), alice_labels)]
+
+
+def _pair_indices(params: SchemeParams) -> Sequence[int | None]:
+    """Each pair's ``pair_index``: ``k`` for string pairs, ``None`` for the one-pair schemes."""
+    return range(params.n_pairs) if params.scheme == "string" else (None,) * params.n_pairs
 
 
 def _code(label: BellLabel) -> int:
@@ -503,6 +502,7 @@ class _VerifierTables(NamedTuple):
     swap: np.ndarray  # [label a, label b, swap outcome] -> swapped label
     correction: np.ndarray  # [shared label, teleport outcome] -> correction Pauli
     prediction: np.ndarray  # [probe, frame, correction] -> predicted stored bit
+    weight: np.ndarray  # [probe, frame, correction] -> measured weight of that prediction
 
 
 @lru_cache(maxsize=None)
@@ -516,26 +516,29 @@ def _verifier_tables() -> _VerifierTables:
     announced Pauli frame, measured in its own basis family.  Each
     family's rotated probes are measured as one stack, and every row
     must give exactly one outcome, because Pauli frames permute basis
-    family members.  The multi scheme's probe copy is the same
-    prediction, with the second committer's label as the correction and
-    his teleportation outcome as the frame.
+    family members; ``weight`` is that outcome's.  The multi scheme's
+    probe copy is this rotated probe, the second committer's label the
+    correction and his teleportation outcome the frame; built from labels,
+    never evolved through a register, :func:`_enumerate` reads it here.
     """
     swap = [[[_code(swapped_label(a, b, s)) for s in BELL_LABELS] for b in BELL_LABELS]
             for a in BELL_LABELS]
     correction = [[PAULI_OPS.index(teleport_correction(shared, outcome)) for outcome in BELL_LABELS]
                   for shared in BELL_LABELS]
-    probes = np.stack([make_basis_state(phi).amplitudes for phi in BASIS_STATES])
     rotated = np.stack([
-        _pauli_stack(_pauli_stack(probes, 0, op), 0, frame) for frame in PAULI_OPS for op in PAULI_OPS
+        _pauli_stack(_pauli_stack(_PROBE_KETS, 0, op), 0, frame)
+        for frame in PAULI_OPS for op in PAULI_OPS
     ], axis=1).reshape(len(BASIS_STATES), 4, 4, 2)  # [probe, frame, correction, amplitude]
     prediction = np.empty(rotated.shape[:3], dtype=np.intp)
+    weight = np.empty(rotated.shape[:3])
     for basis in ("Z", "X"):
         rows = [k for k, phi in enumerate(BASIS_STATES) if phi.basis == basis]
         measured = _measure_stack(rotated[rows].reshape(-1, 2), (0,), basis)
         if not np.array_equal(measured.parents, np.arange(16 * len(rows))):
             raise AssertionError("expected a deterministic confirmation measurement")
         prediction[rows] = measured.codes.reshape(len(rows), 4, 4)  # a Z/X code is its bit
-    return _VerifierTables(_frozen(swap), _frozen(correction), _frozen(prediction))
+        weight[rows] = measured.probabilities.reshape(len(rows), 4, 4)
+    return _VerifierTables(*map(_frozen, (swap, correction, prediction, weight)))
 
 
 def clear_caches() -> None:

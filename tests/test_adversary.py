@@ -225,8 +225,9 @@ class TestVerifierWork:
     def test_cold_report_measures_a_few_stacks_per_committed_label(self, monkeypatch, params):
         # per committed label, a stack per step whatever the number of probe
         # states, the (probe, receiver label) pairs being its rows: 3 steps,
-        # or in the multi scheme 4 and the second committer's probe copies;
-        # the confirmation measurement adds a stack per extra probe basis
+        # or in the multi scheme 4, the second committer's probe copies being
+        # read off the verifier's table; the confirmation measurement adds a
+        # stack per extra probe basis
         adversary.clear_caches()
         protocol._verifier_tables()  # measures its predictions once per process
         stacks = []
@@ -234,7 +235,7 @@ class TestVerifierWork:
         monkeypatch.setattr(protocol, "_measure_stack",
                             lambda *args: stacks.append(args[1:]) or real(*args))
         build_report(params)
-        steps = 5 if params.scheme == "multi" else 3
+        steps = 4 if params.scheme == "multi" else 3
         bases = {spec.basis for spec, _ in params.phi_choices()}
         assert len(stacks) == (steps + len(bases) - 1) * len(BELL_LABELS)
 
@@ -255,6 +256,22 @@ class TestVerifierWork:
         assert collapsed == []
         protocol._columns(params, BellLabel(1, 0))
         assert len(collapsed) == steps
+
+    @pytest.mark.parametrize("params", [
+        SchemeParams("single", phi_policy="uniform"),
+        SchemeParams("multi", phi_policy="uniform"),
+        SchemeParams("string", n_pairs=4),
+    ], ids=["single", "multi", "string"])
+    def test_cold_report_builds_no_state_vector(self, monkeypatch, params):
+        # tables, the verifier's predictions and the extraction route all
+        # start from the engine's ket arrays
+        made = []
+        state_vector = quantum.StateVector
+        monkeypatch.setattr(quantum, "StateVector",
+                            lambda amplitudes: made.append(amplitudes) or state_vector(amplitudes))
+        adversary.clear_caches()
+        build_report(params)
+        assert made == []
 
     def test_cold_string_report_memory_is_bounded(self):
         params = SchemeParams("string", n_pairs=20)

@@ -651,6 +651,19 @@ class TestConfigAndErrors:
                  for arg in (f"--{key.replace('_', '-')}", str(value))]
         assert run_cli(capsys, command, *flags) == (0, out, "")
 
+    @pytest.mark.parametrize("argv,document", [
+        (("run", "--config"), "config"),
+        (("report", "--input"), "scan"),
+        (("audit", "--input"), "schedule"),
+    ], ids=["run-config", "report-input", "audit-input"])
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path, argv, document):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot read {document} {str(path)!r}: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte\n")
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "fnord")
         assert code == 1
