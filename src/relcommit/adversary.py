@@ -4,7 +4,8 @@ Every probability this module reports is computed twice, by two routes
 that share no code past the label arithmetic itself:
 
 1. **enumeration**: run the full state-vector protocol, validate each
-   branch table in one verifier call, and sum the accepted weights;
+   committed label's branch table under every announcement in one
+   verifier call, and sum the accepted weights;
 2. **algebra**: fold the same scenario into XOR bookkeeping over 2-bit
    label codes and count the accepted cells of the grid, with no
    amplitudes anywhere.
@@ -174,19 +175,23 @@ class Strategy:
 # --------------------------------------------------------------------------
 
 
-def _acceptance_by_label_enumerated(
-    params: SchemeParams, shift: BellLabel
-) -> dict[BellLabel, float]:
-    """Acceptance conditioned on each committed label, announced XOR ``shift``.
+def _acceptance_by_label_enumerated(params: SchemeParams) -> np.ndarray:
+    """Acceptance conditioned on each committed label, announced XOR each shift.
 
-    One verifier call per committed label's table, which holds its
-    branches against every receiver label, summing the accepted weights.
+    A ``[shift, committed label]`` matrix, both axes by label code.  One
+    verifier call per committed label's table, which holds its branches
+    against every receiver label, checks it under all four announced
+    labels; each cell is the correctly rounded sum of its accepted
+    weights.
     """
-    conditional = {}
-    for committed in BELL_LABELS:
+    shifts = np.arange(4)[:, None]
+    conditional = np.empty((4, 4))
+    for code, committed in enumerate(BELL_LABELS):
         columns = _columns(params, committed)
-        accept = _verify(columns, committed ^ shift, params.validation_mode).accept
-        conditional[committed] = math.fsum((columns.probability[accept] / 4.0).tolist())
+        accept = _verify(columns, code ^ shifts, params.validation_mode).accept
+        weights = columns.probability / 4.0
+        for shift, accepted in enumerate(accept):
+            conditional[shift, code] = math.fsum(weights[accepted].tolist())
     return conditional
 
 
@@ -200,18 +205,17 @@ def _acceptance_by_label_enumerated(
 _FLIP_SHIFT = {"Z": 0, "X": 1}
 
 
-def _acceptance_by_label_algebraic(
-    params: SchemeParams, shift: BellLabel
-) -> dict[BellLabel, float]:
+def _acceptance_by_label_algebraic(params: SchemeParams) -> np.ndarray:
     """Count the accepted cells of a grid of 2-bit label codes.
 
-    Axes: committed label, receiver label, swap and teleport outcome,
-    each a code ``2 * i + j`` and every cell equally likely; probe
-    states are summed one by one.  Each committed label's acceptance is
-    its count times the weight of one cell, so it is exactly dyadic.
+    Axes: announcement shift, committed label, receiver label, swap and
+    teleport outcome, each a code ``2 * i + j`` and every cell of a
+    shift equally likely; probe states are summed one by one.  Returns
+    the ``[shift, committed label]`` matrix of acceptances, each a count
+    times the weight of one cell, so exactly dyadic.
     """
-    committed, bob, swap, tele = np.ix_(*[np.arange(4)] * 4)
-    announced = committed ^ (2 * shift.i + shift.j)
+    shift, committed, bob, swap, tele = np.ix_(*[np.arange(4)] * 5)
+    announced = committed ^ shift
     net = bob ^ swap ^ tele
     # verifier's recomputation
     if params.validation_mode == "R1":
@@ -225,9 +229,9 @@ def _acceptance_by_label_algebraic(
         # stored bit: probe value xor the net frame picked up
         stored = phi.value ^ ((net >> _FLIP_SHIFT[phi.basis]) & 1)
         expected = phi.value ^ ((recomputed >> _FLIP_SHIFT[phi.basis]) & 1)
-        counts = counts + (stored == expected).sum(axis=(1, 2, 3))
+        counts = counts + (stored == expected).sum(axis=(2, 3, 4))
     weight = 1.0 / (64 * len(choices))  # probe states are equally likely
-    return {label: int(count) * weight for label, count in zip(BELL_LABELS, counts)}
+    return counts * weight
 
 
 def _checked(value_enum: float, value_alg: float, what: str) -> float:
@@ -238,39 +242,38 @@ def _checked(value_enum: float, value_alg: float, what: str) -> float:
     return value_enum
 
 
-def _acceptance_profile(params: SchemeParams, shift: BellLabel) -> tuple[float, float]:
-    """(prior-averaged, worst-case) acceptance of one pair announced XOR ``shift``.
+def _acceptance_profiles(params: SchemeParams) -> dict[BellLabel, tuple[float, float]]:
+    """(prior-averaged, worst-case) acceptance of one pair announced XOR each shift.
 
     The worst case is the committed label most favourable to the shift;
     binding claims should hold without leaning on the uniform label
-    prior.  Each conditional value is dual-route checked.
+    prior.  Each conditional value is dual-route checked, shift by
+    shift.
     """
-    enumerated = _acceptance_by_label_enumerated(params, shift)
-    algebraic = _acceptance_by_label_algebraic(params, shift)
-    conditional = {
-        label: _checked(
-            enumerated[label],
-            algebraic[label],
-            f"acceptance[shift={shift}, label={label}]",
-        )
-        for label in BELL_LABELS
-    }
-    average = math.fsum(conditional.values()) / 4.0
-    return average, max(conditional.values())
+    enumerated = _acceptance_by_label_enumerated(params).tolist()
+    algebraic = _acceptance_by_label_algebraic(params).tolist()
+    profiles = {}
+    for shift, enumerated_row, algebraic_row in zip(BELL_LABELS, enumerated, algebraic):
+        conditional = [
+            _checked(value_enum, value_alg, f"acceptance[shift={shift}, label={label}]")
+            for label, value_enum, value_alg in zip(BELL_LABELS, enumerated_row, algebraic_row)
+        ]
+        profiles[shift] = (math.fsum(conditional) / 4.0, max(conditional))
+    return profiles
 
 
 def _committer_profile(
-    params: SchemeParams, strategy: Strategy, profiles: dict | None = None
+    params: SchemeParams, strategy: Strategy, profiles: dict
 ) -> tuple[float, float]:
     """(averaged, worst-case) acceptance of a committer strategy on every pair.
 
     Each pair's announcement is its committed label XOR the shift
     ``committed ^ announced`` of :meth:`Strategy.committer_labels`, the
-    same for every chosen label.  ``profiles`` is the per-shift memo of
-    :func:`_shift_profile`.
+    same for every chosen label.  ``profiles`` are
+    :func:`_acceptance_profiles` of ``params``.
     """
     committed, announced = strategy.committer_labels(_ZERO)
-    return _shift_profile(params, [committed ^ announced] * params.n_pairs, profiles)
+    return _shift_profile(profiles, [committed ^ announced] * params.n_pairs)
 
 
 def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
@@ -279,7 +282,7 @@ def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
     Averages over uniformly chosen committer and receiver labels and the
     probe policy in ``params``, under its mode.  Exactly ``1 - acceptance``.
     """
-    return 1.0 - _committer_profile(params, strategy)[0]
+    return 1.0 - _committer_profile(params, strategy, _acceptance_profiles(params))[0]
 
 
 def string_cheat_acceptance(params: SchemeParams, per_pair_delta: Sequence[BellLabel]) -> float:
@@ -294,27 +297,21 @@ def string_cheat_acceptance(params: SchemeParams, per_pair_delta: Sequence[BellL
         raise ValueError(
             f"expected {params.n_pairs} per-pair shifts, got {len(per_pair_delta)}"
         )
-    return _shift_profile(params, per_pair_delta)[0]
+    return _shift_profile(_acceptance_profiles(params), per_pair_delta)[0]
 
 
 def _shift_profile(
-    params: SchemeParams,
-    per_pair_shift: Sequence[BellLabel],
-    profiles: dict | None = None,
+    profiles: dict, per_pair_shift: Sequence[BellLabel]
 ) -> tuple[float, float]:
     """Joint (averaged, worst-case) acceptance over independent pairs.
 
-    Each distinct shift is analyzed once, and only once across calls
-    that share a ``profiles`` memo (shift -> per-pair profile, for one
-    ``params``); the factors are multiplied in pair order, so the
-    product is the same float as pair by pair.
+    ``profiles`` maps each shift to its per-pair profile; the factors
+    are multiplied in pair order, so the product is the same float as
+    pair by pair.
     """
-    profiles = {} if profiles is None else profiles
     average = 1.0
     worst = 1.0
     for shift in per_pair_shift:
-        if shift not in profiles:
-            profiles[shift] = _acceptance_profile(params, shift)
         pair_average, pair_worst = profiles[shift]
         average *= pair_average
         worst *= pair_worst
@@ -557,7 +554,7 @@ def build_report(
         receiver = list(_DEFAULT_RECEIVER)
 
     strategy_rows = []
-    profiles: dict = {}  # honest and delayed re-choice rows share the zero shift
+    profiles = _acceptance_profiles(params) if committer else {}
     for strategy in committer:
         acceptance, worst = _committer_profile(params, strategy, profiles)
         claimed = _claimed_acceptance(params, strategy)

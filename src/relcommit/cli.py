@@ -151,11 +151,14 @@ def build_parser(commands: Sequence[str] = tuple(_HELP)) -> _Parser:
 
 
 def _read_json(what: str, path: str, parse=lambda doc: doc):
-    """``parse`` of file ``path``'s JSON; a read or parse error names the file as ``what``."""
+    """``parse`` of file ``path``'s JSON; a read or parse error names the file as ``what``.
+
+    Nesting too deep for the decoder is a parse error too.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             return parse(json.load(handle))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} {path!r}: {exc}") from exc
 
 

@@ -31,18 +31,21 @@ Validation knows two verifier models:
   sign flips pass on parity-preserving announcements.
 
 :func:`run_pairs` enumerates any scheme exactly.  One enumerator fills
-each committed label's table of code columns, its branches against all
-four receiver labels, with the quantum engine's stack kernel: a step is
-one measured stack, of which the enumerator keeps the weights and the
-outcome codes, and only a step measured again has its collapsed states
-built.  String pairs share the single scheme's steps; the multi scheme
-adds two, its probe copies read off the verifier's measured table.
-Tables are memoized on all the enumerator reads (multi or not, the
-probe states, the committed label), so they are shared across pair
-counts, receiver labels, geometry and validation mode.  A table is
-receiver-label-major, so each label pair's branches are a contiguous
-slice of it; :func:`branches` reads :class:`Transcript` objects out of
-that slice on each call, stamped with the caller's scheme and schedule.
+a table of code columns, the branches of all 16 (committed, receiver)
+label pairs, with the quantum engine's stack kernel: one pass per probe
+state, whose steps are each one measured stack of every label pair's
+branches, of which the enumerator keeps the weights and the outcome
+codes, and only a step measured again has its collapsed states built.
+String pairs share the single scheme's steps; the multi scheme adds
+two, its probe copies read off the verifier's measured table.  Tables
+are memoized on all the enumerator reads (multi or not, and the probe
+states), so one table serves every committed label, pair count,
+receiver label, geometry and validation mode.  A table is sorted by
+(committed label, receiver label), each pair's rows probe-major, so a
+committed label's branches and each label pair's are contiguous
+slices of it; :func:`branches` reads :class:`Transcript` objects out of
+a pair's slice on each call, stamped with the caller's scheme and
+schedule.
 
 The verifier is tabulated once per process: lookup arrays read off the
 certified label arithmetic, and its stored-bit predictions, computed on
@@ -50,7 +53,8 @@ state vectors.  One function checks a whole table's columns at a time,
 or one branch; :func:`validate_transcript` (one pair of any scheme) and
 :func:`validate_multiparty` (also a second committer's claims) are its
 one-branch wrappers, while the analyzer and the sampler check whole
-tables.  :func:`clear_caches` drops every memo.  This module never
+tables, a committed label's under all four announcements in one call.
+:func:`clear_caches` drops every memo.  This module never
 samples; seeded draws from these tables live in
 :mod:`relcommit.montecarlo`.
 """
@@ -77,6 +81,7 @@ from .quantum import (
     _Projection,
     _collapsed,
     _measure_stack,
+    _pauli_permutation,
     _pauli_stack,
     swapped_label,
     teleport_correction,
@@ -268,17 +273,17 @@ def _row(t: Transcript) -> _Columns:
     )
 
 
-def _registers(alice_label: BellLabel, probes: np.ndarray) -> np.ndarray:
-    """The register of every (probe, receiver label), probe-major: row ``4p + b``.
+def _registers(probe: np.ndarray) -> np.ndarray:
+    """The register of every (committed, receiver) label pair with one probe: row ``4a + b``.
 
-    ``probes`` holds one probe state's amplitudes per row, and ``b`` is
-    the receiver label's code.  The kets are multiplied as
+    ``probe`` holds the probe state's amplitudes, and ``a`` and ``b``
+    are the labels' codes.  The kets are multiplied as
     :func:`~relcommit.quantum.tensor` does (``np.kron``'s broadcast
     products, left factor first), so each row equals that tensor
     product bit for bit.
     """
-    pairs = _BELL_KETS[_code(alice_label)][None, :, None] * _BELL_KETS[:, None, :]
-    return (pairs.reshape(4, 16)[None, :, :, None] * probes[:, None, None, :]).reshape(-1, 32)
+    pairs = _BELL_KETS[:, None, :, None] * _BELL_KETS[None, :, None, :]
+    return (pairs.reshape(16, 16)[:, :, None] * probe).reshape(16, 32)
 
 
 def _lineage(steps: Sequence[_Projection]) -> list[np.ndarray]:
@@ -289,23 +294,8 @@ def _lineage(steps: Sequence[_Projection]) -> list[np.ndarray]:
     return rows
 
 
-def _measure_probes(stack: np.ndarray, bases: np.ndarray) -> _Projection:
-    """Qubit 0 of each row measured in its probe's basis family ``bases[row]``, as one step.
-
-    Each run of rows sharing a basis is measured as one stack.
-    """
-    starts = np.flatnonzero(np.r_[True, bases[1:] != bases[:-1]]).tolist()
-    parts = []
-    for start, stop in zip(starts, starts[1:] + [len(bases)]):
-        measured = _measure_stack(stack[start:stop], (0,), str(bases[start]))
-        parts.append((measured.parents + start, measured.probabilities, measured.codes))
-    return _Projection(*map(np.concatenate, zip(*parts)), residuals=None)
-
-
-def _enumerate(
-    multi: bool, probes: tuple[BasisStateSpec, ...], alice_label: BellLabel
-) -> _Columns:
-    """Exhaustive branches of one committed label, every probe state at once.
+def _enumerate(multi: bool, probe: BasisStateSpec, prior: float) -> _Columns:
+    """Exhaustive branches of every label pair with one probe state, weighted by ``prior``.
 
     Register order: Alice's retained half, her flying half, the
     receiver's flying half, the receiver's retained half, the probe.
@@ -320,56 +310,62 @@ def _enumerate(
     its step is read off :func:`_verifier_tables`, which the label
     algebra route cross-checks.  Every other step measures every branch
     of the step before it as one stack, starting from the registers of
-    every (probe, receiver label) pair, probe-major; a step measuring in
-    the probe's basis makes one stack per run of rows sharing a basis,
-    and probe families list their Z states first.  Rows stay in the
-    order of their registers, so a row's register ``4p + b`` names its
-    probe ``p`` and its receiver label ``b``.  A step keeps its weights
-    and outcome codes; collapsed states are built only for a step that
-    another step measures, and dropped once it has measured them.
+    all 16 (committed, receiver) label pairs.  Rows stay in the order of
+    their registers, so a row's register ``4a + b`` names its committed
+    label ``a`` and its receiver label ``b``; Alice's frame is gathered
+    per row by ``a``, with :func:`~relcommit.quantum._pauli_stack`'s
+    permutation and signs.  A step keeps its weights and outcome codes;
+    collapsed states are built only for a step that another step
+    measures, and dropped once it has measured them.
     """
-    probe_codes = np.array([BASIS_STATES.index(phi) for phi in probes])
-    bases = np.array([phi.basis for phi in probes])
-    stack = _registers(alice_label, _PROBE_KETS[probe_codes])
+    probe_code = BASIS_STATES.index(probe)
+    stack = _registers(_PROBE_KETS[probe_code])
     steps = []
     for qubits, basis in [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else []):
         measured = _measure_stack(stack, qubits, basis)
         stack = _collapsed(measured, qubits, basis)
         steps.append(measured._replace(residuals=None))
         del measured
-    stack = _pauli_stack(stack, 0, PAULI_OPS[_code(alice_label)])
-    steps.append(_measure_probes(stack, bases[_lineage(steps)[0] // 4]))
+    alice = _lineage(steps)[0] // 4
+    sources, signs = map(np.stack, zip(*(
+        _pauli_permutation(5, 0, op.z, op.x) for op in PAULI_OPS
+    )))  # a label's code names its frame
+    stack = np.take_along_axis(stack, sources[alice], axis=1) * signs[alice]
+    steps.append(_measure_stack(stack, (0,), probe.basis)._replace(residuals=None))
     if multi:
         register, _, t, *_ = _lineage(steps)
         tables = _verifier_tables()  # indexed [probe, frame, correction]
-        at = (probe_codes[register // 4], steps[1].codes[t], register % 4)
+        at = (probe_code, steps[1].codes[t], register % 4)
         parents = np.arange(len(register))  # each copy has one outcome
         steps.append(_Projection(parents, tables.weight[at], tables.prediction[at], None))
     register, *rows = _lineage(steps)
-    probability = 1.0 / len(probes)  # step order fixes the rounding, which TestGoldenTables pins
+    probability = prior  # step order fixes the rounding, which TestGoldenTables pins
     for step, row in zip(steps, rows):
         probability = probability * step.probabilities[row]
     swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
     mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
     return _Columns(
-        probe_codes[register // 4], np.full(len(register), _code(alice_label)), register % 4,
+        np.full(len(register), probe_code), register // 4, register % 4,
         swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
     )
 
 
 @lru_cache(maxsize=None)
-def _table(
-    multi: bool, probes: tuple[BasisStateSpec, ...], alice_label: BellLabel
-) -> _Columns:
+def _table(multi: bool, probes: tuple[BasisStateSpec, ...]) -> _Columns:
     """The one memo of branch tables, keyed on all that :func:`_enumerate` reads.
 
-    Code columns, receiver-label-major, so each receiver label's rows
-    are one contiguous slice (see :func:`_pair_columns`).  Raises
-    ``ValueError`` unless every stored bit is 0 or 1 and every
-    probability lies in ``(0, 1 + PROB_ATOL]``.
+    Code columns of one :func:`_enumerate` pass per probe state,
+    concatenated probe-major and stably sorted by (committed label,
+    receiver label): each label pair's rows are one contiguous slice,
+    probe-major, and so are each committed label's (see
+    :func:`_columns`).  Raises ``ValueError`` unless every stored bit is
+    0 or 1 and every probability lies in ``(0, 1 + PROB_ATOL]``.
     """
-    enumerated = _enumerate(multi, probes, alice_label)
-    order = np.argsort(enumerated.bob, kind="stable")
+    passes = [_enumerate(multi, probe, 1.0 / len(probes)) for probe in probes]
+    enumerated = _Columns._make(
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*passes)
+    )
+    order = np.argsort(4 * enumerated.alice + enumerated.bob, kind="stable")
     columns = _Columns._make(
         None if column is None else _frozen(column[order]) for column in enumerated
     )
@@ -382,14 +378,21 @@ def _table(
     return columns
 
 
+def _slice(columns: _Columns, key: np.ndarray, code: int) -> _Columns:
+    """The rows of ``columns`` whose sorted ``key`` column equals ``code``."""
+    start, stop = np.searchsorted(key, (code, code + 1))
+    return _Columns._make(None if column is None else column[start:stop] for column in columns)
+
+
 def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
-    """Every branch of one committed label against each receiver label: its :func:`_table`.
+    """Every branch of one committed label against each receiver label: its slice of :func:`_table`.
 
     The one map from :class:`SchemeParams` to the memo key: multi or
     not, and the probe states.
     """
     probes = tuple(spec for spec, _ in params.phi_choices())
-    return _table(params.scheme == "multi", probes, alice_label)
+    table = _table(params.scheme == "multi", probes)
+    return _slice(table, table.alice, _code(alice_label))
 
 
 def _pair_columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
@@ -398,9 +401,7 @@ def _pair_columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellL
     ``bob_label`` overrides ``params.bob_label``.
     """
     columns = _columns(params, alice_label)
-    code = _code(bob_label)
-    start, stop = np.searchsorted(columns.bob, (code, code + 1))
-    return _Columns._make(None if column is None else column[start:stop] for column in columns)
+    return _slice(columns, columns.bob, _code(bob_label))
 
 
 def _scalar_rows(columns: _Columns | _Check) -> Iterator[_Columns | _Check]:
@@ -549,7 +550,12 @@ def clear_caches() -> None:
 
 
 class _Check(NamedTuple):
-    """Accept bits and expected stored bits, shaped like the checked columns."""
+    """Accept bits and expected stored bits, shaped like the checked columns.
+
+    Checked under an array of announced codes, ``accept`` and
+    ``alice_expected`` take the broadcast shape, while ``bob_expected``,
+    which no announcement of the committer's changes, keeps the columns'.
+    """
 
     accept: np.ndarray | bool
     alice_expected: np.ndarray | int
@@ -558,13 +564,16 @@ class _Check(NamedTuple):
 
 def _verify(
     columns: _Columns,
-    announced: BellLabel,
+    announced: BellLabel | np.ndarray,
     mode: str,
     bob_claim: tuple[BellLabel, BellLabel] | None = None,
 ) -> _Check:
     """The verifier, on a table's columns or on one branch's :func:`_row`.
 
-    The committer announces ``announced``.  ``R1`` rebuilds the
+    The committer announces ``announced``: one label, or an integer
+    array of label codes that broadcasts against the columns, so that a
+    ``(4, 1)`` code column checks a table under four announcements at
+    once, one row of accept bits each.  ``R1`` rebuilds the
     teleportation correction from announcements: that label and the
     receiver side's (label, teleport outcome), which are ``bob_claim``
     when given and the branch's own records otherwise.  ``R2`` uses the
@@ -575,13 +584,14 @@ def _verify(
     if mode not in VALIDATION_MODES:
         raise ValueError(f"unknown validation mode {mode!r}")
     tables = _verifier_tables()
+    code = _code(announced) if isinstance(announced, BellLabel) else announced
     claim_bob, claim_tele = (columns.bob, columns.tele) if bob_claim is None else map(_code, bob_claim)
     if mode == "R1":
-        alice, bob, tele = _code(announced), claim_bob, claim_tele
+        alice, bob, tele = code, claim_bob, claim_tele
     else:
         alice, bob, tele = columns.alice, columns.bob, columns.tele
     correction = tables.correction[tables.swap[alice, bob, columns.swap], tele]
-    alice_expected = tables.prediction[columns.probe, _code(announced), correction]
+    alice_expected = tables.prediction[columns.probe, code, correction]
     accept = alice_expected == columns.stored_alice
     bob_expected = None
     if columns.stored_bob is not None:

@@ -113,26 +113,30 @@ class TestDualRouteAgreement:
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_routes_agree_on_single(self, mode, policy, delta):
         params = SchemeParams("single", phi_policy=policy, validation_mode=mode)
-        enum = _acceptance_by_label_enumerated(params, delta)
-        alg = _acceptance_by_label_algebraic(params, delta)
-        for label in BELL_LABELS:
+        shift = BELL_LABELS.index(delta)
+        enum = _acceptance_by_label_enumerated(params)[shift]
+        alg = _acceptance_by_label_algebraic(params)[shift]
+        for label in range(len(BELL_LABELS)):
             assert abs(enum[label] - alg[label]) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     @pytest.mark.parametrize("delta", DELTAS, ids=str)
     def test_routes_agree_on_multi(self, mode, delta):
         params = SchemeParams("multi", validation_mode=mode)
-        enum = _acceptance_by_label_enumerated(params, delta)
-        alg = _acceptance_by_label_algebraic(params, delta)
-        for label in BELL_LABELS:
+        shift = BELL_LABELS.index(delta)
+        enum = _acceptance_by_label_enumerated(params)[shift]
+        alg = _acceptance_by_label_algebraic(params)[shift]
+        for label in range(len(BELL_LABELS)):
             assert abs(enum[label] - alg[label]) <= 1e-12
 
 
     def test_disagreement_names_the_shift(self, monkeypatch):
         real = adversary._acceptance_by_label_algebraic
 
-        def skewed(params, shift):
-            return {label: value + 1e-9 for label, value in real(params, shift).items()}
+        def skewed(params):
+            table = real(params)
+            table[BELL_LABELS.index(DELTAS[0])] += 1e-9  # that shift's row only
+            return table
 
         monkeypatch.setattr(adversary, "_acceptance_by_label_algebraic", skewed)
         with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=01, label=00\]: "):
@@ -204,11 +208,11 @@ class TestVerifierWork:
         build_report(params)
         assert per_branch == [[], []]
         # each committed label's table, against all four receiver labels,
-        # checked whole, once per announced label
-        checked = {(int(c.alice[0]), announced) for c, announced, _ in table_calls}
-        assert 0 < len(checked) == len(table_calls) <= 4 * 4
-        for columns, _, mode in table_calls:
+        # checked whole, once, under a column of all four announced labels
+        assert [int(columns.alice[0]) for columns, _, _ in table_calls] == [0, 1, 2, 3]
+        for columns, announced, mode in table_calls:
             alice = BELL_LABELS[columns.alice[0]]
+            assert announced.tolist() == [[BELL_LABELS.index(alice ^ shift)] for shift in BELL_LABELS]
             rows = [t for bob in BELL_LABELS for t in branches(params, alice, bob)]
             assert (columns.alice == columns.alice[0]).all()
             assert columns.probability.tolist() == [t.probability for t in rows]
@@ -222,12 +226,11 @@ class TestVerifierWork:
         SchemeParams("string", n_pairs=4),
         SchemeParams("string", phi_policy=X1),
     ], ids=["single", "multi", "multi-uniform", "string", "string-X1"])
-    def test_cold_report_measures_a_few_stacks_per_committed_label(self, monkeypatch, params):
-        # per committed label, a stack per step whatever the number of probe
-        # states, the (probe, receiver label) pairs being its rows: 3 steps,
-        # or in the multi scheme 4, the second committer's probe copies being
-        # read off the verifier's table; the confirmation measurement adds a
-        # stack per extra probe basis
+    def test_cold_report_measures_a_stack_per_step_and_probe_state(self, monkeypatch, params):
+        # one table for all committed labels, a stack per step and probe
+        # state, the 16 (committed, receiver) label pairs being the first
+        # stack's rows: 3 steps, or in the multi scheme 4, the second
+        # committer's probe copies being read off the verifier's table
         adversary.clear_caches()
         protocol._verifier_tables()  # measures its predictions once per process
         stacks = []
@@ -236,8 +239,7 @@ class TestVerifierWork:
                             lambda *args: stacks.append(args[1:]) or real(*args))
         build_report(params)
         steps = 4 if params.scheme == "multi" else 3
-        bases = {spec.basis for spec, _ in params.phi_choices()}
-        assert len(stacks) == (steps + len(bases) - 1) * len(BELL_LABELS)
+        assert len(stacks) == steps * len(params.phi_choices())
 
     @pytest.mark.parametrize("params,steps", [
         (SchemeParams("single"), 2),
@@ -246,8 +248,9 @@ class TestVerifierWork:
     ], ids=["single", "multi", "string"])
     def test_only_steps_measured_again_build_collapsed_states(self, monkeypatch, params, steps):
         # the swap and teleport steps (and multi's recorded Z) are measured
-        # again; the confirmation and probe-copy steps, the verifier's
-        # predictions and the extraction route read weights and codes only
+        # again, once per probe state; the confirmation and probe-copy
+        # steps, the verifier's predictions and the extraction route read
+        # weights and codes only, and the other labels read the same table
         adversary.clear_caches()
         collapsed = _counted(monkeypatch, quantum, "_collapsed")
         protocol._verifier_tables()
@@ -255,7 +258,10 @@ class TestVerifierWork:
             extraction_guess_probability(strategy)
         assert collapsed == []
         protocol._columns(params, BellLabel(1, 0))
-        assert len(collapsed) == steps
+        assert len(collapsed) == steps * len(params.phi_choices())
+        for alice in BELL_LABELS:
+            protocol._columns(params, alice)
+        assert len(collapsed) == steps * len(params.phi_choices())
 
     @pytest.mark.parametrize("params", [
         SchemeParams("single", phi_policy="uniform"),
@@ -307,8 +313,7 @@ class TestVerifierWork:
     def test_algebra_route_makes_no_label_object_xor(self, monkeypatch, scheme, mode):
         params = SchemeParams(scheme, phi_policy="uniform", validation_mode=mode)
         xors = _counted(monkeypatch, BellLabel, "__xor__")
-        for shift in BELL_LABELS:
-            _acceptance_by_label_algebraic(params, shift)
+        _acceptance_by_label_algebraic(params)
         for upto in ("confirmation", "storage"):
             concealment_tv(params, upto)
         assert xors == []
@@ -337,9 +342,11 @@ class TestAlgebraCounts:
     def test_acceptance_is_an_exact_count(self, scheme, policy, mode):
         params = SchemeParams(scheme, phi_policy=policy, validation_mode=mode)
         cells = 64 * len(params.phi_choices())
-        for k, shift in enumerate(BELL_LABELS):
+        table = _acceptance_by_label_algebraic(params)
+        assert table.shape == (len(BELL_LABELS), len(BELL_LABELS))  # [shift, committed label]
+        for k, row in enumerate(table.tolist()):
             expected = 1 if mode == "R1" else _R2_PER_PAIR[_family(params)][k]
-            for label, value in _acceptance_by_label_algebraic(params, shift).items():
+            for label, value in zip(BELL_LABELS, row):
                 count = value * cells
                 assert count == int(count), (label, value)
                 assert Fraction(int(count), cells) == expected
@@ -538,19 +545,13 @@ class TestSecurityReport:
 
     @pytest.mark.parametrize("scheme,n_pairs", [("single", 1), ("multi", 1), ("string", 3)])
     def test_report_analyzes_each_distinct_shift_once(self, monkeypatch, scheme, n_pairs):
-        # honest and delayed re-choice both announce the zero shift; with
-        # the three relabel shifts that is 4 distinct profiles
-        calls = []
-        real = adversary._acceptance_profile
-
-        def counting(params, shift):
-            calls.append(shift)
-            return real(params, shift)
-
-        monkeypatch.setattr(adversary, "_acceptance_profile", counting)
+        # one profile table holds all four shifts; honest and delayed
+        # re-choice both read its zero shift
+        calls = _counted(monkeypatch, adversary, "_acceptance_profiles")
         report = build_report(SchemeParams(scheme, n_pairs=n_pairs, phi_policy="uniform"))
-        assert len(calls) == 4
-        assert len(set(calls)) == 4
+        assert len(calls) == 1
+        assert build_report(SchemeParams(scheme, n_pairs=n_pairs), strategies=()).strategy_rows == ()
+        assert len(calls) == 1  # a scan with no committer strategy computes none
         honest, rechoice = report.strategy_rows[0], report.strategy_rows[-1]
         assert honest.acceptance_probability == rechoice.acceptance_probability
 

@@ -664,6 +664,20 @@ class TestConfigAndErrors:
         assert err == (f"error: cannot read {document} {str(path)!r}: 'utf-8' codec can't "
                        "decode byte 0xff in position 0: invalid start byte\n")
 
+    @pytest.mark.parametrize("argv,document", [
+        (("run", "--config"), "config"),
+        (("report", "--input"), "scan"),
+        (("audit", "--input"), "schedule"),
+    ], ids=["run-config", "report-input", "audit-input"])
+    def test_file_nested_too_deep_is_named(self, capsys, tmp_path, argv, document):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {document} {str(path)!r}: "
+                              "maximum recursion depth exceeded"), err
+        assert err.count("\n") == 1
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "fnord")
         assert code == 1

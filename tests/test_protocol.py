@@ -573,6 +573,35 @@ class TestTableVerifier:
                             assert verdict == _reference_verdict(t, announced, mode, claim)
                             assert verdict.accept is bit
 
+    @given(
+        scheme=st.sampled_from(SCHEMES),
+        policy=st.sampled_from(["uniform", Z0, Z1]),
+        mode=st.sampled_from(["R1", "R2"]),
+        alice=st.sampled_from(BELL_LABELS),
+        codes=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        claim=st.none() | st.sampled_from(_CLAIMS),
+        branch=st.integers(min_value=0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_code_column_equals_one_call_per_announced_label(
+        self, scheme, policy, mode, alice, codes, claim, branch
+    ):
+        columns = _columns(SchemeParams(scheme, phi_policy=policy), alice)
+        claim = claim if scheme == "multi" else None
+        check = _verify(columns, np.array(codes)[:, None], mode, claim)
+        assert check.accept.shape == check.alice_expected.shape == (4, len(columns.probe))
+        row = list(protocol._scalar_rows(columns))[branch % len(columns.probe)]
+        for k, code in enumerate(codes):
+            one = _verify(columns, BELL_LABELS[code], mode, claim)
+            assert check.accept[k].tolist() == one.accept.tolist()
+            assert check.alice_expected[k].tolist() == one.alice_expected.tolist()
+            if scheme == "multi":
+                assert check.bob_expected.tolist() == one.bob_expected.tolist()
+            else:
+                assert check.bob_expected is one.bob_expected is None
+            scalar = _verify(row, BELL_LABELS[code], mode, claim)
+            assert scalar.accept == check.accept[k, branch % len(columns.probe)]
+
     def test_columns_read_the_table_in_order(self):
         params = SchemeParams("multi", phi_policy="uniform")
         table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
@@ -716,17 +745,18 @@ class TestCaches:
         clear_caches()
         for n_pairs, bob in ((4, BellLabel(0, 0)), (4, BellLabel(0, 1)), (5, BellLabel(0, 0))):
             adversary.build_report(SchemeParams("string", n_pairs=n_pairs, bob_label=bob))
-        assert protocol._table.cache_info().misses == 4
+        # and one table holds every committed label
+        assert protocol._table.cache_info().misses == 1
         z0 = (SchemeParams("single"), SchemeParams("single", x=2.0, validation_mode="R1"),
               SchemeParams("string", phi_policy=Z0))
         for params in z0:
             adversary.build_report(params)
-        assert protocol._table.cache_info().misses == 8
+        assert protocol._table.cache_info().misses == 2
         assert len({params.schedule for params in z0}) == 3
         for params in z0:
             for t in branches(params, BellLabel(1, 0), BellLabel(0, 1)):
                 assert (t.scheme, t.schedule) == (params.scheme, params.schedule)
-        assert protocol._table.cache_info().misses == 8
+        assert protocol._table.cache_info().misses == 2
 
     def test_callers_cannot_mutate_the_cached_table(self):
         params = SchemeParams("single")

@@ -397,6 +397,16 @@ class TestStrategyAndReport:
             }
         dumps(doc)  # must be valid JSON (no NaN, no objects)
 
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    @pytest.mark.parametrize("scheme", ["single", "multi", "string"])
+    def test_report_document_is_its_asdict(self, scheme, mode):
+        # the hand-written encoder lays a report out as ``asdict`` does,
+        # rows kept as tuples, so renaming a field still fails here
+        report = build_report(SchemeParams(scheme, validation_mode=mode))
+        doc = report_to_json(report)
+        assert doc == dataclasses.asdict(report)
+        assert type(doc["strategy_rows"]) is type(doc["extraction_rows"]) is tuple
+
 
 @pytest.fixture(scope="module")
 def single_scan() -> dict:

@@ -68,6 +68,8 @@ CLI_INVOCATIONS = [
     ("stats --scheme string --n-pairs 99999999999 --trials 1", 1, None),
     ("run --scheme string --n-pairs 4 --trials 3 --seed 11 --alice-label 11 --bob-label 10", 0, None),
     ("enumerate --scheme string --n-pairs 20 --phi uniform", 0, None),
+    ("run --scheme multi --phi uniform --trials 4 --seed 13 --alice-label 10 --bob-label 11", 0, None),
+    ("attack-scan --scheme single --phi Z1", 0, None),
     ("--help", 0, None),
     *((f"{command} -h", 0, None)
       for command in ("run", "enumerate", "attack-scan", "audit", "report", "stats")),
