@@ -54,19 +54,20 @@ import numpy as np
 
 from .protocol import (
     SchemeParams,
+    _Columns,
+    _code,
     _columns,
-    _pair_columns,
+    _params_table,
     _verify,
     clear_caches,
     committed_bit,
 )
 from .quantum import (
     BELL_LABELS,
-    PAULI_OPS,
     BellLabel,
     _BELL_KETS,
+    _framed,
     _measure_stack,
-    _pauli_stack,
 )
 
 __all__ = [
@@ -323,23 +324,35 @@ def _shift_profile(
 # --------------------------------------------------------------------------
 
 
-def _class_labels(bit: int) -> tuple[BellLabel, BellLabel]:
-    return tuple(lbl for lbl in BELL_LABELS if committed_bit(lbl) == bit)
-
-
 def _views_enumerated(params: SchemeParams, upto: str) -> dict:
-    dists: dict[int, dict] = {0: {}, 1: {}}
+    """Each bit class's receiver views, summed over its labels' branch rows.
+
+    A view is a tuple of the receiver side's columns.  The table holds
+    a class's labels in order, so each class's dict holds its views in
+    order of first appearance in the table, and each weight is summed
+    row by row in table order, as a running sum per row would give it.
+    """
     multi = params.scheme == "multi"
     receivers = len(BELL_LABELS) if multi else 1  # other committer's label is private too
-    for bit in (0, 1):
-        for alice in _class_labels(bit):
-            c = _columns(params, alice) if multi else _pair_columns(params, alice, params.bob_label)
-            view = [c.swap] if multi else [c.probe, c.swap, c.tele]
-            if upto == "storage":
-                view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
-            keys = zip(*(column.tolist() for column in view))
-            for key, probability in zip(keys, c.probability.tolist()):
-                dists[bit][key] = dists[bit].get(key, 0.0) + probability / (2.0 * receivers)
+    c = _params_table(params)
+    if not multi:
+        c = _Columns._make(None if column is None else column[c.bob == _code(params.bob_label)]
+                           for column in c)
+    view = [c.swap] if multi else [c.probe, c.swap, c.tele]
+    if upto == "storage":
+        view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
+    codes = c.alice & 1  # a label's code ends in its parity bit, the committed bit
+    for column in view:  # every view column holds codes below 4
+        codes = 4 * codes + column
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first))
+    np.add.at(sums, inverse, c.probability / (2.0 * receivers))  # row by row, in table order
+    order = np.argsort(first)  # distinct views by first appearance
+    heads = first[order]
+    dists: dict[int, dict] = {0: {}, 1: {}}
+    keys = zip(*(column[heads].tolist() for column in view))
+    for bit, key, weight in zip((c.alice[heads] & 1).tolist(), keys, sums[order].tolist()):
+        dists[bit][key] = weight
     return dists
 
 
@@ -403,15 +416,22 @@ def concealment_tv(params: SchemeParams, upto: str = "storage") -> float:
 # --------------------------------------------------------------------------
 
 
-def _extraction_views_enumerated(strategy: Strategy) -> dict:
+def _extraction_measurement(strategy: Strategy) -> str:
+    """What a receiver strategy measures: ``"Z"`` or ``"X"`` on the
+    flying half, or ``"pair"`` on both halves, which both the pair-basis
+    extraction and the skip attack do."""
+    return strategy.basis if strategy.basis in ("Z", "X") else "pair"
+
+
+def _extraction_views_enumerated(measurement: str) -> dict:
     """Measure the four committed pairs as one stack, one row per label."""
-    if strategy.kind == "early_extract" and strategy.basis in ("Z", "X"):
-        measured = _measure_stack(_BELL_KETS, (1,), strategy.basis)
+    if measurement in ("Z", "X"):
+        measured = _measure_stack(_BELL_KETS, (1,), measurement)
     else:
         # skip/forward-less attack: the confirmation qubit comes back
         # rotated by the pair's own label, so measure both jointly; a
         # label's code names its Pauli
-        returned = np.stack([_pauli_stack(pair, 0, op) for op, pair in zip(PAULI_OPS, _BELL_KETS)])
+        returned = _framed(_BELL_KETS, 0, np.arange(len(BELL_LABELS)))
         measured = _measure_stack(returned, (1, 0), "bell")
     joint: dict = {}
     prior = 0.25
@@ -455,8 +475,15 @@ def extraction_guess_probability(strategy: Strategy) -> float:
     """
     if strategy.role != "receiver":
         raise ValueError("extraction_guess_probability analyzes receiver strategies")
+    return _extraction_guess(
+        strategy, _extraction_views_enumerated(_extraction_measurement(strategy))
+    )
+
+
+def _extraction_guess(strategy: Strategy, enumerated: dict) -> float:
+    """:func:`extraction_guess_probability` given the enumerated views of its measurement."""
     return _checked(
-        _map_guess(_extraction_views_enumerated(strategy)),
+        _map_guess(enumerated),
         _map_guess(_extraction_views_algebraic(strategy)),
         f"extraction[{strategy.describe()}]",
     )
@@ -564,8 +591,10 @@ def build_report(
         )
 
     extraction_rows = []
+    enumerated = {measurement: _extraction_views_enumerated(measurement)
+                  for measurement in dict.fromkeys(map(_extraction_measurement, receiver))}
     for strategy in receiver:
-        guess = extraction_guess_probability(strategy)
+        guess = _extraction_guess(strategy, enumerated[_extraction_measurement(strategy)])
         extraction_rows.append(
             ExtractionRow(strategy, guess, 0.5, abs(guess - 0.5) <= AGREEMENT_ATOL)
         )

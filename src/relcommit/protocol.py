@@ -81,8 +81,7 @@ from .quantum import (
     _Projection,
     _collapsed,
     _measure_stack,
-    _pauli_permutation,
-    _pauli_stack,
+    _pauli_frames,
     swapped_label,
     teleport_correction,
 )
@@ -312,25 +311,28 @@ def _enumerate(multi: bool, probe: BasisStateSpec, prior: float) -> _Columns:
     of the step before it as one stack, starting from the registers of
     all 16 (committed, receiver) label pairs.  Rows stay in the order of
     their registers, so a row's register ``4a + b`` names its committed
-    label ``a`` and its receiver label ``b``; Alice's frame is gathered
-    per row by ``a``, with :func:`~relcommit.quantum._pauli_stack`'s
-    permutation and signs.  A step keeps its weights and outcome codes;
-    collapsed states are built only for a step that another step
-    measures, and dropped once it has measured them.
+    label ``a`` and its receiver label ``b``.  A step keeps its weights
+    and outcome codes; collapsed states are built only for a step that
+    another step measures, and dropped once it has measured them.
+    Alice's frame is folded into the last of those collapses, which
+    each kept branch's register already names: the frame of label ``a``
+    turns the factor that holds qubit 0 (see
+    :func:`~relcommit.quantum._collapsed`), the 8-amplitude residual of
+    the teleportation step or, in ``multi``, the 2-amplitude ket of the
+    recorded Z step, so no 32-amplitude register is gathered.
     """
     probe_code = BASIS_STATES.index(probe)
     stack = _registers(_PROBE_KETS[probe_code])
     steps = []
-    for qubits, basis in [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else []):
+    plan = [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else [])
+    for qubits, basis in plan:
         measured = _measure_stack(stack, qubits, basis)
-        stack = _collapsed(measured, qubits, basis)
         steps.append(measured._replace(residuals=None))
+        # the last collapse also turns qubit 0 by each branch's committed
+        # label, read off its register: a label's code names its frame
+        frame = (0, _lineage(steps)[0] // 4) if len(steps) == len(plan) else None
+        stack = _collapsed(measured, qubits, basis, frame)
         del measured
-    alice = _lineage(steps)[0] // 4
-    sources, signs = map(np.stack, zip(*(
-        _pauli_permutation(5, 0, op.z, op.x) for op in PAULI_OPS
-    )))  # a label's code names its frame
-    stack = np.take_along_axis(stack, sources[alice], axis=1) * signs[alice]
     steps.append(_measure_stack(stack, (0,), probe.basis)._replace(residuals=None))
     if multi:
         register, _, t, *_ = _lineage(steps)
@@ -384,14 +386,17 @@ def _slice(columns: _Columns, key: np.ndarray, code: int) -> _Columns:
     return _Columns._make(None if column is None else column[start:stop] for column in columns)
 
 
-def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
-    """Every branch of one committed label against each receiver label: its slice of :func:`_table`.
-
-    The one map from :class:`SchemeParams` to the memo key: multi or
-    not, and the probe states.
-    """
+def _params_table(params: SchemeParams) -> _Columns:
+    """The :func:`_table` of ``params``, the one map from
+    :class:`SchemeParams` to the memo key: multi or not, and the probe
+    states."""
     probes = tuple(spec for spec, _ in params.phi_choices())
-    table = _table(params.scheme == "multi", probes)
+    return _table(params.scheme == "multi", probes)
+
+
+def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
+    """Every branch of one committed label against each receiver label: its slice of :func:`_table`."""
+    table = _params_table(params)
     return _slice(table, table.alice, _code(alice_label))
 
 
@@ -526,10 +531,10 @@ def _verifier_tables() -> _VerifierTables:
             for a in BELL_LABELS]
     correction = [[PAULI_OPS.index(teleport_correction(shared, outcome)) for outcome in BELL_LABELS]
                   for shared in BELL_LABELS]
-    rotated = np.stack([
-        _pauli_stack(_pauli_stack(_PROBE_KETS, 0, op), 0, frame)
-        for frame in PAULI_OPS for op in PAULI_OPS
-    ], axis=1).reshape(len(BASIS_STATES), 4, 4, 2)  # [probe, frame, correction, amplitude]
+    sources, signs = _pauli_frames(1, 0)  # a row per Pauli's code
+    corrected = _PROBE_KETS[:, sources] * signs  # [probe, correction, amplitude]
+    corrections = np.arange(4)[:, None]  # against each frame's sources: [frame, correction, amplitude]
+    rotated = corrected[:, corrections, sources[:, None]] * signs[:, None]  # [probe, frame, ...]
     prediction = np.empty(rotated.shape[:3], dtype=np.intp)
     weight = np.empty(rotated.shape[:3])
     for basis in ("Z", "X"):

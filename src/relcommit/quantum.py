@@ -35,13 +35,18 @@ Conventions
 * One kernel measures a stack of states, amplitudes of shape
   ``(B, 2**n)``, with one contraction against the stacked outcome kets,
   checks every row and returns each kept branch's weight and outcome
-  code; collapsed states are built apart, only where they are read.
+  code; collapsed states are built apart, only where they are read,
+  each as one broadcast product of its outcome ket and its scaled
+  residual written straight in qubit order.
   :func:`bell_measure` and :func:`basis_measure` wrap one state's rows
   as :class:`Branch` objects, while protocol enumeration keeps them as
   a stack.  A Pauli is a signed permutation of the amplitudes read off
-  its literal matrix, one gather on a state or a stack;
-  :func:`clear_caches` drops their memoized index tables.  Label and
-  frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
+  its literal matrix, one gather on a state or a stack; all four on
+  one qubit form one table, which turns each row of a stack by its own
+  Pauli, and a collapse can apply such per-row frames to whichever of
+  its two factors holds the qubit.  :func:`clear_caches` drops the
+  memoized index tables.  Label and frame algebra return members of
+  ``BELL_LABELS``/``PAULI_OPS``.
 """
 
 from __future__ import annotations
@@ -320,6 +325,22 @@ def _pauli_permutation(n: int, qubit: int, z: int, x: int) -> tuple[np.ndarray, 
     return index ^ ((row ^ col) << shift), matrix[row, col]
 
 
+@lru_cache(maxsize=None)
+def _pauli_frames(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pauli_permutation` of every member of ``PAULI_OPS`` on
+    ``qubit``: sources and signs, a row per Pauli's code."""
+    sources, signs = zip(*(_pauli_permutation(n, qubit, op.z, op.x) for op in PAULI_OPS))
+    return np.stack(sources), np.stack(signs)
+
+
+def _framed(stack: np.ndarray, qubit: int, codes: np.ndarray) -> np.ndarray:
+    """Each row of a ``(B, 2**n)`` stack with the Pauli its code names on ``qubit``."""
+    count, dim = stack.shape
+    sources, signs = _pauli_frames(dim.bit_length() - 1, qubit)
+    flat = sources.take(codes, axis=0) + dim * np.arange(count)[:, None]  # into the raveled stack
+    return stack.take(flat) * signs.take(codes, axis=0)
+
+
 def _pauli_stack(amplitudes: np.ndarray, qubit: int, op: PauliOp) -> np.ndarray:
     """``op`` on one qubit of every state in the last axis of ``amplitudes``."""
     source, sign = _pauli_permutation(amplitudes.shape[-1].bit_length() - 1, qubit, op.z, op.x)
@@ -334,11 +355,26 @@ def apply_pauli(state: StateVector, qubit: int, op: PauliOp) -> StateVector:
     return StateVector(_pauli_stack(state.amplitudes, qubit, op))
 
 
+class _Layout(NamedTuple):
+    """Where a measurement of ``qubits`` puts each qubit of an ``n``-qubit stack."""
+
+    perm: tuple[int, ...]  # stack axes, measured qubits first: what is contracted
+    ket_columns: np.ndarray  # an outcome ket's columns, reordered so its qubits ascend
+    ket_shape: tuple[int, ...]  # a ket row's axes at its qubits, size 1 elsewhere
+    rest_shape: tuple[int, ...]  # a residual's axes at the other qubits, ascending
+
+
 @lru_cache(maxsize=None)
-def _measured_first(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order putting ``qubits`` first, and its inverse, on a stack of states."""
-    perm = (*qubits, *(ax for ax in range(n) if ax not in qubits))
-    return (0, *(1 + ax for ax in perm)), (0, *(1 + int(ax) for ax in np.argsort(perm)))
+def _measured_first(n: int, qubits: tuple[int, ...]) -> _Layout:
+    """The axis layout of measuring ``qubits`` of a stack of ``n``-qubit states."""
+    ket_axes = tuple(qubits.index(q) for q in sorted(qubits))
+    columns = np.arange(1 << len(qubits)).reshape((2,) * len(qubits)).transpose(ket_axes)
+    return _Layout(
+        (0, *(1 + ax for ax in qubits), *(1 + ax for ax in range(n) if ax not in qubits)),
+        columns.reshape(-1),
+        tuple(2 if ax in qubits else 1 for ax in range(n)),
+        tuple(1 if ax in qubits else 2 for ax in range(n)),
+    )
 
 
 # Measurement name -> (outcome kets, one row per outcome; the outcome each row names).
@@ -373,13 +409,16 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"amplitude count must be a power of two >= 2, got {dim}")
     n = dim.bit_length() - 1
-    perm = _measured_first(n, qubits)[0]
+    perm = _measured_first(n, qubits).perm
     view = stack.reshape((count,) + (2,) * n).transpose(perm).reshape(count, kets.shape[1], -1)
+    # A batched matmul, one product per row: a row's residuals are then
+    # the same floats whether it is measured alone or in any stack.  One
+    # flattened product over the whole batch may round differently.
     residuals = kets.conj() @ view
     probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
     kept = probs > PROB_ATOL
     parents, picked = np.nonzero(kept)
-    weights = probs[parents, picked]
+    weights = probs[kept]
     if (weights > 1.0 + PROB_ATOL).any():
         raise ValueError(f"branch probability out of range: {float(weights.max())!r}")
     # A float sum of at most four weights in [0, 1 + PROB_ATOL] is within
@@ -393,19 +432,44 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     return _Projection(parents, weights, picked, residuals)
 
 
-def _collapsed(measured: _Projection, qubits: tuple[int, ...], basis: str) -> np.ndarray:
+def _collapsed(
+    measured: _Projection,
+    qubits: tuple[int, ...],
+    basis: str,
+    frame: tuple[int, np.ndarray] | None = None,
+) -> np.ndarray:
     """Each kept branch's collapsed amplitudes, a row each, of ``measured`` on ``qubits``.
 
-    Each must have unit norm within ``PROB_ATOL``; otherwise ``ValueError``.
+    A row is the product of two factors: its outcome's ket on the
+    measured qubits and its scaled residual on the others, each laid out
+    at its qubits' axes, so one broadcast multiply writes the stack in
+    qubit order.  ``frame``, a qubit and one Pauli code per kept branch
+    (a code indexes ``PAULI_OPS``), turns each row by its Pauli on that
+    qubit, on whichever factor holds it; a signed permutation only
+    negates and moves amplitudes, so each equals that of the unturned
+    row turned afterwards, up to the sign of a zero.  Each row must have
+    unit norm within ``PROB_ATOL``; otherwise ``ValueError``.
     """
     kets = _MEASUREMENTS[basis][0]
     parents, weights, picked, residuals = measured
+    count = len(weights)
     n = (kets.shape[1] * residuals.shape[2]).bit_length() - 1
-    restore = _measured_first(n, qubits)[1]
+    layout = _measured_first(n, qubits)
+    ket = kets[:, layout.ket_columns].take(picked, axis=0)
     scaled = residuals[parents, picked] / np.sqrt(weights)[:, None]
-    posts = kets[picked, :, None] * scaled[:, None, :]
-    posts = posts.reshape((len(weights),) + (2,) * n).transpose(restore).reshape(len(weights), -1)
-    norms = np.einsum("bi,bi->b", posts.conj(), posts).real
+    if frame is not None:
+        qubit, codes = frame
+        below = sum(q < qubit for q in qubits)  # a factor's qubits ascend
+        if qubit in qubits:
+            ket = _framed(ket, below, codes)
+        else:
+            scaled = _framed(scaled, qubit - below, codes)
+    posts = np.multiply(
+        ket.reshape(count, *layout.ket_shape), scaled.reshape(count, *layout.rest_shape),
+        out=np.empty((count,) + (2,) * n, dtype=np.complex128),
+    ).reshape(count, -1)
+    parts = posts.view(np.float64)  # real and imaginary parts side by side
+    norms = np.einsum("bi,bi->b", parts, parts)
     if (abs(norms - 1.0) > PROB_ATOL).any():
         raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")
     return posts
@@ -509,6 +573,6 @@ def fidelity(state_a: StateVector, state_b: StateVector) -> float:
 
 
 def clear_caches() -> None:
-    """Drop the memoized Pauli permutations and measurement axis orders."""
-    for cached in (_pauli_permutation, _measured_first):
+    """Drop the memoized Pauli permutations and measurement axis layouts."""
+    for cached in (_pauli_permutation, _pauli_frames, _measured_first):
         cached.cache_clear()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -263,6 +264,21 @@ class TestVerifierWork:
             protocol._columns(params, alice)
         assert len(collapsed) == steps * len(params.phi_choices())
 
+    def test_cold_string_report_frames_no_whole_register(self, monkeypatch):
+        # Alice's frame turns the 8-amplitude residual of the teleportation
+        # step, so no 32-amplitude (5-qubit) register is gathered, and each
+        # Pauli's index table is built at most once
+        built = []
+        permutation = quantum._pauli_permutation.__wrapped__
+        monkeypatch.setattr(quantum, "_pauli_permutation", lru_cache(maxsize=None)(
+            lambda *key: built.append(key) or permutation(*key)))
+        framed = _counted(monkeypatch, quantum, "_framed")
+        adversary.clear_caches()
+        build_report(SchemeParams("string", n_pairs=4))
+        assert built and len(built) == len(set(built))
+        assert max(n for n, *_ in built) < 5
+        assert framed and max(stack.shape[1] for stack, _, _ in framed) < 32
+
     @pytest.mark.parametrize("params", [
         SchemeParams("single", phi_policy="uniform"),
         SchemeParams("multi", phi_policy="uniform"),
@@ -448,6 +464,42 @@ class TestConcealment:
             concealment_tv(SchemeParams("single"), upto="reveal")
 
 
+def _running_views(params: SchemeParams, upto: str) -> dict:
+    """Each bit class's receiver views as a running sum over branch rows, label by label."""
+    dists = {0: {}, 1: {}}
+    multi = params.scheme == "multi"
+    for alice in BELL_LABELS:
+        c = (protocol._columns(params, alice) if multi
+             else protocol._pair_columns(params, alice, params.bob_label))
+        view = [c.swap] if multi else [c.probe, c.swap, c.tele]
+        if upto == "storage":
+            view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
+        dist = dists[alice.j]
+        for key, probability in zip(zip(*(column.tolist() for column in view)),
+                                    c.probability.tolist()):
+            dist[key] = dist.get(key, 0.0) + probability / (8.0 if multi else 2.0)
+    return dists
+
+
+class TestEnumeratedViews:
+    @pytest.mark.parametrize("params", [
+        SchemeParams("single"),
+        SchemeParams("single", phi_policy="uniform", bob_label=BellLabel(1, 1)),
+        SchemeParams("multi", phi_policy="uniform"),
+        SchemeParams("string", n_pairs=3, bob_label=BellLabel(0, 1)),
+        SchemeParams("string", phi_policy=X1),
+    ], ids=["single", "single-uniform-11", "multi", "string-01", "string-X1"])
+    @pytest.mark.parametrize("upto", ["confirmation", "storage"])
+    def test_views_equal_a_running_sum_in_table_order(self, params, upto):
+        # same keys, in the same order of first appearance, and the same
+        # float bits: _tv sums over their set in that order
+        got = adversary._views_enumerated(params, upto)
+        want = _running_views(params, upto)
+        for bit in (0, 1):
+            assert list(got[bit]) == list(want[bit])
+            assert [v.hex() for v in got[bit].values()] == [v.hex() for v in want[bit].values()]
+
+
 class TestExtraction:
     @pytest.mark.parametrize(
         "strategy",
@@ -461,6 +513,14 @@ class TestExtraction:
     )
     def test_guessing_is_a_coin_toss(self, strategy):
         assert abs(extraction_guess_probability(strategy) - 0.5) <= 1e-12
+
+    def test_report_measures_the_returned_pairs_once(self, monkeypatch):
+        # early_extract(pair) and receiver_skip measure the same stack
+        stacks = _counted(monkeypatch, adversary, "_measure_stack")
+        report = build_report(SchemeParams("single"))
+        assert [basis for _, _, basis in stacks] == ["Z", "X", "bell"]
+        guesses = [row.guess_probability for row in report.extraction_rows]
+        assert guesses == [extraction_guess_probability(s) for s in adversary._DEFAULT_RECEIVER]
 
     def test_four_committed_pairs_are_one_stack(self, monkeypatch):
         stacks = _counted(monkeypatch, adversary, "_measure_stack")

@@ -483,6 +483,21 @@ class TestMemoizedVerifier:
                         phi, _pauli(label), _pauli(tele)
                     )
 
+    def test_predictions_equal_one_pauli_stack_per_rotation(self):
+        # two signed gathers, one per axis, give the bytes of rotating each
+        # probe by its correction and then its frame, one Pauli at a time
+        clear_caches()
+        tables = _verifier_tables()
+        for p, phi in enumerate(FULL_FAMILY):
+            rotated = np.stack([
+                quantum._pauli_stack(quantum._pauli_stack(protocol._PROBE_KETS[p], 0, correction),
+                                     0, frame)
+                for frame in PAULI_OPS for correction in PAULI_OPS
+            ])
+            measured = quantum._measure_stack(rotated, (0,), phi.basis)
+            assert measured.codes.tolist() == tables.prediction[p].ravel().tolist()
+            assert measured.probabilities.tobytes() == tables.weight[p].tobytes()
+
     def test_label_lookups_match_the_certified_algebra(self):
         tables = _verifier_tables()
         for a in BELL_LABELS:

@@ -8,10 +8,11 @@ matrix products and brute-force enumeration of measurement branches.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit import quantum
@@ -501,7 +502,16 @@ def measured_stacks(draw):
     return np.array(rows), qubits, basis
 
 
+def _normalized_rows(*rows: Sequence[complex]) -> np.ndarray:
+    """A stack of the given rows, each normalized as :func:`measured_stacks` does."""
+    raws = [np.array(row, dtype=np.complex128) for row in rows]
+    return np.array([raw / np.linalg.norm(raw) for raw in raws])
+
+
 class TestMeasureStack:
+    # One product over the whole batch, rather than one per row, rounds
+    # the second row's X weights of this stack differently
+    @example((_normalized_rows([0.5 + 0.1j, -0.3 + 0.6j], [-0.4 - 0.1j, -0.7 - 0.2j]), (0,), "X"))
     @given(measured_stacks())
     @settings(max_examples=100, deadline=None)
     def test_stack_equals_per_row_measurements_bit_for_bit(self, case):
@@ -552,6 +562,27 @@ class TestMeasureStack:
     def test_amplitude_count_must_be_a_power_of_two(self, dim):
         with pytest.raises(ValueError, match="power of two"):
             _measure_stack(np.ones((2, dim), dtype=np.complex128) / math.sqrt(dim), (0,), "Z")
+
+    # qubit 0, as the enumerator turns it: measured, on the ket; and not
+    # measured, on the residual
+    @example((_normalized_rows([1, 1j, 0, -1, 0, 0.5, 0.5j, 0], [0.5, 0, 0.5j, 0.7, -1, 0, 0, 1j]),
+              (2, 0), "bell"), [1, 2, 3, 0] * 5, 0, "X")
+    @example((_normalized_rows([0.6, 0, 0.8j, 0, 0, 1, 0, 1]), (2,), "X"), [3, 1, 2, 0] * 5, 0, "Z")
+    @given(measured_stacks(), st.lists(st.integers(0, 3), min_size=20, max_size=20),
+           st.integers(0, 3), st.sampled_from(("Z", "X")))
+    @settings(max_examples=100, deadline=None)
+    def test_framed_collapse_equals_turning_each_collapsed_row(self, case, codes, qubit, basis_after):
+        stack, qubits, basis = case
+        qubit %= stack.shape[1].bit_length() - 1  # any qubit of the register
+        measured = _measure_stack(stack, qubits, basis)
+        frames = np.array(codes[:len(measured.parents)])  # one Pauli code per kept branch
+        framed = quantum._collapsed(measured, qubits, basis, (qubit, frames))
+        turned = np.array([quantum._pauli_stack(row, qubit, PAULI_OPS[code])
+                           for row, code in zip(quantum._collapsed(measured, qubits, basis), frames)])
+        assert np.array_equal(framed, turned)  # equal up to the signs of zeros
+        after = [_measure_stack(rows, (qubit,), basis_after) for rows in (framed, turned)]
+        assert after[0].probabilities.tobytes() == after[1].probabilities.tobytes()
+        assert after[0].codes.tolist() == after[1].codes.tolist()
 
     def test_unnormalized_collapsed_state_rejected(self, monkeypatch):
         # outcome kets of squared length 3/2 and 1/2: on |+> the weights

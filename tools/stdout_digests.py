@@ -2,10 +2,12 @@
 
 Run from the repository root, with only the standard library:
 
-    python3 tools/stdout_digests.py
+    python3 tools/stdout_digests.py [--values]
 
 Each line is ``<sha256>  <command>``.  Run it on two commits and diff
-the outputs to see which commands changed their stdout.  Commands and
+the outputs to see which commands changed their stdout.  With
+``--values`` each line is ``<command>:`` followed by every number the
+command printed, in order, so the diff shows which numbers moved.  Commands and
 demos run under ``python -W error`` with ``PYTHONPATH=src`` and
 ``COLUMNS=80`` (so help text wraps alike in any terminal) in a fresh
 temporary directory, in list order, so ``report --input`` reads the
@@ -16,8 +18,10 @@ counts), or writes a traceback to stderr.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -76,10 +80,20 @@ CLI_INVOCATIONS = [
 ]
 
 
-def _digest(argv: list[str], label: str, expected: int, cwd: str, env: dict) -> tuple[bool, bytes]:
+# a decimal number standing alone, not part of a word such as ``R2`` or ``Phi+``
+_NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?(?!\w|\.\d)|[-+]?\b(?:nan|inf)\b")
+
+
+def _digest(
+    argv: list[str], label: str, expected: int, cwd: str, env: dict, values: bool
+) -> tuple[bool, bytes]:
     result = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
     ok = result.returncode == expected and b"Traceback" not in result.stderr
-    print(f"{hashlib.sha256(result.stdout).hexdigest()}  {label}", flush=True)
+    if values:
+        numbers = b" ".join(_NUMBER.findall(result.stdout)).decode()
+        print(f"{label}: {numbers}", flush=True)
+    else:
+        print(f"{hashlib.sha256(result.stdout).hexdigest()}  {label}", flush=True)
     if not ok:
         print(f"  exit {result.returncode}, expected {expected}:", file=sys.stderr)
         sys.stderr.write(result.stderr.decode(errors="replace"))
@@ -87,19 +101,23 @@ def _digest(argv: list[str], label: str, expected: int, cwd: str, env: dict) -> 
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Digest the stdout of fixed CLI invocations and demos.")
+    parser.add_argument("--values", action="store_true",
+                        help="print each invocation's numbers instead of a hash of its stdout")
+    values = parser.parse_args().values
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     python = [sys.executable, "-W", "error"]
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
         for args, expected, save_as in CLI_INVOCATIONS:
             argv = [*python, "-m", "relcommit", *args.split()]
-            ok, stdout = _digest(argv, f"relcommit {args}", expected, cwd, env)
+            ok, stdout = _digest(argv, f"relcommit {args}", expected, cwd, env, values)
             failures += not ok
             if save_as:
                 Path(cwd, save_as).write_bytes(stdout)
         for demo in sorted((ROOT / "demos").glob("*.py")):
             label = demo.relative_to(ROOT).as_posix()
-            ok, _ = _digest([*python, str(demo)], label, 0, cwd, env)
+            ok, _ = _digest([*python, str(demo)], label, 0, cwd, env, values)
             failures += not ok
     return 1 if failures else 0
 
