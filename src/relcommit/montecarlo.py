@@ -18,17 +18,22 @@ campaigns with the same seed repeat draws rather than splitting a
 budget between them; use distinct seeds for independent campaigns.
 
 Two functions read that one stream.  :func:`monte_carlo` tallies it on
-the columns alone, one pass per chunk.  At an even pair count it reads
-each row as little-endian 16-bit words, two draws per word; at an odd
-count, one byte per draw.  One cast of those words to indices feeds
-both a word histogram, folded to slot counts once per campaign, and a
-lookup of each word's reject bit (set when either of its draws
-rejects).  A trial accepts when its row sums to no rejects (summed in
-uint8 over blocks of at most 255 words, so no sum wraps).  Either width
-reads the same stream and gives the same counts.  Every reported
-frequency sits next to its exact probability (a count of slots over
-256), a binomial standard error and a z-score; ``agrees`` flags
-deviations beyond five standard errors.  :func:`sample_branches` builds
+the columns alone, with one gather per draw or pair of draws.  Each
+slot's counts sit in the eight one-byte lanes of a 64-bit word: its
+reject, then each outcome but the first of swap, teleport and stored
+bit (an outcome 0 count is the draws less the other outcomes').  At an
+even pair count each row is read as little-endian 16-bit words, two
+draws per word, whose lanes add both slots' counts; at an odd count,
+one byte per draw.  Each chunk is cast to indices once and gathered in
+row slices of at most ``2**16`` words (or one row, if longer), so the
+table and both buffers stay in cache.  Sums over each run of ``255 //
+width`` words give every category's totals, and row sums over column
+blocks of that size give each row's rejects: no lane reaches 256 within
+such a block, so none carries into the next.  Either width reads the
+same stream and gives the same counts.  Every reported frequency sits
+next to its exact probability (a count of slots over 256), a binomial
+standard error and a z-score; ``agrees`` flags deviations beyond five
+standard errors.  :func:`sample_branches` builds
 the validated branch table, each branch once per campaign, and maps
 each drawn slot to ``(branch index, pair index)``, so it yields exactly
 the draws that :func:`monte_carlo` counts; ``relcommit run`` hands
@@ -77,7 +82,7 @@ __all__ = [
 CHUNK_TRIALS = 1 << 16
 CHUNK_DRAWS = 1 << 18
 SLOTS = 256  # one sampling slot per value of a random byte
-_SUM_COLUMNS = 255  # most 0/1 columns whose uint8 row sum cannot wrap
+_SLICE_WORDS = 1 << 16  # words gathered per pass, so table and buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -218,43 +223,55 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     params, _, _, columns, check, slots = _campaign(config)
     n_pairs = params.n_pairs
     accepts = check.accept[slots]  # each slot's verdict, read through its branch
-    rejects = (~accepts).view(np.uint8)
-    # an even row is read as whole 16-bit words, two pairs each; a word
-    # rejects when either of its bytes does, so it adds 0 or 1 to its row
-    width = 2 if n_pairs % 2 == 0 else 1
-    words = SLOTS**width
-    word_rejects = rejects if width == 1 else (rejects[:, None] | rejects[None, :]).reshape(-1)
-
-    word_counts = np.zeros(words, dtype=np.int64)
-    accept_count = 0
-    # one index buffer, as large as any chunk: a fresh one per chunk costs page faults
-    draws = min(config.trials * n_pairs, max(CHUNK_DRAWS, n_pairs))
-    buffer = np.empty(draws // width, dtype=np.intp)
-    for drawn in _slot_chunks(config):
-        drawn = drawn.view(f"<u{width}")  # low byte first: a row never straddles a word
-        index = buffer[:drawn.size].reshape(drawn.shape)
-        index[...] = drawn  # the one cast, read by both passes
-        word_counts += np.bincount(index.ravel(), minlength=words)
-        rejected = np.take(word_rejects, index)
-        row_rejects = np.zeros(len(drawn), dtype=np.intp)
-        for start in range(0, drawn.shape[1], _SUM_COLUMNS):
-            row_rejects += np.einsum("ij->i", rejected[:, start:start + _SUM_COLUMNS])
-        accept_count += int(np.count_nonzero(row_rejects == 0))
-    # a word's count goes to both of its slots: high byte by row, low by column
-    grid = word_counts.reshape(-1, SLOTS)
-    slot_counts = grid.sum(1) + grid.sum(0) if width == 2 else word_counts
-
-    pair_draws = config.trials * n_pairs
-    rows = []
-    for category, ids, outcomes in (
+    categories = (
         ("swap_outcome", columns.swap[slots], BELL_LABELS),
         ("teleport_outcome", columns.tele[slots], BELL_LABELS),
         ("stored_bit", columns.stored_alice[slots], (0, 1)),
-    ):
-        for k, outcome in enumerate(outcomes):
-            hits = ids == k
-            rows.append(_make_row(category, outcome, slot_counts[hits].sum(), pair_draws,
-                                  int(np.count_nonzero(hits)) / SLOTS))
+    )
+    # a slot's counts in the one-byte lanes of a word: lane 0 its reject, then
+    # each outcome but a category's first, whose count is the draws left over
+    lanes = np.column_stack([~accepts] + [ids == k for _, ids, outcomes in categories
+                                          for k in range(1, len(outcomes))])
+    packed = lanes.view("<u8")[:, 0].astype(np.uint64, copy=False)
+    # an even row is read as whole 16-bit words, two pairs each, whose lanes add
+    width = 2 if n_pairs % 2 == 0 else 1
+    table = np.add.outer(packed, packed).ravel() if width == 2 else packed
+    block = 255 // width  # most words whose lanes (each at most width) add without a carry
+    row_words = n_pairs // width
+    step = max(1, _SLICE_WORDS // row_words)  # rows per slice
+    size = min(config.trials, step) * row_words
+    # buffers as large as any slice: fresh ones per slice cost page faults
+    index = np.empty(size, dtype=np.intp)
+    values = np.empty(size, dtype=np.uint64)
+    starts = np.arange(0, size, block)
+    totals = np.zeros(8, dtype=np.int64)
+    accept_count = 0
+    for chunk in _slot_chunks(config):
+        chunk = chunk.view(f"<u{width}")  # low byte first: a row never straddles a word
+        for first in range(0, len(chunk), step):
+            drawn = chunk[first:first + step]
+            n = drawn.size
+            index[:n] = drawn.reshape(-1)  # the one cast
+            # clip is exact (every index is below len(table)) and writes out= unbuffered
+            flat = np.take(table, index[:n], out=values[:n], mode="clip")
+            sums = np.add.reduceat(flat, starts[:-(-n // block)])
+            totals += np.einsum("ij->j", sums.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                                dtype=np.int64)
+            words = flat.reshape(drawn.shape)
+            # a row rejects when lane 0 of any of its block sums is nonzero
+            rejects = words[:, 0] if row_words == 1 else np.einsum("ij->i", words[:, :block])
+            for column in range(block, row_words, block):
+                rejects |= np.einsum("ij->i", words[:, column:column + block])
+            accept_count += len(drawn) - int(np.count_nonzero(rejects & 0xFF))
+
+    pair_draws = config.trials * n_pairs
+    counts = iter(totals[1:].tolist())
+    rows = []
+    for category, ids, outcomes in categories:
+        others = [next(counts) for _ in outcomes[1:]]
+        for k, count in enumerate([pair_draws - sum(others), *others]):
+            rows.append(_make_row(category, outcomes[k], count, pair_draws,
+                                  int(np.count_nonzero(ids == k)) / SLOTS))
     pair_acceptance = int(np.count_nonzero(accepts)) / SLOTS
     rows.append(
         _make_row("acceptance", "accept", accept_count, config.trials, pair_acceptance**n_pairs)

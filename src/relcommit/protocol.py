@@ -64,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np

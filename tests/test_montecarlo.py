@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcommit import montecarlo
 from relcommit.adversary import Strategy
@@ -45,6 +47,29 @@ def _assert_budgets_nest(n_pairs):
         extra = sum(after.count - before.count for before, after
                     in zip(small.rows, large.rows) if before.category == "swap_outcome")
         assert extra == (budgets[k + 1] - budgets[k]) * n_pairs
+
+
+def _tally(config):
+    """Every count of ``monte_carlo(config)``, tallied one drawn byte at a time."""
+    _, _, _, columns, check, slots = _campaign(config)
+    accepts = check.accept[slots]
+    slot_counts = np.zeros(SLOTS, dtype=np.int64)
+    accepted = 0
+    for drawn in montecarlo._slot_chunks(config):
+        slot_counts += np.bincount(drawn.ravel(), minlength=SLOTS)
+        accepted += int(np.count_nonzero(accepts[drawn].all(axis=1)))
+    assert sum(slot_counts) == config.trials * config.n_pairs
+    expected = {("acceptance", "accept"): accepted}
+    for category, ids, outcomes in (("swap_outcome", columns.swap[slots], BELL_LABELS),
+                                    ("teleport_outcome", columns.tele[slots], BELL_LABELS),
+                                    ("stored_bit", columns.stored_alice[slots], (0, 1))):
+        for k, outcome in enumerate(outcomes):
+            expected[category, str(outcome)] = int(slot_counts[ids == k].sum())
+    return expected
+
+
+def _counts(config):
+    return {(r.category, r.outcome): r.count for r in monte_carlo(config).rows}
 
 
 class TestRunConfig:
@@ -115,23 +140,48 @@ class TestMonteCarlo:
         chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
         config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=chunk + 3,
                            seed=10, strategy=Strategy.relabel_announce(BellLabel(1, 0)))
-        _, _, _, columns, check, slots = _campaign(config)
-        accepts = check.accept[slots]
-        slot_counts = np.zeros(SLOTS, dtype=np.int64)
-        accepted = 0
-        for drawn in _slot_chunks(config):
-            slot_counts += np.bincount(drawn.ravel(), minlength=SLOTS)
-            accepted += int(np.count_nonzero(accepts[drawn].all(axis=1)))
-        assert np.count_nonzero(accepts) == SLOTS // 2
-        expected = {("acceptance", "accept"): accepted}
-        for category, ids, outcomes in (("swap_outcome", columns.swap[slots], BELL_LABELS),
-                                        ("teleport_outcome", columns.tele[slots], BELL_LABELS),
-                                        ("stored_bit", columns.stored_alice[slots], (0, 1))):
-            for k, outcome in enumerate(outcomes):
-                expected[category, str(outcome)] = int(slot_counts[ids == k].sum())
-        counted = {(r.category, r.outcome): r.count for r in monte_carlo(config).rows}
-        assert counted == expected
-        assert sum(slot_counts) == config.trials * n_pairs
+        _, _, _, _, check, slots = _campaign(config)
+        assert np.count_nonzero(check.accept[slots]) == SLOTS // 2
+        assert _counts(config) == _tally(config)
+
+    @pytest.mark.parametrize("n_pairs", [253, 254, 255, 256, 509, 510, 511, 512])
+    def test_full_lanes_never_carry(self, monkeypatch, n_pairs):
+        # crafted draws: every draw of a campaign is slot s, so each lane the
+        # slot sets is full in every block.  254 pairs fill one 127-word row
+        # block (each lane at 254) and 255 pairs one 255-byte block; the
+        # others spill a word or byte into a next block, and three rows make
+        # the flat total blocks straddle rows
+        config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=3,
+                           strategy=Strategy.relabel_announce(BellLabel(1, 0)))
+        lanes_hit = set()
+        for s in range(SLOTS):
+            drawn = np.full((config.trials, n_pairs), s, dtype=np.uint8)
+            monkeypatch.setattr(montecarlo, "_slot_chunks", lambda config: iter([drawn]))
+            expected = _tally(config)
+            assert _counts(config) == expected, s
+            lanes_hit |= {key for key, count in expected.items() if count}
+        assert len(lanes_hit) == 11  # every outcome of every category is some slot's
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_campaign_equals_a_per_byte_tally(self, data):
+        scheme = data.draw(st.sampled_from(["single", "multi", "string"]), label="scheme")
+        string = scheme == "string"
+        n_pairs = data.draw(st.integers(1, 600), label="n_pairs") if string else 1
+        probes = ["default", "uniform", "Z0", "Z1"] + (["X0", "X1"] if string else [])
+        delta = data.draw(st.sampled_from(BELL_LABELS), label="delta")
+        chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
+        config = RunConfig(
+            scheme=scheme, n_pairs=n_pairs,
+            phi=data.draw(st.sampled_from(probes), label="phi"),
+            validation_mode=data.draw(st.sampled_from(["R1", "R2"]), label="mode"),
+            seed=data.draw(st.integers(0, 2**32), label="seed"),
+            trials=chunk + data.draw(st.integers(1, 600), label="extra trials"),
+            alice_label=data.draw(st.sampled_from(BELL_LABELS), label="alice"),
+            bob_label=data.draw(st.sampled_from(BELL_LABELS), label="bob"),
+            strategy=None if delta == BellLabel(0, 0) else Strategy.relabel_announce(delta),
+        )
+        assert _counts(config) == _tally(config)
 
     @pytest.mark.parametrize("n_pairs,delta,accepted", [
         (256, BellLabel(1, 1), 0), (510, BellLabel(1, 1), 0), (512, BellLabel(1, 1), 0),
@@ -167,10 +217,11 @@ class TestMonteCarlo:
         config = dataclasses.replace(config, trials=len(drawn))
         assert monte_carlo(config).row("acceptance", "accept").count == 1
 
-    def test_memory_stays_bounded(self):
-        # 65536 trials of 64 pairs held at once would take 65536 * 64 draws
-        config = RunConfig(scheme="string", n_pairs=64, trials=CHUNK_TRIALS, seed=8)
-        monte_carlo(RunConfig(scheme="string", n_pairs=64, trials=1))  # fill the branch cache
+    @pytest.mark.parametrize("n_pairs", [1, 20, 64, 200])
+    def test_memory_stays_bounded(self, n_pairs):
+        # 65536 trials of n_pairs held at once would take 65536 * n_pairs draws
+        config = RunConfig(scheme="string", n_pairs=n_pairs, trials=CHUNK_TRIALS, seed=8)
+        monte_carlo(dataclasses.replace(config, trials=1))  # fill the branch cache
         tracemalloc.start()
         try:
             monte_carlo(config)

@@ -69,6 +69,10 @@ CLI_INVOCATIONS = [
     ("stats --trials 70000 --seed 8", 0, None),
     ("stats --scheme string --n-pairs 256 --trials 2000 --seed 6 --announce-delta 11", 0, None),
     ("stats --scheme string --n-pairs 2 --trials 70000 --seed 9 --announce-delta 10", 0, None),
+    ("stats --scheme multi --phi uniform --trials 70001 --seed 12 --announce-delta 01", 0, None),
+    # one full 127-word row block, then one full 255-byte row block
+    ("stats --scheme string --n-pairs 254 --phi uniform --trials 1100 --seed 14", 0, None),
+    ("stats --scheme string --n-pairs 255 --phi uniform --trials 1100 --seed 15 --announce-delta 10", 0, None),
     ("stats --scheme string --n-pairs 99999999999 --trials 1", 1, None),
     ("run --scheme string --n-pairs 4 --trials 3 --seed 11 --alice-label 11 --bob-label 10", 0, None),
     ("enumerate --scheme string --n-pairs 20 --phi uniform", 0, None),
