@@ -212,6 +212,15 @@ def _slot_chunks(config: RunConfig) -> Iterator[np.ndarray]:
         yield words.astype("<u8", copy=False).view(np.uint8)[:draws].reshape(-1, n_pairs)
 
 
+def _slices(rows: int, step: int) -> Iterator[slice]:
+    """``rows`` rows cut into ``ceil(rows / step)`` slices of at most ``step`` rows.
+
+    The sizes differ by at most one row, so no slice is a short tail.
+    """
+    count = -(-rows // step)
+    return (slice(k * rows // count, (k + 1) * rows // count) for k in range(count))
+
+
 def monte_carlo(config: RunConfig) -> StatsSummary:
     """Sample ``config.trials`` runs and collate outcome statistics.
 
@@ -248,8 +257,8 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     accept_count = 0
     for chunk in _slot_chunks(config):
         chunk = chunk.view(f"<u{width}")  # low byte first: a row never straddles a word
-        for first in range(0, len(chunk), step):
-            drawn = chunk[first:first + step]
+        for rows in _slices(len(chunk), step):
+            drawn = chunk[rows]
             n = drawn.size
             index[:n] = drawn.reshape(-1)  # the one cast
             # clip is exact (every index is below len(table)) and writes out= unbuffered

@@ -61,7 +61,6 @@ samples; seeded draws from these tables live in
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -241,6 +240,20 @@ class Transcript:
             raise ValueError(f"stored bit must be 0 or 1, got {self.stored_alice_bit!r}")
         if not 0.0 < self.probability <= 1.0 + PROB_ATOL:
             raise ValueError(f"branch probability out of range: {self.probability!r}")
+
+
+def _with_pair_index(transcript: Transcript, pair_index: int | None) -> Transcript:
+    """``dataclasses.replace(transcript, pair_index=pair_index)``, without ``__init__``.
+
+    Every other field is already checked, and nothing checks a pair
+    index, so the copy takes the fields as they are: about 1 µs, where
+    ``replace`` re-runs ``__init__`` and ``__post_init__`` in about 7 µs.
+    """
+    copy = object.__new__(Transcript)
+    fields = copy.__dict__
+    fields.update(transcript.__dict__)
+    fields["pair_index"] = pair_index
+    return copy
 
 
 class _Columns(NamedTuple):
@@ -476,7 +489,7 @@ def run_pairs(
     if len(alice_labels) != params.n_pairs:
         raise ValueError(f"expected {params.n_pairs} committer labels, got {len(alice_labels)}")
     tables = {label: branches(params, label, bob_label) for label in set(alice_labels)}
-    return [[t if k is None else dataclasses.replace(t, pair_index=k) for t in tables[label]]
+    return [[t if k is None else _with_pair_index(t, k) for t in tables[label]]
             for k, label in zip(_pair_indices(params), alice_labels)]
 
 

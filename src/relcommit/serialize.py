@@ -22,10 +22,12 @@ Serialization is deterministic: keys sorted, compact separators, floats
 in shortest round-trip form, so equal values serialize to equal bytes.
 One line encoder writes the lines of ``relcommit run`` (through
 :func:`write_draws`) and the branches of ``relcommit enumerate``: it
-encodes each drawn branch once with that same encoder, the schedule
-its table shares once per table, and splices each draw's pair index
-into the branch's text, byte for byte :func:`serialize_transcript` of
-the draw.
+encodes each drawn branch once, by a hand-written encoder of those
+same bytes (:func:`_template`, no ``json.dumps``), the schedule its
+table shares once per table, and splices each draw's pair index into
+the branch's text, byte for byte :func:`serialize_transcript` of the
+draw.  :func:`serialize_transcript` and :func:`parse_transcript` stay
+on ``json``, the reference the line codec is tested against.
 
 Readers check JSON types as well as values: bits are the integers 0
 and 1 (not ``true`` or ``1.0``), flags are booleans, probabilities
@@ -33,10 +35,12 @@ finite numbers, a pair index a non-negative integer or null, and a
 schedule and its ``phase_times`` objects.  A parsed pair label or probe
 state is the shared member of ``BELL_LABELS`` or ``BASIS_STATES``.
 :func:`read_transcripts` parses the schedule text a stream repeats
-once: a line that holds the last schedule text parsed in full, in
-canonical form, is read with that text spliced out, and takes the
-schedule built from it.  Every line still reads as
-:func:`parse_transcript` of it, and fails with the same message.
+once, and each distinct branch once: a line that holds the last
+schedule text parsed in full, in canonical form, is cut to its body,
+with that text and its pair index spliced out.  The first line with a
+body parses it; later ones take its transcript with their own pair
+index.  Every line still reads as :func:`parse_transcript` of it, and
+fails with the same message.
 """
 
 from __future__ import annotations
@@ -44,11 +48,12 @@ from __future__ import annotations
 import json
 import marshal
 import math
+import re
 from functools import lru_cache
 from typing import IO, Iterable, Iterator, Sequence
 
 from .adversary import ExtractionRow, SecurityReport, Strategy, StrategyRow
-from .protocol import SchemeParams, Transcript, Verdict, parse_phi_policy
+from .protocol import SchemeParams, Transcript, Verdict, _with_pair_index, parse_phi_policy
 from .quantum import BASIS_STATES, BELL_LABELS, BasisStateSpec, BellLabel
 from .spacetime import SCHEMES, Message, PhaseTimes, Schedule, SpacetimeEvent
 
@@ -238,8 +243,7 @@ def schedule_from_json(doc: dict) -> Schedule:
     return _schedule_from_marshal(key)
 
 
-def _transcript_fields(transcript: Transcript) -> dict:
-    """Every field of :func:`transcript_to_json` but the schedule."""
+def transcript_to_json(transcript: Transcript) -> dict:
     verdict = transcript.verdict
     return {
         "scheme": transcript.scheme,
@@ -261,11 +265,8 @@ def _transcript_fields(transcript: Transcript) -> dict:
         "pair_index": transcript.pair_index,
         "probability": transcript.probability,
         "verdict": None if verdict is None else {"accept": verdict.accept, "reason": verdict.reason},
+        "schedule": schedule_to_json(transcript.schedule),
     }
-
-
-def transcript_to_json(transcript: Transcript) -> dict:
-    return {**_transcript_fields(transcript), "schedule": schedule_to_json(transcript.schedule)}
 
 
 def transcript_from_json(doc: dict) -> Transcript:
@@ -348,9 +349,47 @@ def parse_transcript(text: str) -> Transcript:
     return transcript_from_json(doc)
 
 
-# A hole in a line template: it encodes as "\u0000", which no other
-# string of a transcript document holds.
-_HOLE = "\0"
+_string = json.encoder.encode_basestring_ascii  # the string encoder of ``dumps``
+
+
+def _label_text(label: BellLabel | None) -> str:
+    return "null" if label is None else f'{{"i":{label.i},"j":{label.j}}}'
+
+
+def _bit_text(bit: int | None) -> str:
+    return "null" if bit is None else f"{bit}"
+
+
+def _template(transcript: Transcript) -> tuple[str, str, str]:
+    """The text of ``transcript`` around its pair index and schedule: ``(head, middle, tail)``.
+
+    ``f"{head}{index}{middle}{K}{tail}"`` is :func:`serialize_transcript`
+    of the transcript with pair index text ``index`` and schedule text
+    ``K``, byte for byte, for what a branch table holds: Python ints
+    for bits and label and probe values, a bool verdict flag and a
+    finite float weight.  The keys are written in :func:`dumps`' sorted
+    order; strings go through ``dumps``' own ASCII string encoder and
+    the weight through ``float.__repr__``, as in ``dumps``.
+    """
+    t = transcript
+    verdict = t.verdict
+    head = (f'{{"alice_label":{_label_text(t.alice_label)},'
+            f'"announcements":{{"alice_label":{_label_text(t.announced_alice_label)},'
+            f'"bob_label":{_label_text(t.announced_bob_label)},'
+            f'"teleport_outcome":{_label_text(t.announced_teleport_outcome)}}},'
+            f'"bob_label":{_label_text(t.bob_label)},"pair_index":')
+    middle = (f',"phi":{{"basis":{_string(t.phi.basis)},"value":{t.phi.value}}},'
+              f'"probability":{float.__repr__(t.probability)},"schedule":')
+    tail = (f',"scheme":{_string(t.scheme)},'
+            f'"stored_bits":{{"alice":{_bit_text(t.stored_alice_bit)},'
+            f'"alice_mid":{_bit_text(t.alice_mid_measurement)},'
+            f'"bob":{_bit_text(t.stored_bob_bit)}}},'
+            f'"swap_outcome":{_label_text(t.swap_outcome)},'
+            f'"teleport_outcome":{_label_text(t.teleport_outcome)},"verdict":'
+            + ("null}" if verdict is None else
+               f'{{"accept":{"true" if verdict.accept else "false"},'
+               f'"reason":{_string(verdict.reason)}}}}}'))
+    return head, middle, tail
 
 
 def _lines(table: Sequence[Transcript],
@@ -359,12 +398,12 @@ def _lines(table: Sequence[Transcript],
 
     Each text is :func:`serialize_transcript` of ``table[branch]`` with
     ``pair_index`` set, byte for byte; but each branch is encoded once,
-    on its first draw, by the encoder of :func:`transcript_to_json` and
-    :func:`dumps`, with the schedule its branches share encoded once, and
-    later draws splice their pair index into that template.
+    on its first draw, by :func:`_template`, with the schedule its
+    branches share encoded once, and later draws splice their pair
+    index into that template.
     """
     schedules: dict[int, str] = {}  # the text of each schedule met so far, by id
-    templates: list[tuple[str, str, str] | None] = [None] * len(table)
+    templates: list[tuple[str, str] | None] = [None] * len(table)
     for branch, k in draws:
         template = templates[branch]
         if template is None:
@@ -372,13 +411,10 @@ def _lines(table: Sequence[Transcript],
             key = id(transcript.schedule)
             if key not in schedules:
                 schedules[key] = dumps(schedule_to_json(transcript.schedule))
-            doc = _transcript_fields(transcript)
-            doc["pair_index"] = doc["schedule"] = _HOLE
-            # keys are sorted, so the pair index comes before the schedule
-            head, middle, tail = dumps(doc).split(dumps(_HOLE))
-            template = templates[branch] = (head, middle + schedules[key], tail)
-        head, middle, tail = template
-        yield branch, f"{head}{'null' if k is None else k}{middle}{tail}"
+            head, middle, tail = _template(transcript)
+            template = templates[branch] = (head, f"{middle}{schedules[key]}{tail}")
+        head, rest = template
+        yield branch, f"{head}{'null' if k is None else k}{rest}"
 
 
 def write_draws(
@@ -397,32 +433,60 @@ def write_draws(
     return lines
 
 
+# The reader's two holes.  Each encodes as one sentinel ("\u0000",
+# "\u0001"), the only spelling of that string in strict JSON, which
+# refuses raw control characters.
+_SCHEDULE_HOLE, _INDEX_HOLE = "\0", "\1"
+_SCHEDULE_SENTINEL, _INDEX_SENTINEL = dumps(_SCHEDULE_HOLE), dumps(_INDEX_HOLE)
 _SCHEDULE_KEY = '"schedule":'
-_SENTINEL = dumps(_HOLE)
+_INDEX_KEY = '"pair_index":'
+# a pair index token: the JSON of null or of a non-negative integer of at
+# most 18 digits, far from the 4,300 that ``int`` refuses; a longer one
+# leaves the body unparseable, and its line gets the full parse
+_INDEX_TOKEN = re.compile(r"0|[1-9][0-9]{0,17}|null")
 # JSON's whitespace: ``str.strip()`` would also take "\xa0", "\x0c",
 # "\x1f" or "\u2028", which ``json.loads`` refuses
 _JSON_SPACE = " \t\n\r"
+_BODIES = 1024  # most distinct branch bodies that one read keeps
 
 
-def _spliced(line: str, known: str) -> dict | None:
-    """``json.loads(line)`` with schedule text ``known`` left as ``_HOLE``, or None.
+def _body(line: str, known: str) -> tuple[str, int | None] | None:
+    """``line``'s body, with schedule text ``known`` and the pair index cut out; or None.
 
-    None when ``known`` does not follow the first ``"schedule":`` of
-    ``line``, or when the line with ``known`` replaced by the sentinel
-    ``"\\u0000"`` does not hold it once, does not parse, or does not
-    parse to an object whose ``"schedule"`` is ``_HOLE``.
+    The body is ``line`` with ``known`` (right after the first
+    ``"schedule":``) replaced by ``"\\u0000"`` and then the first
+    ``"pair_index":``'s value token, a :data:`_INDEX_TOKEN`, replaced by
+    ``"\\u0001"``; it comes with the index that token spells.  None when
+    ``known`` or such a token is not there.
     """
     at = line.find(_SCHEDULE_KEY) + len(_SCHEDULE_KEY)
     if at < len(_SCHEDULE_KEY) or not line.startswith(known, at):
         return None
-    text = f"{line[:at]}{_SENTINEL}{line[at + len(known):]}"
-    if text.count(_SENTINEL) != 1:
+    text = f"{line[:at]}{_SCHEDULE_SENTINEL}{line[at + len(known):]}"
+    at = text.find(_INDEX_KEY) + len(_INDEX_KEY)
+    token = _INDEX_TOKEN.match(text, at) if at >= len(_INDEX_KEY) else None
+    if token is None:
+        return None
+    body = f"{text[:at]}{_INDEX_SENTINEL}{text[token.end():]}"
+    return body, None if token[0] == "null" else int(token[0])
+
+
+def _body_doc(body: str) -> dict | None:
+    """``json.loads(body)``, if it holds each sentinel once and in its slot; else None.
+
+    In its slot: the object's ``"schedule"`` is ``_SCHEDULE_HOLE`` and
+    its ``"pair_index"`` is ``_INDEX_HOLE``.
+    """
+    if body.count(_SCHEDULE_SENTINEL) != 1 or body.count(_INDEX_SENTINEL) != 1:
         return None
     try:
-        doc = json.loads(text)
+        doc = json.loads(body)
     except ValueError:
         return None
-    return doc if isinstance(doc, dict) and doc.get("schedule") == _HOLE else None
+    if (isinstance(doc, dict) and doc.get("schedule") == _SCHEDULE_HOLE
+            and doc.get("pair_index") == _INDEX_HOLE):
+        return doc
+    return None
 
 
 def read_transcripts(stream: IO[str]) -> list[Transcript]:
@@ -430,42 +494,74 @@ def read_transcripts(stream: IO[str]) -> list[Transcript]:
 
     Each line reads as :func:`parse_transcript` of it, stripped of JSON
     whitespace (blank lines are skipped), and fails with the same
-    message.  Every line of a ``run`` file repeats one schedule, so its
-    text is parsed once: after a line parses in full, the canonical text
-    ``K`` of its schedule is kept, and a later line that holds ``K``
-    right after ``"schedule":`` is parsed with ``K`` replaced by the
-    sentinel ``"\\u0000"``, and takes the schedule already built.  That
-    is sound when the spliced text holds the sentinel once, parses, and
-    gives an object whose ``"schedule"`` is ``"\\0"``:
+    message.  Every line of a ``run`` file repeats one schedule, and
+    most repeat a branch drawn before, so each is parsed once.  After a
+    line parses in full, the canonical text ``K`` of its schedule is
+    kept.  A later line that holds ``K`` right after ``"schedule":`` is
+    cut to its body (see :func:`_body`): ``K`` becomes the sentinel
+    ``"\\u0000"``, and the value token of the first ``"pair_index":``
+    (``null``, ``0``, or up to 18 digits not led by 0) the sentinel
+    ``"\\u0001"``.  The first line with a given body parses the body;
+    later ones take the transcript built from it, with their own pair
+    index (equal lines share one transcript).  That is sound when the
+    body holds each sentinel once, parses, and gives an object whose
+    ``"schedule"`` is ``"\\0"`` and whose ``"pair_index"`` is ``"\\1"``:
 
-    * a string equal to ``"\\0"`` can only be spelled ``"\\u0000"``,
-      since strict JSON refuses a raw NUL, so the value token of the
-      last ``"schedule"`` key is a sentinel.  It is the one spliced in:
+    * a string equal to ``"\\0"`` or ``"\\1"`` can only be spelled as
+      its sentinel, since strict JSON refuses raw control characters,
+      so the value tokens of the last ``"schedule"`` and the last
+      ``"pair_index"`` key are sentinels.  Each is the one spliced in:
       another would have to share a quote with it, which leaves
-      ``\\u0000`` outside a string, and valid JSON never does that;
-    * ``K`` is one complete, self-delimiting JSON object, so putting it
-      back in that value slot gives ``json.loads(line)``, whose schedule
-      is ``json.loads(K)``, which parses to the kept schedule.
+      ``\\u0000`` or ``\\u0001`` outside a string, and valid JSON never
+      does that;
+    * ``K`` is one complete, self-delimiting JSON object.  In valid
+      JSON a string value is followed by whitespace, ``,``, ``}`` or
+      ``]``, none of which extends a number or ``null``, so the index
+      token, too, is one complete value where its sentinel was.
+      Putting both back gives ``json.loads(line)``: its schedule is
+      ``json.loads(K)``, which parses to the kept schedule, and its
+      pair index is the token's;
+    * a body fixes its line but for the index token, and every token
+      is a valid pair index, which no other field's check reads.  So a
+      line whose body was read before reads as that body's transcript
+      with the line's index.
 
-    Any other line is read by :func:`parse_transcript` itself.
+    Only bodies whose transcript was built are kept, at most 1024, and
+    none outlives the schedule it was read with.  Any other line is
+    read by :func:`parse_transcript` itself.
     """
     out = []
     known, schedule = "", None  # the schedule of the last line parsed in full, as text and built
+    bodies: dict[str, Transcript] = {}  # the transcript of each body read with that schedule
     for line_number, line in enumerate(stream, start=1):
         line = line.strip(_JSON_SPACE)
         if not line:
             continue
         try:
-            doc = None if schedule is None else _spliced(line, known)
-            if doc is not None:
-                out.append(_transcript_from_json(doc, schedule))
-                continue
+            cut = None if schedule is None else _body(line, known)
+            if cut is not None:
+                body, pair_index = cut
+                transcript = bodies.get(body)
+                if transcript is None:
+                    doc = _body_doc(body)
+                    if doc is not None:
+                        doc["pair_index"] = pair_index
+                        transcript = _transcript_from_json(doc, schedule)
+                        if len(bodies) == _BODIES:
+                            bodies.clear()
+                        bodies[body] = transcript
+                if transcript is not None:
+                    if transcript.pair_index != pair_index:
+                        transcript = _with_pair_index(transcript, pair_index)
+                    out.append(transcript)
+                    continue
             transcript = parse_transcript(line)
         except TranscriptParseError as exc:
             raise TranscriptParseError(f"line {line_number}: {exc}") from exc
         if transcript.schedule is not schedule:
             schedule = transcript.schedule
             known = dumps(schedule_to_json(schedule))
+            bodies.clear()
         out.append(transcript)
     return out
 

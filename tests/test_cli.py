@@ -207,8 +207,8 @@ class TestRun:
 
     def test_each_branch_is_encoded_once(self, tmp_path, monkeypatch):
         calls, schedules = [], []
-        encode, encode_schedule = serialize._transcript_fields, serialize.schedule_to_json
-        monkeypatch.setattr(serialize, "_transcript_fields",
+        encode, encode_schedule = serialize._template, serialize.schedule_to_json
+        monkeypatch.setattr(serialize, "_template",
                             lambda t: calls.append(t) or encode(t))
         monkeypatch.setattr(serialize, "schedule_to_json",
                             lambda s: schedules.append(s) or encode_schedule(s))

@@ -18,7 +18,9 @@ from relcommit.montecarlo import (
     CHUNK_TRIALS,
     SLOTS,
     RunConfig,
+    _SLICE_WORDS,
     _campaign,
+    _slices,
     _slot_chunks,
     monte_carlo,
     parse_phi_policy,
@@ -143,6 +145,27 @@ class TestMonteCarlo:
         _, _, _, _, check, slots = _campaign(config)
         assert np.count_nonzero(check.accept[slots]) == SLOTS // 2
         assert _counts(config) == _tally(config)
+
+    @pytest.mark.parametrize("n_pairs,sizes", [(20, [4369] * 3), (200, [655] * 2)])
+    def test_full_chunks_cut_into_equal_slices(self, n_pairs, sizes):
+        # a 20-pair chunk is 13,107 rows of 10 words, at most 6,553 rows a
+        # slice: three of 4,369, not 6,553 + 6,553 + 1.  A 200-pair chunk is
+        # 1,310 rows of 100 words, two slices of the most (655) rows.
+        rows = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
+        step = _SLICE_WORDS // (n_pairs // 2)  # even rows are read two pairs a word
+        slices = list(_slices(rows, step))
+        assert [s.stop - s.start for s in slices] == sizes
+        assert [s.start for s in slices] == [sum(sizes[:k]) for k in range(len(sizes))]
+
+    @settings(deadline=None)
+    @given(rows=st.integers(1, CHUNK_TRIALS), step=st.integers(1, _SLICE_WORDS))
+    def test_slices_cover_rows_with_the_fewest_passes(self, rows, step):
+        slices = list(_slices(rows, step))
+        assert len(slices) == -(-rows // step)
+        assert slices[0].start == 0 and slices[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        sizes = {s.stop - s.start for s in slices}
+        assert max(sizes) <= step and max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("n_pairs", [253, 254, 255, 256, 509, 510, 511, 512])
     def test_full_lanes_never_carry(self, monkeypatch, n_pairs):

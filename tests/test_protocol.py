@@ -33,10 +33,12 @@ from relcommit.protocol import (
     _pair_columns,
     _verifier_tables,
     _verify,
+    _with_pair_index,
     branches,
     clear_caches,
     committed_bit,
     committed_string,
+    parse_phi_policy,
     run_pairs,
     validate_multiparty,
     validate_transcript,
@@ -813,6 +815,22 @@ class TestTranscript:
                 probability=t.probability,
                 schedule=t.schedule,
             )
+
+    @pytest.mark.parametrize("scheme", ["single", "multi", "string"])
+    def test_pair_index_copy_is_replace(self, scheme):
+        params = SchemeParams(scheme, phi_policy=parse_phi_policy("uniform"))
+        table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
+        # one branch with a verdict and an index already, as the reader copies it
+        table += (dataclasses.replace(table[0], pair_index=3, verdict=Verdict.aborted("no")),)
+        for t in table:
+            before = vars(t).copy()
+            for k in (None, 0, 7, 10**6):
+                copy = _with_pair_index(t, k)
+                expected = dataclasses.replace(t, pair_index=k)
+                assert type(copy) is Transcript and copy == expected
+                assert vars(copy) == vars(expected) and copy.pair_index == k
+                assert hash(copy) == hash(expected)
+            assert vars(t) == before
 
     def test_verdict_constructors(self):
         assert Verdict.accepted().accept

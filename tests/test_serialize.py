@@ -9,13 +9,13 @@ import math
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit import serialize
 from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main
-from relcommit.protocol import SchemeParams, Verdict, run_pairs
+from relcommit.protocol import SchemeParams, Transcript, Verdict, run_pairs
 from relcommit.quantum import BASIS_STATES, BELL_LABELS, BellLabel
 from relcommit.serialize import (
     TranscriptParseError,
@@ -29,8 +29,9 @@ from relcommit.serialize import (
     serialize_transcript,
     strategy_from_json,
     strategy_to_json,
+    transcript_to_json,
 )
-from relcommit.spacetime import standard_schedule
+from relcommit.spacetime import SCHEMES, standard_schedule
 
 import dataclasses
 
@@ -183,6 +184,59 @@ class TestJsonl:
             read_transcripts(io.StringIO(payload))
 
 
+# strings that stress a JSON string encoder: quotes, escapes, control
+# characters, non-ASCII and the separators JavaScript refuses raw
+REASONS = st.text(st.sampled_from('"\\/\0\1\x1f\x7f\u2028\u2029é€\U0001f600 a') | st.characters())
+
+
+@st.composite
+def table_transcripts(draw):
+    """Transcripts of every shape a branch table holds, verdict and reason included."""
+    scheme = draw(st.sampled_from(SCHEMES), label="scheme")
+    labels = st.sampled_from(BELL_LABELS)
+    optional_label = st.none() | labels
+    optional_bit = st.none() | st.integers(0, 1)
+    verdict = st.none() | st.builds(Verdict, st.booleans(), REASONS)
+    return Transcript(
+        scheme=scheme,
+        alice_label=draw(labels), bob_label=draw(labels), swap_outcome=draw(labels),
+        teleport_outcome=draw(labels), phi=draw(st.sampled_from(BASIS_STATES)),
+        stored_alice_bit=draw(st.integers(0, 1)),
+        probability=draw(st.floats(0.0, 1.0, exclude_min=True), label="probability"),
+        schedule=standard_schedule(draw(st.sampled_from([1.0, 0.25])), 1.0, 10.0, scheme),
+        stored_bob_bit=draw(optional_bit), alice_mid_measurement=draw(optional_bit),
+        announced_alice_label=draw(optional_label), announced_bob_label=draw(optional_label),
+        announced_teleport_outcome=draw(optional_label),
+        verdict=draw(verdict, label="verdict"),
+    )
+
+
+# the property's shapes at their extremes: every optional field unset, then every one set
+_BARE = Transcript(
+    scheme="multi", alice_label=BELL_LABELS[0], bob_label=BELL_LABELS[1],
+    swap_outcome=BELL_LABELS[2], teleport_outcome=BELL_LABELS[3], phi=BASIS_STATES[0],
+    stored_alice_bit=0, probability=1.0, schedule=standard_schedule(1.0, 1.0, 10.0, "multi"))
+_FULL = dataclasses.replace(
+    _BARE, stored_bob_bit=1, alice_mid_measurement=0, announced_alice_label=BELL_LABELS[1],
+    announced_bob_label=BELL_LABELS[2], announced_teleport_outcome=BELL_LABELS[3],
+    verdict=Verdict.aborted('a "b" \\ \0 é \u2028'), probability=5e-324)
+
+
+class TestLineTemplate:
+    """``_template`` writes the bytes of ``dumps(transcript_to_json(t))``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=table_transcripts())
+    @example(t=_BARE)
+    @example(t=_FULL)
+    def test_template_joins_to_the_json_encoding(self, t):
+        head, middle, tail = serialize._template(t)
+        schedule = dumps(schedule_to_json(t.schedule))
+        for k in (None, 0, 10**6):
+            expected = dumps(transcript_to_json(dataclasses.replace(t, pair_index=k)))
+            assert f"{head}{'null' if k is None else k}{middle}{schedule}{tail}" == expected
+
+
 @lru_cache(maxsize=None)
 def run_file(*flags: str) -> str:
     """The JSONL that ``relcommit run`` prints for ``flags``."""
@@ -224,6 +278,11 @@ def full_parses(monkeypatch) -> list:
     monkeypatch.setattr(serialize, "parse_transcript",
                         lambda line: calls.append(line) or parse(line))
     return calls
+
+
+def index_as(token: str):
+    """An edit of a line of pair index 1 to pair index text ``token``."""
+    return lambda line, k: line.replace('"pair_index":1,', f'"pair_index":{token},')
 
 
 class TestScheduleSplice:
@@ -302,19 +361,76 @@ class TestScheduleSplice:
         assert read_outcome(read_line_by_line, text) == message
         assert read_outcome(read_transcripts, text) == message
 
+    def test_each_body_is_parsed_once(self, monkeypatch):
+        # 4,000 lines of 20 pairs draw at most 64 distinct branch bodies
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert cli_main(["run", "--scheme", "string", "--n-pairs", "20",
+                             "--trials", "200"]) == 0
+        text = text.getvalue()
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda doc: calls.append(doc) or loads(doc))
+        transcripts = read_transcripts(io.StringIO(text))
+        monkeypatch.undo()
+        assert len(calls) <= 64 + 1
+        assert transcripts == read_line_by_line(io.StringIO(text))
+        assert len(transcripts) == 4000
+
+    @pytest.mark.parametrize("edit,full", [
+        *((index_as(token), True) for token in
+          ("-1", "01", "1.0", "1e0", "true", '"3"', " 3", '"\\u0001"', "1234567890123456789")),
+        (index_as("123456789012345678"), False),
+        (index_as("null"), False),
+        (lambda line, k: line[:-1] + ',"pair_index":5}', True),
+        (lambda line, k: '{"pair_index":5,' + line[1:], True),
+        (lambda line, k: '{"a\\"pair_index":7,' + line[1:], True),
+        (lambda line, k: line.replace('"reason":"', '"reason":"\\"pair_index\\":7 '), False),
+    ], ids=["negative", "leading-zero", "float", "exponent", "true", "string", "spaced",
+            "sentinel", "19-digits", "18-digits", "null", "second-key", "first-of-two-keys",
+            "key-inside-earlier-key", "key-inside-reason"])
+    def test_crafted_pair_index_reads_as_line_by_line(self, edit, full, monkeypatch):
+        text, edited = self._edited(edit)
+        assert edited != run_file(*STRING_RUN).splitlines()[1]
+        expected = read_outcome(read_line_by_line, text)
+        parsed = full_parses(monkeypatch)
+        assert read_outcome(read_transcripts, text) == expected
+        assert parsed[1:] == ([edited] if full else [])
+
+    def test_bodies_kept_are_capped(self, monkeypatch):
+        text = run_file(*STRING_RUN)
+        monkeypatch.setattr(serialize, "_BODIES", 2)
+        parsed = full_parses(monkeypatch)
+        assert read_transcripts(io.StringIO(text)) == read_line_by_line(io.StringIO(text))
+        assert len(parsed) == 1
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_one_edited_line_reads_as_line_by_line(self, data):
-        lines = run_file("--scheme", "string", "--n-pairs", "4", "--trials", "2").splitlines()
+        # the 20-pair run repeats bodies, so an edited line may hit a body read before
+        flags = data.draw(st.sampled_from([("--scheme", "string", "--n-pairs", "4", "--trials", "2"),
+                                           STRING_RUN]), label="run")
+        lines = run_file(*flags).splitlines()
         n = data.draw(st.integers(0, len(lines) - 1), label="line")
         line = lines[n]
-        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space"]), label="edit")
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace", "space", "index"]),
+                         label="edit")
         if kind == "space":
             # whitespace between tokens leaves the line valid JSON, but not canonical
             at = data.draw(st.sampled_from(
                 [i for i in range(1, len(line)) if line[i - 1] in ",:{["]), label="at")
             piece = data.draw(st.text(" \t\r\n", min_size=1, max_size=3), label="space")
             line = line[:at] + piece + line[at:]
+        elif kind == "index":
+            # any span from the pair index key to just past its token, as any text
+            key = line.index('"pair_index":')
+            at = data.draw(st.integers(key, key + 16), label="at")
+            end = data.draw(st.integers(at, key + 18), label="end")
+            piece = data.draw(st.sampled_from(
+                ["-1", "01", "1.0", "1e0", "true", '"3"', " 3", "null", "0", "12", "9" * 19,
+                 '"\\u0001"', ',"pair_index":5', '"pair_index":']) | st.text('0129-.eEnul"\\u:, '),
+                label="piece")
+            line = line[:at] + piece + line[end:]
         else:
             at = data.draw(st.integers(0, len(line) - (kind != "insert")), label="at")
             piece = "" if kind == "delete" else data.draw(

@@ -78,6 +78,10 @@ CLI_INVOCATIONS = [
     ("enumerate --scheme string --n-pairs 20 --phi uniform", 0, None),
     ("run --scheme multi --phi uniform --trials 4 --seed 13 --alice-label 10 --bob-label 11", 0, None),
     ("attack-scan --scheme single --phi Z1", 0, None),
+    # every branch template drawn again, under one- and two-digit pair indices
+    ("run --scheme string --n-pairs 20 --trials 20 --seed 21", 0, None),
+    # rejected verdicts, with their reason text, drawn again and again
+    ("run --scheme single --trials 200 --seed 22 --announce-delta 01", 0, None),
     ("--help", 0, None),
     *((f"{command} -h", 0, None)
       for command in ("run", "enumerate", "attack-scan", "audit", "report", "stats")),
