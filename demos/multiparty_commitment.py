@@ -16,16 +16,16 @@ from relcommit.protocol import (
 )
 from relcommit.quantum import BellLabel
 
-params = SchemeParams("multi", x=1.0, c=1.0)
 alice = BellLabel(0, 1)
 bob = BellLabel(1, 0)
+params = SchemeParams("multi", x=1.0, c=1.0, bob_label=bob)
 print(f"alice commits {committed_bit(alice)} via {alice}, "
       f"bob commits {committed_bit(bob)} via {bob}")
 print()
 
 # Enumerate the joint run.  Each branch now carries two stored bits:
 # alice's confirmation of bob and bob's confirmation of alice.
-(branches,) = run_pairs(params, [alice], bob)
+(branches,) = run_pairs(params, [alice])
 print(f"{len(branches)} branches; the first few:")
 for t in branches[:4]:
     print(

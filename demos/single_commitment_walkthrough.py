@@ -27,7 +27,7 @@ print()
 
 # Exact enumeration: every (swap outcome, teleport outcome, stored bit)
 # branch with its probability.  Sixteen branches, each 1/16.
-(branches,) = run_pairs(params, [alice], params.bob_label)
+(branches,) = run_pairs(params, [alice])
 print(f"{len(branches)} branches:")
 for t in branches[:4]:
     print(
@@ -42,7 +42,7 @@ print()
 # perfectly correlated with the *outcomes*, never with the label.
 views = {0: defaultdict(float), 1: defaultdict(float)}
 for label in (BellLabel(0, 0), BellLabel(0, 1)):
-    for t in run_pairs(params, [label], params.bob_label)[0]:
+    for t in run_pairs(params, [label])[0]:
         key = (t.swap_outcome, t.teleport_outcome, t.stored_alice_bit)
         views[committed_bit(label)][key] += t.probability
 gap = max(

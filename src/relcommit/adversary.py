@@ -46,9 +46,10 @@ disagreements are findings, never silently reconciled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -274,7 +275,7 @@ def _committer_profile(
     :func:`_acceptance_profiles` of ``params``.
     """
     committed, announced = strategy.committer_labels(_ZERO)
-    return _shift_profile(profiles, [committed ^ announced] * params.n_pairs)
+    return _shift_profile(profiles, itertools.repeat(committed ^ announced, params.n_pairs))
 
 
 def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
@@ -302,7 +303,7 @@ def string_cheat_acceptance(params: SchemeParams, per_pair_delta: Sequence[BellL
 
 
 def _shift_profile(
-    profiles: dict, per_pair_shift: Sequence[BellLabel]
+    profiles: dict, per_pair_shift: Iterable[BellLabel]
 ) -> tuple[float, float]:
     """Joint (averaged, worst-case) acceptance over independent pairs.
 

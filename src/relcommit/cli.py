@@ -270,7 +270,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     params = _scheme_params(args)
-    table = branches(params, args.alice_label, args.bob_label)
+    table = branches(params, args.alice_label)
     pairs = _pair_indices(params)
     head, tail = dumps({
         "scheme": args.scheme,

@@ -184,16 +184,14 @@ def slot_table(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(scaled), dtype=np.uint8), counts.astype(np.intp))
 
 
-def _campaign(
-    config: RunConfig,
-) -> tuple[SchemeParams, BellLabel, BellLabel, _Columns, _Check, np.ndarray]:
-    """Params, committed and announced label, the table's columns, its check and slot table."""
+def _campaign(config: RunConfig) -> tuple[SchemeParams, BellLabel, _Columns, _Check, np.ndarray]:
+    """Params, announced label, the committed label's columns, their check and slot table."""
     params = config.to_params()
     strategy = config.strategy or Strategy.honest()
     committed, announced = strategy.committer_labels(config.alice_label)
-    columns = _pair_columns(params, committed, config.bob_label)
+    columns = _pair_columns(params, committed)
     check = _verify(columns, announced, params.validation_mode)
-    return params, committed, announced, columns, check, slot_table(columns.probability)
+    return params, announced, columns, check, slot_table(columns.probability)
 
 
 def _slot_chunks(config: RunConfig) -> Iterator[np.ndarray]:
@@ -229,7 +227,7 @@ def monte_carlo(config: RunConfig) -> StatsSummary:
     strategy and validation mode (string acceptance requires all pairs
     to pass).  Counts for per-pair categories aggregate over pairs.
     """
-    params, _, _, columns, check, slots = _campaign(config)
+    params, _, columns, check, slots = _campaign(config)
     n_pairs = params.n_pairs
     accepts = check.accept[slots]  # each slot's verdict, read through its branch
     categories = (
@@ -301,10 +299,9 @@ def sample_branches(
     Set-up (and any configuration error) happens at the call; draws are
     made lazily, one chunk at a time.
     """
-    params, committed, announced, columns, check, slots = _campaign(config)
+    params, announced, columns, check, slots = _campaign(config)
     validated = tuple(
-        _transcript(params, committed, config.bob_label, row, announced,
-                    _verdict(row, announced, *checked))
+        _transcript(params, row, announced, _verdict(row, announced, *checked))
         for row, checked in zip(_scalar_rows(columns), _scalar_rows(check))
     )
     indices = _pair_indices(params)

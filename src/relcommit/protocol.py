@@ -148,8 +148,8 @@ class SchemeParams:
     which draws from the Z family for single/multi and from all four
     basis states for string; ``"default"`` resolves to ``"uniform"``
     for string and to Z0 otherwise.  ``bob_label`` is the receiver-side
-    pair label (the second committer's label in the multi scheme,
-    overridable per run).
+    pair label (the second committer's label in the multi scheme); a
+    run with another takes ``dataclasses.replace(params, bob_label=b)``.
     """
 
     scheme: str
@@ -412,13 +412,10 @@ def _columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
     return _slice(table, table.alice, _code(alice_label))
 
 
-def _pair_columns(params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel) -> _Columns:
-    """One label pair's branches: its receiver label's slice of :func:`_columns`.
-
-    ``bob_label`` overrides ``params.bob_label``.
-    """
+def _pair_columns(params: SchemeParams, alice_label: BellLabel) -> _Columns:
+    """One label pair's branches: the ``params.bob_label`` slice of :func:`_columns`."""
     columns = _columns(params, alice_label)
-    return _slice(columns, columns.bob, _code(bob_label))
+    return _slice(columns, columns.bob, _code(params.bob_label))
 
 
 def _scalar_rows(columns: _Columns | _Check) -> Iterator[_Columns | _Check]:
@@ -429,23 +426,20 @@ def _scalar_rows(columns: _Columns | _Check) -> Iterator[_Columns | _Check]:
 
 
 def _transcript(
-    params: SchemeParams,
-    alice_label: BellLabel,
-    bob_label: BellLabel,
-    row: _Columns,
-    announced: BellLabel,
-    verdict: Verdict | None = None,
+    params: SchemeParams, row: _Columns, announced: BellLabel, verdict: Verdict | None = None
 ) -> Transcript:
     """One branch of a :func:`_pair_columns` table as a transcript.
 
-    ``row`` is one of :func:`_scalar_rows`; the committer announces
-    ``announced``.  In the multi scheme the second committer announces
-    his true label and teleportation outcome.
+    ``row`` is one of :func:`_scalar_rows`, and both labels are its
+    codes; the committer announces ``announced``.  In the multi scheme
+    the second committer announces the true label and teleportation
+    outcome.
     """
-    probe, _, _, swap, tele, stored, stored_bob, mid, probability = row
+    probe, alice, bob, swap, tele, stored, stored_bob, mid, probability = row
+    bob_label = BELL_LABELS[bob]
     multi = stored_bob is not None
     return Transcript(
-        scheme=params.scheme, alice_label=alice_label, bob_label=bob_label,
+        scheme=params.scheme, alice_label=BELL_LABELS[alice], bob_label=bob_label,
         swap_outcome=BELL_LABELS[swap], teleport_outcome=BELL_LABELS[tele],
         phi=BASIS_STATES[probe], stored_alice_bit=stored, probability=probability,
         schedule=params.schedule, stored_bob_bit=stored_bob, alice_mid_measurement=mid,
@@ -456,39 +450,29 @@ def _transcript(
     )
 
 
-def branches(
-    params: SchemeParams, alice_label: BellLabel, bob_label: BellLabel
-) -> tuple[Transcript, ...]:
+def branches(params: SchemeParams, alice_label: BellLabel) -> tuple[Transcript, ...]:
     """Every classical branch of one pair, with exact weights summing to 1.
 
     The :func:`_pair_columns` table read out as transcripts, built afresh
-    on each call.  ``bob_label`` is the receiver-side label (the second
-    committer's in the multi scheme) and overrides ``params.bob_label``.
-    A string pair is enumerated on its own, so its transcripts carry
-    ``pair_index=None``; :func:`run_pairs` and the sampler stamp the
-    index.
+    on each call, against the receiver-side label ``params.bob_label``
+    (the second committer's in the multi scheme).  A string pair is
+    enumerated on its own, so its transcripts carry ``pair_index=None``;
+    :func:`run_pairs` and the sampler stamp the index.
     """
-    columns = _pair_columns(params, alice_label, bob_label)
-    return tuple(
-        _transcript(params, alice_label, bob_label, row, alice_label)
-        for row in _scalar_rows(columns)
-    )
+    columns = _pair_columns(params, alice_label)
+    return tuple(_transcript(params, row, alice_label) for row in _scalar_rows(columns))
 
 
-def run_pairs(
-    params: SchemeParams,
-    alice_labels: Sequence[BellLabel],
-    bob_label: BellLabel,
-) -> list[list[Transcript]]:
+def run_pairs(params: SchemeParams, alice_labels: Sequence[BellLabel]) -> list[list[Transcript]]:
     """Every branch of any scheme, one branch list per committed pair.
 
-    One committer label per pair, each distinct label's table read out
-    once; string transcripts carry ``pair_index=k``, the one-pair
-    schemes' carry no index.
+    One committer label per pair against ``params.bob_label``, each
+    distinct label's table read out once; string transcripts carry
+    ``pair_index=k``, the one-pair schemes' carry no index.
     """
     if len(alice_labels) != params.n_pairs:
         raise ValueError(f"expected {params.n_pairs} committer labels, got {len(alice_labels)}")
-    tables = {label: branches(params, label, bob_label) for label in set(alice_labels)}
+    tables = {label: branches(params, label) for label in set(alice_labels)}
     return [[t if k is None else _with_pair_index(t, k) for t in tables[label]]
             for k, label in zip(_pair_indices(params), alice_labels)]
 

@@ -278,6 +278,9 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
 
     A given ``schedule`` stands for ``doc["schedule"]``: every other
     field is checked, in the same order and with the same messages.
+    Once each field reads, the record must agree with itself: its
+    scheme is its schedule's, and it stores the second committer's bit
+    and the committer's mid-protocol bit in the multi scheme only.
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError(f"transcript must be an object, got {type(doc).__name__}")
@@ -306,7 +309,7 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
             f"field 'pair_index' must be a non-negative integer or null, got {pair_index!r}"
         )
     try:
-        return Transcript(
+        transcript = Transcript(
             scheme=_choice(doc, "scheme", SCHEMES),
             alice_label=_label_from_json(_require(doc, "alice_label"), "alice_label"),
             bob_label=_label_from_json(_require(doc, "bob_label"), "bob_label"),
@@ -333,6 +336,20 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
         raise
     except (TypeError, ValueError) as exc:
         raise TranscriptParseError(f"bad transcript document: {exc}") from exc
+    scheme = transcript.scheme
+    if transcript.schedule.scheme != scheme:
+        raise TranscriptParseError(
+            f"field 'scheme' is {scheme!r} but its schedule is {transcript.schedule.scheme!r}"
+        )
+    multi = scheme == "multi"
+    for field, bit in (("bob", transcript.stored_bob_bit),
+                       ("alice_mid", transcript.alice_mid_measurement)):
+        if (bit is None) == multi:
+            raise TranscriptParseError(
+                f"field 'stored_bits.{field}' must be {'a bit' if multi else 'null'} "
+                f"in the {scheme} scheme, got {bit!r}"
+            )
+    return transcript
 
 
 def serialize_transcript(transcript: Transcript) -> str:

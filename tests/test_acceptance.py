@@ -147,15 +147,15 @@ def test_criterion_04_honest_completeness():
                 batches = [
                     [
                         (t, validate_transcript(t, a, mode))
-                        for t in run_pairs(single, [a], b)[0]
+                        for t in run_pairs(dataclasses.replace(single, bob_label=b), [a])[0]
                     ],
                     [
                         (t, validate_multiparty(t, a, (t.bob_label, t.teleport_outcome), mode))
-                        for t in run_pairs(multi, [a], b)[0]
+                        for t in run_pairs(dataclasses.replace(multi, bob_label=b), [a])[0]
                     ],
                     [
                         (t, validate_transcript(t, a, mode))
-                        for t in run_pairs(string, [a], b)[0]
+                        for t in run_pairs(dataclasses.replace(string, bob_label=b), [a])[0]
                     ],
                 ]
                 for batch in batches:
@@ -311,7 +311,7 @@ def test_criterion_10_performance_envelope():
     enum_times = []
     for _ in range(5):
         start = time.perf_counter()
-        run_pairs(params, [BellLabel(0, 0)], params.bob_label)
+        run_pairs(params, [BellLabel(0, 0)])
         enum_times.append(time.perf_counter() - start)
     enum_ms = min(enum_times) * 1e3
 

@@ -214,7 +214,8 @@ class TestVerifierWork:
         for columns, announced, mode in table_calls:
             alice = BELL_LABELS[columns.alice[0]]
             assert announced.tolist() == [[BELL_LABELS.index(alice ^ shift)] for shift in BELL_LABELS]
-            rows = [t for bob in BELL_LABELS for t in branches(params, alice, bob)]
+            rows = [t for bob in BELL_LABELS
+                    for t in branches(dataclasses.replace(params, bob_label=bob), alice)]
             assert (columns.alice == columns.alice[0]).all()
             assert columns.probability.tolist() == [t.probability for t in rows]
             assert columns.bob.tolist() == [BELL_LABELS.index(t.bob_label) for t in rows]
@@ -306,6 +307,19 @@ class TestVerifierWork:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_committer_profile_memory_does_not_grow_with_pairs(self):
+        # every pair takes the same shift, so no per-pair list is built
+        params = SchemeParams("string", n_pairs=50_000)
+        strategy = Strategy.relabel_announce(BellLabel(0, 1))
+        detection_probability(params, strategy)  # the acceptance profiles are cached
+        tracemalloc.start()
+        try:
+            detection_probability(params, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
 
     @pytest.mark.parametrize("run", [
         lambda: build_report(SchemeParams("single", phi_policy="uniform")),
@@ -470,7 +484,7 @@ def _running_views(params: SchemeParams, upto: str) -> dict:
     multi = params.scheme == "multi"
     for alice in BELL_LABELS:
         c = (protocol._columns(params, alice) if multi
-             else protocol._pair_columns(params, alice, params.bob_label))
+             else protocol._pair_columns(params, alice))
         view = [c.swap] if multi else [c.probe, c.swap, c.tele]
         if upto == "storage":
             view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]

@@ -105,7 +105,8 @@ class TestEnumerate:
         target = tmp_path / "branches.json"
         for alice in BELL_LABELS:
             for bob in BELL_LABELS:
-                listed = [t for pair in run_pairs(params, [alice] * n_pairs, bob) for t in pair]
+                pairs = run_pairs(dataclasses.replace(params, bob_label=bob), [alice] * n_pairs)
+                listed = [t for pair in pairs for t in pair]
                 expected = dumps({
                     "scheme": scheme, "alice_label": dataclasses.asdict(alice),
                     "bob_label": dataclasses.asdict(bob), "branch_count": len(listed),
@@ -215,7 +216,7 @@ class TestRun:
         code = cli_main(["run", "--scheme", "string", "--n-pairs", "20", "--trials", "200",
                          "--output", str(tmp_path / "run.jsonl")])
         params = RunConfig(scheme="string", n_pairs=20).to_params()
-        table = branches(params, BellLabel(0, 0), params.bob_label)
+        table = branches(params, BellLabel(0, 0))
         assert code == 0
         assert 0 < len(calls) <= len(table) <= 64
         assert len(schedules) == 1

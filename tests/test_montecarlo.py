@@ -53,7 +53,7 @@ def _assert_budgets_nest(n_pairs):
 
 def _tally(config):
     """Every count of ``monte_carlo(config)``, tallied one drawn byte at a time."""
-    _, _, _, columns, check, slots = _campaign(config)
+    _, _, columns, check, slots = _campaign(config)
     accepts = check.accept[slots]
     slot_counts = np.zeros(SLOTS, dtype=np.int64)
     accepted = 0
@@ -142,7 +142,7 @@ class TestMonteCarlo:
         chunk = min(CHUNK_TRIALS, CHUNK_DRAWS // n_pairs)
         config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=chunk + 3,
                            seed=10, strategy=Strategy.relabel_announce(BellLabel(1, 0)))
-        _, _, _, _, check, slots = _campaign(config)
+        _, _, _, check, slots = _campaign(config)
         assert np.count_nonzero(check.accept[slots]) == SLOTS // 2
         assert _counts(config) == _tally(config)
 
@@ -230,7 +230,7 @@ class TestMonteCarlo:
         # and a last row accepts throughout
         config = RunConfig(scheme="string", n_pairs=n_pairs, phi="uniform", trials=1,
                            strategy=Strategy.relabel_announce(BellLabel(1, 0)))
-        _, _, _, _, check, slots = _campaign(config)
+        _, _, _, check, slots = _campaign(config)
         accepts = check.accept[slots]
         accept, reject = int(np.argmax(accepts)), int(np.argmin(accepts))
         positions = sorted({0, 1, 253, 254, 255, 256, 509, 510, 511, n_pairs - 1} & set(range(n_pairs)))
@@ -339,7 +339,7 @@ class TestMonteCarlo:
             reference = [
                 dataclasses.replace(t, announced_alice_label=announced,
                                     verdict=validate_transcript(t, announced, mode))
-                for t in branches(config.to_params(), config.alice_label, config.bob_label)
+                for t in branches(config.to_params(), config.alice_label)
             ]
             table, _ = sample_branches(config)
             assert len(table) == len(reference)

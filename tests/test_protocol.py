@@ -175,7 +175,7 @@ class TestRunSingle:
     def test_enumeration_is_exhaustive_and_normalized(self):
         params = SchemeParams("single")
         for a in BELL_LABELS:
-            branches = run_pairs(params, [a], params.bob_label)[0]
+            branches = run_pairs(params, [a])[0]
             assert len(branches) == 16
             total = math.fsum(t.probability for t in branches)
             assert abs(total - 1.0) <= 1e-12
@@ -184,7 +184,7 @@ class TestRunSingle:
         params = SchemeParams("single", bob_label=BellLabel(1, 1))
         swap = defaultdict(float)
         tele = defaultdict(float)
-        for t in run_pairs(params, [BellLabel(0, 1)], params.bob_label)[0]:
+        for t in run_pairs(params, [BellLabel(0, 1)])[0]:
             swap[t.swap_outcome] += t.probability
             tele[t.teleport_outcome] += t.probability
         for dist in (swap, tele):
@@ -197,7 +197,7 @@ class TestRunSingle:
         for a in BELL_LABELS:
             for b in BELL_LABELS:
                 params = SchemeParams("single", bob_label=b, phi_policy=phi)
-                for t in run_pairs(params, [a], params.bob_label)[0]:
+                for t in run_pairs(params, [a])[0]:
                     assert t.stored_alice_bit == stored_bit_oracle(t)
 
     def test_committer_label_is_invisible_in_stored_bit(self):
@@ -206,7 +206,7 @@ class TestRunSingle:
         reference = None
         for a in BELL_LABELS:
             dist = defaultdict(float)
-            for t in run_pairs(params, [a], params.bob_label)[0]:
+            for t in run_pairs(params, [a])[0]:
                 dist[(t.swap_outcome, t.teleport_outcome, t.stored_alice_bit)] += t.probability
             if reference is None:
                 reference = dist
@@ -258,14 +258,14 @@ class TestValidateSingle:
         for a in BELL_LABELS:
             for b in BELL_LABELS:
                 params = SchemeParams("single", bob_label=b)
-                for t in run_pairs(params, [a], params.bob_label)[0]:
+                for t in run_pairs(params, [a])[0]:
                     assert validate_transcript(t, a, mode).accept
 
     def test_parity_flip_rejected_under_r2(self):
         params = SchemeParams("single")
         delta = BellLabel(0, 1)
         for a in BELL_LABELS:
-            for t in run_pairs(params, [a], params.bob_label)[0]:
+            for t in run_pairs(params, [a])[0]:
                 verdict = validate_transcript(t, a ^ delta, "R2")
                 assert not verdict.accept
                 assert "stored bit" in verdict.reason
@@ -275,7 +275,7 @@ class TestValidateSingle:
         params = SchemeParams("single")
         delta = BellLabel(1, 0)
         for a in BELL_LABELS:
-            for t in run_pairs(params, [a], params.bob_label)[0]:
+            for t in run_pairs(params, [a])[0]:
                 announced = a ^ delta
                 assert committed_bit(announced) == committed_bit(a)
                 assert validate_transcript(t, announced, "R2").accept
@@ -284,13 +284,13 @@ class TestValidateSingle:
         # announcement-derived frame cancels out of the recomputation
         params = SchemeParams("single")
         for a in BELL_LABELS:
-            for t in run_pairs(params, [a], params.bob_label)[0]:
+            for t in run_pairs(params, [a])[0]:
                 for announced in BELL_LABELS:
                     assert validate_transcript(t, announced, "R1").accept
 
     def test_unknown_mode(self):
         params = SchemeParams("single")
-        t = run_pairs(params, [BellLabel(0, 0)], params.bob_label)[0][0]
+        t = run_pairs(params, [BellLabel(0, 0)])[0][0]
         with pytest.raises(ValueError):
             validate_transcript(t, BellLabel(0, 0), "R3")
 
@@ -300,21 +300,21 @@ class TestRunMultiparty:
         params = SchemeParams("multi")
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                branches = run_pairs(params, [a], b)[0]
+                branches = run_pairs(dataclasses.replace(params, bob_label=b), [a])[0]
                 assert abs(math.fsum(t.probability for t in branches) - 1.0) <= 1e-12
 
     def test_stored_bits_match_parity_oracles(self):
         params = SchemeParams("multi", phi_policy=Z1)
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                for t in run_pairs(params, [a], b)[0]:
+                for t in run_pairs(dataclasses.replace(params, bob_label=b), [a])[0]:
                     assert t.stored_alice_bit == stored_bit_oracle(t)
                     copy_net = t.bob_label ^ t.teleport_outcome
                     assert t.stored_bob_bit == t.phi.value ^ copy_net.j
 
     def test_mid_measurement_recorded_and_consistent(self):
-        params = SchemeParams("multi")
-        for t in run_pairs(params, [BellLabel(1, 1)], BellLabel(0, 1))[0]:
+        params = SchemeParams("multi", bob_label=BellLabel(0, 1))
+        for t in run_pairs(params, [BellLabel(1, 1)])[0]:
             assert t.alice_mid_measurement in (0, 1)
             # frame applied after the mid measurement flips the stored bit by a_j
             assert t.stored_alice_bit == t.alice_mid_measurement ^ t.alice_label.j
@@ -324,14 +324,14 @@ class TestRunMultiparty:
         params = SchemeParams("multi")
         for a in BELL_LABELS:
             for b in BELL_LABELS:
-                for t in run_pairs(params, [a], b)[0]:
+                for t in run_pairs(dataclasses.replace(params, bob_label=b), [a])[0]:
                     verdict = validate_multiparty(t, a, (b, t.teleport_outcome), mode)
                     assert verdict.accept, verdict.reason
 
     def test_second_committer_parity_flip_rejected(self):
         params = SchemeParams("multi")
         a, b = BellLabel(0, 0), BellLabel(1, 0)
-        for t in run_pairs(params, [a], b)[0]:
+        for t in run_pairs(dataclasses.replace(params, bob_label=b), [a])[0]:
             verdict = validate_multiparty(
                 t, a, (b ^ BellLabel(0, 1), t.teleport_outcome), "R2"
             )
@@ -344,7 +344,7 @@ class TestRunMultiparty:
         params = SchemeParams("multi")
         a, b = BellLabel(0, 0), BellLabel(1, 0)
         flip = BellLabel(0, 1)
-        for t in run_pairs(params, [a], b)[0]:
+        for t in run_pairs(dataclasses.replace(params, bob_label=b), [a])[0]:
             verdict = validate_multiparty(
                 t, a, (b ^ flip, t.teleport_outcome ^ flip), "R2"
             )
@@ -353,13 +353,13 @@ class TestRunMultiparty:
     def test_first_committer_parity_flip_rejected_under_r2_only(self):
         params = SchemeParams("multi")
         a, b = BellLabel(1, 0), BellLabel(0, 0)
-        for t in run_pairs(params, [a], b)[0]:
+        for t in run_pairs(dataclasses.replace(params, bob_label=b), [a])[0]:
             announced = a ^ BellLabel(0, 1)
             assert not validate_multiparty(t, announced, (b, t.teleport_outcome), "R2").accept
             assert validate_multiparty(t, announced, (b, t.teleport_outcome), "R1").accept
 
     def test_missing_bob_bit_rejected(self):
-        single_t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        single_t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         with pytest.raises(ValueError):
             validate_multiparty(single_t, BellLabel(0, 0), (BellLabel(0, 0), BellLabel(0, 0)))
 
@@ -368,7 +368,7 @@ class TestRunString:
     def test_enumerate_returns_per_pair_branches(self):
         params = SchemeParams("string", n_pairs=3)
         labels = [BellLabel(0, 0), BellLabel(1, 1), BellLabel(0, 1)]
-        per_pair = run_pairs(params, labels, params.bob_label)
+        per_pair = run_pairs(params, labels)
         assert len(per_pair) == 3
         for k, branches in enumerate(per_pair):
             assert abs(math.fsum(t.probability for t in branches) - 1.0) <= 1e-12
@@ -381,7 +381,7 @@ class TestRunString:
     def test_stored_bit_oracle_holds_for_diagonal_probes(self):
         params = SchemeParams("string", n_pairs=1, phi_policy=X1, bob_label=BellLabel(1, 0))
         for a in BELL_LABELS:
-            for t in run_pairs(params, [a], params.bob_label)[0]:
+            for t in run_pairs(params, [a])[0]:
                 assert t.stored_alice_bit == stored_bit_oracle(t)
 
     def test_sample_is_deterministic_per_pair(self, sampled_transcripts):
@@ -395,16 +395,16 @@ class TestRunString:
         clear_caches()
         params = SchemeParams("string", n_pairs=3, bob_label=BellLabel(1, 1))
         labels = [BellLabel(0, 1), BellLabel(1, 0), BellLabel(0, 1)]
-        enumerated = run_pairs(params, labels, params.bob_label)
+        enumerated = run_pairs(params, labels)
         for k, label in enumerate(labels):
             clear_caches()
-            direct = branches(params, label, params.bob_label)
+            direct = branches(params, label)
             assert enumerated[k] == [dataclasses.replace(t, pair_index=k) for t in direct]
         # sampled transcripts are the drawn slots read through the same branches
         config = RunConfig(scheme="string", n_pairs=3, bob_label=BellLabel(1, 1),
                            alice_label=labels[0], seed=7, trials=2)
         clear_caches()
-        direct = branches(params, labels[0], params.bob_label)
+        direct = branches(params, labels[0])
         slots = slot_table([t.probability for t in direct])
         drawn = np.concatenate(list(montecarlo._slot_chunks(config))).ravel()
         sampled = sampled_transcripts(config)
@@ -413,17 +413,17 @@ class TestRunString:
             expected = direct[slots[slot]]
             assert t == dataclasses.replace(expected, pair_index=n % 3, verdict=Verdict.accepted())
         # the shared table itself stays unindexed
-        assert all(t.pair_index is None for t in branches(params, labels[0], params.bob_label))
+        assert all(t.pair_index is None for t in branches(params, labels[0]))
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)], BellLabel(0, 0))
+            run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)])
 
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     def test_honest_string_reveal_accepted(self, mode):
         params = SchemeParams("string", n_pairs=2)
         labels = [BellLabel(1, 0), BellLabel(0, 1)]
-        per_pair = run_pairs(params, labels, params.bob_label)
+        per_pair = run_pairs(params, labels)
         for t0 in per_pair[0]:
             for t1 in per_pair[1]:
                 assert all(validate_transcript(t, a, mode).accept
@@ -432,7 +432,7 @@ class TestRunString:
     def test_parity_flip_on_any_pair_rejected_under_r2(self):
         params = SchemeParams("string", n_pairs=2, phi_policy=Z0)
         labels = [BellLabel(0, 0), BellLabel(0, 0)]
-        per_pair = run_pairs(params, labels, params.bob_label)
+        per_pair = run_pairs(params, labels)
         for flipped_pair in (0, 1):
             announced = list(labels)
             announced[flipped_pair] = announced[flipped_pair] ^ BellLabel(0, 1)
@@ -572,8 +572,8 @@ class TestTableVerifier:
         params = SchemeParams(scheme, phi_policy=policy)
         for alice in BELL_LABELS:
             for bob in BELL_LABELS:
-                table = branches(params, alice, bob)
-                columns = _pair_columns(params, alice, bob)
+                table = branches(dataclasses.replace(params, bob_label=bob), alice)
+                columns = _pair_columns(dataclasses.replace(params, bob_label=bob), alice)
                 for announced in BELL_LABELS:
                     accept = _verify(columns, announced, mode).accept
                     assert accept.shape == (len(table),)
@@ -620,9 +620,9 @@ class TestTableVerifier:
             assert scalar.accept == check.accept[k, branch % len(columns.probe)]
 
     def test_columns_read_the_table_in_order(self):
-        params = SchemeParams("multi", phi_policy="uniform")
-        table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
-        columns = _pair_columns(params, BellLabel(1, 0), BellLabel(0, 1))
+        params = SchemeParams("multi", phi_policy="uniform", bob_label=BellLabel(0, 1))
+        table = branches(params, BellLabel(1, 0))
+        columns = _pair_columns(params, BellLabel(1, 0))
         assert columns.probability.tolist() == [t.probability for t in table]
         assert columns.stored_bob.tolist() == [t.stored_bob_bit for t in table]
         assert columns.swap.tolist() == [_code(t.swap_outcome) for t in table]
@@ -634,11 +634,36 @@ class TestTableVerifier:
         params = SchemeParams(scheme, phi_policy=policy)
         for alice in BELL_LABELS:
             columns = _columns(params, alice)
-            rows = [t for bob in BELL_LABELS for t in branches(params, alice, bob)]
+            rows = [t for bob in BELL_LABELS
+                    for t in branches(dataclasses.replace(params, bob_label=bob), alice)]
             assert columns.bob.tolist() == [_code(t.bob_label) for t in rows]
             assert columns.probability.tolist() == [t.probability for t in rows]
             assert columns.tele.tolist() == [_code(t.teleport_outcome) for t in rows]
             assert columns.probability.flags.writeable is False
+
+    @pytest.mark.parametrize("scheme,policy", [(s, p) for s, policies in _POLICIES.items()
+                                               for p in policies], ids=str)
+    def test_branches_are_the_table_rows_of_the_params_label_pair(self, scheme, policy):
+        params = SchemeParams(scheme, phi_policy=policy)
+        table = list(protocol._scalar_rows(protocol._params_table(params)))
+        for alice in BELL_LABELS:
+            for bob in BELL_LABELS:
+                # fresh copies: each transcript holds the shared member instead
+                got = branches(dataclasses.replace(params, bob_label=BellLabel(bob.i, bob.j)),
+                               BellLabel(alice.i, alice.j))
+                rows = [row for row in table if (row.alice, row.bob) == (_code(alice), _code(bob))]
+                assert [(protocol.BASIS_STATES.index(t.phi), _code(t.alice_label),
+                         _code(t.bob_label), _code(t.swap_outcome), _code(t.teleport_outcome),
+                         t.stored_alice_bit, t.stored_bob_bit, t.alice_mid_measurement,
+                         t.probability) for t in got] == [tuple(row) for row in rows]
+                assert all(t.alice_label is alice and t.bob_label is bob for t in got)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sampled_transcripts_share_the_label_members(self, scheme):
+        config = RunConfig(scheme=scheme, alice_label=BellLabel(1, 0), bob_label=BellLabel(0, 1))
+        table, _ = montecarlo.sample_branches(config)
+        assert all(t.alice_label is BELL_LABELS[2] and t.bob_label is BELL_LABELS[1]
+                   for t in table)
 
 
 class TestTableChecks:
@@ -666,7 +691,7 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=f"^{message}.*{value}"):
             _columns(SchemeParams(scheme), BellLabel(0, 1))
         with pytest.raises(ValueError, match=f"^{message}"):
-            branches(SchemeParams(scheme), BellLabel(0, 1), BellLabel(1, 0))
+            branches(SchemeParams(scheme, bob_label=BellLabel(1, 0)), BellLabel(0, 1))
 
 
 class TestSlotTable:
@@ -676,7 +701,7 @@ class TestSlotTable:
         params = SchemeParams(scheme, phi_policy=policy)
         for alice in BELL_LABELS:
             for bob in BELL_LABELS:
-                table = branches(params, alice, bob)
+                table = branches(dataclasses.replace(params, bob_label=bob), alice)
                 slots = slot_table([t.probability for t in table])
                 assert slots.dtype == np.uint8 and len(slots) == SLOTS
                 filled = np.bincount(slots, minlength=len(table)) / SLOTS
@@ -690,7 +715,7 @@ class TestSlotTable:
         (1 / 512, 1 - 1 / 512),  # dyadic, finer than a byte
     ])
     def test_non_dyadic_table_rejected(self, weights):
-        template = branches(SchemeParams("single"), BellLabel(0, 0), BellLabel(0, 0))[0]
+        template = branches(SchemeParams("single"), BellLabel(0, 0))[0]
         table = [dataclasses.replace(template, probability=w) for w in weights]
         with pytest.raises(ValueError):
             slot_table([t.probability for t in table])
@@ -719,7 +744,7 @@ def branch_tables_digest() -> str:
             params = SchemeParams(scheme, phi_policy=policy)
             for alice in BELL_LABELS:
                 for bob in BELL_LABELS:
-                    for t in branches(params, alice, bob):
+                    for t in branches(dataclasses.replace(params, bob_label=bob), alice):
                         for f in dataclasses.fields(t):
                             text = _field_text(getattr(t, f.name))
                             digest.update(f"{f.name}={text};".encode())
@@ -771,16 +796,17 @@ class TestCaches:
         assert protocol._table.cache_info().misses == 2
         assert len({params.schedule for params in z0}) == 3
         for params in z0:
-            for t in branches(params, BellLabel(1, 0), BellLabel(0, 1)):
+            for t in branches(dataclasses.replace(params, bob_label=BellLabel(0, 1)),
+                              BellLabel(1, 0)):
                 assert (t.scheme, t.schedule) == (params.scheme, params.schedule)
         assert protocol._table.cache_info().misses == 2
 
     def test_callers_cannot_mutate_the_cached_table(self):
         params = SchemeParams("single")
-        run_pairs(params, [BellLabel(1, 1)], params.bob_label)[0].clear()
-        run_pairs(SchemeParams("string"), [BellLabel(1, 1)], BellLabel(0, 0))[0].clear()
-        assert len(run_pairs(params, [BellLabel(1, 1)], params.bob_label)[0]) == 16
-        assert len(branches(SchemeParams("string"), BellLabel(1, 1), BellLabel(0, 0))) == 64
+        run_pairs(params, [BellLabel(1, 1)])[0].clear()
+        run_pairs(SchemeParams("string"), [BellLabel(1, 1)])[0].clear()
+        assert len(run_pairs(params, [BellLabel(1, 1)])[0]) == 16
+        assert len(branches(SchemeParams("string"), BellLabel(1, 1))) == 64
 
 
 class TestEnumerationWork:
@@ -794,15 +820,15 @@ class TestEnumerationWork:
         state_vector = quantum.StateVector
         monkeypatch.setattr(quantum, "StateVector",
                             lambda amplitudes: made.append(amplitudes) or state_vector(amplitudes))
-        params = SchemeParams(scheme, phi_policy=policy)
+        params = SchemeParams(scheme, phi_policy=policy, bob_label=BellLabel(0, 1))
         clear_caches()
-        assert branches(params, BellLabel(1, 0), BellLabel(0, 1))
+        assert branches(params, BellLabel(1, 0))
         assert made == []
 
 
 class TestTranscript:
     def test_rejects_bad_bit(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         with pytest.raises(ValueError):
             Transcript(
                 scheme="single",
@@ -818,8 +844,9 @@ class TestTranscript:
 
     @pytest.mark.parametrize("scheme", ["single", "multi", "string"])
     def test_pair_index_copy_is_replace(self, scheme):
-        params = SchemeParams(scheme, phi_policy=parse_phi_policy("uniform"))
-        table = branches(params, BellLabel(1, 0), BellLabel(0, 1))
+        params = SchemeParams(scheme, phi_policy=parse_phi_policy("uniform"),
+                              bob_label=BellLabel(0, 1))
+        table = branches(params, BellLabel(1, 0))
         # one branch with a verdict and an index already, as the reader copies it
         table += (dataclasses.replace(table[0], pair_index=3, verdict=Verdict.aborted("no")),)
         for t in table:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from functools import lru_cache
 
 import pytest
@@ -37,15 +38,10 @@ import dataclasses
 
 
 def sample_transcripts():
-    single = run_pairs(SchemeParams("single"), [BellLabel(1, 0)], BellLabel(0, 0))[0]
-    multi = run_pairs(SchemeParams("multi"), [BellLabel(0, 1)], BellLabel(1, 1))[0]
-    string = [
-        t
-        for pair in run_pairs(
-            SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2, BellLabel(0, 0)
-        )
-        for t in pair
-    ]
+    single = run_pairs(SchemeParams("single"), [BellLabel(1, 0)])[0]
+    multi = run_pairs(SchemeParams("multi", bob_label=BellLabel(1, 1)), [BellLabel(0, 1)])[0]
+    string = [t for pair in run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2)
+              for t in pair]
     return single + multi[:8] + string[:8]
 
 
@@ -55,34 +51,34 @@ class TestTranscriptRoundTrip:
             assert parse_transcript(serialize_transcript(t)) == t
 
     def test_round_trip_preserves_verdict(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         t = dataclasses.replace(t, verdict=Verdict.aborted("stored bit 1 != expected 0"))
         parsed = parse_transcript(serialize_transcript(t))
         assert parsed.verdict == t.verdict
 
     def test_bytes_are_deterministic(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(1, 1)], BellLabel(0, 0))[0][3]
+        t = run_pairs(SchemeParams("single"), [BellLabel(1, 1)])[0][3]
         assert serialize_transcript(t) == serialize_transcript(t)
         # keys sorted at every level
         doc = json.loads(serialize_transcript(t))
         assert list(doc) == sorted(doc)
 
     def test_missing_field_is_named(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         doc = json.loads(serialize_transcript(t))
         del doc["swap_outcome"]
         with pytest.raises(TranscriptParseError, match="swap_outcome"):
             parse_transcript(dumps(doc))
 
     def test_bad_bit_rejected(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         doc = json.loads(serialize_transcript(t))
         doc["stored_bits"]["alice"] = 7
         with pytest.raises(TranscriptParseError):
             parse_transcript(dumps(doc))
 
     def test_bad_label_bits_rejected(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         doc = json.loads(serialize_transcript(t))
         doc["alice_label"] = {"i": 3, "j": 0}
         with pytest.raises(TranscriptParseError, match="alice_label"):
@@ -113,8 +109,7 @@ class TestTranscriptRoundTrip:
         ("announcements", 5),
     ])
     def test_mistyped_field_named(self, path, value):
-        t = run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2,
-                      BellLabel(0, 0))[1][0]
+        t = run_pairs(SchemeParams("string", n_pairs=2), [BellLabel(0, 0)] * 2)[1][0]
         t = dataclasses.replace(t, announced_alice_label=BellLabel(0, 1),
                                 verdict=Verdict.accepted())
         doc = json.loads(serialize_transcript(t))
@@ -164,7 +159,7 @@ class TestJsonl:
         assert read_transcripts(buffer) == transcripts
 
     def test_blank_lines_skipped(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         payload = serialize_transcript(t) + "\n\n" + serialize_transcript(t) + "\n"
         assert len(read_transcripts(io.StringIO(payload))) == 2
 
@@ -178,7 +173,7 @@ class TestJsonl:
                 read_transcripts(io.StringIO(payload))
 
     def test_error_reports_line_number(self):
-        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)], BellLabel(0, 0))[0][0]
+        t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         payload = serialize_transcript(t) + "\n{\"scheme\": \"single\"}\n"
         with pytest.raises(TranscriptParseError, match="line 2"):
             read_transcripts(io.StringIO(payload))
@@ -283,6 +278,46 @@ def full_parses(monkeypatch) -> list:
 def index_as(token: str):
     """An edit of a line of pair index 1 to pair index text ``token``."""
     return lambda line, k: line.replace('"pair_index":1,', f'"pair_index":{token},')
+
+
+def _crafted(scheme: str, edits: dict) -> str:
+    """The first line of a ``scheme`` run, with top-level or ``stored_bits`` fields replaced."""
+    doc = json.loads(run_file("--scheme", scheme, "--trials", "2").splitlines()[0])
+    for field, value in edits.items():
+        if field in doc["stored_bits"]:
+            doc["stored_bits"][field] = value(doc["stored_bits"][field])
+        else:
+            doc[field] = value(doc[field])
+    return dumps(doc)
+
+
+class TestSchemeAgreement:
+    """A record's scheme is its schedule's, and only a multi record stores two more bits."""
+
+    @pytest.mark.parametrize("scheme,edits,error", [
+        ("single", {"scheme": lambda _: "string"},
+         "field 'scheme' is 'string' but its schedule is 'single'"),
+        # a multi record, its second committer's bit flipped, relabelled single
+        ("multi", {"scheme": lambda _: "single", "bob": lambda bit: 1 - bit},
+         "field 'scheme' is 'single' but its schedule is 'multi'"),
+        ("single", {"bob": lambda _: 1},
+         "field 'stored_bits.bob' must be null in the single scheme, got 1"),
+        ("string", {"alice_mid": lambda _: 0},
+         "field 'stored_bits.alice_mid' must be null in the string scheme, got 0"),
+        ("multi", {"bob": lambda _: None},
+         "field 'stored_bits.bob' must be a bit in the multi scheme, got None"),
+        ("multi", {"alice_mid": lambda _: None},
+         "field 'stored_bits.alice_mid' must be a bit in the multi scheme, got None"),
+    ], ids=["schedule", "multi-as-single", "single-bob", "string-mid", "multi-bob", "multi-mid"])
+    def test_both_readers_reject(self, scheme, edits, error):
+        line = _crafted(scheme, edits)
+        with pytest.raises(TranscriptParseError, match=f"^{re.escape(error)}$"):
+            parse_transcript(line)
+        first = run_file("--scheme", scheme, "--trials", "2").splitlines()[0]
+        # alone, and after a line that settles the schedule the reader splices
+        for text, number in ((f"{line}\n", 1), (f"{first}\n{line}\n", 2)):
+            assert read_outcome(read_transcripts, text) == f"line {number}: {error}"
+            assert read_outcome(read_line_by_line, text) == f"line {number}: {error}"
 
 
 class TestScheduleSplice:

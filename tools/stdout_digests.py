@@ -82,6 +82,11 @@ CLI_INVOCATIONS = [
     ("run --scheme string --n-pairs 20 --trials 20 --seed 21", 0, None),
     # rejected verdicts, with their reason text, drawn again and again
     ("run --scheme single --trials 200 --seed 22 --announce-delta 01", 0, None),
+    # a receiver label other than 00, read through the sampler, the run and a scan
+    ("stats --scheme multi --alice-label 10 --bob-label 11 --trials 3000 --seed 16", 0, None),
+    ("stats --scheme single --bob-label 01 --trials 5000 --seed 17", 0, None),
+    ("run --scheme single --bob-label 01 --trials 20 --seed 18", 0, None),
+    ("attack-scan --scheme string --n-pairs 2 --bob-label 11", 0, None),
     ("--help", 0, None),
     *((f"{command} -h", 0, None)
       for command in ("run", "enumerate", "attack-scan", "audit", "report", "stats")),
