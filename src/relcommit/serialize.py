@@ -35,12 +35,13 @@ finite numbers, a pair index a non-negative integer or null, and a
 schedule and its ``phase_times`` objects.  A parsed pair label or probe
 state is the shared member of ``BELL_LABELS`` or ``BASIS_STATES``.
 :func:`read_transcripts` parses the schedule text a stream repeats
-once, and each distinct branch once: a line that holds the last
-schedule text parsed in full, in canonical form, is cut to its body,
-with that text and its pair index spliced out.  The first line with a
-body parses it; later ones take its transcript with their own pair
-index.  Every line still reads as :func:`parse_transcript` of it, and
-fails with the same message.
+once, and decodes each distinct branch once: a line in the writer's
+exact spelling, holding the last schedule text parsed in full, is
+matched by one pattern before that text and one after it, and each
+field reads by lookup in a table built from the writer's own
+spellings.  Later lines of that branch take its transcript with their
+own pair index.  Every line still reads as :func:`parse_transcript` of
+it, and fails with the same message.
 """
 
 from __future__ import annotations
@@ -278,9 +279,8 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
 
     A given ``schedule`` stands for ``doc["schedule"]``: every other
     field is checked, in the same order and with the same messages.
-    Once each field reads, the record must agree with itself: its
-    scheme is its schedule's, and it stores the second committer's bit
-    and the committer's mid-protocol bit in the multi scheme only.
+    Once each field reads, the record must agree with itself (see
+    :func:`_agreement`).
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError(f"transcript must be an object, got {type(doc).__name__}")
@@ -336,6 +336,16 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
         raise
     except (TypeError, ValueError) as exc:
         raise TranscriptParseError(f"bad transcript document: {exc}") from exc
+    return _agreement(transcript)
+
+
+def _agreement(transcript: Transcript) -> Transcript:
+    """``transcript``, once it agrees with itself; else the first disagreement as an error.
+
+    Its scheme is its schedule's; it stores the second committer's bit
+    and the committer's mid-protocol bit in the multi scheme only; and
+    only there does it hold the second committer's announcements.
+    """
     scheme = transcript.scheme
     if transcript.schedule.scheme != scheme:
         raise TranscriptParseError(
@@ -348,6 +358,12 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
             raise TranscriptParseError(
                 f"field 'stored_bits.{field}' must be {'a bit' if multi else 'null'} "
                 f"in the {scheme} scheme, got {bit!r}"
+            )
+    for field, label in (("bob_label", transcript.announced_bob_label),
+                         ("teleport_outcome", transcript.announced_teleport_outcome)):
+        if label is not None and not multi:
+            raise TranscriptParseError(
+                f"field 'announcements.{field}' must be null in the {scheme} scheme, got {label}"
             )
     return transcript
 
@@ -377,6 +393,14 @@ def _bit_text(bit: int | None) -> str:
     return "null" if bit is None else f"{bit}"
 
 
+def _phi_text(spec: BasisStateSpec) -> str:
+    return f'{{"basis":{_string(spec.basis)},"value":{spec.value}}}'
+
+
+def _flag_text(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
 def _template(transcript: Transcript) -> tuple[str, str, str]:
     """The text of ``transcript`` around its pair index and schedule: ``(head, middle, tail)``.
 
@@ -385,7 +409,8 @@ def _template(transcript: Transcript) -> tuple[str, str, str]:
     ``K``, byte for byte, for what a branch table holds: Python ints
     for bits and label and probe values, a bool verdict flag and a
     finite float weight.  The keys are written in :func:`dumps`' sorted
-    order; strings go through ``dumps``' own ASCII string encoder and
+    order, as :data:`_BEFORE` and :data:`_AFTER` lay them out for the
+    reader; strings go through ``dumps``' own ASCII string encoder and
     the weight through ``float.__repr__``, as in ``dumps``.
     """
     t = transcript
@@ -395,7 +420,7 @@ def _template(transcript: Transcript) -> tuple[str, str, str]:
             f'"bob_label":{_label_text(t.announced_bob_label)},'
             f'"teleport_outcome":{_label_text(t.announced_teleport_outcome)}}},'
             f'"bob_label":{_label_text(t.bob_label)},"pair_index":')
-    middle = (f',"phi":{{"basis":{_string(t.phi.basis)},"value":{t.phi.value}}},'
+    middle = (f',"phi":{_phi_text(t.phi)},'
               f'"probability":{float.__repr__(t.probability)},"schedule":')
     tail = (f',"scheme":{_string(t.scheme)},'
             f'"stored_bits":{{"alice":{_bit_text(t.stored_alice_bit)},'
@@ -404,7 +429,7 @@ def _template(transcript: Transcript) -> tuple[str, str, str]:
             f'"swap_outcome":{_label_text(t.swap_outcome)},'
             f'"teleport_outcome":{_label_text(t.teleport_outcome)},"verdict":'
             + ("null}" if verdict is None else
-               f'{{"accept":{"true" if verdict.accept else "false"},'
+               f'{{"accept":{_flag_text(verdict.accept)},'
                f'"reason":{_string(verdict.reason)}}}}}'))
     return head, middle, tail
 
@@ -450,60 +475,131 @@ def write_draws(
     return lines
 
 
-# The reader's two holes.  Each encodes as one sentinel ("\u0000",
-# "\u0001"), the only spelling of that string in strict JSON, which
-# refuses raw control characters.
-_SCHEDULE_HOLE, _INDEX_HOLE = "\0", "\1"
-_SCHEDULE_SENTINEL, _INDEX_SENTINEL = dumps(_SCHEDULE_HOLE), dumps(_INDEX_HOLE)
-_SCHEDULE_KEY = '"schedule":'
-_INDEX_KEY = '"pair_index":'
+# The reader's lookup tables: every spelling of a field that the writer
+# can write, and the value it reads as; null only where the full parse
+# takes it.  Each transcript field spelled by lookup has its table here.
+_LABELS = {_label_text(label): label for label in BELL_LABELS}
+_BITS = {_bit_text(bit): bit for bit in (0, 1)}
+_FLAGS = {_flag_text(flag): flag for flag in (True, False)}
+_LOOKUPS = {
+    **dict.fromkeys(("alice_label", "bob_label", "swap_outcome", "teleport_outcome"), _LABELS),
+    **dict.fromkeys(("announced_alice_label", "announced_bob_label", "announced_teleport_outcome"),
+                    {**_LABELS, _label_text(None): None}),
+    "stored_alice_bit": _BITS,
+    **dict.fromkeys(("stored_bob_bit", "alice_mid_measurement"), {**_BITS, _bit_text(None): None}),
+    "phi": {_phi_text(spec): spec for spec in BASIS_STATES},
+    "scheme": {_string(scheme): scheme for scheme in SCHEMES},
+}
 # a pair index token: the JSON of null or of a non-negative integer of at
 # most 18 digits, far from the 4,300 that ``int`` refuses; a longer one
-# leaves the body unparseable, and its line gets the full parse
-_INDEX_TOKEN = re.compile(r"0|[1-9][0-9]{0,17}|null")
+# takes the full parse
+_PAIR_INDEX = "0|[1-9][0-9]{0,17}|null"
+# a JSON number with a fraction or an exponent, which ``json.loads``
+# reads as ``float`` of it
+_PROBABILITY = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+# a string as ``_string`` writes it, unless it holds a control character:
+# printable ASCII, the escapes \" and \\, and \uXXXX of any other character
+_REASON = r'"(?:[ !#-\[\]-~]|\\["\\]|\\u(?!00[01])[0-9a-f]{4})*"'
+_INDEX_KEY = '"pair_index":'
+_SCHEDULE_KEY = '"schedule":'
 # JSON's whitespace: ``str.strip()`` would also take "\xa0", "\x0c",
 # "\x1f" or "\u2028", which ``json.loads`` refuses
 _JSON_SPACE = " \t\n\r"
-_BODIES = 1024  # most distinct branch bodies that one read keeps
+_BODIES = 1024  # most distinct branches that one read keeps
 
 
-def _body(line: str, known: str) -> tuple[str, int | None] | None:
-    """``line``'s body, with schedule text ``known`` and the pair index cut out; or None.
+# The layout of a line as :func:`_template` writes it (its f-strings stay,
+# being three times as fast as ``str.format``; tests hold the two
+# together): the text up to the schedule, and after it.  Each ``{field}``
+# stands for that field's spelling, which :func:`_patterns` matches.
+_BEFORE = ('{{"alice_label":{alice_label},"announcements":{{"alice_label":{announced_alice_label},'
+           '"bob_label":{announced_bob_label},"teleport_outcome":{announced_teleport_outcome}}},'
+           '"bob_label":{bob_label},"pair_index":{pair_index},"phi":{phi},'
+           '"probability":{probability},"schedule":')
+_AFTER = (',"scheme":{scheme},"stored_bits":{{"alice":{stored_alice_bit},'
+          '"alice_mid":{alice_mid_measurement},"bob":{stored_bob_bit}}},'
+          '"swap_outcome":{swap_outcome},"teleport_outcome":{teleport_outcome},'
+          '"verdict":{verdict}}}')
+_VERDICT = '{{"accept":{accept},"reason":{reason}}}'
 
-    The body is ``line`` with ``known`` (right after the first
-    ``"schedule":``) replaced by ``"\\u0000"`` and then the first
-    ``"pair_index":``'s value token, a :data:`_INDEX_TOKEN`, replaced by
-    ``"\\u0001"``; it comes with the index that token spells.  None when
-    ``known`` or such a token is not there.
+
+def _regex(layout: str, groups: dict[str, str]) -> str:
+    """``layout`` as a regex: its text as it stands, each ``{field}`` the group ``groups[field]``."""
+    parts = layout.format_map({field: f"\0{field}\0" for field in groups}).split("\0")
+    parts[::2] = map(re.escape, parts[::2])
+    parts[1::2] = (f"(?P<{field}>{groups[field]})" for field in parts[1::2])
+    return "".join(parts)
+
+
+@lru_cache(maxsize=None)
+def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The pair index token, and the writer's text before and after the schedule text.
+
+    Each field's group matches exactly the spellings in its lookup
+    table, so every group a match holds reads by lookup.  Compiled on
+    first use, which keeps them out of the import.
     """
-    at = line.find(_SCHEDULE_KEY) + len(_SCHEDULE_KEY)
-    if at < len(_SCHEDULE_KEY) or not line.startswith(known, at):
-        return None
-    text = f"{line[:at]}{_SCHEDULE_SENTINEL}{line[at + len(known):]}"
-    at = text.find(_INDEX_KEY) + len(_INDEX_KEY)
-    token = _INDEX_TOKEN.match(text, at) if at >= len(_INDEX_KEY) else None
+    groups = {field: "|".join(map(re.escape, table)) for field, table in _LOOKUPS.items()}
+    groups.update(
+        pair_index=_PAIR_INDEX, probability=_PROBABILITY,
+        verdict="null|" + _regex(_VERDICT, {"accept": "|".join(_FLAGS), "reason": _REASON}),
+    )
+    return tuple(map(re.compile, (_PAIR_INDEX, _regex(_BEFORE, groups), _regex(_AFTER, groups))))
+
+
+def _branch_key(line: str, known: str) -> tuple[str, int | None] | None:
+    """``line`` without its pair index token and schedule text ``known``, and that index; or None.
+
+    The index token (:data:`_PAIR_INDEX`) follows the first
+    ``"pair_index":``, and ``known`` the first ``"schedule":`` after
+    it.  None when either is not there.
+    """
+    at = line.find(_INDEX_KEY) + len(_INDEX_KEY)
+    token = _patterns()[0].match(line, at) if at >= len(_INDEX_KEY) else None
     if token is None:
         return None
-    body = f"{text[:at]}{_INDEX_SENTINEL}{text[token.end():]}"
-    return body, None if token[0] == "null" else int(token[0])
-
-
-def _body_doc(body: str) -> dict | None:
-    """``json.loads(body)``, if it holds each sentinel once and in its slot; else None.
-
-    In its slot: the object's ``"schedule"`` is ``_SCHEDULE_HOLE`` and
-    its ``"pair_index"`` is ``_INDEX_HOLE``.
-    """
-    if body.count(_SCHEDULE_SENTINEL) != 1 or body.count(_INDEX_SENTINEL) != 1:
+    end = token.end()
+    schedule = line.find(_SCHEDULE_KEY, end) + len(_SCHEDULE_KEY)
+    if schedule < len(_SCHEDULE_KEY) or not line.startswith(known, schedule):
         return None
+    key = f"{line[:at]}{line[end:schedule]}{line[schedule + len(known):]}"
+    return key, None if token[0] == "null" else int(token[0])
+
+
+def _decoded(
+    line: str, known: str, schedule: Schedule, pair_index: int | None
+) -> Transcript | None:
+    """``line``'s transcript, if it is the writer's spelling of one with schedule text ``known``.
+
+    ``schedule`` is built from ``known``, and ``pair_index`` read from
+    the line's index token by :func:`_branch_key`.  None for any other
+    line, and for a line whose fields fail a check, which the full
+    parse names.
+    """
+    _, before, after = _patterns()
+    head = before.match(line)
+    if head is None or not line.startswith(known, head.end()):
+        return None
+    tail = after.fullmatch(line, head.end() + len(known))
+    if tail is None:
+        return None
+    spelled = {**head.groupdict(), **tail.groupdict()}
+    reason = spelled["reason"]
+    transcript = object.__new__(Transcript)
+    transcript.__dict__.update(
+        {field: table[spelled[field]] for field, table in _LOOKUPS.items()},
+        probability=float(spelled["probability"]),
+        schedule=schedule,
+        pair_index=pair_index,
+        verdict=None if reason is None else Verdict(
+            _FLAGS[spelled["accept"]], json.loads(reason) if "\\" in reason else reason[1:-1]
+        ),
+    )
     try:
-        doc = json.loads(body)
+        transcript.__post_init__()  # ``__init__``'s checks, without its frozen assignments
+        return _agreement(transcript)
     except ValueError:
         return None
-    if (isinstance(doc, dict) and doc.get("schedule") == _SCHEDULE_HOLE
-            and doc.get("pair_index") == _INDEX_HOLE):
-        return doc
-    return None
 
 
 def read_transcripts(stream: IO[str]) -> list[Transcript]:
@@ -512,61 +608,58 @@ def read_transcripts(stream: IO[str]) -> list[Transcript]:
     Each line reads as :func:`parse_transcript` of it, stripped of JSON
     whitespace (blank lines are skipped), and fails with the same
     message.  Every line of a ``run`` file repeats one schedule, and
-    most repeat a branch drawn before, so each is parsed once.  After a
-    line parses in full, the canonical text ``K`` of its schedule is
-    kept.  A later line that holds ``K`` right after ``"schedule":`` is
-    cut to its body (see :func:`_body`): ``K`` becomes the sentinel
-    ``"\\u0000"``, and the value token of the first ``"pair_index":``
-    (``null``, ``0``, or up to 18 digits not led by 0) the sentinel
-    ``"\\u0001"``.  The first line with a given body parses the body;
-    later ones take the transcript built from it, with their own pair
-    index (equal lines share one transcript).  That is sound when the
-    body holds each sentinel once, parses, and gives an object whose
-    ``"schedule"`` is ``"\\0"`` and whose ``"pair_index"`` is ``"\\1"``:
+    most repeat a branch drawn before, so neither is parsed again.
+    After a line parses in full, the canonical text ``K`` of its
+    schedule is kept.  A later line's key is its text without its pair
+    index token and ``K`` (see :func:`_branch_key`).  The first line of
+    a key is decoded by :func:`_decoded`: one anchored pattern before
+    ``K`` and one after it must match the writer's exact spelling, and
+    each field reads by lookup in a table of the writer's own
+    spellings.  Later lines of the key take its transcript with their
+    own pair index (equal lines share one transcript).  That is sound:
 
-    * a string equal to ``"\\0"`` or ``"\\1"`` can only be spelled as
-      its sentinel, since strict JSON refuses raw control characters,
-      so the value tokens of the last ``"schedule"`` and the last
-      ``"pair_index"`` key are sentinels.  Each is the one spliced in:
-      another would have to share a quote with it, which leaves
-      ``\\u0000`` or ``\\u0001`` outside a string, and valid JSON never
-      does that;
-    * ``K`` is one complete, self-delimiting JSON object.  In valid
-      JSON a string value is followed by whitespace, ``,``, ``}`` or
-      ``]``, none of which extends a number or ``null``, so the index
-      token, too, is one complete value where its sentinel was.
-      Putting both back gives ``json.loads(line)``: its schedule is
-      ``json.loads(K)``, which parses to the kept schedule, and its
-      pair index is the token's;
-    * a body fixes its line but for the index token, and every token
-      is a valid pair index, which no other field's check reads.  So a
-      line whose body was read before reads as that body's transcript
-      with the line's index.
+    * a line the patterns accept is the encoder's spelling of exactly
+      the fields the tables give, so ``json.loads(line)`` is that
+      record.  Each group is one JSON value and reads as ``json.loads``
+      reads it: a weight has a fraction or an exponent, so ``float`` of
+      it is ``json.loads`` of it, and a reason with a backslash goes
+      through ``json.loads``.  The schedule is ``json.loads(K)``, which
+      parses to the kept schedule.  The transcript is then checked as
+      :func:`_transcript_from_json` checks it;
+    * a key fixes its line but for the index token.  A line's first
+      ``"pair_index":`` ends where its key's first one does, and so
+      does the first ``"schedule":`` after it, so two lines with one
+      key hold their index tokens and ``K`` at the same places.  In the
+      writer's spelling only labels and keys come before the index, so
+      a decoded line's first ``"pair_index":`` is its own, and only
+      fixed spellings lie between the index and ``K``.  Every token is
+      one complete value, and a valid pair index, which no other check
+      reads.  So a line whose key was decoded before reads as that
+      transcript with the line's index.
 
-    Only bodies whose transcript was built are kept, at most 1024, and
-    none outlives the schedule it was read with.  Any other line is
-    read by :func:`parse_transcript` itself.
+    Only keys whose transcript was decoded are kept, at most 1024, and
+    none outlives the schedule it was read with.  Any other line, and
+    any decoded line whose fields fail a check, is read by
+    :func:`parse_transcript` itself.
     """
     out = []
     known, schedule = "", None  # the schedule of the last line parsed in full, as text and built
-    bodies: dict[str, Transcript] = {}  # the transcript of each body read with that schedule
+    branches: dict[str, Transcript] = {}  # the transcript of each key decoded with that schedule
     for line_number, line in enumerate(stream, start=1):
         line = line.strip(_JSON_SPACE)
         if not line:
             continue
         try:
-            cut = None if schedule is None else _body(line, known)
+            cut = None if schedule is None else _branch_key(line, known)
             if cut is not None:
-                body, pair_index = cut
-                transcript = bodies.get(body)
+                key, pair_index = cut
+                transcript = branches.get(key)
                 if transcript is None:
-                    doc = _body_doc(body)
-                    if doc is not None:
-                        doc["pair_index"] = pair_index
-                        transcript = _transcript_from_json(doc, schedule)
-                        if len(bodies) == _BODIES:
-                            bodies.clear()
-                        bodies[body] = transcript
+                    transcript = _decoded(line, known, schedule, pair_index)
+                    if transcript is not None:
+                        if len(branches) == _BODIES:
+                            branches.clear()
+                        branches[key] = transcript
                 if transcript is not None:
                     if transcript.pair_index != pair_index:
                         transcript = _with_pair_index(transcript, pair_index)
@@ -578,7 +671,7 @@ def read_transcripts(stream: IO[str]) -> list[Transcript]:
         if transcript.schedule is not schedule:
             schedule = transcript.schedule
             known = dumps(schedule_to_json(schedule))
-            bodies.clear()
+            branches.clear()
         out.append(transcript)
     return out
 

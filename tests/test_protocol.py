@@ -658,6 +658,31 @@ class TestTableVerifier:
                          t.probability) for t in got] == [tuple(row) for row in rows]
                 assert all(t.alice_label is alice and t.bob_label is bob for t in got)
 
+    @pytest.mark.parametrize("scheme,policy", [(s, p) for s, policies in _POLICIES.items()
+                                               for p in policies], ids=str)
+    def test_table_transcripts_are_what_the_constructor_builds(self, scheme, policy):
+        # ``_transcript`` skips ``__init__``: the constructor takes each row as it stands
+        params = SchemeParams(scheme, phi_policy=policy)
+        multi = scheme == "multi"
+        for row in protocol._scalar_rows(protocol._params_table(params)):
+            probe, alice, bob, swap, tele, stored, stored_bob, mid, probability = row
+            for announced, verdict in ((BELL_LABELS[alice], None),
+                                       (BELL_LABELS[3 - alice], Verdict.aborted("no"))):
+                t = protocol._transcript(params, row, announced, verdict)
+                expected = Transcript(
+                    scheme=scheme, alice_label=BELL_LABELS[alice], bob_label=BELL_LABELS[bob],
+                    swap_outcome=BELL_LABELS[swap], teleport_outcome=BELL_LABELS[tele],
+                    phi=protocol.BASIS_STATES[probe], stored_alice_bit=stored,
+                    probability=probability, schedule=params.schedule,
+                    stored_bob_bit=stored_bob, alice_mid_measurement=mid,
+                    announced_alice_label=announced,
+                    announced_bob_label=BELL_LABELS[bob] if multi else None,
+                    announced_teleport_outcome=BELL_LABELS[tele] if multi else None,
+                    verdict=verdict,
+                )
+                assert type(t) is Transcript and t == expected and hash(t) == hash(expected)
+                assert list(vars(t).items()) == list(vars(expected).items())
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sampled_transcripts_share_the_label_members(self, scheme):
         config = RunConfig(scheme=scheme, alice_label=BellLabel(1, 0), bob_label=BellLabel(0, 1))

@@ -8,6 +8,7 @@ import json
 import math
 import re
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from relcommit import serialize
 from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main
-from relcommit.protocol import SchemeParams, Transcript, Verdict, run_pairs
+from relcommit.montecarlo import RunConfig, sample_branches
+from relcommit.protocol import SchemeParams, Transcript, Verdict, _with_pair_index, run_pairs
 from relcommit.quantum import BASIS_STATES, BELL_LABELS, BellLabel
 from relcommit.serialize import (
     TranscriptParseError,
@@ -280,6 +282,16 @@ def index_as(token: str):
     return lambda line, k: line.replace('"pair_index":1,', f'"pair_index":{token},')
 
 
+def probability_as(token: str):
+    """An edit of a line to probability text ``token``."""
+    return lambda line, k: re.sub(r'"probability":[^,]*,', f'"probability":{token},', line)
+
+
+def reason_as(text: str):
+    """An edit of a line of reason ``""`` to reason text ``text``, as it stands in JSON."""
+    return lambda line, k: line.replace('"reason":""', f'"reason":"{text}"')
+
+
 def _crafted(scheme: str, edits: dict) -> str:
     """The first line of a ``scheme`` run, with top-level or ``stored_bits`` fields replaced."""
     doc = json.loads(run_file("--scheme", scheme, "--trials", "2").splitlines()[0])
@@ -308,7 +320,12 @@ class TestSchemeAgreement:
          "field 'stored_bits.bob' must be a bit in the multi scheme, got None"),
         ("multi", {"alice_mid": lambda _: None},
          "field 'stored_bits.alice_mid' must be a bit in the multi scheme, got None"),
-    ], ids=["schedule", "multi-as-single", "single-bob", "string-mid", "multi-bob", "multi-mid"])
+        ("single", {"announcements": lambda a: {**a, "bob_label": {"i": 1, "j": 1}}},
+         "field 'announcements.bob_label' must be null in the single scheme, got 11"),
+        ("string", {"announcements": lambda a: {**a, "teleport_outcome": {"i": 1, "j": 0}}},
+         "field 'announcements.teleport_outcome' must be null in the string scheme, got 10"),
+    ], ids=["schedule", "multi-as-single", "single-bob", "string-mid", "multi-bob", "multi-mid",
+            "single-announced-bob", "string-announced-teleport"])
     def test_both_readers_reject(self, scheme, edits, error):
         line = _crafted(scheme, edits)
         with pytest.raises(TranscriptParseError, match=f"^{re.escape(error)}$"):
@@ -397,18 +414,23 @@ class TestScheduleSplice:
         assert read_outcome(read_transcripts, text) == message
 
     def test_each_body_is_parsed_once(self, monkeypatch):
-        # 4,000 lines of 20 pairs draw at most 64 distinct branch bodies
+        # 4,000 lines of 20 pairs draw at most 64 distinct branches: each is
+        # decoded once, and only the first line, which settles the schedule,
+        # is parsed as JSON
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             assert cli_main(["run", "--scheme", "string", "--n-pairs", "20",
                              "--trials", "200"]) == 0
         text = text.getvalue()
-        calls = []
-        loads = json.loads
+        decoded, calls = [], []
+        decode, loads = serialize._decoded, json.loads
+        monkeypatch.setattr(serialize, "_decoded",
+                            lambda line, *rest: decoded.append(line) or decode(line, *rest))
         monkeypatch.setattr(json, "loads", lambda doc: calls.append(doc) or loads(doc))
         transcripts = read_transcripts(io.StringIO(text))
         monkeypatch.undo()
-        assert len(calls) <= 64 + 1
+        assert len(decoded) <= 64 and len(calls) <= 1
+        assert len(decoded) + len(calls) <= 64 + 1
         assert transcripts == read_line_by_line(io.StringIO(text))
         assert len(transcripts) == 4000
 
@@ -421,9 +443,22 @@ class TestScheduleSplice:
         (lambda line, k: '{"pair_index":5,' + line[1:], True),
         (lambda line, k: '{"a\\"pair_index":7,' + line[1:], True),
         (lambda line, k: line.replace('"reason":"', '"reason":"\\"pair_index\\":7 '), False),
+        # other canonical look-alikes: weights, reasons and labels the decoder
+        # must read as the full parse does, or leave to it
+        *((probability_as(token), full) for token, full in (
+            ("1", True), ("0.0", True), ("-0.5", True), ("1e400", True),
+            ("1.0000000001", True), ("1e-05", False))),
+        *((reason_as(text), full) for text, full in (
+            ('a \\"b\\"', False), ("a\\\\b", False), ("\\u0000", True),
+            ("\\u00e9\\u2028\\ud83d\\ude00", False))),
+        (lambda line, k: re.sub(r'"swap_outcome":\{[^}]*\}', '"swap_outcome":null', line), True),
     ], ids=["negative", "leading-zero", "float", "exponent", "true", "string", "spaced",
             "sentinel", "19-digits", "18-digits", "null", "second-key", "first-of-two-keys",
-            "key-inside-earlier-key", "key-inside-reason"])
+            "key-inside-earlier-key", "key-inside-reason",
+            "probability-integer-one", "probability-zero", "probability-negative",
+            "probability-overflow", "probability-above-one", "probability-exponent",
+            "quote-in-reason", "backslash-in-reason", "nul-in-reason", "non-ascii-in-reason",
+            "null-required-label"])
     def test_crafted_pair_index_reads_as_line_by_line(self, edit, full, monkeypatch):
         text, edited = self._edited(edit)
         assert edited != run_file(*STRING_RUN).splitlines()[1]
@@ -473,6 +508,45 @@ class TestScheduleSplice:
             line = line[:at] + piece + line[at + (kind != "insert"):]
         text = "\n".join([*lines[:n], line, *lines[n + 1:]]) + "\n"
         assert read_outcome(read_transcripts, text) == read_outcome(read_line_by_line, text)
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    """A ``run`` of any scheme, probe policy, label pair, announcement shift and mode."""
+    scheme = draw(st.sampled_from(SCHEMES), label="scheme")
+    labels = st.sampled_from(BELL_LABELS)
+    delta = draw(st.none() | st.sampled_from(BELL_LABELS[1:]), label="delta")
+    return RunConfig(
+        scheme=scheme,
+        phi=draw(st.sampled_from(["default", "uniform", "Z0", "Z1"]
+                                 + (["X0", "X1"] if scheme == "string" else [])), label="phi"),
+        validation_mode=draw(st.sampled_from(["R1", "R2"]), label="mode"),
+        alice_label=draw(labels, label="alice"), bob_label=draw(labels, label="bob"),
+        strategy=None if delta is None else Strategy.relabel_announce(delta),
+    )
+
+
+class TestDecoder:
+    """A canonical line is decoded by lookup into what the full parse gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=run_configs(), data=st.data())
+    def test_decoded_line_is_the_full_parse(self, config, data):
+        table, _ = sample_branches(config)
+        t = data.draw(st.sampled_from(table), label="branch")
+        k = data.draw(st.sampled_from([None, 0, 7, 10**18 - 1]) | st.integers(0, 10**18 - 1),
+                      label="pair_index")
+        line = serialize_transcript(_with_pair_index(t, k))
+        # the first line settles the schedule; the second is decoded
+        with mock.patch.object(serialize, "parse_transcript", wraps=parse_transcript) as parse:
+            first, decoded = read_transcripts(io.StringIO(f"{serialize_transcript(table[0])}\n{line}\n"))
+        assert parse.call_count == 1
+        expected = parse_transcript(line)
+        for field in dataclasses.fields(Transcript):
+            assert getattr(decoded, field.name) == getattr(expected, field.name), field.name
+        assert decoded.probability.hex() == expected.probability.hex()
+        assert decoded.verdict.reason == expected.verdict.reason
+        assert decoded.schedule is first.schedule
 
 
 class TestScheduleRoundTrip:

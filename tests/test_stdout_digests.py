@@ -41,3 +41,12 @@ def test_unexpected_exit_code_fails_either_way(capsys, tmp_path, values):
     argv = [sys.executable, "-c", "raise SystemExit(3)"]
     ok, _ = stdout_digests._digest(argv, "label", 0, str(tmp_path), dict(os.environ), values)
     assert not ok
+
+
+def test_against_prints_only_the_lines_that_differ(capsys):
+    before = ["aaa  relcommit audit", "bbb  relcommit run", "ccc  demos/x.py"]
+    assert stdout_digests._compare(before, list(before)) == 0
+    assert capsys.readouterr().out == ""
+    after = ["aaa  relcommit audit", "bbd  relcommit run", "ccc  demos/x.py"]
+    assert stdout_digests._compare(before, after) == 1
+    assert capsys.readouterr().out == "- bbb  relcommit run\n+ bbd  relcommit run\n"

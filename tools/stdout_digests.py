@@ -2,10 +2,15 @@
 
 Run from the repository root, with only the standard library:
 
-    python3 tools/stdout_digests.py [--values]
+    python3 tools/stdout_digests.py [--values] [--against REV]
 
 Each line is ``<sha256>  <command>``.  Run it on two commits and diff
-the outputs to see which commands changed their stdout.  With
+the outputs to see which commands changed their stdout, or pass
+``--against REV``: that extracts REV's ``src/`` and ``demos/`` (``git
+archive REV src demos | tar -x``) into a temporary directory, runs the
+same list on both trees, and prints only the lines that differ, REV's
+prefixed ``-`` and this tree's ``+``.  It exits 1 if any line differs,
+and writes nothing in the repository.  With
 ``--values`` each line is ``<command>:`` followed by every number the
 command printed, in order, so the diff shows which numbers moved.  Commands and
 demos run under ``python -W error`` with ``PYTHONPATH=src`` and
@@ -19,6 +24,7 @@ counts), or writes a traceback to stderr.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import os
 import re
@@ -97,42 +103,70 @@ CLI_INVOCATIONS = [
 _NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][-+]?\d+)?(?!\w|\.\d)|[-+]?\b(?:nan|inf)\b")
 
 
+def _print(line: str) -> None:
+    print(line, flush=True)
+
+
 def _digest(
-    argv: list[str], label: str, expected: int, cwd: str, env: dict, values: bool
+    argv: list[str], label: str, expected: int, cwd: str, env: dict, values: bool, emit=_print
 ) -> tuple[bool, bytes]:
     result = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=600)
     ok = result.returncode == expected and b"Traceback" not in result.stderr
     if values:
         numbers = b" ".join(_NUMBER.findall(result.stdout)).decode()
-        print(f"{label}: {numbers}", flush=True)
+        emit(f"{label}: {numbers}")
     else:
-        print(f"{hashlib.sha256(result.stdout).hexdigest()}  {label}", flush=True)
+        emit(f"{hashlib.sha256(result.stdout).hexdigest()}  {label}")
     if not ok:
         print(f"  exit {result.returncode}, expected {expected}:", file=sys.stderr)
         sys.stderr.write(result.stderr.decode(errors="replace"))
     return ok, result.stdout
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description="Digest the stdout of fixed CLI invocations and demos.")
-    parser.add_argument("--values", action="store_true",
-                        help="print each invocation's numbers instead of a hash of its stdout")
-    values = parser.parse_args().values
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+def _run_all(root: Path, values: bool, emit) -> int:
+    """Run every invocation and demo of the tree at ``root``; the number that failed."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
     python = [sys.executable, "-W", "error"]
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
         for args, expected, save_as in CLI_INVOCATIONS:
             argv = [*python, "-m", "relcommit", *args.split()]
-            ok, stdout = _digest(argv, f"relcommit {args}", expected, cwd, env, values)
+            ok, stdout = _digest(argv, f"relcommit {args}", expected, cwd, env, values, emit)
             failures += not ok
             if save_as:
                 Path(cwd, save_as).write_bytes(stdout)
-        for demo in sorted((ROOT / "demos").glob("*.py")):
-            label = demo.relative_to(ROOT).as_posix()
-            ok, _ = _digest([*python, str(demo)], label, 0, cwd, env, values)
+        for demo in sorted((root / "demos").glob("*.py")):
+            label = demo.relative_to(root).as_posix()
+            ok, _ = _digest([*python, str(demo)], label, 0, cwd, env, values, emit)
             failures += not ok
-    return 1 if failures else 0
+    return failures
+
+
+def _compare(before: list[str], after: list[str]) -> int:
+    """Print the lines that differ, ``before``'s as ``- line`` and ``after``'s as ``+ line``; 1 if any."""
+    changed = [line for line in difflib.ndiff(before, after) if line[:1] in "-+"]
+    for line in changed:
+        _print(line)
+    return 1 if changed else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Digest the stdout of fixed CLI invocations and demos.")
+    parser.add_argument("--values", action="store_true",
+                        help="print each invocation's numbers instead of a hash of its stdout")
+    parser.add_argument("--against", metavar="REV",
+                        help="run REV's src/ and demos/ too, and print only the lines that differ")
+    args = parser.parse_args()
+    if args.against is None:
+        return 1 if _run_all(ROOT, args.values, _print) else 0
+    before, after = [], []
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "archive", args.against, "src", "demos"],
+                                 cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+        failures = _run_all(Path(tree), args.values, before.append)
+    failures += _run_all(ROOT, args.values, after.append)
+    return max(_compare(before, after), 1 if failures else 0)
 
 
 if __name__ == "__main__":
