@@ -11,9 +11,11 @@ Subcommands:
 * ``stats``: sampled outcome counts against exact probabilities as JSON.
 
 Each subcommand takes exactly the flags it reads (see
-:func:`build_parser`); any other flag is a usage error.  A call builds
-only the subparser of the subcommand it names; ``-h``, an unknown
-command or no command builds all six, to list or to choose from.
+:func:`build_parser`); any other flag is a usage error.  A call parses
+with only the subparser of the subcommand it names; ``-h``, an unknown
+command or no command takes all six, to list or to choose from.  Each
+such parser is built once per process; a ``--config`` call builds its
+own, to carry the file's defaults.
 
 ``run`` and ``stats`` take the same flags, differing only in the
 ``--trials`` default (1 and 10000), build the same sampling campaign
@@ -27,8 +29,10 @@ from the file, so any scan or geometry flag given beside ``--input`` on
 the command line is a usage error rather than silently ignored.
 
 Exit codes: 0 success; 1 usage or configuration error, bad geometry
-included, alike on every subcommand; 2 only for causality violations
-from ``audit`` and validation failures under ``--strict``.
+included, alike on every subcommand, and an output closed before it is
+written in full (a reader of stdout that exits early); 2 only for
+causality violations from ``audit`` and validation failures under
+``--strict``.
 
 A JSON config file (``--config``) may predefine any flag of ``run``
 but ``--strict``, ``--output`` and ``--config`` by its argparse
@@ -44,8 +48,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from typing import Sequence
 
 from .adversary import SecurityReport, Strategy, build_report
@@ -59,6 +65,7 @@ from .protocol import SchemeParams, _pair_indices, branches, parse_phi_policy
 from .quantum import BellLabel
 from .serialize import (
     _lines,
+    _write_blocks,
     dumps,
     report_from_json,
     report_to_json,
@@ -150,6 +157,16 @@ def build_parser(commands: Sequence[str] = tuple(_HELP)) -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser(commands: tuple[str, ...]) -> _Parser:
+    """:func:`build_parser` of ``commands``, built once per process.
+
+    Parsing leaves a parser as it was, so calls share it; a parser
+    that takes a config's defaults is built afresh.
+    """
+    return build_parser(commands)
+
+
 def _read_json(what: str, path: str, parse=lambda doc: doc):
     """``parse`` of file ``path``'s JSON; a read or parse error names the file as ``what``.
 
@@ -167,7 +184,7 @@ def _apply_config(parser: _Parser, path: str) -> None:
     if not isinstance(raw, dict):
         raise _UsageError(f"config {path!r} must be a JSON object")
     # ``run`` is the one subcommand with every config key
-    flags = build_parser(("run",)).subcommands.choices["run"]
+    flags = _parser(("run",)).subcommands.choices["run"]
     keys = set(vars(flags.parse_args([]))) - {"strict", "output", "config"}
     defaults = {}
     for key, value in raw.items():
@@ -238,18 +255,23 @@ def _run_config(args) -> RunConfig:
     )
 
 
+def _write_error(name: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write output {name}: {exc.strerror or exc}")
+
+
 @contextlib.contextmanager
 def _output(args):
-    """``--output`` opened for writing, or stdout; a failed write is a usage error."""
-    if not args.output:
-        yield sys.stdout
-        return
+    """``--output`` opened for writing, or stdout, flushed on leaving; a
+    failed write is a usage error, a closed pipe included."""
     try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            yield handle
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                yield handle
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
     except OSError as exc:
-        reason = exc.strerror or exc
-        raise _UsageError(f"cannot write output {args.output!r}: {reason}") from exc
+        raise _write_error(repr(args.output) if args.output else "to stdout", exc) from exc
 
 
 def _emit(args, text: str) -> None:
@@ -280,11 +302,17 @@ def _cmd_enumerate(args) -> int:
         "branches": [],
     }).split("[]")
     lines = _lines(table, ((branch, k) for k in pairs for branch in range(len(table))))
-    with _output(args) as out:
-        out.write(f"{head}[")
+
+    def pieces():
+        yield f"{head}["
         for n, (_, text) in enumerate(lines):
-            out.write(f",{text}" if n else text)
-        out.write(f"]{tail}\n")
+            if n:
+                yield ","
+            yield text
+        yield f"]{tail}\n"
+
+    with _output(args) as out:
+        _write_blocks(out, pieces())
     return 0
 
 
@@ -372,12 +400,14 @@ _COMMANDS = {
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a subcommand's name builds its subparser alone; anything else (``-h``,
+    # a subcommand's name takes its subparser alone; anything else (``-h``,
     # a typo, nothing) needs every subcommand, to list or to choose from
-    parser = build_parser(argv[:1] if argv and argv[0] in _HELP else tuple(_HELP))
+    commands = tuple(argv[:1]) if argv and argv[0] in _HELP else tuple(_HELP)
+    parser = _parser(commands)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:  # parsed as every flag is, abbreviations included
+            parser = build_parser(commands)  # the shared parser keeps its own defaults
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)
         if getattr(args, "input", None) is not None:
@@ -396,7 +426,17 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> int:
-    return cli_main()
+    code = cli_main()
+    try:
+        sys.stdout.flush()  # help text is the one output ``cli_main`` leaves unflushed
+    except BrokenPipeError as exc:
+        if code == 0:
+            print(f"error: {_write_error('to stdout', exc)}", file=sys.stderr)
+            code = 1
+        # the reader has left: what stdout still holds goes to the null
+        # device, so that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -26,8 +26,10 @@ encodes each drawn branch once, by a hand-written encoder of those
 same bytes (:func:`_template`, no ``json.dumps``), the schedule its
 table shares once per table, and splices each draw's pair index into
 the branch's text, byte for byte :func:`serialize_transcript` of the
-draw.  :func:`serialize_transcript` and :func:`parse_transcript` stay
-on ``json``, the reference the line codec is tested against.
+draw; both commands hand their stream the text in blocks of about 128
+KiB (:func:`_write_blocks`).  :func:`serialize_transcript` and
+:func:`parse_transcript` stay on ``json``, the reference the line codec
+is tested against.
 
 Readers check JSON types as well as values: bits are the integers 0
 and 1 (not ``true`` or ``1.0``), flags are booleans, probabilities
@@ -459,19 +461,48 @@ def _lines(table: Sequence[Transcript],
         yield branch, f"{head}{'null' if k is None else k}{rest}"
 
 
+_BLOCK = 2**17  # characters that :func:`_write_blocks` gathers for one write
+
+
+def _write_blocks(stream: IO[str], pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``stream`` in order, joined into blocks.
+
+    A block closes once it holds at least :data:`_BLOCK` characters, so
+    each ``stream.write`` but the last takes one block of about 128 KiB,
+    however the stream buffers: the output is written as it is encoded,
+    in a few hundred kilobytes of memory, with a few system calls.
+    """
+    block: list[str] = []
+    size = 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= _BLOCK:
+            stream.write("".join(block))
+            block.clear()
+            size = 0
+    if block:
+        stream.write("".join(block))
+
+
 def write_draws(
     stream: IO[str], table: Sequence[Transcript], draws: Iterable[tuple[int, int | None]]
 ) -> list[int]:
     """Write one JSONL line per draw ``(branch, pair_index)`` of ``table``, as drawn.
 
     Each line is :func:`serialize_transcript` of the draw, from the line
-    encoder :func:`_lines`.  Returns the number of lines of each branch.
+    encoder :func:`_lines`; the lines go out in blocks of about 128 KiB
+    (:func:`_write_blocks`).  Returns the number of lines of each branch.
     """
     lines = [0] * len(table)
-    write = stream.write
-    for branch, text in _lines(table, draws):
-        write(f"{text}\n")
-        lines[branch] += 1
+
+    def pieces() -> Iterator[str]:
+        for branch, text in _lines(table, draws):
+            lines[branch] += 1
+            yield text
+            yield "\n"
+
+    _write_blocks(stream, pieces())
     return lines
 
 

@@ -234,6 +234,75 @@ class TestLineTemplate:
             assert f"{head}{'null' if k is None else k}{middle}{schedule}{tail}" == expected
 
 
+class WriteLog(io.StringIO):
+    """A text stream that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def reference_lines(table, draws) -> str:
+    """The JSONL of ``draws`` of ``table``, one :func:`serialize_transcript` per line."""
+    return "".join(serialize_transcript(_with_pair_index(table[branch], k)) + "\n"
+                   for branch, k in draws)
+
+
+class TestBlockWriter:
+    """JSON lines reach the stream in blocks of about ``_BLOCK`` characters."""
+
+    def test_run_writes_a_hundred_lines_in_three_blocks(self):
+        table, draws = sample_branches(RunConfig(scheme="string", n_pairs=20, trials=5))
+        draws = list(draws)
+        stream = WriteLog()
+        lines = serialize.write_draws(stream, table, draws)
+        assert len(draws) == 100 and sum(lines) == 100
+        assert stream.getvalue() == reference_lines(table, draws)
+        assert len(stream.writes) <= 3
+        assert all(len(text) >= serialize._BLOCK for text in stream.writes[:-1])
+
+    def test_enumerate_writes_blocks_of_the_threshold(self, monkeypatch):
+        stream = WriteLog()
+        monkeypatch.setattr("sys.stdout", stream)
+        assert cli_main(["enumerate", "--scheme", "string", "--n-pairs", "8",
+                         "--phi", "uniform"]) == 0
+        document = stream.getvalue()
+        branches = json.loads(document)["branches"]
+        assert len(branches) == 512
+        # a block closes on the piece that reaches the threshold: at most one branch
+        longest = max(len(dumps(branch)) for branch in branches)
+        assert all(serialize._BLOCK <= len(text) < serialize._BLOCK + longest
+                   for text in stream.writes[:-1])
+        assert 1 < len(stream.writes) <= math.ceil(len(document) / serialize._BLOCK)
+
+    @pytest.mark.parametrize("sizes,blocks", [
+        ([2**16, 2**16, 1], [2**17, 1]),  # the threshold met exactly, then a new block
+        ([2**16, 2**16], [2**17]),
+        ([2**17 - 1, 1, 2**17 + 5, 3], [2**17, 2**17 + 5, 3]),
+        ([5, 7], [12]),
+        ([], []),
+    ])
+    def test_a_block_closes_at_the_threshold(self, sizes, blocks):
+        pieces = [chr(ord("a") + n % 26) * size for n, size in enumerate(sizes)]
+        stream = WriteLog()
+        serialize._write_blocks(stream, iter(pieces))
+        assert [len(text) for text in stream.writes] == blocks
+        assert stream.getvalue() == "".join(pieces)
+
+    def test_draw_lines_fill_a_block_exactly(self, monkeypatch):
+        table, _ = sample_branches(RunConfig(scheme="single"))
+        draws = [(0, None)] * 7
+        line = reference_lines(table, draws[:1])
+        monkeypatch.setattr(serialize, "_BLOCK", 3 * len(line))
+        stream = WriteLog()
+        assert serialize.write_draws(stream, table, draws)[0] == 7
+        assert stream.writes == [3 * line, 3 * line, line]
+
+
 @lru_cache(maxsize=None)
 def run_file(*flags: str) -> str:
     """The JSONL that ``relcommit run`` prints for ``flags``."""
