@@ -87,6 +87,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _UsageError(message)
 
+    def print_help(self, file=None):  # argparse's own writer swallows a failed write
+        try:
+            (file or sys.stdout).write(self.format_help())
+        except OSError as exc:
+            raise _write_error("to stdout", exc) from exc
+
 
 def parse_label(text: str) -> BellLabel:
     text = text.strip()

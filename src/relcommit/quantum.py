@@ -33,20 +33,20 @@ Conventions
 * Probabilities are compared at ``PROB_ATOL``; measurement branches at
   or below that weight are dropped as numerically empty.
 * One kernel measures a stack of states, amplitudes of shape
-  ``(B, 2**n)``, with one contraction against the stacked outcome kets,
-  checks every row and returns each kept branch's weight and outcome
-  code; collapsed states are built apart, only where they are read,
-  each as one broadcast product of its outcome ket and its scaled
-  residual written straight in qubit order.
-  :func:`bell_measure` and :func:`basis_measure` wrap one state's rows
-  as :class:`Branch` objects, while protocol enumeration keeps them as
-  a stack.  A Pauli is a signed permutation of the amplitudes read off
-  its literal matrix, one gather on a state or a stack; all four on
-  one qubit form one table, which turns each row of a stack by its own
-  Pauli, and a collapse can apply such per-row frames to whichever of
-  its two factors holds the qubit.  :func:`clear_caches` drops the
-  memoized index tables.  Label and frame algebra return members of
-  ``BELL_LABELS``/``PAULI_OPS``.
+  ``(B, 2**n)``, with one contraction against the stacked outcome kets
+  (none in Z, whose kets are the identity), checks every row and
+  returns each kept branch's weight and outcome code; collapsed states
+  are built apart, only where they are read, each as one broadcast
+  product of its outcome ket and its scaled residual written straight
+  in qubit order.  :func:`bell_measure` and :func:`basis_measure` wrap
+  one state's rows as :class:`Branch` objects, while protocol
+  enumeration keeps them as a stack.  A Pauli is a signed permutation
+  of the amplitudes computed from its exponents, one gather on a state
+  or a stack; all four on one qubit form one table, which turns each
+  row of a stack by its own Pauli, and a collapse can apply such
+  per-row frames to whichever of its two factors holds the qubit.
+  :func:`clear_caches` drops the memoized index tables.  Label and
+  frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
 """
 
 from __future__ import annotations
@@ -314,23 +314,14 @@ def tensor(parts: Sequence[StateVector]) -> StateVector:
 
 
 @lru_cache(maxsize=None)
-def _pauli_permutation(n: int, qubit: int, z: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source index and sign of each output amplitude of ``Z^z X^x`` on
-    ``qubit``, from the one nonzero entry in each row of its matrix."""
-    matrix = _PAULI_MATRICES[(z, x)]
+def _pauli_frames(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and signs of ``Z^z X^x`` on ``qubit``, a row per code ``2z + x``:
+    output ``i`` reads ``i ^ (x << shift)``, negated where ``z`` and its qubit bit are 1."""
+    codes = np.arange(len(PAULI_OPS))[:, None]
     index = np.arange(1 << n)
     shift = n - 1 - qubit
-    row = (index >> shift) & 1
-    col = np.argmax(matrix != 0, axis=1)[row]
-    return index ^ ((row ^ col) << shift), matrix[row, col]
-
-
-@lru_cache(maxsize=None)
-def _pauli_frames(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pauli_permutation` of every member of ``PAULI_OPS`` on
-    ``qubit``: sources and signs, a row per Pauli's code."""
-    sources, signs = zip(*(_pauli_permutation(n, qubit, op.z, op.x) for op in PAULI_OPS))
-    return np.stack(sources), np.stack(signs)
+    signs = 1 - 2 * ((codes >> 1) & (index >> shift))
+    return index ^ ((codes & 1) << shift), signs.astype(np.complex128)
 
 
 def _framed(stack: np.ndarray, qubit: int, codes: np.ndarray) -> np.ndarray:
@@ -343,8 +334,9 @@ def _framed(stack: np.ndarray, qubit: int, codes: np.ndarray) -> np.ndarray:
 
 def _pauli_stack(amplitudes: np.ndarray, qubit: int, op: PauliOp) -> np.ndarray:
     """``op`` on one qubit of every state in the last axis of ``amplitudes``."""
-    source, sign = _pauli_permutation(amplitudes.shape[-1].bit_length() - 1, qubit, op.z, op.x)
-    return amplitudes[..., source] * sign
+    sources, signs = _pauli_frames(amplitudes.shape[-1].bit_length() - 1, qubit)
+    code = 2 * op.z + op.x
+    return amplitudes[..., sources[code]] * signs[code]
 
 
 def apply_pauli(state: StateVector, qubit: int, op: PauliOp) -> StateVector:
@@ -398,11 +390,12 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     """Exhaustive projective measurement of every row of a ``(B, 2**n)`` stack.
 
     ``basis`` is ``"bell"`` (the pair basis on two qubits) or ``"Z"`` or
-    ``"X"`` (on one).  One contraction gives every row's residual per
-    outcome; branches at or below ``PROB_ATOL`` are dropped.  Each kept
-    weight must lie in ``(PROB_ATOL, 1 + PROB_ATOL]`` and each row's
-    kept weights must sum to 1, both within ``PROB_ATOL``; otherwise
-    ``ValueError``.  :func:`_collapsed` builds the collapsed states.
+    ``"X"`` (on one).  One contraction (none in Z) gives every row's
+    residual per outcome; branches at or below ``PROB_ATOL`` are
+    dropped.  Each kept weight must lie in ``(PROB_ATOL, 1 + PROB_ATOL]``
+    and each row's kept weights must sum to 1, both within
+    ``PROB_ATOL``; otherwise ``ValueError``.  :func:`_collapsed` builds
+    the collapsed states.
     """
     kets = _MEASUREMENTS[basis][0]
     count, dim = stack.shape
@@ -413,8 +406,9 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     view = stack.reshape((count,) + (2,) * n).transpose(perm).reshape(count, kets.shape[1], -1)
     # A batched matmul, one product per row: a row's residuals are then
     # the same floats whether it is measured alone or in any stack.  One
-    # flattened product over the whole batch may round differently.
-    residuals = kets.conj() @ view
+    # flattened product over the whole batch may round differently.  Z's
+    # kets are the identity: a Z view is its own residual, up to zero signs.
+    residuals = view if basis == "Z" else kets.conj() @ view
     probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
     kept = probs > PROB_ATOL
     parents, picked = np.nonzero(kept)
@@ -573,6 +567,6 @@ def fidelity(state_a: StateVector, state_b: StateVector) -> float:
 
 
 def clear_caches() -> None:
-    """Drop the memoized Pauli permutations and measurement axis layouts."""
-    for cached in (_pauli_permutation, _pauli_frames, _measured_first):
+    """Drop the memoized Pauli frame tables and measurement axis layouts."""
+    for cached in (_pauli_frames, _measured_first):
         cached.cache_clear()

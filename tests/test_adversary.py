@@ -268,11 +268,12 @@ class TestVerifierWork:
     def test_cold_string_report_frames_no_whole_register(self, monkeypatch):
         # Alice's frame turns the 8-amplitude residual of the teleportation
         # step, so no 32-amplitude (5-qubit) register is gathered, and each
-        # Pauli's index table is built at most once
+        # qubit's frame table is built at most once
         built = []
-        permutation = quantum._pauli_permutation.__wrapped__
-        monkeypatch.setattr(quantum, "_pauli_permutation", lru_cache(maxsize=None)(
-            lambda *key: built.append(key) or permutation(*key)))
+        frames = quantum._pauli_frames.__wrapped__
+        counted = lru_cache(maxsize=None)(lambda *key: built.append(key) or frames(*key))
+        for module in (quantum, protocol):
+            monkeypatch.setattr(module, "_pauli_frames", counted)
         framed = _counted(monkeypatch, quantum, "_framed")
         adversary.clear_caches()
         build_report(SchemeParams("string", n_pairs=4))

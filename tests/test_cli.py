@@ -933,6 +933,25 @@ class TestClosedOutput:
         assert (result.returncode, result.stderr) == (
             1, b"error: cannot write output to stdout: Broken pipe\n")
 
+    # buffered ``--help`` is the test above
+    @pytest.mark.parametrize("argv,buffered", [
+        (["--help"], False), (["run", "-h"], True), (["run", "-h"], False),
+    ], ids=["help-unbuffered", "run-h-buffered", "run-h-unbuffered"])
+    def test_help_into_a_closed_pipe_either_buffering(self, argv, buffered):
+        # unbuffered, the help text's own write fails, inside argparse
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-W", "error", "-m", "relcommit", *argv],
+                                    stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (
+            1, b"error: cannot write output to stdout: Broken pipe\n")
+
 
 def test_module_entry_point_subprocess():
     result = subprocess.run(

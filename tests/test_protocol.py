@@ -14,6 +14,10 @@ import dataclasses
 import functools
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -782,6 +786,19 @@ class TestGoldenTables:
         clear_caches()
         assert branch_tables_digest() == _GOLDEN_DIGEST
 
+    def test_tables_do_not_depend_on_the_blas_kernel(self):
+        # OpenBLAS reads its kernel at load, so a fresh process takes the
+        # generic SSE3 one; other BLAS builds ignore the variable
+        tests = pathlib.Path(__file__).resolve().parent
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from test_protocol import branch_tables_digest; print(branch_tables_digest())")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                                             os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout.strip()) == (0, _GOLDEN_DIGEST), result.stderr
+
 
 def _module_caches():
     return {
@@ -797,7 +814,7 @@ class TestCaches:
         caches = _module_caches()
         assert {("relcommit.protocol", "_table"),
                 ("relcommit.protocol", "_verifier_tables"),
-                ("relcommit.quantum", "_pauli_permutation"),
+                ("relcommit.quantum", "_pauli_frames"),
                 ("relcommit.quantum", "_measured_first")} <= set(caches)
         for scheme, n_pairs in (("multi", 1), ("string", 2)):
             adversary.build_report(SchemeParams(scheme, n_pairs=n_pairs))

@@ -236,6 +236,30 @@ class TestApplyPauli:
             assert states_equal_up_to_phase(twice, state, tol=1e-12)
 
 
+def _literal_pauli(n: int, qubit: int, op: PauliOp) -> tuple[np.ndarray, np.ndarray]:
+    """Source index and sign of each output amplitude of ``op`` on ``qubit``,
+    read off the one nonzero entry in each row of its literal matrix."""
+    matrix = op.matrix
+    index = np.arange(1 << n)
+    shift = n - 1 - qubit
+    row = (index >> shift) & 1
+    col = np.argmax(matrix != 0, axis=1)[row]
+    return index ^ ((row ^ col) << shift), matrix[row, col]
+
+
+class TestPauliFrames:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_equal_the_literal_matrices(self, n):
+        for qubit in range(n):
+            sources, signs = quantum._pauli_frames.__wrapped__(n, qubit)
+            assert sources.shape == signs.shape == (len(PAULI_OPS), 1 << n)
+            for code, op in enumerate(PAULI_OPS):
+                source, sign = _literal_pauli(n, qubit, op)
+                assert (sources[code].dtype, signs[code].dtype) == (source.dtype, sign.dtype)
+                assert sources[code].tobytes() == source.tobytes()
+                assert signs[code].tobytes() == sign.tobytes()
+
+
 class TestComposePauli:
     @pytest.mark.parametrize("first", PAULI_OPS, ids=lambda op: op.name)
     @pytest.mark.parametrize("second", PAULI_OPS, ids=lambda op: op.name)
@@ -486,9 +510,9 @@ _PART = st.floats(min_value=-1, max_value=1, allow_nan=False)
 
 
 @st.composite
-def measured_stacks(draw):
-    """A stack of normalized states and a measurement valid on them."""
-    n = draw(st.integers(min_value=1, max_value=4))
+def state_stacks(draw, max_qubits):
+    """A stack of 1-5 normalized states of 1 to ``max_qubits`` qubits."""
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
         amps = draw(
@@ -497,9 +521,17 @@ def measured_stacks(draw):
         )
         raw = np.array([complex(re, im) for re, im in amps])
         rows.append(raw / np.linalg.norm(raw))
+    return np.array(rows)
+
+
+@st.composite
+def measured_stacks(draw):
+    """A stack of normalized states and a measurement valid on them."""
+    stack = draw(state_stacks(4))
+    n = stack.shape[1].bit_length() - 1
     basis = draw(st.sampled_from(("bell", "Z", "X") if n > 1 else ("Z", "X")))
     qubits = tuple(draw(st.permutations(range(n)))[:2 if basis == "bell" else 1])
-    return np.array(rows), qubits, basis
+    return stack, qubits, basis
 
 
 def _normalized_rows(*rows: Sequence[complex]) -> np.ndarray:
@@ -528,6 +560,26 @@ class TestMeasureStack:
         posts = quantum._collapsed(rows, qubits, basis)
         assert list(zip(rows.parents, [named[code] for code in rows.codes], rows.probabilities,
                         [post.tobytes() for post in posts])) == expected
+
+    @given(state_stacks(5))
+    @settings(max_examples=100, deadline=None)
+    def test_z_measurement_equals_contracting_the_z_kets(self, stack):
+        # Z takes the reordered stack as its residual: the same weights,
+        # bit for bit, and the same residuals up to the signs of zeros
+        count, dim = stack.shape
+        n = dim.bit_length() - 1
+        kets = quantum._MEASUREMENTS["Z"][0]
+        for qubit in range(n):
+            view = np.moveaxis(stack.reshape((count,) + (2,) * n), 1 + qubit, 1).reshape(count, 2, -1)
+            residuals = kets.conj() @ view
+            probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
+            kept = probs > quantum.PROB_ATOL
+            parents, codes = np.nonzero(kept)
+            measured = _measure_stack(stack, (qubit,), "Z")
+            assert measured.parents.tobytes() == parents.tobytes()
+            assert measured.codes.tobytes() == codes.tobytes()
+            assert measured.probabilities.tobytes() == probs[kept].tobytes()
+            assert np.array_equal(measured.residuals, residuals)
 
     def test_unnormalized_row_rejected(self):
         # 2|0> measured in Z: one branch of weight 4
@@ -585,8 +637,9 @@ class TestMeasureStack:
         assert after[0].codes.tolist() == after[1].codes.tolist()
 
     def test_unnormalized_collapsed_state_rejected(self, monkeypatch):
-        # outcome kets of squared length 3/2 and 1/2: on |+> the weights
-        # 3/4 and 1/4 still sum to 1, the collapsed states do not have unit norm
+        # outcome kets of squared length 3/2 and 1/2: Z weights are read off
+        # the stack itself (1/2 each on |+>), but the collapsed states,
+        # built from these kets, do not have unit norm
         kets, outcomes = quantum._MEASUREMENTS["Z"]
         skewed = kets * np.sqrt([[1.5], [0.5]])
         monkeypatch.setitem(quantum._MEASUREMENTS, "Z", (skewed, outcomes))

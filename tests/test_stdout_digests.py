@@ -50,3 +50,18 @@ def test_against_prints_only_the_lines_that_differ(capsys):
     after = ["aaa  relcommit audit", "bbd  relcommit run", "ccc  demos/x.py"]
     assert stdout_digests._compare(before, after) == 1
     assert capsys.readouterr().out == "- bbb  relcommit run\n+ bbd  relcommit run\n"
+
+
+def test_kernels_compares_the_default_and_the_prescott_kernel(capsys, monkeypatch):
+    runs = []
+
+    def run_all(root, values, emit, coretype=None):
+        runs.append((root, coretype))
+        emit(f"{'bbd' if coretype else 'bbb'}  relcommit run")
+        return 0
+
+    monkeypatch.setattr(stdout_digests, "_run_all", run_all)
+    monkeypatch.setattr(sys, "argv", ["stdout_digests.py", "--kernels"])
+    assert stdout_digests.main() == 1
+    assert runs == [(stdout_digests.ROOT, None), (stdout_digests.ROOT, "Prescott")]
+    assert capsys.readouterr().out == "- bbb  relcommit run\n+ bbd  relcommit run\n"

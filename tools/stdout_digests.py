@@ -2,7 +2,7 @@
 
 Run from the repository root, with only the standard library:
 
-    python3 tools/stdout_digests.py [--values] [--against REV]
+    python3 tools/stdout_digests.py [--values] [--against REV | --kernels]
 
 Each line is ``<sha256>  <command>``.  Run it on two commits and diff
 the outputs to see which commands changed their stdout, or pass
@@ -10,11 +10,16 @@ the outputs to see which commands changed their stdout, or pass
 archive REV src demos | tar -x``) into a temporary directory, runs the
 same list on both trees, and prints only the lines that differ, REV's
 prefixed ``-`` and this tree's ``+``.  It exits 1 if any line differs,
-and writes nothing in the repository.  With
+and writes nothing in the repository.  ``--kernels`` runs the list
+twice on this tree instead, under OpenBLAS's default kernel and under
+``OPENBLAS_CORETYPE=Prescott``, a generic SSE3 one, set for the child
+processes only; it prints and exits the same way, so the stdout it
+checks is shown not to depend on the BLAS kernel.  With
 ``--values`` each line is ``<command>:`` followed by every number the
 command printed, in order, so the diff shows which numbers moved.  Commands and
 demos run under ``python -W error`` with ``PYTHONPATH=src`` and
-``COLUMNS=80`` (so help text wraps alike in any terminal) in a fresh
+``COLUMNS=80`` (so help text wraps alike in any terminal), with no
+``OPENBLAS_CORETYPE`` but the one ``--kernels`` sets, in a fresh
 temporary directory, in list order, so ``report --input`` reads the
 scan an earlier line saved.  Exits 1 if a command exits with a code
 other than the one expected for it (a warning is an error, so it
@@ -126,9 +131,13 @@ def _digest(
     return ok, result.stdout
 
 
-def _run_all(root: Path, values: bool, emit) -> int:
-    """Run every invocation and demo of the tree at ``root``; the number that failed."""
+def _run_all(root: Path, values: bool, emit, coretype: str | None = None) -> int:
+    """Run every invocation and demo of the tree at ``root``, under the
+    OpenBLAS kernel ``coretype`` names or the default; the number that failed."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     python = [sys.executable, "-W", "error"]
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
@@ -157,18 +166,26 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="Digest the stdout of fixed CLI invocations and demos.")
     parser.add_argument("--values", action="store_true",
                         help="print each invocation's numbers instead of a hash of its stdout")
-    parser.add_argument("--against", metavar="REV",
-                        help="run REV's src/ and demos/ too, and print only the lines that differ")
+    pair = parser.add_mutually_exclusive_group()
+    pair.add_argument("--against", metavar="REV",
+                      help="run REV's src/ and demos/ too, and print only the lines that differ")
+    pair.add_argument("--kernels", action="store_true",
+                      help="run under the default and the Prescott OpenBLAS kernel, "
+                           "and print only the lines that differ")
     args = parser.parse_args()
-    if args.against is None:
-        return 1 if _run_all(ROOT, args.values, _print) else 0
     before, after = [], []
-    with tempfile.TemporaryDirectory() as tree:
-        archive = subprocess.run(["git", "archive", args.against, "src", "demos"],
-                                 cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
-        failures = _run_all(Path(tree), args.values, before.append)
-    failures += _run_all(ROOT, args.values, after.append)
+    if args.kernels:
+        failures = _run_all(ROOT, args.values, before.append)
+        failures += _run_all(ROOT, args.values, after.append, coretype="Prescott")
+    elif args.against is not None:
+        with tempfile.TemporaryDirectory() as tree:
+            archive = subprocess.run(["git", "archive", args.against, "src", "demos"],
+                                     cwd=ROOT, capture_output=True, check=True)
+            subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
+            failures = _run_all(Path(tree), args.values, before.append)
+        failures += _run_all(ROOT, args.values, after.append)
+    else:
+        return 1 if _run_all(ROOT, args.values, _print) else 0
     return max(_compare(before, after), 1 if failures else 0)
 
 
