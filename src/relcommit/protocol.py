@@ -61,6 +61,7 @@ samples; seeded draws from these tables live in
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -166,8 +167,9 @@ class SchemeParams:
         schedule = standard_schedule(self.x, self.c, self.T, self.scheme)
         object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "T", schedule.phase_times.reveal)
-        if self.n_pairs < 1:
-            raise ValueError(f"n_pairs must be at least 1, got {self.n_pairs}")
+        if not 1 <= self.n_pairs <= sys.maxsize:
+            bound = "at least 1" if self.n_pairs < 1 else f"at most {sys.maxsize}"
+            raise ValueError(f"n_pairs must be {bound}, got {self.n_pairs}")
         if self.scheme != "string" and self.n_pairs != 1:
             raise ValueError(f"scheme {self.scheme!r} uses exactly one pair")
         if self.validation_mode not in VALIDATION_MODES:
@@ -288,10 +290,10 @@ def _registers(probe: np.ndarray) -> np.ndarray:
     """The register of every (committed, receiver) label pair with one probe: row ``4a + b``.
 
     ``probe`` holds the probe state's amplitudes, and ``a`` and ``b``
-    are the labels' codes.  The kets are multiplied as
+    are the labels' codes.  The real kets are multiplied as
     :func:`~relcommit.quantum.tensor` does (``np.kron``'s broadcast
-    products, left factor first), so each row equals that tensor
-    product bit for bit.
+    products, left factor first), so each float64 row is that tensor
+    product's real part bit for bit; its imaginary part is zero.
     """
     pairs = _BELL_KETS[:, None, :, None] * _BELL_KETS[None, :, None, :]
     return (pairs.reshape(16, 16)[:, :, None] * probe).reshape(16, 32)

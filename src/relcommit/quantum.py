@@ -32,19 +32,19 @@ Conventions
   are up to phase.
 * Probabilities are compared at ``PROB_ATOL``; measurement branches at
   or below that weight are dropped as numerically empty.
+* Every ket, Pauli frame and register built here is real float64.  A
+  stack's dtype follows its input by numpy's promotion: protocol stacks
+  stay real, and a complex128 :class:`StateVector` is measured complex.
 * One kernel measures a stack of states, amplitudes of shape
   ``(B, 2**n)``, with one contraction against the stacked outcome kets
   (none in Z, whose kets are the identity), checks every row and
   returns each kept branch's weight and outcome code; collapsed states
-  are built apart, only where they are read, each as one broadcast
-  product of its outcome ket and its scaled residual written straight
-  in qubit order.  :func:`bell_measure` and :func:`basis_measure` wrap
-  one state's rows as :class:`Branch` objects, while protocol
-  enumeration keeps them as a stack.  A Pauli is a signed permutation
-  of the amplitudes computed from its exponents, one gather on a state
-  or a stack; all four on one qubit form one table, which turns each
-  row of a stack by its own Pauli, and a collapse can apply such
-  per-row frames to whichever of its two factors holds the qubit.
+  are built only where read, each one broadcast product of its outcome
+  ket and scaled residual, in qubit order.  :func:`bell_measure` and
+  :func:`basis_measure` wrap one state's rows as :class:`Branch`
+  objects.  A Pauli is a signed permutation of the amplitudes, one
+  gather; all four on a qubit form one table, which turns each row of
+  a stack, or either factor of a collapse, by its own Pauli.
   :func:`clear_caches` drops the memoized index tables.  Label and
   frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
 """
@@ -286,10 +286,10 @@ _BELL_KETS = np.array([
     [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
     [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
     [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
-], dtype=np.complex128)
+])
 _BASIS_KETS = {
-    "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.complex128),
-    "X": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128),
+    "Z": np.array([[1.0, 0.0], [0.0, 1.0]]),
+    "X": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]]),
 }
 
 
@@ -321,7 +321,7 @@ def _pauli_frames(n: int, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.arange(1 << n)
     shift = n - 1 - qubit
     signs = 1 - 2 * ((codes >> 1) & (index >> shift))
-    return index ^ ((codes & 1) << shift), signs.astype(np.complex128)
+    return index ^ ((codes & 1) << shift), signs.astype(np.float64)
 
 
 def _framed(stack: np.ndarray, qubit: int, codes: np.ndarray) -> np.ndarray:
@@ -404,11 +404,11 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     n = dim.bit_length() - 1
     perm = _measured_first(n, qubits).perm
     view = stack.reshape((count,) + (2,) * n).transpose(perm).reshape(count, kets.shape[1], -1)
-    # A batched matmul, one product per row: a row's residuals are then
-    # the same floats whether it is measured alone or in any stack.  One
-    # flattened product over the whole batch may round differently.  Z's
-    # kets are the identity: a Z view is its own residual, up to zero signs.
-    residuals = view if basis == "Z" else kets.conj() @ view
+    # A batched matmul, one product per row, gives a row the same residuals
+    # alone or in any stack; one flattened product may round apart.  Real
+    # kets are their own conjugates, so a real stack stays real.  Z's kets
+    # are the identity: a Z view is its own residual, up to zero signs.
+    residuals = view if basis == "Z" else kets @ view
     probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
     kept = probs > PROB_ATOL
     parents, picked = np.nonzero(kept)
@@ -458,11 +458,9 @@ def _collapsed(
             ket = _framed(ket, below, codes)
         else:
             scaled = _framed(scaled, qubit - below, codes)
-    posts = np.multiply(
-        ket.reshape(count, *layout.ket_shape), scaled.reshape(count, *layout.rest_shape),
-        out=np.empty((count,) + (2,) * n, dtype=np.complex128),
-    ).reshape(count, -1)
-    parts = posts.view(np.float64)  # real and imaginary parts side by side
+    posts = (ket.reshape(count, *layout.ket_shape)
+             * scaled.reshape(count, *layout.rest_shape)).reshape(count, -1)
+    parts = posts.view(np.float64)  # a complex row: real and imaginary parts side by side
     norms = np.einsum("bi,bi->b", parts, parts)
     if (abs(norms - 1.0) > PROB_ATOL).any():
         raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")

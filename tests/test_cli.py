@@ -567,6 +567,8 @@ class TestFlagSets:
         ("multi", "3", "scheme 'multi' uses exactly one pair"),
         ("string", "0", "n_pairs must be at least 1, got 0"),
         ("single", "0", "n_pairs must be at least 1, got 0"),
+        ("string", "99999999999999999999",
+         f"n_pairs must be at most {sys.maxsize}, got 99999999999999999999"),
     ])
     @pytest.mark.parametrize("command", ["run", "stats", "enumerate", "attack-scan", "report"])
     def test_n_pairs_is_checked_not_dropped(self, capsys, command, scheme, n_pairs, message):

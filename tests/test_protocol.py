@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import os
 import pathlib
@@ -798,6 +799,88 @@ class TestGoldenTables:
         result = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert (result.returncode, result.stdout.strip()) == (0, _GOLDEN_DIGEST), result.stderr
+
+    def test_tables_do_not_depend_on_numpy_simd_dispatch(self):
+        # numpy reads its dispatch at import, so a fresh process with every
+        # target above its build's baseline disabled runs the baseline loops;
+        # float64 einsum's rounding may depend on those
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__
+        except ImportError:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_dispatch__
+        tests = pathlib.Path(__file__).resolve().parent
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from test_protocol import branch_tables_digest; print(branch_tables_digest())")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(tests.parent / "src"),
+                                                             os.environ.get("PYTHONPATH")])))
+        env.pop("NPY_ENABLE_CPU_FEATURES", None)
+        result = subprocess.run([sys.executable, "-c", code, str(tests)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stdout.strip()) == (0, _GOLDEN_DIGEST), result.stderr
+
+
+# Every ordered tuple of distinct probe states: 4 + 12 + 24 + 24 = 64
+_PROBE_TUPLES = [probes for size in range(1, 5)
+                 for probes in itertools.permutations(quantum.BASIS_STATES, size)]
+
+
+def _real_route_tables():
+    """Every parameter-free table, as bytes: each :func:`protocol._table`
+    over both ``multi`` values and all 64 probe tuples, the verifier's and
+    the extraction views."""
+    clear_caches()
+    try:
+        tables = [protocol._table(multi, probes)
+                  for multi in (False, True) for probes in _PROBE_TUPLES]
+        tables.append(_verifier_tables())
+        views = [sorted((key, value.hex()) for key, value in
+                        adversary._extraction_views_enumerated(measurement).items())
+                 for measurement in ("Z", "X", "pair")]
+    finally:
+        clear_caches()  # no table of a patched route outlives it
+    encoded = [b"".join(column.tobytes() for column in table if column is not None)
+               for table in tables]
+    return encoded, views
+
+
+class TestRealTables:
+    """The protocol's kets, frames and registers are real, so its stacks are
+    float64.  Real and complex sums may round differently on arbitrary
+    input; on the protocol's own tables they must not."""
+
+    def test_every_table_equals_the_complex_route_bit_for_bit(self, monkeypatch):
+        dtypes = set()
+
+        def spy(measure):
+            def measure_stack(stack, qubits, basis):
+                dtypes.add(stack.dtype)
+                return measure(stack, qubits, basis)
+            return measure_stack
+
+        for module in (protocol, adversary):
+            monkeypatch.setattr(module, "_measure_stack", spy(module._measure_stack))
+        real = _real_route_tables()
+        assert dtypes == {np.dtype(np.float64)}  # no silent fall-back to complex
+        registers = protocol._registers
+        monkeypatch.setattr(protocol, "_registers",
+                            lambda probe: registers(probe).astype(np.complex128))
+        monkeypatch.setattr(protocol, "_PROBE_KETS", protocol._PROBE_KETS.astype(np.complex128))
+        monkeypatch.setattr(adversary, "_BELL_KETS", adversary._BELL_KETS.astype(np.complex128))
+        dtypes.clear()
+        complex_route = _real_route_tables()
+        assert dtypes == {np.dtype(np.complex128)}
+        assert complex_route == real
+
+    @pytest.mark.parametrize("probe", quantum.BASIS_STATES, ids=str)
+    def test_registers_are_the_real_parts_of_tensor_products(self, probe):
+        registers = protocol._registers(protocol._PROBE_KETS[quantum.BASIS_STATES.index(probe)])
+        assert registers.dtype == np.float64
+        for a, alice in enumerate(BELL_LABELS):
+            for b, bob in enumerate(BELL_LABELS):
+                state = quantum.tensor([make_bell(alice), make_bell(bob), make_basis_state(probe)])
+                assert (state.amplitudes.imag == 0).all()
+                assert registers[4 * a + b].tobytes() == state.amplitudes.real.tobytes()
 
 
 def _module_caches():

@@ -52,16 +52,27 @@ def test_against_prints_only_the_lines_that_differ(capsys):
     assert capsys.readouterr().out == "- bbb  relcommit run\n+ bbd  relcommit run\n"
 
 
-def test_kernels_compares_the_default_and_the_prescott_kernel(capsys, monkeypatch):
+def test_kernels_compares_each_kernel_setting_with_the_default(capsys, monkeypatch):
     runs = []
 
-    def run_all(root, values, emit, coretype=None):
-        runs.append((root, coretype))
-        emit(f"{'bbd' if coretype else 'bbb'}  relcommit run")
+    def run_all(root, values, emit, setting=None):
+        runs.append((root, setting))
+        emit(f"{'bbd' if setting and 'OPENBLAS_CORETYPE' in setting else 'bbb'}  relcommit run")
         return 0
 
     monkeypatch.setattr(stdout_digests, "_run_all", run_all)
     monkeypatch.setattr(sys, "argv", ["stdout_digests.py", "--kernels"])
     assert stdout_digests.main() == 1
-    assert runs == [(stdout_digests.ROOT, None), (stdout_digests.ROOT, "Prescott")]
+    assert runs == [(stdout_digests.ROOT, None),
+                    (stdout_digests.ROOT, {"OPENBLAS_CORETYPE": "Prescott"}),
+                    (stdout_digests.ROOT, stdout_digests._baseline_dispatch(stdout_digests.ROOT))]
     assert capsys.readouterr().out == "- bbb  relcommit run\n+ bbd  relcommit run\n"
+
+
+def test_baseline_dispatch_disables_every_dispatched_target():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    setting = stdout_digests._baseline_dispatch(stdout_digests.ROOT)
+    assert setting == {"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)}

@@ -10,18 +10,23 @@ the outputs to see which commands changed their stdout, or pass
 archive REV src demos | tar -x``) into a temporary directory, runs the
 same list on both trees, and prints only the lines that differ, REV's
 prefixed ``-`` and this tree's ``+``.  It exits 1 if any line differs,
-and writes nothing in the repository.  ``--kernels`` runs the list
-twice on this tree instead, under OpenBLAS's default kernel and under
-``OPENBLAS_CORETYPE=Prescott``, a generic SSE3 one, set for the child
-processes only; it prints and exits the same way, so the stdout it
-checks is shown not to depend on the BLAS kernel.  With
+and writes nothing in the repository.  ``--kernels`` runs the list on
+this tree instead: once with the default kernels, then under
+``OPENBLAS_CORETYPE=Prescott``, OpenBLAS's generic SSE3 kernel, and
+under numpy's baseline SIMD dispatch, each set for the child processes
+only.  The baseline run disables every target numpy dispatches to above
+its build's baseline, read from a child's ``__cpu_dispatch__``: numpy
+refuses to import if told to disable an unknown or a baseline target.
+Each is compared with the default run, and printed and exited on the
+same way, so the stdout it checks is shown not to depend on the BLAS
+kernel or on numpy's SIMD loops.  With
 ``--values`` each line is ``<command>:`` followed by every number the
 command printed, in order, so the diff shows which numbers moved.  Commands and
 demos run under ``python -W error`` with ``PYTHONPATH=src`` and
 ``COLUMNS=80`` (so help text wraps alike in any terminal), with no
-``OPENBLAS_CORETYPE`` but the one ``--kernels`` sets, in a fresh
-temporary directory, in list order, so ``report --input`` reads the
-scan an earlier line saved.  Exits 1 if a command exits with a code
+``OPENBLAS_CORETYPE`` or ``NPY_*_CPU_FEATURES`` but the one ``--kernels``
+sets, in a fresh temporary directory, in list order, so ``report
+--input`` reads the scan an earlier line saved.  Exits 1 if a command exits with a code
 other than the one expected for it (a warning is an error, so it
 counts), or writes a traceback to stderr.
 """
@@ -131,13 +136,39 @@ def _digest(
     return ok, result.stdout
 
 
-def _run_all(root: Path, values: bool, emit, coretype: str | None = None) -> int:
-    """Run every invocation and demo of the tree at ``root``, under the
-    OpenBLAS kernel ``coretype`` names or the default; the number that failed."""
+# the variables that pick a BLAS kernel or numpy's SIMD loops
+_KERNEL_SETTINGS = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
+
+_DISPATCH_CODE = """\
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__
+print(" ".join(__cpu_dispatch__))
+"""
+
+
+def _env(root: Path, setting: dict | None = None) -> dict:
+    """The child processes' environment for the tree at ``root``: default
+    kernels, or the ones ``setting`` picks."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
-    env.pop("OPENBLAS_CORETYPE", None)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
+    for name in _KERNEL_SETTINGS:
+        env.pop(name, None)
+    env.update(setting or {})
+    return env
+
+
+def _baseline_dispatch(root: Path) -> dict:
+    """The setting that confines numpy to its build's baseline SIMD loops."""
+    dispatched = subprocess.run([sys.executable, "-c", _DISPATCH_CODE], env=_env(root),
+                                capture_output=True, text=True, check=True)
+    return {"NPY_DISABLE_CPU_FEATURES": dispatched.stdout.strip()}
+
+
+def _run_all(root: Path, values: bool, emit, setting: dict | None = None) -> int:
+    """Run every invocation and demo of the tree at ``root``, under the
+    kernels ``setting`` picks or the default; the number that failed."""
+    env = _env(root, setting)
     python = [sys.executable, "-W", "error"]
     failures = 0
     with tempfile.TemporaryDirectory() as cwd:
@@ -170,23 +201,28 @@ def main() -> int:
     pair.add_argument("--against", metavar="REV",
                       help="run REV's src/ and demos/ too, and print only the lines that differ")
     pair.add_argument("--kernels", action="store_true",
-                      help="run under the default and the Prescott OpenBLAS kernel, "
-                           "and print only the lines that differ")
+                      help="run under the default kernels, the Prescott OpenBLAS kernel and "
+                           "numpy's baseline SIMD, and print only the lines that differ")
     args = parser.parse_args()
-    before, after = [], []
+    if args.against is None and not args.kernels:
+        return 1 if _run_all(ROOT, args.values, _print) else 0
+    before: list[str] = []
     if args.kernels:
         failures = _run_all(ROOT, args.values, before.append)
-        failures += _run_all(ROOT, args.values, after.append, coretype="Prescott")
-    elif args.against is not None:
+        settings = [{"OPENBLAS_CORETYPE": "Prescott"}, _baseline_dispatch(ROOT)]
+    else:
         with tempfile.TemporaryDirectory() as tree:
             archive = subprocess.run(["git", "archive", args.against, "src", "demos"],
                                      cwd=ROOT, capture_output=True, check=True)
             subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout, check=True)
             failures = _run_all(Path(tree), args.values, before.append)
-        failures += _run_all(ROOT, args.values, after.append)
-    else:
-        return 1 if _run_all(ROOT, args.values, _print) else 0
-    return max(_compare(before, after), 1 if failures else 0)
+        settings = [None]
+    changed = 0
+    for setting in settings:
+        after: list[str] = []
+        failures += _run_all(ROOT, args.values, after.append, setting)
+        changed |= _compare(before, after)
+    return max(changed, 1 if failures else 0)
 
 
 if __name__ == "__main__":
