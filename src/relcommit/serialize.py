@@ -37,13 +37,13 @@ finite numbers, a pair index a non-negative integer or null, and a
 schedule and its ``phase_times`` objects.  A parsed pair label or probe
 state is the shared member of ``BELL_LABELS`` or ``BASIS_STATES``.
 :func:`read_transcripts` parses the schedule text a stream repeats
-once, and decodes each distinct branch once: a line in the writer's
-exact spelling, holding the last schedule text parsed in full, is
-matched by one pattern before that text and one after it, and each
-field reads by lookup in a table built from the writer's own
-spellings.  Later lines of that branch take its transcript with their
-own pair index.  Every line still reads as :func:`parse_transcript` of
-it, and fails with the same message.
+once, and decodes each distinct branch once: a line holding the last
+schedule text parsed in full is keyed on its text without that text
+and without its pair index, one pattern of the writer's exact layout
+must match the key, and each field reads by lookup in a table built
+from the writer's own spellings.  Later lines of that branch take its
+transcript with their own pair index.  Every line still reads as
+:func:`parse_transcript` of it, and fails with the same message.
 """
 
 from __future__ import annotations
@@ -273,14 +273,8 @@ def transcript_to_json(transcript: Transcript) -> dict:
 
 
 def transcript_from_json(doc: dict) -> Transcript:
-    return _transcript_from_json(doc, None)
+    """Inverse of :func:`transcript_to_json`, checking every field's type.
 
-
-def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
-    """:func:`transcript_from_json`, with ``schedule`` built already unless None.
-
-    A given ``schedule`` stands for ``doc["schedule"]``: every other
-    field is checked, in the same order and with the same messages.
     Once each field reads, the record must agree with itself (see
     :func:`_agreement`).
     """
@@ -330,8 +324,7 @@ def _transcript_from_json(doc: dict, schedule: Schedule | None) -> Transcript:
             ),
             pair_index=pair_index,
             probability=_number(doc, "probability"),
-            schedule=(schedule_from_json(_require(doc, "schedule"))
-                      if schedule is None else schedule),
+            schedule=schedule_from_json(_require(doc, "schedule")),
             verdict=verdict,
         )
     except TranscriptParseError:
@@ -379,7 +372,7 @@ def parse_transcript(text: str) -> Transcript:
     """Inverse of :func:`serialize_transcript`; lossless round trip."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep is invalid too
         raise TranscriptParseError(f"not valid JSON: {exc}") from exc
     return transcript_from_json(doc)
 
@@ -411,7 +404,7 @@ def _template(transcript: Transcript) -> tuple[str, str, str]:
     ``K``, byte for byte, for what a branch table holds: Python ints
     for bits and label and probe values, a bool verdict flag and a
     finite float weight.  The keys are written in :func:`dumps`' sorted
-    order, as :data:`_BEFORE` and :data:`_AFTER` lay them out for the
+    order, as :data:`_LAYOUT` lays out ``head + middle + tail`` for the
     reader; strings go through ``dumps``' own ASCII string encoder and
     the weight through ``float.__repr__``, as in ``dumps``.
     """
@@ -524,7 +517,7 @@ _LOOKUPS = {
 # a pair index token: the JSON of null or of a non-negative integer of at
 # most 18 digits, far from the 4,300 that ``int`` refuses; a longer one
 # takes the full parse
-_PAIR_INDEX = "0|[1-9][0-9]{0,17}|null"
+_PAIR_INDEX = re.compile("0|[1-9][0-9]{0,17}|null")
 # a JSON number with a fraction or an exponent, which ``json.loads``
 # reads as ``float`` of it
 _PROBABILITY = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
@@ -539,18 +532,18 @@ _JSON_SPACE = " \t\n\r"
 _BODIES = 1024  # most distinct branches that one read keeps
 
 
-# The layout of a line as :func:`_template` writes it (its f-strings stay,
-# being three times as fast as ``str.format``; tests hold the two
-# together): the text up to the schedule, and after it.  Each ``{field}``
-# stands for that field's spelling, which :func:`_patterns` matches.
-_BEFORE = ('{{"alice_label":{alice_label},"announcements":{{"alice_label":{announced_alice_label},'
+# The layout of a line's key (see :func:`_branch_key`) as :func:`_template`
+# writes it (its f-strings stay, being three times as fast as
+# ``str.format``; tests hold the two together): the line with its pair
+# index token and schedule text cut out.  Each ``{field}`` stands for that
+# field's spelling, which :func:`_pattern` matches.
+_LAYOUT = ('{{"alice_label":{alice_label},"announcements":{{"alice_label":{announced_alice_label},'
            '"bob_label":{announced_bob_label},"teleport_outcome":{announced_teleport_outcome}}},'
-           '"bob_label":{bob_label},"pair_index":{pair_index},"phi":{phi},'
-           '"probability":{probability},"schedule":')
-_AFTER = (',"scheme":{scheme},"stored_bits":{{"alice":{stored_alice_bit},'
-          '"alice_mid":{alice_mid_measurement},"bob":{stored_bob_bit}}},'
-          '"swap_outcome":{swap_outcome},"teleport_outcome":{teleport_outcome},'
-          '"verdict":{verdict}}}')
+           '"bob_label":{bob_label},"pair_index":,"phi":{phi},"probability":{probability},'
+           '"schedule":,"scheme":{scheme},"stored_bits":{{"alice":{stored_alice_bit},'
+           '"alice_mid":{alice_mid_measurement},"bob":{stored_bob_bit}}},'
+           '"swap_outcome":{swap_outcome},"teleport_outcome":{teleport_outcome},'
+           '"verdict":{verdict}}}')
 _VERDICT = '{{"accept":{accept},"reason":{reason}}}'
 
 
@@ -563,19 +556,19 @@ def _regex(layout: str, groups: dict[str, str]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The pair index token, and the writer's text before and after the schedule text.
+def _pattern() -> re.Pattern:
+    """The writer's key of a branch, :data:`_LAYOUT`, as a pattern.
 
     Each field's group matches exactly the spellings in its lookup
     table, so every group a match holds reads by lookup.  Compiled on
-    first use, which keeps them out of the import.
+    first use, which keeps it out of the import.
     """
     groups = {field: "|".join(map(re.escape, table)) for field, table in _LOOKUPS.items()}
     groups.update(
-        pair_index=_PAIR_INDEX, probability=_PROBABILITY,
+        probability=_PROBABILITY,
         verdict="null|" + _regex(_VERDICT, {"accept": "|".join(_FLAGS), "reason": _REASON}),
     )
-    return tuple(map(re.compile, (_PAIR_INDEX, _regex(_BEFORE, groups), _regex(_AFTER, groups))))
+    return re.compile(_regex(_LAYOUT, groups))
 
 
 def _branch_key(line: str, known: str) -> tuple[str, int | None] | None:
@@ -586,7 +579,7 @@ def _branch_key(line: str, known: str) -> tuple[str, int | None] | None:
     it.  None when either is not there.
     """
     at = line.find(_INDEX_KEY) + len(_INDEX_KEY)
-    token = _patterns()[0].match(line, at) if at >= len(_INDEX_KEY) else None
+    token = _PAIR_INDEX.match(line, at) if at >= len(_INDEX_KEY) else None
     if token is None:
         return None
     end = token.end()
@@ -597,24 +590,15 @@ def _branch_key(line: str, known: str) -> tuple[str, int | None] | None:
     return key, None if token[0] == "null" else int(token[0])
 
 
-def _decoded(
-    line: str, known: str, schedule: Schedule, pair_index: int | None
-) -> Transcript | None:
-    """``line``'s transcript, if it is the writer's spelling of one with schedule text ``known``.
+def _decoded(key: str, schedule: Schedule, pair_index: int | None) -> Transcript | None:
+    """The transcript that ``key`` spells in :data:`_LAYOUT`, with ``schedule`` and ``pair_index``.
 
-    ``schedule`` is built from ``known``, and ``pair_index`` read from
-    the line's index token by :func:`_branch_key`.  None for any other
-    line, and for a line whose fields fail a check, which the full
-    parse names.
+    None for any other key, and for one whose fields fail a check,
+    which the full parse names.
     """
-    _, before, after = _patterns()
-    head = before.match(line)
-    if head is None or not line.startswith(known, head.end()):
+    spelled = _pattern().fullmatch(key)
+    if spelled is None:
         return None
-    tail = after.fullmatch(line, head.end() + len(known))
-    if tail is None:
-        return None
-    spelled = {**head.groupdict(), **tail.groupdict()}
     reason = spelled["reason"]
     transcript = object.__new__(Transcript)
     transcript.__dict__.update(
@@ -643,30 +627,28 @@ def read_transcripts(stream: IO[str]) -> list[Transcript]:
     After a line parses in full, the canonical text ``K`` of its
     schedule is kept.  A later line's key is its text without its pair
     index token and ``K`` (see :func:`_branch_key`).  The first line of
-    a key is decoded by :func:`_decoded`: one anchored pattern before
-    ``K`` and one after it must match the writer's exact spelling, and
-    each field reads by lookup in a table of the writer's own
-    spellings.  Later lines of the key take its transcript with their
-    own pair index (equal lines share one transcript).  That is sound:
+    a key is decoded from the key by :func:`_decoded`: one pattern of
+    the writer's layout must match the key whole, and each field reads
+    by lookup in a table of the writer's own spellings.  Later lines of
+    the key take its transcript with their own pair index (equal lines
+    share one transcript).  That is sound:
 
-    * a line the patterns accept is the encoder's spelling of exactly
-      the fields the tables give, so ``json.loads(line)`` is that
-      record.  Each group is one JSON value and reads as ``json.loads``
-      reads it: a weight has a fraction or an exponent, so ``float`` of
-      it is ``json.loads`` of it, and a reason with a backslash goes
-      through ``json.loads``.  The schedule is ``json.loads(K)``, which
-      parses to the kept schedule.  The transcript is then checked as
-      :func:`_transcript_from_json` checks it;
-    * a key fixes its line but for the index token.  A line's first
-      ``"pair_index":`` ends where its key's first one does, and so
-      does the first ``"schedule":`` after it, so two lines with one
-      key hold their index tokens and ``K`` at the same places.  In the
-      writer's spelling only labels and keys come before the index, so
-      a decoded line's first ``"pair_index":`` is its own, and only
-      fixed spellings lie between the index and ``K``.  Every token is
-      one complete value, and a valid pair index, which no other check
-      reads.  So a line whose key was decoded before reads as that
-      transcript with the line's index.
+    * a key the pattern accepts fixes every line cut to it but for the
+      index token.  In the writer's layout only labels and keys come
+      before ``"pair_index":``, and only fixed spellings lie between it
+      and ``"schedule":``.  So a line's first ``"pair_index":``, where
+      its key was cut, is the layout's, and so is the first
+      ``"schedule":`` after the token, where ``K`` was found: the line
+      is the encoder's spelling of exactly the fields the tables give,
+      with its own index token and ``K`` in place, and
+      ``json.loads(line)`` is that record;
+    * each group is one JSON value and reads as ``json.loads`` reads
+      it: a weight has a fraction or an exponent, so ``float`` of it is
+      ``json.loads`` of it, and a reason with a backslash goes through
+      ``json.loads``.  The schedule is ``json.loads(K)``, which parses
+      to the kept schedule, and the index token is one complete value,
+      a valid pair index, which no other check reads.  The transcript
+      is then checked as :func:`transcript_from_json` checks it.
 
     Only keys whose transcript was decoded are kept, at most 1024, and
     none outlives the schedule it was read with.  Any other line, and
@@ -686,7 +668,7 @@ def read_transcripts(stream: IO[str]) -> list[Transcript]:
                 key, pair_index = cut
                 transcript = branches.get(key)
                 if transcript is None:
-                    transcript = _decoded(line, known, schedule, pair_index)
+                    transcript = _decoded(key, schedule, pair_index)
                     if transcript is not None:
                         if len(branches) == _BODIES:
                             branches.clear()

@@ -90,6 +90,11 @@ class TestTranscriptRoundTrip:
         with pytest.raises(TranscriptParseError):
             parse_transcript("{nope")
 
+    def test_nesting_too_deep_is_not_json(self):
+        # json.loads raises RecursionError, not JSONDecodeError, on this
+        with pytest.raises(TranscriptParseError, match="^not valid JSON: "):
+            parse_transcript("[" * 100000)
+
     @pytest.mark.parametrize("path,value", [
         ("verdict.accept", "no"),
         ("verdict.accept", None),
@@ -174,6 +179,12 @@ class TestJsonl:
             with pytest.raises(TranscriptParseError, match="^line 2: not valid JSON"):
                 read_transcripts(io.StringIO(payload))
 
+    def test_nesting_too_deep_reports_line_number(self):
+        line = serialize_transcript(sample_transcripts()[0])
+        for payload, number in (("[" * 100000, 1), (f"{line}\n{'[' * 100000}\n", 2)):
+            with pytest.raises(TranscriptParseError, match=f"^line {number}: not valid JSON: "):
+                read_transcripts(io.StringIO(payload))
+
     def test_error_reports_line_number(self):
         t = run_pairs(SchemeParams("single"), [BellLabel(0, 0)])[0][0]
         payload = serialize_transcript(t) + "\n{\"scheme\": \"single\"}\n"
@@ -232,6 +243,23 @@ class TestLineTemplate:
         for k in (None, 0, 10**6):
             expected = dumps(transcript_to_json(dataclasses.replace(t, pair_index=k)))
             assert f"{head}{'null' if k is None else k}{middle}{schedule}{tail}" == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=table_transcripts())
+    @example(t=_BARE)
+    @example(t=_FULL)
+    def test_layout_reads_the_key_the_template_writes(self, t):
+        # the key is the line less its pair index token and schedule text
+        key = "".join(serialize._template(t))
+        try:
+            serialize._agreement(t)
+            readable = t.verdict is None or all(c >= " " for c in t.verdict.reason)
+        except TranscriptParseError:
+            readable = False
+        decoded = serialize._decoded(key, t.schedule, t.pair_index)
+        assert decoded == (t if readable else None)
+        for spaced in (key.replace('":', '": '), key.replace(",", ", ")):
+            assert serialize._decoded(spaced, t.schedule, t.pair_index) is None
 
 
 class WriteLog(io.StringIO):
