@@ -55,7 +55,6 @@ import numpy as np
 
 from .protocol import (
     SchemeParams,
-    _Columns,
     _code,
     _columns,
     _params_table,
@@ -325,49 +324,40 @@ def _shift_profile(
 # --------------------------------------------------------------------------
 
 
-def _views_enumerated(params: SchemeParams, upto: str) -> dict:
+def _views_enumerated(params: SchemeParams, upto: str) -> np.ndarray:
     """Each bit class's receiver views, summed over its labels' branch rows.
 
-    A view is a tuple of the receiver side's columns.  The table holds
-    a class's labels in order, so each class's dict holds its views in
-    order of first appearance in the table, and each weight is summed
-    row by row in table order, as a running sum per row would give it.
+    A ``[bit, view]`` array of weights.  A view is the base-4 code of
+    the receiver side's columns, and each bin is summed row by row in
+    table order, as a running sum per row would give it.  Outside the
+    multi scheme, rows of other receiver labels weigh 0.
     """
     multi = params.scheme == "multi"
-    receivers = len(BELL_LABELS) if multi else 1  # other committer's label is private too
     c = _params_table(params)
-    if not multi:
-        c = _Columns._make(None if column is None else column[c.bob == _code(params.bob_label)]
-                           for column in c)
     view = [c.swap] if multi else [c.probe, c.swap, c.tele]
     if upto == "storage":
         view += [c.stored_alice, c.stored_bob] if multi else [c.stored_alice]
     codes = c.alice & 1  # a label's code ends in its parity bit, the committed bit
     for column in view:  # every view column holds codes below 4
         codes = 4 * codes + column
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    sums = np.zeros(len(first))
-    np.add.at(sums, inverse, c.probability / (2.0 * receivers))  # row by row, in table order
-    order = np.argsort(first)  # distinct views by first appearance
-    heads = first[order]
-    dists: dict[int, dict] = {0: {}, 1: {}}
-    keys = zip(*(column[heads].tolist() for column in view))
-    for bit, key, weight in zip((c.alice[heads] & 1).tolist(), keys, sums[order].tolist()):
-        dists[bit][key] = weight
-    return dists
+    if multi:  # the other committer's label is private too
+        weights = c.probability / 8.0
+    else:
+        weights = c.probability / 2.0 * (c.bob == _code(params.bob_label))
+    return np.bincount(codes, weights, minlength=2 * 4 ** len(view)).reshape(2, -1)
 
 
-def _views_algebraic(params: SchemeParams, upto: str) -> dict:
+def _views_algebraic(params: SchemeParams, upto: str) -> np.ndarray:
     """Count each bit class's receiver views on a grid of 2-bit label codes.
 
     Axes: committed label, receiver label (all four in the multi scheme,
     else ``params.bob_label``), swap and teleport outcome, each a code
     ``2 * i + j`` and every cell equally likely; probe states are
-    counted one by one.  A view is an integer code, and its weight is
-    its count times the weight of one cell, so it is exactly dyadic.
+    counted one by one.  Returns a ``[bit, view]`` array of weights:
+    each view's count over the cells of its bit class, so exactly dyadic.
     """
     multi = params.scheme == "multi"
-    bobs = np.arange(4) if multi else np.array([2 * params.bob_label.i + params.bob_label.j])
+    bobs = np.arange(4) if multi else np.array([_code(params.bob_label)])
     alice, bob, swap, tele = np.ix_(np.arange(4), bobs, np.arange(4), np.arange(4))
     bit = np.broadcast_to(alice & 1, (4, len(bobs), 4, 4))  # a label's parity bit
     choices = params.phi_choices()
@@ -383,14 +373,12 @@ def _views_algebraic(params: SchemeParams, upto: str) -> dict:
             view = 2 * (16 * index + 4 * swap + tele) + (stored if upto == "storage" else 0)
         cells = (bit * counts.shape[1] + view).ravel()
         counts += np.bincount(cells, minlength=counts.size).reshape(counts.shape)
-    weight = 1.0 / (2 * len(bobs) * 16 * len(choices))  # probe states are equally likely
-    return {b: {view: int(count) * weight for view, count in enumerate(counts[b]) if count}
-            for b in (0, 1)}
+    return counts / (2 * len(bobs) * 16 * len(choices))  # probe states are equally likely
 
 
-def _tv(dists: dict) -> float:
-    keys = set(dists[0]) | set(dists[1])
-    return 0.5 * sum(abs(dists[0].get(k, 0.0) - dists[1].get(k, 0.0)) for k in keys)
+def _tv(weights: np.ndarray) -> float:
+    """Total variation distance between the rows of ``[bit, view]`` weights, correctly rounded."""
+    return 0.5 * math.fsum(np.abs(weights[0] - weights[1]).tolist())
 
 
 def concealment_tv(params: SchemeParams, upto: str = "storage") -> float:
@@ -401,7 +389,9 @@ def concealment_tv(params: SchemeParams, upto: str = "storage") -> float:
     ``upto="storage"``) the stored confirmation bits; the multi scheme
     center sees only the swap outcome and the stored bits.  Committed
     labels are drawn uniformly within each bit class.  0 means perfect
-    concealment.
+    concealment.  Each route gives its views as a ``[bit, view]`` array,
+    and the distance is a correctly rounded sum over its views, so no
+    order of views can move it.
     """
     if upto not in ("confirmation", "storage"):
         raise ValueError(f"upto must be 'confirmation' or 'storage', got {upto!r}")
@@ -424,8 +414,12 @@ def _extraction_measurement(strategy: Strategy) -> str:
     return strategy.basis if strategy.basis in ("Z", "X") else "pair"
 
 
-def _extraction_views_enumerated(measurement: str) -> dict:
-    """Measure the four committed pairs as one stack, one row per label."""
+def _extraction_views_enumerated(measurement: str) -> np.ndarray:
+    """Measure the four committed pairs as one stack, one row per label.
+
+    Returns ``[bit, outcome]`` weights with labels uniform; every
+    outcome code is below 4.
+    """
     if measurement in ("Z", "X"):
         measured = _measure_stack(_BELL_KETS, (1,), measurement)
     else:
@@ -434,37 +428,31 @@ def _extraction_views_enumerated(measurement: str) -> dict:
         # label's code names its Pauli
         returned = _framed(_BELL_KETS, 0, np.arange(len(BELL_LABELS)))
         measured = _measure_stack(returned, (1, 0), "bell")
-    joint: dict = {}
-    prior = 0.25
-    rows = zip(measured.parents.tolist(), measured.codes.tolist(), measured.probabilities.tolist())
-    for row, code, probability in rows:
-        key = (committed_bit(BELL_LABELS[row]), code)
-        joint[key] = joint.get(key, 0.0) + prior * probability
+    joint = np.zeros((2, 4))
+    # a row's parent is its label's code, which ends in the committed bit
+    np.add.at(joint, (measured.parents & 1, measured.codes), 0.25 * measured.probabilities)
     return joint
 
 
-def _extraction_views_algebraic(strategy: Strategy) -> dict:
-    joint: dict = {}
+def _extraction_views_algebraic(strategy: Strategy) -> np.ndarray:
+    """:func:`_extraction_views_enumerated`'s ``[bit, outcome]`` weights by label algebra."""
+    joint = np.zeros((2, 4))
     for alice in BELL_LABELS:
         prior = 0.25
         d = committed_bit(alice)
         if strategy.kind == "early_extract" and strategy.basis in ("Z", "X"):
             # half of a maximally entangled pair: both outcomes equally likely
-            for outcome in (0, 1):
-                joint[(d, outcome)] = joint.get((d, outcome), 0.0) + prior * 0.5
+            joint[d, :2] += prior * 0.5
         else:
             # rotating one half by the pair's own label lands on the
             # fixed reference pair regardless of the commitment
-            outcome = alice ^ alice
-            joint[(d, outcome)] = joint.get((d, outcome), 0.0) + prior
+            joint[d, _code(alice ^ alice)] += prior
     return joint
 
 
-def _map_guess(joint: dict) -> float:
-    views = {view for _, view in joint}
-    return sum(
-        max(joint.get((0, view), 0.0), joint.get((1, view), 0.0)) for view in views
-    )
+def _map_guess(joint: np.ndarray) -> float:
+    """Maximum a posteriori guessing odds of ``[bit, outcome]`` weights, correctly rounded."""
+    return math.fsum(joint.max(axis=0).tolist())
 
 
 def extraction_guess_probability(strategy: Strategy) -> float:
@@ -481,7 +469,7 @@ def extraction_guess_probability(strategy: Strategy) -> float:
     )
 
 
-def _extraction_guess(strategy: Strategy, enumerated: dict) -> float:
+def _extraction_guess(strategy: Strategy, enumerated: np.ndarray) -> float:
     """:func:`extraction_guess_probability` given the enumerated views of its measurement."""
     return _checked(
         _map_guess(enumerated),

@@ -61,7 +61,7 @@ from .montecarlo import (
     sample_branches,
     stats_to_json,
 )
-from .protocol import SchemeParams, _pair_indices, branches, parse_phi_policy
+from .protocol import VALIDATION_MODES, SchemeParams, _pair_indices, branches, parse_phi_policy
 from .quantum import BellLabel
 from .serialize import (
     _lines,
@@ -73,7 +73,7 @@ from .serialize import (
     schedule_to_json,
     write_draws,
 )
-from .spacetime import standard_schedule
+from .spacetime import SCHEMES, standard_schedule
 from .spacetime import audit as run_audit
 
 __all__ = ["cli_main", "main", "render_report_table"]
@@ -126,7 +126,7 @@ def build_parser(commands: Sequence[str] = tuple(_HELP)) -> _Parser:
         return [built[name] for name in names if name in built]
 
     for command in built.values():
-        command.add_argument("--scheme", choices=("single", "multi", "string"), default="single")
+        command.add_argument("--scheme", choices=SCHEMES, default="single")
         command.add_argument("--x", type=float, default=1.0, help="half-separation")
         command.add_argument("--c", type=float, default=1.0, help="signal speed")
         command.add_argument("--T", type=float, default=None, help="reveal time (default 10 x/c)")
@@ -138,7 +138,7 @@ def build_parser(commands: Sequence[str] = tuple(_HELP)) -> _Parser:
         command.add_argument("--phi", default="default", help="probe policy: Z0 Z1 X0 X1 uniform")
         command.add_argument("--bob-label", type=parse_label, default=BellLabel(0, 0))
     for command in each("run", "attack-scan", "report", "stats"):
-        command.add_argument("--mode", choices=("R1", "R2"), default="R2",
+        command.add_argument("--mode", choices=VALIDATION_MODES, default="R2",
                              help="validation mode")
     for command in each("run", "enumerate", "stats"):
         command.add_argument("--alice-label", type=parse_label, default=BellLabel(0, 0))

@@ -297,6 +297,14 @@ def _multi_events(t1: float, t2: float, reveal: float):
     return events, messages
 
 
+def _storage_time(x: float, c: float) -> float:
+    """The storage phase ``2x/c``; ``ValueError`` unless it is finite."""
+    t2 = 2 * x / c
+    if not math.isfinite(t2):
+        raise ValueError(f"storage phase 2x/c must be finite, got {t2!r}")
+    return t2
+
+
 def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Schedule:
     """Canonical timetable with phases at 0, x/c, 2x/c and T.
 
@@ -312,9 +320,7 @@ def standard_schedule(x: float, c: float, T: float | None, scheme: str) -> Sched
     if c <= 0 or not math.isfinite(c):
         raise ValueError(f"signal speed must be finite and positive, got {c!r}")
     t1 = x / c
-    t2 = 2 * x / c
-    if not math.isfinite(t2):
-        raise ValueError(f"storage phase 2x/c must be finite, got {t2!r}")
+    t2 = _storage_time(x, c)
     if T is None:
         T = 10.0 * x / c
         if not math.isfinite(T):
@@ -341,9 +347,12 @@ def audit(schedule: Schedule) -> AuditReport:
       signal from the production point reaches the consumer in time.
 
     Raises ``ValueError`` if the schedule names an actor missing from the
-    scheme's canonical topology.
+    scheme's canonical topology, or if its ``2x/c`` is not finite, as
+    :func:`standard_schedule` does.  With ``2x/c`` finite, so are the
+    slack and every light travel time between its actors.
     """
     topology = canonical_topology(schedule.scheme, schedule.x, schedule.c)
+    _storage_time(schedule.x, schedule.c)
     tol = 1e-9 * (schedule.x / schedule.c)
     violations: list[Violation] = []
 

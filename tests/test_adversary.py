@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcommit import adversary, montecarlo, protocol, quantum
 from relcommit.adversary import (
@@ -496,6 +498,31 @@ def _running_views(params: SchemeParams, upto: str) -> dict:
     return dists
 
 
+def _view_bins(views: dict) -> list[list[float]]:
+    """``views`` keyed by view tuple as a ``[bit, view]`` table of base-4 view codes."""
+    length = len(next(iter(views[0])))  # columns in a view
+    bins = [[0.0] * 4**length for _ in (0, 1)]
+    for bit in (0, 1):
+        for key, weight in views[bit].items():
+            code = 0
+            for value in key:
+                code = 4 * code + value
+            bins[bit][code] = weight
+    return bins
+
+
+# Every configuration the views read: each scheme's probe policies, by
+# receiver label and phase; 2 * 4 * 4 * 2 + 6 * 4 * 2 = 112
+_ALL_VIEW_CONFIGS = [
+    pytest.param(SchemeParams(scheme, phi_policy=policy, bob_label=bob), upto,
+                 id=f"{scheme}-{policy}-{bob}-{upto}")
+    for scheme in ("single", "multi", "string")
+    for policy in ("default", "uniform", Z0, Z1) + ((X0, X1) if scheme == "string" else ())
+    for bob in BELL_LABELS
+    for upto in ("confirmation", "storage")
+]
+
+
 class TestEnumeratedViews:
     @pytest.mark.parametrize("params", [
         SchemeParams("single"),
@@ -506,13 +533,39 @@ class TestEnumeratedViews:
     ], ids=["single", "single-uniform-11", "multi", "string-01", "string-X1"])
     @pytest.mark.parametrize("upto", ["confirmation", "storage"])
     def test_views_equal_a_running_sum_in_table_order(self, params, upto):
-        # same keys, in the same order of first appearance, and the same
-        # float bits: _tv sums over their set in that order
+        # each view's bin holds the running sum's float bits; every
+        # view the table never reaches holds 0.0
+        want = _view_bins(_running_views(params, upto))
         got = adversary._views_enumerated(params, upto)
-        want = _running_views(params, upto)
-        for bit in (0, 1):
-            assert list(got[bit]) == list(want[bit])
-            assert [v.hex() for v in got[bit].values()] == [v.hex() for v in want[bit].values()]
+        assert got.shape == (2, len(want[0])) and got.dtype == np.float64
+        assert [[v.hex() for v in row] for row in got.tolist()] == [
+            [v.hex() for v in row] for row in want]
+
+    def test_every_configuration_is_counted(self):
+        assert len(_ALL_VIEW_CONFIGS) == 112
+
+    @pytest.mark.parametrize("params,upto", _ALL_VIEW_CONFIGS)
+    def test_both_routes_conceal_exactly(self, params, upto):
+        assert adversary._tv(adversary._views_enumerated(params, upto)) == 0.0
+        assert adversary._tv(adversary._views_algebraic(params, upto)) == 0.0
+
+
+def _dyadic_weights(size: int):
+    """``[bit, view]`` tables of dyadic weights of mixed scales, and a view permutation."""
+    weight = st.builds(lambda m, e: m * 2.0**e, st.integers(0, 2**53 - 1), st.integers(-80, 10))
+    row = st.lists(weight, min_size=size, max_size=size)
+    return st.tuples(row, row, st.permutations(range(size)))
+
+
+class TestOrderFreeReductions:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(_dyadic_weights))
+    def test_tv_and_map_guess_ignore_view_order(self, drawn):
+        zero, one, order = drawn
+        weights = np.array([zero, one])
+        permuted = weights[:, order]
+        assert adversary._tv(permuted).hex() == adversary._tv(weights).hex()
+        assert adversary._map_guess(permuted).hex() == adversary._map_guess(weights).hex()
 
 
 class TestExtraction:

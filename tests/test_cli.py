@@ -20,7 +20,13 @@ from relcommit import cli, serialize
 from relcommit.adversary import Strategy, build_report
 from relcommit.cli import cli_main, parse_label, render_report_table
 from relcommit.montecarlo import RunConfig
-from relcommit.protocol import SchemeParams, branches, parse_phi_policy, run_pairs
+from relcommit.protocol import (
+    VALIDATION_MODES,
+    SchemeParams,
+    branches,
+    parse_phi_policy,
+    run_pairs,
+)
 from relcommit.quantum import BELL_LABELS, BellLabel
 from relcommit.serialize import (
     dumps,
@@ -30,7 +36,7 @@ from relcommit.serialize import (
     serialize_transcript,
     transcript_to_json,
 )
-from relcommit.spacetime import standard_schedule
+from relcommit.spacetime import SCHEMES, standard_schedule
 
 import dataclasses
 
@@ -513,6 +519,14 @@ class TestAudit:
         assert (code, out) == (1, "")
         assert err == f"error: cannot read schedule {str(path)!r}: {message}\n"
 
+    def test_input_storage_phase_overflow_rejected(self, capsys, tmp_path):
+        # 2x/c overflows, and an infinite slack would flag no violation
+        doc = dict(schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single")), c=1e-320)
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "audit", "--input", str(path)) == (
+            1, "", "error: storage phase 2x/c must be finite, got inf\n")
+
     def test_tampered_schedule_file_flagged(self, capsys, tmp_path):
         schedule = standard_schedule(1.0, 1.0, 10.0, "single")
         messages = list(schedule.messages)
@@ -833,6 +847,12 @@ class TestParserBuild:
         assert (code, err) == (0, "")
         assert out == cli.build_parser().format_help()
         assert "{run,enumerate,attack-scan,audit,report,stats}" in out
+
+    def test_choices_read_from_their_owners(self):
+        for command in cli.build_parser().subcommands.choices.values():
+            choices = {action.dest: action.choices for action in command._actions}
+            assert choices["scheme"] is SCHEMES
+            assert choices.get("mode", VALIDATION_MODES) is VALIDATION_MODES
 
     @pytest.mark.parametrize("argv", [["fnord"], ["ru"], []], ids=["typo", "prefix", "empty"])
     def test_no_subcommand_chooses_among_all(self, capsys, argv):

@@ -834,8 +834,7 @@ def _real_route_tables():
         tables = [protocol._table(multi, probes)
                   for multi in (False, True) for probes in _PROBE_TUPLES]
         tables.append(_verifier_tables())
-        views = [sorted((key, value.hex()) for key, value in
-                        adversary._extraction_views_enumerated(measurement).items())
+        views = [adversary._extraction_views_enumerated(measurement).tobytes()
                  for measurement in ("Z", "X", "pair")]
     finally:
         clear_caches()  # no table of a patched route outlives it

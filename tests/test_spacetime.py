@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,3 +206,19 @@ class TestAuditViolations:
         )
         with pytest.raises(ValueError):
             audit(sched)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_storage_phase_overflow_raises(self, scheme):
+        # x/c overflows, so the slack 1e-9 * x/c would be inf, every bound
+        # minus it -inf or nan, and no violation could be found
+        sched = dataclasses.replace(standard_schedule(1.0, 1.0, 10.0, scheme), c=1e-320)
+        with pytest.raises(ValueError, match=r"^storage phase 2x/c must be finite, got inf$"):
+            audit(sched)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.2e-308], ids=["1e-3", "near-overflow"])
+    def test_timetable_too_early_for_a_slower_signal_flagged(self, c):
+        # with 2x/c finite, a timetable for c = 1 breaks the light bounds of a
+        # far slower signal, up to the slowest whose 2x/c is still finite
+        assert math.isfinite(2 * 1.0 / c)
+        report = audit(dataclasses.replace(standard_schedule(1.0, 1.0, 10.0, "single"), c=c))
+        assert len(report.violations) == 15

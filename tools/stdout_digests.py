@@ -103,6 +103,8 @@ CLI_INVOCATIONS = [
     ("stats --scheme single --bob-label 01 --trials 5000 --seed 17", 0, None),
     ("run --scheme single --bob-label 01 --trials 20 --seed 18", 0, None),
     ("attack-scan --scheme string --n-pairs 2 --bob-label 11", 0, None),
+    # a pair scheme's concealment, read from the rows of a receiver label other than 00
+    ("attack-scan --scheme single --phi uniform --bob-label 10", 0, None),
     # output of several 128 KiB write blocks, for run and for enumerate
     ("run --scheme string --n-pairs 20 --trials 10 --seed 11", 0, None),
     ("enumerate --scheme string --n-pairs 8 --phi uniform", 0, None),
