@@ -50,7 +50,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import lru_cache
 from typing import Sequence
 
@@ -64,6 +63,7 @@ from .montecarlo import (
 from .protocol import VALIDATION_MODES, SchemeParams, _pair_indices, branches, parse_phi_policy
 from .quantum import BellLabel
 from .serialize import (
+    _document,
     _lines,
     _write_blocks,
     dumps,
@@ -302,8 +302,8 @@ def _cmd_enumerate(args) -> int:
     pairs = _pair_indices(params)
     head, tail = dumps({
         "scheme": args.scheme,
-        "alice_label": asdict(args.alice_label),
-        "bob_label": asdict(args.bob_label),
+        "alice_label": _document(args.alice_label),
+        "bob_label": _document(args.bob_label),
         "branch_count": len(pairs) * len(table),
         "branches": [],
     }).split("[]")
@@ -379,7 +379,7 @@ def _cmd_audit(args) -> int:
     doc = {
         "schedule": schedule_to_json(schedule),
         "ok": report.ok,
-        "violations": [asdict(v) for v in report.violations],
+        "violations": _document(report.violations),
     }
     _emit(args, dumps(doc))
     return 0 if report.ok else 2

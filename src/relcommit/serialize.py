@@ -9,14 +9,18 @@ names are part of the package contract:
 * announcements: ``{"alice_label": ..., "bob_label": ..., "teleport_outcome": ...}``
 * schedule events: ``{"actor", "time", "kind", "payload_ref", "deps"}``
 
-Report, strategy and statistics documents are their dataclasses'
-fields, as ``dataclasses.asdict`` lays them out (rows as tuples in
-memory), so renaming a field of
+Schedule, strategy, report, label, probe-state, violation and
+statistics documents are their dataclasses' fields, as
+``dataclasses.asdict`` lays them out (tuples kept as tuples in memory),
+so renaming a field of :class:`~relcommit.spacetime.Schedule`,
 :class:`~relcommit.adversary.SecurityReport`, its rows,
 :class:`~relcommit.adversary.Strategy` or
 :class:`~relcommit.montecarlo.StatsSummary` changes the wire format.
-Statistics go through ``asdict`` itself; reports and strategies have
-hand-written encoders, which a test holds equal to ``asdict``.
+Statistics go through ``asdict`` itself; one encoder
+(:func:`_document`) writes all the others.  It skips the deep copy
+``asdict`` makes of every leaf, which makes ``asdict`` take about six
+times as long on a report or a string schedule: some 0.3 ms more on
+each ``run`` file written and read back.
 
 Serialization is deterministic: keys sorted, compact separators, floats
 in shortest round-trip form, so equal values serialize to equal bytes.
@@ -87,10 +91,31 @@ def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _label_to_json(label: BellLabel | None):
-    if label is None:
-        return None
-    return {"i": label.i, "j": label.j}
+# the types of most values met, returned before ``hasattr``, which is slow on a miss
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _document(value):
+    """``dataclasses.asdict(value)``, without its deep copy of each leaf.
+
+    A dataclass instance maps to a dict of its fields, read from its
+    ``__dict__``; a tuple or list to one of the same type, item by
+    item; anything else (a str, a number, numpy's too, or None) is
+    returned as it is.
+    """
+    kind = type(value)
+    if kind in _LEAVES:
+        return value
+    if kind is tuple or kind is list:
+        # a tuple built from a list: ``tuple(map(...))`` grows it in steps,
+        # which left the ``transcripts`` benchmark about 1 MB more resident
+        return kind([_document(item) for item in value])
+    if hasattr(kind, "__dataclass_fields__"):
+        return {field: _document(item) for field, item in value.__dict__.items()}
+    return value
+
+
+schedule_to_json = strategy_to_json = report_to_json = _document
 
 
 def _label_from_json(doc, field: str) -> BellLabel:
@@ -106,10 +131,6 @@ def _label_from_json(doc, field: str) -> BellLabel:
 _PROBES = {(spec.basis, spec.value): spec for spec in BASIS_STATES}
 
 
-def _phi_to_json(spec: BasisStateSpec):
-    return {"basis": spec.basis, "value": spec.value}
-
-
 def _phi_from_json(doc, field: str) -> BasisStateSpec:
     if not isinstance(doc, dict) or "basis" not in doc or "value" not in doc:
         raise TranscriptParseError(f"field {field!r} must have basis and value")
@@ -123,44 +144,6 @@ def _require(doc: dict, field: str):
     if field not in doc:
         raise TranscriptParseError(f"missing field {field!r}")
     return doc[field]
-
-
-# Schedules and transcripts keep hand-written encoders: the transcript
-# layout nests stored bits and announcements, and ``asdict`` of a
-# schedule takes about 27 times as long as this encoder, on every ``run``
-# line.
-def schedule_to_json(schedule: Schedule) -> dict:
-    return {
-        "scheme": schedule.scheme,
-        "x": schedule.x,
-        "c": schedule.c,
-        "phase_times": {
-            "commit": schedule.phase_times.commit,
-            "confirm": schedule.phase_times.confirm,
-            "store": schedule.phase_times.store,
-            "reveal": schedule.phase_times.reveal,
-        },
-        "events": [
-            {
-                "actor": e.actor,
-                "time": e.time,
-                "kind": e.kind,
-                "payload_ref": e.payload_ref,
-                "deps": list(e.deps),
-            }
-            for e in schedule.events
-        ],
-        "messages": [
-            {
-                "sender": m.sender,
-                "receiver": m.receiver,
-                "send_time": m.send_time,
-                "arrival_time": m.arrival_time,
-                "channel": m.channel,
-            }
-            for m in schedule.messages
-        ],
-    }
 
 
 def _bit(doc: dict, field: str, nullable: bool = False):
@@ -233,41 +216,43 @@ def schedule_from_json(doc: dict) -> Schedule:
     :func:`read_transcripts` splices a stream's repeated schedule text
     out of its lines, so this serves single lines, schedule files and
     lines not in canonical form.  Each distinct document is still
-    checked and built once.  Documents are told apart by their
-    ``marshal`` bytes, which keep what ``==`` conflates (``true`` and
-    ``1``, ``1`` and ``1.0``, ``-0.0`` and ``0.0``).
+    checked and built once.  Documents are told apart by value, type
+    and key order: by their ``marshal`` bytes in format 2, which keep
+    what ``==`` conflates (``true`` and ``1``, ``1`` and ``1.0``,
+    ``-0.0`` and ``0.0``) and, unlike later formats, write no
+    back-references, so a document keys alike however often its parts
+    are referenced elsewhere.
     """
     if not isinstance(doc, dict):
         raise TranscriptParseError(f"schedule must be an object, got {type(doc).__name__}")
     try:
-        key = marshal.dumps(doc)
+        key = marshal.dumps(doc, 2)
     except ValueError as exc:
         raise TranscriptParseError(f"bad schedule document: {exc}") from exc
     return _schedule_from_marshal(key)
 
 
 def transcript_to_json(transcript: Transcript) -> dict:
-    verdict = transcript.verdict
     return {
         "scheme": transcript.scheme,
-        "alice_label": _label_to_json(transcript.alice_label),
-        "bob_label": _label_to_json(transcript.bob_label),
-        "swap_outcome": _label_to_json(transcript.swap_outcome),
-        "teleport_outcome": _label_to_json(transcript.teleport_outcome),
-        "phi": _phi_to_json(transcript.phi),
+        "alice_label": _document(transcript.alice_label),
+        "bob_label": _document(transcript.bob_label),
+        "swap_outcome": _document(transcript.swap_outcome),
+        "teleport_outcome": _document(transcript.teleport_outcome),
+        "phi": _document(transcript.phi),
         "stored_bits": {
             "alice": transcript.stored_alice_bit,
             "bob": transcript.stored_bob_bit,
             "alice_mid": transcript.alice_mid_measurement,
         },
         "announcements": {
-            "alice_label": _label_to_json(transcript.announced_alice_label),
-            "bob_label": _label_to_json(transcript.announced_bob_label),
-            "teleport_outcome": _label_to_json(transcript.announced_teleport_outcome),
+            "alice_label": _document(transcript.announced_alice_label),
+            "bob_label": _document(transcript.announced_bob_label),
+            "teleport_outcome": _document(transcript.announced_teleport_outcome),
         },
         "pair_index": transcript.pair_index,
         "probability": transcript.probability,
-        "verdict": None if verdict is None else {"accept": verdict.accept, "reason": verdict.reason},
+        "verdict": _document(transcript.verdict),
         "schedule": schedule_to_json(transcript.schedule),
     }
 
@@ -689,15 +674,6 @@ def read_transcripts(stream: IO[str]) -> list[Transcript]:
     return out
 
 
-def strategy_to_json(strategy: Strategy) -> dict:
-    return {
-        "role": strategy.role,
-        "kind": strategy.kind,
-        "delta": _label_to_json(strategy.delta),
-        "basis": strategy.basis,
-    }
-
-
 def strategy_from_json(doc: dict) -> Strategy:
     if not isinstance(doc, dict):
         raise TranscriptParseError("strategy must be an object")
@@ -711,39 +687,6 @@ def strategy_from_json(doc: dict) -> Strategy:
         )
     except ValueError as exc:
         raise TranscriptParseError(f"bad strategy document: {exc}") from exc
-
-
-# ``asdict`` of a cold scan's report cost about 0.2 ms, a few percent of
-# the scan.
-def report_to_json(report: SecurityReport) -> dict:
-    return {
-        "scheme": report.scheme,
-        "mode": report.mode,
-        "phi_policy": report.phi_policy,
-        "n_pairs": report.n_pairs,
-        "strategy_rows": tuple(
-            {
-                "strategy": strategy_to_json(row.strategy),
-                "acceptance_probability": row.acceptance_probability,
-                "worst_case_acceptance": row.worst_case_acceptance,
-                "detection_probability": row.detection_probability,
-                "claimed_acceptance": row.claimed_acceptance,
-                "agrees": row.agrees,
-            }
-            for row in report.strategy_rows
-        ),
-        "extraction_rows": tuple(
-            {
-                "strategy": strategy_to_json(row.strategy),
-                "guess_probability": row.guess_probability,
-                "claimed_guess": row.claimed_guess,
-                "agrees": row.agrees,
-            }
-            for row in report.extraction_rows
-        ),
-        "concealment_tv": report.concealment_tv,
-        "extraction_guess_probability": report.extraction_guess_probability,
-    }
 
 
 def _number(doc: dict, field: str, nullable: bool = False):

@@ -14,6 +14,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relcommit import cli, serialize
@@ -539,6 +540,25 @@ class TestAudit:
         parsed = json.loads(out)
         assert parsed["ok"] is False
         assert parsed["violations"][0]["kind"] == "superluminal"
+
+
+class TestNumpyGeometry:
+    def test_a_numpy_float_writes_the_bytes_of_its_python_float(self, capsys, monkeypatch):
+        # ``SchemeParams("single", x=np.float64(2.0))`` puts numpy floats in
+        # its schedule, which the document encoder passes through unchanged
+        params = SchemeParams("single", x=np.float64(2.0))
+        assert type(schedule_to_json(params.schedule)["x"]) is np.float64
+        assert params == SchemeParams("single", x=2.0)
+        commands = (("run", "--x", "2", "--trials", "6", "--seed", "3"),
+                    ("audit", "--x", "2"))
+        expected = [run_cli(capsys, *argv) for argv in commands]
+        run_config, schedule = cli._run_config, cli.standard_schedule
+        monkeypatch.setattr(cli, "_run_config",
+                            lambda args: dataclasses.replace(run_config(args), x=np.float64(args.x)))
+        monkeypatch.setattr(cli, "standard_schedule",
+                            lambda x, c, T, scheme: schedule(np.float64(x), c, T, scheme))
+        assert [run_cli(capsys, *argv) for argv in commands] == expected
+        assert [code for code, _, _ in expected] == [0, 0]
 
 
 class TestStats:

@@ -15,9 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit import serialize
-from relcommit.adversary import Strategy, build_report
+from relcommit.adversary import _DEFAULT_COMMITTER, _DEFAULT_RECEIVER, Strategy, build_report
 from relcommit.cli import cli_main
-from relcommit.montecarlo import RunConfig, sample_branches
+from relcommit.montecarlo import RunConfig, monte_carlo, sample_branches
 from relcommit.protocol import SchemeParams, Transcript, Verdict, _with_pair_index, run_pairs
 from relcommit.quantum import BASIS_STATES, BELL_LABELS, BellLabel
 from relcommit.serialize import (
@@ -34,7 +34,7 @@ from relcommit.serialize import (
     strategy_to_json,
     transcript_to_json,
 )
-from relcommit.spacetime import SCHEMES, standard_schedule
+from relcommit.spacetime import SCHEMES, audit, standard_schedule
 
 import dataclasses
 
@@ -686,6 +686,15 @@ class TestScheduleRoundTrip:
             parse_transcript(dumps(line))
         assert str(caught.value) == message
 
+    def test_a_line_and_its_schedule_document_share_one_schedule(self):
+        # the memo keys a document on its value, not on how many references
+        # to its parts are alive: within ``parse_transcript`` the line's
+        # dict still holds the schedule document, here nothing else does
+        line = serialize_transcript(sample_transcripts()[0])
+        serialize._schedule_from_marshal.cache_clear()
+        assert parse_transcript(line).schedule is schedule_from_json(json.loads(line)["schedule"])
+        assert serialize._schedule_from_marshal.cache_info().misses == 1
+
     def test_unmarshallable_document(self):
         doc = schedule_to_json(standard_schedule(1.0, 1.0, 10.0, "single"))
         with pytest.raises(TranscriptParseError, match="bad schedule document"):
@@ -722,12 +731,62 @@ class TestStrategyAndReport:
     @pytest.mark.parametrize("mode", ["R1", "R2"])
     @pytest.mark.parametrize("scheme", ["single", "multi", "string"])
     def test_report_document_is_its_asdict(self, scheme, mode):
-        # the hand-written encoder lays a report out as ``asdict`` does,
-        # rows kept as tuples, so renaming a field still fails here
+        # the encoder lays a report out as ``asdict`` does, rows kept as
+        # tuples, so renaming a field still fails here
         report = build_report(SchemeParams(scheme, validation_mode=mode))
         doc = report_to_json(report)
         assert doc == dataclasses.asdict(report)
         assert type(doc["strategy_rows"]) is type(doc["extraction_rows"]) is tuple
+
+
+def _typed(doc):
+    """``doc`` with the type of each node beside it, so ``==`` also tells
+    tuples from lists, 1 from 1.0 and True, and one key order from another."""
+    if isinstance(doc, dict):
+        return "dict", [(key, _typed(value)) for key, value in doc.items()]
+    if isinstance(doc, (list, tuple)):
+        return type(doc).__name__, [_typed(item) for item in doc]
+    return type(doc).__name__, doc
+
+
+class TestDocumentEncoder:
+    """One encoder lays out every dataclass document as ``asdict`` does."""
+
+    @given(
+        x=st.floats(min_value=0.0, max_value=1e6),
+        c=st.floats(min_value=1e-3, max_value=1e3),
+        slack=st.floats(min_value=0.0, max_value=1e6),
+        scheme=st.sampled_from(SCHEMES),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(x=1.0, c=1.0, slack=8.0, scheme="multi")
+    def test_schedule(self, x, c, slack, scheme):
+        schedule = standard_schedule(x, c, 2 * x / c + slack, scheme)
+        assert _typed(schedule_to_json(schedule)) == _typed(dataclasses.asdict(schedule))
+
+    @pytest.mark.parametrize("phi", ["default", "uniform"])
+    @pytest.mark.parametrize("mode", ["R1", "R2"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_report(self, scheme, mode, phi):
+        report = build_report(SchemeParams(scheme, phi_policy=phi, validation_mode=mode))
+        assert _typed(report_to_json(report)) == _typed(dataclasses.asdict(report))
+
+    @pytest.mark.parametrize("strategy", _DEFAULT_COMMITTER + _DEFAULT_RECEIVER,
+                             ids=Strategy.describe)
+    def test_menu_strategy(self, strategy):
+        assert _typed(strategy_to_json(strategy)) == _typed(dataclasses.asdict(strategy))
+
+    def test_stats_summary(self):
+        summary = monte_carlo(RunConfig(scheme="multi", trials=200, seed=2))
+        assert _typed(serialize._document(summary)) == _typed(dataclasses.asdict(summary))
+
+    def test_violations_of_a_flagged_audit(self):
+        schedule = standard_schedule(1.0, 1.0, 10.0, "single")
+        hurried = dataclasses.replace(schedule.messages[0], arrival_time=0.25)
+        report = audit(dataclasses.replace(schedule, messages=(hurried, *schedule.messages[1:])))
+        assert report.violations
+        assert (_typed(serialize._document(report.violations))
+                == _typed(dataclasses.asdict(report)["violations"]))
 
 
 @pytest.fixture(scope="module")
