@@ -94,10 +94,14 @@ class _Parser(argparse.ArgumentParser):
             raise _write_error("to stdout", exc) from exc
 
 
+class _LabelError(argparse.ArgumentTypeError, ValueError):
+    """A malformed label: argparse shows its message, and callers catch a ``ValueError``."""
+
+
 def parse_label(text: str) -> BellLabel:
     text = text.strip()
     if len(text) != 2 or any(ch not in "01" for ch in text):
-        raise ValueError(f"labels are two bits like '01', got {text!r}")
+        raise _LabelError(f"labels are two bits like '01', got {text!r}")
     return BellLabel(int(text[0]), int(text[1]))
 
 

@@ -32,10 +32,14 @@ Validation knows two verifier models:
 
 :func:`run_pairs` enumerates any scheme exactly.  One enumerator fills
 a table of code columns, the branches of all 16 (committed, receiver)
-label pairs, with the quantum engine's stack kernel: one pass per probe
-state, whose steps are each one measured stack of every label pair's
-branches, of which the enumerator keeps the weights and the outcome
-codes, and only a step measured again has its collapsed states built.
+label pairs, with the quantum engine's stack kernel: one pass over all
+the probe states, whose registers are stacked probe-major (register
+``16p + 4a + b`` is probe ``p``, committed label ``a``, receiver label
+``b``), whose steps are each one measured stack of every probe's and
+label pair's branches, and whose confirmation measures one stack per
+run of probes sharing a basis family.  The enumerator keeps each
+step's weights and outcome codes, and only a step measured again has
+its collapsed states built.
 String pairs share the single scheme's steps; the multi scheme adds
 two, its probe copies read off the verifier's measured table.  Tables
 are memoized on all the enumerator reads (multi or not, and the probe
@@ -64,6 +68,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -286,17 +291,18 @@ def _row(t: Transcript) -> _Columns:
     )
 
 
-def _registers(probe: np.ndarray) -> np.ndarray:
-    """The register of every (committed, receiver) label pair with one probe: row ``4a + b``.
+def _registers(probes: np.ndarray) -> np.ndarray:
+    """The register of every probe state and (committed, receiver) label pair: row ``16p + 4a + b``.
 
-    ``probe`` holds the probe state's amplitudes, and ``a`` and ``b``
-    are the labels' codes.  The real kets are multiplied as
-    :func:`~relcommit.quantum.tensor` does (``np.kron``'s broadcast
-    products, left factor first), so each float64 row is that tensor
-    product's real part bit for bit; its imaginary part is zero.
+    ``probes`` holds one probe state's amplitudes, or a row of them per
+    probe ``p``, and ``a`` and ``b`` are the labels' codes.  The real
+    kets are multiplied as :func:`~relcommit.quantum.tensor` does
+    (``np.kron``'s broadcast products, left factor first), so each
+    float64 row is that tensor product's real part bit for bit; its
+    imaginary part is zero.
     """
     pairs = _BELL_KETS[:, None, :, None] * _BELL_KETS[None, :, None, :]
-    return (pairs.reshape(16, 16)[:, :, None] * probe).reshape(16, 32)
+    return (pairs.reshape(16, 16)[:, :, None] * probes.reshape(-1, 1, 1, 2)).reshape(-1, 32)
 
 
 def _lineage(steps: Sequence[_Projection]) -> list[np.ndarray]:
@@ -307,36 +313,41 @@ def _lineage(steps: Sequence[_Projection]) -> list[np.ndarray]:
     return rows
 
 
-def _enumerate(multi: bool, probe: BasisStateSpec, prior: float) -> _Columns:
-    """Exhaustive branches of every label pair with one probe state, weighted by ``prior``.
+def _enumerate(multi: bool, probes: tuple[BasisStateSpec, ...]) -> _Columns:
+    """Exhaustive branches of every label pair with each probe state, in one pass.
 
-    Register order: Alice's retained half, her flying half, the
-    receiver's flying half, the receiver's retained half, the probe.
-    The middle agent's joint measurement hits qubits 1 and 2; the
-    receiver's teleportation measurement hits the probe and his retained
-    half (4 and 3); Alice rotates qubit 0 by her label's Pauli frame and
-    the confirmation measurement reads it in the probe's basis family.
-    ``multi`` adds two steps: Alice's recorded Z measurement of qubit 0
-    before her frame, and the second committer's returned copy of the
-    probe, rotated by his label and then his teleportation outcome.  The
-    copy is built from labels, never evolved through the register, so
-    its step is read off :func:`_verifier_tables`, which the label
-    algebra route cross-checks.  Every other step measures every branch
-    of the step before it as one stack, starting from the registers of
-    all 16 (committed, receiver) label pairs.  Rows stay in the order of
-    their registers, so a row's register ``4a + b`` names its committed
-    label ``a`` and its receiver label ``b``.  A step keeps its weights
-    and outcome codes; collapsed states are built only for a step that
-    another step measures, and dropped once it has measured them.
-    Alice's frame is folded into the last of those collapses, which
-    each kept branch's register already names: the frame of label ``a``
-    turns the factor that holds qubit 0 (see
-    :func:`~relcommit.quantum._collapsed`), the 8-amplitude residual of
-    the teleportation step or, in ``multi``, the 2-amplitude ket of the
-    recorded Z step, so no 32-amplitude register is gathered.
+    Each probe state is drawn with weight ``1 / len(probes)``.  Register
+    order: Alice's retained half, her flying half, the receiver's flying
+    half, the receiver's retained half, the probe.  The middle agent's
+    joint measurement hits qubits 1 and 2; the receiver's teleportation
+    measurement hits the probe and his retained half (4 and 3); Alice
+    rotates qubit 0 by her label's Pauli frame and the confirmation
+    measurement reads it in the probe's basis family.  ``multi`` adds two
+    steps: Alice's recorded Z measurement of qubit 0 before her frame,
+    and the second committer's returned copy of the probe, rotated by
+    his label and then his teleportation outcome.  The copy is built
+    from labels, never evolved through the register, so its step is
+    read off :func:`_verifier_tables`, which the label algebra route
+    cross-checks.  Every other step measures every branch of the step
+    before it as one stack, starting from :func:`_registers`: every
+    probe's 16 (committed, receiver) label pairs, probe-major.  Rows
+    stay in the order of their registers, so a row's register
+    ``16p + 4a + b`` names its probe ``probes[p]``, its committed label
+    ``a`` and its receiver label ``b``, and each probe's rows are one
+    run.  The confirmation measures one stack per run of probes that
+    share a basis family (Z, then X, for the four basis states), since
+    its basis is the probe's.  A step keeps its weights and outcome
+    codes; collapsed states are built only for a step that another step
+    measures, and dropped once it has measured them.  Alice's frame is
+    folded into the last of those collapses, which each kept branch's
+    register already names: the frame of label ``a`` turns the factor
+    that holds qubit 0 (see :func:`~relcommit.quantum._collapsed`), the
+    8-amplitude residual of the teleportation step or, in ``multi``, the
+    2-amplitude ket of the recorded Z step, so no 32-amplitude register
+    is gathered.
     """
-    probe_code = BASIS_STATES.index(probe)
-    stack = _registers(_PROBE_KETS[probe_code])
+    probe_codes = np.array([BASIS_STATES.index(probe) for probe in probes])
+    stack = _registers(_PROBE_KETS[probe_codes])
     steps = []
     plan = [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else [])
     for qubits, basis in plan:
@@ -344,24 +355,31 @@ def _enumerate(multi: bool, probe: BasisStateSpec, prior: float) -> _Columns:
         steps.append(measured._replace(residuals=None))
         # the last collapse also turns qubit 0 by each branch's committed
         # label, read off its register: a label's code names its frame
-        frame = (0, _lineage(steps)[0] // 4) if len(steps) == len(plan) else None
+        frame = (0, _lineage(steps)[0] % 16 // 4) if len(steps) == len(plan) else None
         stack = _collapsed(measured, qubits, basis, frame)
         del measured
-    steps.append(_measure_stack(stack, (0,), probe.basis)._replace(residuals=None))
+    probe_of = _lineage(steps)[0] // 16  # each row's probe, ascending
+    confirmed = []
+    for basis, run in groupby(range(len(probes)), lambda p: probes[p].basis):
+        run = list(run)
+        start, stop = np.searchsorted(probe_of, (run[0], run[-1] + 1))
+        parents, probabilities, codes, _ = _measure_stack(stack[start:stop], (0,), basis)
+        confirmed.append((parents + start, probabilities, codes))
+    steps.append(_Projection(*map(np.concatenate, zip(*confirmed)), None))
     if multi:
         register, _, t, *_ = _lineage(steps)
         tables = _verifier_tables()  # indexed [probe, frame, correction]
-        at = (probe_code, steps[1].codes[t], register % 4)
+        at = (probe_codes[register // 16], steps[1].codes[t], register % 4)
         parents = np.arange(len(register))  # each copy has one outcome
         steps.append(_Projection(parents, tables.weight[at], tables.prediction[at], None))
     register, *rows = _lineage(steps)
-    probability = prior  # step order fixes the rounding, which TestGoldenTables pins
+    probability = 1.0 / len(probes)  # step order fixes the rounding, which TestGoldenTables pins
     for step, row in zip(steps, rows):
         probability = probability * step.probabilities[row]
     swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
     mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
     return _Columns(
-        np.full(len(register), probe_code), register // 4, register % 4,
+        probe_codes[register // 16], register % 16 // 4, register % 4,
         swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
     )
 
@@ -370,23 +388,22 @@ def _enumerate(multi: bool, probe: BasisStateSpec, prior: float) -> _Columns:
 def _table(multi: bool, probes: tuple[BasisStateSpec, ...]) -> _Columns:
     """The one memo of branch tables, keyed on all that :func:`_enumerate` reads.
 
-    Code columns of one :func:`_enumerate` pass per probe state,
-    concatenated probe-major and stably sorted by (committed label,
-    receiver label): each label pair's rows are one contiguous slice,
-    probe-major, and so are each committed label's (see
-    :func:`_columns`).  Raises ``ValueError`` unless every stored bit is
-    0 or 1 and every probability lies in ``(0, 1 + PROB_ATOL]``.
+    Code columns of one :func:`_enumerate` pass over every probe state,
+    whose rows follow their registers ``16p + 4a + b`` and were
+    confirmed in one stack per run of probes sharing a basis family,
+    stably sorted by (committed label ``a``, receiver label ``b``): each
+    label pair's rows are one contiguous slice, probe-major, and so are
+    each committed label's (see :func:`_columns`).  Raises
+    ``ValueError`` unless every stored bit is 0 or 1 and every
+    probability lies in ``(0, 1 + PROB_ATOL]``.
     """
-    passes = [_enumerate(multi, probe, 1.0 / len(probes)) for probe in probes]
-    enumerated = _Columns._make(
-        None if parts[0] is None else np.concatenate(parts) for parts in zip(*passes)
-    )
+    enumerated = _enumerate(multi, probes)
     order = np.argsort(4 * enumerated.alice + enumerated.bob, kind="stable")
     columns = _Columns._make(
         None if column is None else _frozen(column[order]) for column in enumerated
     )
     stored = [bits for bits in (columns.stored_alice, columns.stored_bob) if bits is not None]
-    if not np.isin(stored, (0, 1)).all():
+    if not all(((bits == 0) | (bits == 1)).all() for bits in stored):
         raise ValueError(f"stored bit must be 0 or 1, got {np.unique(stored).tolist()!r}")
     probability = columns.probability
     if not ((probability > 0.0) & (probability <= 1.0 + PROB_ATOL)).all():

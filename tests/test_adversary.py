@@ -231,10 +231,12 @@ class TestVerifierWork:
         SchemeParams("string", phi_policy=X1),
     ], ids=["single", "multi", "multi-uniform", "string", "string-X1"])
     def test_cold_report_measures_a_stack_per_step_and_probe_state(self, monkeypatch, params):
-        # one table for all committed labels, a stack per step and probe
-        # state, the 16 (committed, receiver) label pairs being the first
-        # stack's rows: 3 steps, or in the multi scheme 4, the second
-        # committer's probe copies being read off the verifier's table
+        # one table for all committed labels and probe states, a stack per
+        # step, every probe's 16 (committed, receiver) label pairs being
+        # the first stack's rows: 3 steps, or in the multi scheme 4, the
+        # second committer's probe copies being read off the verifier's
+        # table; the confirmation measures one more stack per extra basis
+        # family among the probe states
         adversary.clear_caches()
         protocol._verifier_tables()  # measures its predictions once per process
         stacks = []
@@ -243,7 +245,8 @@ class TestVerifierWork:
                             lambda *args: stacks.append(args[1:]) or real(*args))
         build_report(params)
         steps = 4 if params.scheme == "multi" else 3
-        assert len(stacks) == steps * len(params.phi_choices())
+        bases = {spec.basis for spec, _ in params.phi_choices()}
+        assert len(stacks) == steps - 1 + len(bases)
 
     @pytest.mark.parametrize("params,steps", [
         (SchemeParams("single"), 2),
@@ -252,7 +255,7 @@ class TestVerifierWork:
     ], ids=["single", "multi", "string"])
     def test_only_steps_measured_again_build_collapsed_states(self, monkeypatch, params, steps):
         # the swap and teleport steps (and multi's recorded Z) are measured
-        # again, once per probe state; the confirmation and probe-copy
+        # again, once for all probe states; the confirmation and probe-copy
         # steps, the verifier's predictions and the extraction route read
         # weights and codes only, and the other labels read the same table
         adversary.clear_caches()
@@ -262,10 +265,10 @@ class TestVerifierWork:
             extraction_guess_probability(strategy)
         assert collapsed == []
         protocol._columns(params, BellLabel(1, 0))
-        assert len(collapsed) == steps * len(params.phi_choices())
+        assert len(collapsed) == steps
         for alice in BELL_LABELS:
             protocol._columns(params, alice)
-        assert len(collapsed) == steps * len(params.phi_choices())
+        assert len(collapsed) == steps
 
     def test_cold_string_report_frames_no_whole_register(self, monkeypatch):
         # Alice's frame turns the 8-amplitude residual of the teleportation

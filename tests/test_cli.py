@@ -76,6 +76,18 @@ class TestParseLabel:
             with pytest.raises(ValueError):
                 parse_label(bad)
 
+    @pytest.mark.parametrize("flag", ["--alice-label", "--bob-label", "--announce-delta"])
+    def test_bad_flag_names_the_label_rule(self, capsys, flag):
+        assert run_cli(capsys, "run", flag, "2") == (
+            1, "", f"error: argument {flag}: labels are two bits like '01', got '2'\n")
+
+    def test_bad_config_label_names_the_label_rule(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"alice_label": "2"}))
+        assert run_cli(capsys, "run", "--config", str(path)) == (
+            1, "", "error: config key 'alice_label': argument --alice-label: "
+                   "labels are two bits like '01', got '2'\n")
+
 
 class TestEnumerate:
     def test_single_enumeration_shape(self, capsys):

@@ -820,6 +820,73 @@ class TestGoldenTables:
         assert (result.returncode, result.stdout.strip()) == (0, _GOLDEN_DIGEST), result.stderr
 
 
+def _per_probe_pass(multi: bool, probe: BasisStateSpec, prior: float) -> protocol._Columns:
+    """One probe state's branches of every label pair, enumerated alone:
+    the construction that one pass over all probe states replaced."""
+    probe_code = quantum.BASIS_STATES.index(probe)
+    stack = protocol._registers(protocol._PROBE_KETS[probe_code])
+    steps = []
+    plan = [((1, 2), "bell"), ((4, 3), "bell")] + ([((0,), "Z")] if multi else [])
+    for qubits, basis in plan:
+        measured = quantum._measure_stack(stack, qubits, basis)
+        steps.append(measured._replace(residuals=None))
+        frame = (0, protocol._lineage(steps)[0] // 4) if len(steps) == len(plan) else None
+        stack = quantum._collapsed(measured, qubits, basis, frame)
+    steps.append(quantum._measure_stack(stack, (0,), probe.basis)._replace(residuals=None))
+    if multi:
+        register, _, t, *_ = protocol._lineage(steps)
+        tables = _verifier_tables()
+        at = (probe_code, steps[1].codes[t], register % 4)
+        parents = np.arange(len(register))
+        steps.append(quantum._Projection(parents, tables.weight[at], tables.prediction[at], None))
+    register, *rows = protocol._lineage(steps)
+    probability = prior
+    for step, row in zip(steps, rows):
+        probability = probability * step.probabilities[row]
+    swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
+    mid, stored_alice, stored_bob = rest if multi else (None, *rest, None)
+    return protocol._Columns(
+        np.full(len(register), probe_code), register // 4, register % 4,
+        swap_codes, tele_codes, stored_alice, stored_bob, mid, probability,
+    )
+
+
+def _per_probe_table(multi: bool, probes: tuple[BasisStateSpec, ...]) -> protocol._Columns:
+    """One pass per probe state, concatenated and then stably sorted by label pair."""
+    passes = [_per_probe_pass(multi, probe, 1.0 / len(probes)) for probe in probes]
+    enumerated = protocol._Columns._make(
+        None if parts[0] is None else np.concatenate(parts) for parts in zip(*passes)
+    )
+    order = np.argsort(4 * enumerated.alice + enumerated.bob, kind="stable")
+    return protocol._Columns._make(None if column is None else column[order] for column in enumerated)
+
+
+class TestOnePass:
+    # every memo key that some SchemeParams forms: multi or not, and its probe states
+    _KEYS = sorted({(scheme == "multi", tuple(spec for spec, _ in
+                                                SchemeParams(scheme, phi_policy=policy).phi_choices()))
+                    for scheme, policies in _POLICIES.items() for policy in policies},
+                   key=repr)
+
+    def test_memo_keys_are_each_probe_and_both_families(self):
+        singles = {(False, (spec,)) for spec in quantum.BASIS_STATES}
+        singles |= {(True, (spec,)) for spec in protocol.Z_FAMILY}
+        families = {(False, protocol.Z_FAMILY), (False, FULL_FAMILY), (True, protocol.Z_FAMILY)}
+        assert set(self._KEYS) == singles | families
+
+    @pytest.mark.parametrize("multi,probes", _KEYS, ids=[
+        "-".join(["multi" if multi else "pair", *map(str, probes)]) for multi, probes in _KEYS])
+    def test_table_equals_the_per_probe_construction(self, multi, probes):
+        clear_caches()
+        table = protocol._table(multi, probes)
+        oracle = _per_probe_table(multi, probes)
+        for name, got, want in zip(protocol._Columns._fields, table, oracle):
+            if want is None:
+                assert got is None, name
+            else:
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+
+
 # Every ordered tuple of distinct probe states: 4 + 12 + 24 + 24 = 64
 _PROBE_TUPLES = [probes for size in range(1, 5)
                  for probes in itertools.permutations(quantum.BASIS_STATES, size)]
