@@ -10,9 +10,10 @@ that share no code past the label arithmetic itself:
    label codes and count the accepted cells of the grid, with no
    amplitudes anywhere.
 
-The two must agree within 1e-12 or the analyzer raises
-:class:`SelfCheckError` instead of returning a number.  This guards the
-simulator and the closed-form analysis against each other.
+Both routes are exact, since every weight is dyadic, so the two must be
+equal or the analyzer raises :class:`SelfCheckError` instead of
+returning a number.  This guards the simulator and the closed-form
+analysis against each other.
 
 The verifier model (``R1`` or ``R2``, see :mod:`relcommit.protocol`) is
 ``params.validation_mode`` and nothing else; to analyze the other model,
@@ -46,10 +47,10 @@ disagreements are findings, never silently reconciled.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -87,6 +88,8 @@ __all__ = [
     "clear_caches",
 ]
 
+# How far a reported value may sit from its claim and still agree; the
+# routes themselves must be equal (see _checked).
 AGREEMENT_ATOL = 1e-12
 
 COMMITTER_KINDS = ("honest", "relabel_announce", "delayed_rechoice")
@@ -96,7 +99,7 @@ _ZERO = BellLabel(0, 0)
 
 
 class SelfCheckError(RuntimeError):
-    """The enumeration and algebra routes disagreed beyond tolerance."""
+    """The enumeration and algebra routes gave different values."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,7 @@ def _acceptance_by_label_algebraic(params: SchemeParams) -> np.ndarray:
 
 
 def _checked(value_enum: float, value_alg: float, what: str) -> float:
-    if abs(value_enum - value_alg) > AGREEMENT_ATOL:
+    if value_enum != value_alg:
         raise SelfCheckError(
             f"{what}: enumeration gives {value_enum!r}, label algebra {value_alg!r}"
         )
@@ -274,7 +277,7 @@ def _committer_profile(
     :func:`_acceptance_profiles` of ``params``.
     """
     committed, announced = strategy.committer_labels(_ZERO)
-    return _shift_profile(profiles, itertools.repeat(committed ^ announced, params.n_pairs))
+    return _shift_profile(profiles, {committed ^ announced: params.n_pairs})
 
 
 def detection_probability(params: SchemeParams, strategy: Strategy) -> float:
@@ -298,24 +301,24 @@ def string_cheat_acceptance(params: SchemeParams, per_pair_delta: Sequence[BellL
         raise ValueError(
             f"expected {params.n_pairs} per-pair shifts, got {len(per_pair_delta)}"
         )
-    return _shift_profile(_acceptance_profiles(params), per_pair_delta)[0]
+    return _shift_profile(_acceptance_profiles(params), Counter(per_pair_delta))[0]
 
 
-def _shift_profile(
-    profiles: dict, per_pair_shift: Iterable[BellLabel]
-) -> tuple[float, float]:
+def _shift_profile(profiles: dict, shift_counts: Mapping[BellLabel, int]) -> tuple[float, float]:
     """Joint (averaged, worst-case) acceptance over independent pairs.
 
-    ``profiles`` maps each shift to its per-pair profile; the factors
-    are multiplied in pair order, so the product is the same float as
-    pair by pair.
+    ``profiles`` maps each shift to its per-pair profile and
+    ``shift_counts`` each shift to its number of pairs, so a profile
+    costs the same at any pair count.  Every per-pair factor is 0, 1/2
+    or 1, so each power, and the product of the powers, is the float
+    that multiplying pair by pair gives, underflow to 0.0 included.
     """
     average = 1.0
     worst = 1.0
-    for shift in per_pair_shift:
+    for shift, count in shift_counts.items():
         pair_average, pair_worst = profiles[shift]
-        average *= pair_average
-        worst *= pair_worst
+        average *= pair_average ** count
+        worst *= pair_worst ** count
     return average, worst
 
 

@@ -64,7 +64,7 @@ from .protocol import (
     _verify,
     parse_phi_policy,
 )
-from .quantum import BELL_LABELS, PROB_ATOL, BellLabel
+from .quantum import BELL_LABELS, BellLabel
 
 __all__ = [
     "CHUNK_DRAWS",
@@ -174,14 +174,13 @@ def slot_table(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
     """Branch index of each of ``SLOTS`` equiprobable slots, in table order.
 
     Takes a branch table's probabilities.  Raises ``ValueError`` unless
-    each branch fills at least one whole slot (within
-    ``PROB_ATOL * SLOTS``) and the slots add up to ``SLOTS``.
+    each branch fills a whole number of slots, at least one, and the
+    slots add up to ``SLOTS``.
     """
-    scaled = np.asarray(probabilities) * SLOTS
-    counts = np.rint(scaled)
-    if counts.min() < 1 or counts.sum() != SLOTS or np.abs(scaled - counts).max() > PROB_ATOL * SLOTS:
+    counts = np.asarray(probabilities) * SLOTS
+    if counts.min() < 1 or counts.sum() != SLOTS or (counts != np.rint(counts)).any():
         raise ValueError(f"branch weights are not whole multiples of 1/{SLOTS}")
-    return np.repeat(np.arange(len(scaled), dtype=np.uint8), counts.astype(np.intp))
+    return np.repeat(np.arange(len(counts), dtype=np.uint8), counts.astype(np.intp))
 
 
 def _campaign(config: RunConfig) -> tuple[SchemeParams, BellLabel, _Columns, _Check, np.ndarray]:

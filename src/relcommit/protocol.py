@@ -295,11 +295,11 @@ def _registers(probes: np.ndarray) -> np.ndarray:
     """The register of every probe state and (committed, receiver) label pair: row ``16p + 4a + b``.
 
     ``probes`` holds one probe state's amplitudes, or a row of them per
-    probe ``p``, and ``a`` and ``b`` are the labels' codes.  The real
-    kets are multiplied as :func:`~relcommit.quantum.tensor` does
-    (``np.kron``'s broadcast products, left factor first), so each
-    float64 row is that tensor product's real part bit for bit; its
-    imaginary part is zero.
+    probe ``p``, and ``a`` and ``b`` are the labels' codes.  The
+    engine's real kets, every entry 0 or +-1, are multiplied as
+    :func:`~relcommit.quantum.tensor` multiplies states, so each float64
+    row holds only 0 and +-1: the tensor product of the labels' pair
+    states and the probe state, times the register's norm.
     """
     pairs = _BELL_KETS[:, None, :, None] * _BELL_KETS[None, :, None, :]
     return (pairs.reshape(16, 16)[:, :, None] * probes.reshape(-1, 1, 1, 2)).reshape(-1, 32)
@@ -370,10 +370,10 @@ def _enumerate(multi: bool, probes: tuple[BasisStateSpec, ...]) -> _Columns:
         register, _, t, *_ = _lineage(steps)
         tables = _verifier_tables()  # indexed [probe, frame, correction]
         at = (probe_codes[register // 16], steps[1].codes[t], register % 4)
-        parents = np.arange(len(register))  # each copy has one outcome
-        steps.append(_Projection(parents, tables.weight[at], tables.prediction[at], None))
+        parents = np.arange(len(register))  # each copy has one outcome, of weight 1
+        steps.append(_Projection(parents, np.ones(len(register)), tables.prediction[at], None))
     register, *rows = _lineage(steps)
-    probability = 1.0 / len(probes)  # step order fixes the rounding, which TestGoldenTables pins
+    probability = 1.0 / len(probes)
     for step, row in zip(steps, rows):
         probability = probability * step.probabilities[row]
     swap_codes, tele_codes, *rest = (step.codes[row] for step, row in zip(steps, rows))
@@ -530,7 +530,6 @@ class _VerifierTables(NamedTuple):
     swap: np.ndarray  # [label a, label b, swap outcome] -> swapped label
     correction: np.ndarray  # [shared label, teleport outcome] -> correction Pauli
     prediction: np.ndarray  # [probe, frame, correction] -> predicted stored bit
-    weight: np.ndarray  # [probe, frame, correction] -> measured weight of that prediction
 
 
 @lru_cache(maxsize=None)
@@ -543,8 +542,8 @@ def _verifier_tables() -> _VerifierTables:
     probe, rotated by the teleportation correction and then by the
     announced Pauli frame, measured in its own basis family.  Each
     family's rotated probes are measured as one stack, and every row
-    must give exactly one outcome, because Pauli frames permute basis
-    family members; ``weight`` is that outcome's.  The multi scheme's
+    must give exactly one outcome, of weight 1, because Pauli frames
+    permute basis family members.  The multi scheme's
     probe copy is this rotated probe, the second committer's label the
     correction and his teleportation outcome the frame; built from labels,
     never evolved through a register, :func:`_enumerate` reads it here.
@@ -558,15 +557,13 @@ def _verifier_tables() -> _VerifierTables:
     corrections = np.arange(4)[:, None]  # against each frame's sources: [frame, correction, amplitude]
     rotated = corrected[:, corrections, sources[:, None]] * signs[:, None]  # [probe, frame, ...]
     prediction = np.empty(rotated.shape[:3], dtype=np.intp)
-    weight = np.empty(rotated.shape[:3])
     for basis in ("Z", "X"):
         rows = [k for k, phi in enumerate(BASIS_STATES) if phi.basis == basis]
         measured = _measure_stack(rotated[rows].reshape(-1, 2), (0,), basis)
         if not np.array_equal(measured.parents, np.arange(16 * len(rows))):
             raise AssertionError("expected a deterministic confirmation measurement")
         prediction[rows] = measured.codes.reshape(len(rows), 4, 4)  # a Z/X code is its bit
-        weight[rows] = measured.probabilities.reshape(len(rows), 4, 4)
-    return _VerifierTables(*map(_frozen, (swap, correction, prediction, weight)))
+    return _VerifierTables(*map(_frozen, (swap, correction, prediction)))
 
 
 def clear_caches() -> None:

@@ -30,21 +30,27 @@ Conventions
   ``Z^z X^x``.  Composition XORs the exponents; the accumulated global
   phase is dropped, which is why all state comparisons in this package
   are up to phase.
-* Probabilities are compared at ``PROB_ATOL``; measurement branches at
-  or below that weight are dropped as numerically empty.
+* The engine stores the pair and X kets scaled by sqrt(2), so every
+  entry is 0 or +-1; :func:`make_bell` and :func:`make_basis_state`
+  normalize them.
 * Every ket, Pauli frame and register built here is real float64.  A
   stack's dtype follows its input by numpy's promotion: protocol stacks
   stay real, and a complex128 :class:`StateVector` is measured complex.
 * One kernel measures a stack of states, amplitudes of shape
   ``(B, 2**n)``, with one contraction against the stacked outcome kets
   (none in Z, whose kets are the identity), checks every row and
-  returns each kept branch's weight and outcome code; collapsed states
-  are built only where read, each one broadcast product of its outcome
-  ket and scaled residual, in qubit order.  :func:`bell_measure` and
+  returns each kept branch's outcome code and weight: its squared norm
+  over its row's total, so rows need not be normalized and integer
+  rows give exact weights.  Collapsed states are built only where read,
+  each one broadcast product of its outcome ket and residual, in qubit
+  order, and never normalized.  :func:`bell_measure` and
   :func:`basis_measure` wrap one state's rows as :class:`Branch`
-  objects.  A Pauli is a signed permutation of the amplitudes, one
-  gather; all four on a qubit form one table, which turns each row of
-  a stack, or either factor of a collapse, by its own Pauli.
+  objects, normalizing each state once.  ``PROB_ATOL`` bounds only
+  float rounding: branches dropped relative to their row, the kernel's
+  conservation check, and the public classes' norm and sum checks.  A
+  Pauli is a signed permutation of the amplitudes, one gather; all four
+  on a qubit form one table, which turns each row of a stack, or
+  either factor of a collapse, by its own Pauli.
   :func:`clear_caches` drops the memoized index tables.  Label and
   frame algebra return members of ``BELL_LABELS``/``PAULI_OPS``.
 """
@@ -277,30 +283,30 @@ class BranchSet:
         return {b.outcome: b.probability for b in self.branches}
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Outcome kets, one row per outcome: pair labels in BELL_LABELS order,
-# basis values 0 and 1.
+# Outcome kets, one row per outcome, scaled by sqrt(2) where a ket has two
+# nonzero entries: pair labels in BELL_LABELS order, basis values 0 and 1.
 _BELL_KETS = np.array([
-    [_INV_SQRT2, 0.0, 0.0, _INV_SQRT2],
-    [0.0, _INV_SQRT2, _INV_SQRT2, 0.0],
-    [_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2],
-    [0.0, _INV_SQRT2, -_INV_SQRT2, 0.0],
+    [1.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 1.0, 0.0],
+    [1.0, 0.0, 0.0, -1.0],
+    [0.0, 1.0, -1.0, 0.0],
 ])
 _BASIS_KETS = {
     "Z": np.array([[1.0, 0.0], [0.0, 1.0]]),
-    "X": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]]),
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]]),
 }
 
 
 def make_bell(label: BellLabel) -> StateVector:
     """Two-qubit maximally entangled state named by ``label``."""
-    return StateVector(_BELL_KETS[2 * label.i + label.j])
+    ket = _BELL_KETS[2 * label.i + label.j]
+    return StateVector(ket / np.linalg.norm(ket))
 
 
 def make_basis_state(spec: BasisStateSpec) -> StateVector:
     """Single-qubit computational or diagonal basis state."""
-    return StateVector(_BASIS_KETS[spec.basis][spec.value])
+    ket = _BASIS_KETS[spec.basis][spec.value]
+    return StateVector(ket / np.linalg.norm(ket))
 
 
 def tensor(parts: Sequence[StateVector]) -> StateVector:
@@ -332,19 +338,12 @@ def _framed(stack: np.ndarray, qubit: int, codes: np.ndarray) -> np.ndarray:
     return stack.take(flat) * signs.take(codes, axis=0)
 
 
-def _pauli_stack(amplitudes: np.ndarray, qubit: int, op: PauliOp) -> np.ndarray:
-    """``op`` on one qubit of every state in the last axis of ``amplitudes``."""
-    sources, signs = _pauli_frames(amplitudes.shape[-1].bit_length() - 1, qubit)
-    code = 2 * op.z + op.x
-    return amplitudes[..., sources[code]] * signs[code]
-
-
 def apply_pauli(state: StateVector, qubit: int, op: PauliOp) -> StateVector:
     """Apply ``op`` to one qubit of ``state``."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    return StateVector(_pauli_stack(state.amplitudes, qubit, op))
+    return StateVector(_framed(state.amplitudes[None], qubit, [2 * op.z + op.x])[0])
 
 
 class _Layout(NamedTuple):
@@ -391,11 +390,14 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
 
     ``basis`` is ``"bell"`` (the pair basis on two qubits) or ``"Z"`` or
     ``"X"`` (on one).  One contraction (none in Z) gives every row's
-    residual per outcome; branches at or below ``PROB_ATOL`` are
-    dropped.  Each kept weight must lie in ``(PROB_ATOL, 1 + PROB_ATOL]``
-    and each row's kept weights must sum to 1, both within
-    ``PROB_ATOL``; otherwise ``ValueError``.  :func:`_collapsed` builds
-    the collapsed states.
+    residual per outcome.  A branch's weight is its residual's squared
+    norm over its row's total, so a row measures as its normalized self,
+    and on integer rows each weight is an exact ratio.  Each row needs a
+    finite nonzero norm, and its total must equal the ket scale (an
+    outcome ket's squared norm) times that norm squared within a relative
+    ``PROB_ATOL``, exactly on integer rows; otherwise ``ValueError``.
+    Branches at or below ``PROB_ATOL`` of their row's total are dropped.
+    :func:`_collapsed` builds the collapsed states.
     """
     kets = _MEASUREMENTS[basis][0]
     count, dim = stack.shape
@@ -409,21 +411,16 @@ def _measure_stack(stack: np.ndarray, qubits: tuple[int, ...], basis: str) -> _P
     # kets are their own conjugates, so a real stack stays real.  Z's kets
     # are the identity: a Z view is its own residual, up to zero signs.
     residuals = view if basis == "Z" else kets @ view
-    probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
-    kept = probs > PROB_ATOL
-    parents, picked = np.nonzero(kept)
-    weights = probs[kept]
-    if (weights > 1.0 + PROB_ATOL).any():
-        raise ValueError(f"branch probability out of range: {float(weights.max())!r}")
-    # A float sum of at most four weights in [0, 1 + PROB_ATOL] is within
-    # 1e-15 of the exact one, so every row whose exact sum misses 1 by
-    # more than PROB_ATOL is among these suspects, and is summed exactly.
-    kept_probs = np.where(kept, probs, 0.0)
-    suspects = np.abs(kept_probs.sum(axis=1) - 1.0) > PROB_ATOL / 2
-    for total in map(math.fsum, kept_probs[suspects].tolist()):
-        if abs(total - 1.0) > PROB_ATOL:
-            raise ValueError(f"branch probabilities sum to {total!r}, expected 1")
-    return _Projection(parents, weights, picked, residuals)
+    norms = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
+    totals = norms.sum(axis=1)
+    expected = (kets[0] @ kets[0]) * np.einsum("bi,bi->b", stack.conj(), stack).real
+    if not (np.isfinite(expected) & (expected > 0.0)).all():
+        raise ValueError("cannot measure a row of zero or non-finite norm")
+    if not (abs(totals - expected) <= PROB_ATOL * expected).all():
+        raise ValueError(f"measurement does not conserve weight: row totals {totals.tolist()!r}, "
+                         f"expected {expected.tolist()!r}")
+    parents, picked = np.nonzero(norms > PROB_ATOL * totals[:, None])
+    return _Projection(parents, norms[parents, picked] / totals[parents], picked, residuals)
 
 
 def _collapsed(
@@ -435,43 +432,40 @@ def _collapsed(
     """Each kept branch's collapsed amplitudes, a row each, of ``measured`` on ``qubits``.
 
     A row is the product of two factors: its outcome's ket on the
-    measured qubits and its scaled residual on the others, each laid out
-    at its qubits' axes, so one broadcast multiply writes the stack in
-    qubit order.  ``frame``, a qubit and one Pauli code per kept branch
+    measured qubits and its residual on the others, each laid out at its
+    qubits' axes, so one broadcast multiply writes the stack in qubit
+    order.  Rows are not normalized, so integer rows stay integer; a
+    later :func:`_measure_stack` weighs each row against its own total.
+    ``frame``, a qubit and one Pauli code per kept branch
     (a code indexes ``PAULI_OPS``), turns each row by its Pauli on that
     qubit, on whichever factor holds it; a signed permutation only
     negates and moves amplitudes, so each equals that of the unturned
-    row turned afterwards, up to the sign of a zero.  Each row must have
-    unit norm within ``PROB_ATOL``; otherwise ``ValueError``.
+    row turned afterwards, up to the sign of a zero.
     """
     kets = _MEASUREMENTS[basis][0]
-    parents, weights, picked, residuals = measured
-    count = len(weights)
+    parents, _, picked, residuals = measured
+    count = len(parents)
     n = (kets.shape[1] * residuals.shape[2]).bit_length() - 1
     layout = _measured_first(n, qubits)
     ket = kets[:, layout.ket_columns].take(picked, axis=0)
-    scaled = residuals[parents, picked] / np.sqrt(weights)[:, None]
+    rest = residuals[parents, picked]
     if frame is not None:
         qubit, codes = frame
         below = sum(q < qubit for q in qubits)  # a factor's qubits ascend
         if qubit in qubits:
             ket = _framed(ket, below, codes)
         else:
-            scaled = _framed(scaled, qubit - below, codes)
-    posts = (ket.reshape(count, *layout.ket_shape)
-             * scaled.reshape(count, *layout.rest_shape)).reshape(count, -1)
-    parts = posts.view(np.float64)  # a complex row: real and imaginary parts side by side
-    norms = np.einsum("bi,bi->b", parts, parts)
-    if (abs(norms - 1.0) > PROB_ATOL).any():
-        raise ValueError(f"collapsed state is not normalized: |psi|^2 = {norms.tolist()!r}")
-    return posts
+            rest = _framed(rest, qubit - below, codes)
+    return (ket.reshape(count, *layout.ket_shape)
+            * rest.reshape(count, *layout.rest_shape)).reshape(count, -1)
 
 
 def _branch_set(state: StateVector, qubits: tuple[int, ...], basis: str) -> BranchSet:
     """One state's measurement: the stack kernel on a single row."""
     rows = _measure_stack(state.amplitudes[None], qubits, basis)
     return BranchSet(tuple(
-        Branch(_MEASUREMENTS[basis][1][code], prob, StateVector(post)) for code, prob, post in
+        Branch(_MEASUREMENTS[basis][1][code], prob, StateVector(post / np.linalg.norm(post)))
+        for code, prob, post in
         zip(rows.codes.tolist(), rows.probabilities.tolist(), _collapsed(rows, qubits, basis))
     ))
 

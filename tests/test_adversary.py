@@ -16,13 +16,15 @@ inside the package itself by the dual enumeration/algebra routes:
 from __future__ import annotations
 
 import dataclasses
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relcommit import adversary, montecarlo, protocol, quantum
@@ -174,6 +176,20 @@ class TestDualRouteGuard:
         assert swap[1, 0, 0] == 1
         with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=00, label=01\]: "):
             self._scan_with_tables(monkeypatch, swap=_flipped(swap, (1, 0, 0), 0))
+
+    def test_one_ulp_off_is_caught(self, monkeypatch):
+        # both routes are exact, so they must be equal: a one-ulp error,
+        # far inside any float tolerance, still fails the check
+        real = adversary._acceptance_by_label_algebraic
+
+        def nudged(params):
+            table = real(params)
+            table[0, 1] = np.nextafter(table[0, 1], 0.0)  # shift 00, label 01: exactly 1
+            return table
+
+        monkeypatch.setattr(adversary, "_acceptance_by_label_algebraic", nudged)
+        with pytest.raises(SelfCheckError, match=r"^acceptance\[shift=00, label=01\]: "):
+            build_report(SchemeParams("single", phi_policy=Z0))
 
     def test_broken_flip_bit_in_the_grid_is_caught(self, monkeypatch):
         # reading the sign bit for Z probes hides a parity flip
@@ -458,6 +474,41 @@ class TestStringCheating:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             string_cheat_acceptance(SchemeParams("string", n_pairs=2), [BellLabel(1, 0)])
+
+    # at the float's underflow, and shifts that cross it only together
+    @example("uniform", "R2", [0, 1074, 0, 0], 0)
+    @example("uniform", "R2", [0, 1075, 0, 0], 0)
+    @example("uniform", "R2", [3, 537, 538, 0], 1)
+    @example(Z0, "R2", [700, 0, 1100, 300], 2)
+    @given(st.sampled_from(["uniform", Z0, Z1, X0, X1]), st.sampled_from(["R1", "R2"]),
+           st.lists(st.integers(0, 1100), min_size=4, max_size=4)
+           .filter(lambda counts: 0 < sum(counts) <= 2100),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_multiplicities_equal_the_pair_by_pair_product(self, policy, mode, counts, seed):
+        params = SchemeParams("string", n_pairs=sum(counts), phi_policy=policy,
+                              validation_mode=mode)
+        profiles = adversary._acceptance_profiles(params)
+        assert {value for profile in profiles.values() for value in profile} <= {0.0, 0.5, 1.0}
+        shifts = [shift for shift, count in zip(BELL_LABELS, counts) for _ in range(count)]
+        np.random.default_rng(seed).shuffle(shifts)
+        average = worst = 1.0  # the pair-by-pair loop that multiplicities replaced
+        for shift in shifts:
+            average *= profiles[shift][0]
+            worst *= profiles[shift][1]
+        profile = adversary._shift_profile(profiles, Counter(shifts))
+        assert [value.hex() for value in profile] == [average.hex(), worst.hex()]
+        assert string_cheat_acceptance(params, shifts).hex() == average.hex()
+
+    def test_ten_million_pair_report_builds_in_under_two_seconds(self):
+        params = SchemeParams("string", n_pairs=10_000_000)
+        start = time.perf_counter()
+        report = build_report(params)
+        assert time.perf_counter() - start < 2.0
+        acceptance = {row.strategy.describe(): row.acceptance_probability
+                      for row in report.strategy_rows}
+        assert acceptance["honest"] == acceptance["delayed_rechoice(delta=01)"] == 1.0
+        assert acceptance["relabel_announce(delta=01)"] == 0.0
 
     def test_wrong_scheme(self):
         with pytest.raises(ValueError):

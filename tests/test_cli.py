@@ -461,18 +461,66 @@ def _agrees(capsys, n_pairs: int) -> dict:
 
 
 class TestFloatAgreement:
-    """False ``agrees`` values that float sums at a 1e-12 tolerance still print
+    """False ``agrees`` values that float sums at a 1e-12 tolerance print
     (ROADMAP item 1); each test passes once reported values are exact."""
 
     @pytest.mark.xfail(strict=True, reason="an exact 0 agrees with a claimed 2^-40 within 1e-12")
     def test_joint_flip_disagrees_at_forty_pairs(self, capsys):
         assert _agrees(capsys, 40)["relabel_announce", "11"] is False
 
-    @pytest.mark.xfail(strict=True, reason="the float honest acceptance drifts past 1e-12 from 1")
     def test_honest_rows_agree_at_693_pairs(self, capsys):
         agrees = _agrees(capsys, 693)
         assert agrees["honest", None] is True
         assert agrees["delayed_rechoice", "01"] is True
+
+
+class TestExactValues:
+    """Every weight is dyadic, so these values print exactly."""
+
+    def test_honest_rows_are_exactly_one_at_2000_pairs(self, capsys):
+        code, out, _ = run_cli(capsys, "attack-scan", "--scheme", "string", "--n-pairs", "2000")
+        assert code == 0
+        rows = [row for row in json.loads(out)["strategy_rows"]
+                if row["strategy"]["kind"] in ("honest", "delayed_rechoice")]
+        assert len(rows) == 2
+        for row in rows:
+            assert (row["acceptance_probability"], row["detection_probability"]) == (1.0, 0.0)
+        assert out.count('"acceptance_probability":1.0,') == 2
+        assert out.count('"detection_probability":0.0,') == 2
+
+    def test_twenty_pair_shift_rows_are_two_to_the_minus_twenty(self, capsys):
+        code, out, _ = run_cli(capsys, "attack-scan", "--scheme", "string", "--n-pairs", "20")
+        assert code == 0
+        rows = {f"{row['strategy']['delta']['i']}{row['strategy']['delta']['j']}":
+                row["acceptance_probability"] for row in json.loads(out)["strategy_rows"]
+                if row["strategy"]["kind"] == "relabel_announce"}
+        assert rows["01"] == rows["10"] == 2.0 ** -20
+        assert out.count('"acceptance_probability":9.5367431640625e-07,') == 2
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("mode", VALIDATION_MODES)
+    def test_every_extraction_guess_is_one_half(self, capsys, scheme, mode):
+        code, out, _ = run_cli(capsys, "attack-scan", "--scheme", scheme, "--mode", mode)
+        assert code == 0
+        report = json.loads(out)
+        guesses = [row["guess_probability"] for row in report["extraction_rows"]]
+        assert guesses == [0.5] * 4 and report["extraction_guess_probability"] == 0.5
+        assert out.count('"guess_probability":0.5,') == 4
+
+    def test_string_run_writes_exact_transcript_weights(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--scheme", "string", "--n-pairs", "20",
+                               "--trials", "2", "--seed", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 40
+        assert all('"probability":0.015625,' in line for line in lines)
+
+    def test_single_enumeration_writes_exact_weights(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--scheme", "single")
+        assert code == 0
+        weights = [branch["probability"] for branch in json.loads(out)["branches"]]
+        assert weights == [0.0625] * 16
+        assert out.count('"probability":0.0625,') == 16
 
 
 class TestAudit:

@@ -20,6 +20,7 @@ import pathlib
 import subprocess
 import sys
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from relcommit import adversary, montecarlo, protocol, quantum
 from relcommit.montecarlo import SLOTS, RunConfig, slot_table
 from relcommit.protocol import (
     FULL_FAMILY,
-    PROB_ATOL,
     SchemeParams,
     Transcript,
     Verdict,
@@ -495,15 +495,15 @@ class TestMemoizedVerifier:
         # probe by its correction and then its frame, one Pauli at a time
         clear_caches()
         tables = _verifier_tables()
+
+        def turned(amplitudes: np.ndarray, op: PauliOp) -> np.ndarray:
+            return quantum._framed(amplitudes[None], 0, [PAULI_OPS.index(op)])[0]
+
         for p, phi in enumerate(FULL_FAMILY):
-            rotated = np.stack([
-                quantum._pauli_stack(quantum._pauli_stack(protocol._PROBE_KETS[p], 0, correction),
-                                     0, frame)
-                for frame in PAULI_OPS for correction in PAULI_OPS
-            ])
+            rotated = np.stack([turned(turned(protocol._PROBE_KETS[p], correction), frame)
+                                for frame in PAULI_OPS for correction in PAULI_OPS])
             measured = quantum._measure_stack(rotated, (0,), phi.basis)
             assert measured.codes.tolist() == tables.prediction[p].ravel().tolist()
-            assert measured.probabilities.tobytes() == tables.weight[p].tobytes()
 
     def test_label_lookups_match_the_certified_algebra(self):
         tables = _verifier_tables()
@@ -735,8 +735,7 @@ class TestSlotTable:
                 slots = slot_table([t.probability for t in table])
                 assert slots.dtype == np.uint8 and len(slots) == SLOTS
                 filled = np.bincount(slots, minlength=len(table)) / SLOTS
-                for t, weight in zip(table, filled):
-                    assert abs(t.probability - weight) <= PROB_ATOL
+                assert [t.probability for t in table] == filled.tolist()
 
     @pytest.mark.parametrize("weights", [
         (1 / 3, 2 / 3),  # not dyadic
@@ -752,15 +751,15 @@ class TestSlotTable:
 
 
 # Every table of every scheme and probe policy, hashed field by field
-# with each probability's exact bits, so a one-ulp drift fails.  The
-# digest was taken from the per-branch enumeration the stacked one
-# replaced.
+# with each probability's exact bits, so a one-ulp drift fails.  These
+# policies form every memo key, and the digest was taken from tables
+# that pass the integer oracle (TestOnePass), every weight exact.
 _GOLDEN_POLICIES = (
     ("single", (Z0, Z1, "uniform")),
     ("multi", (Z0, Z1, "uniform")),
     ("string", ("uniform", Z0, Z1, X0, X1)),
 )
-_GOLDEN_DIGEST = "0b646332444c46a4ed7066c3ca3e9b957fa42f4ea24264d819eea03fef726b94"
+_GOLDEN_DIGEST = "df34fcce13bffb650c942d755a22af99a039129fd7f18048b2ba1cd5adc14808"
 
 
 def _field_text(value) -> str:
@@ -838,7 +837,7 @@ def _per_probe_pass(multi: bool, probe: BasisStateSpec, prior: float) -> protoco
         tables = _verifier_tables()
         at = (probe_code, steps[1].codes[t], register % 4)
         parents = np.arange(len(register))
-        steps.append(quantum._Projection(parents, tables.weight[at], tables.prediction[at], None))
+        steps.append(quantum._Projection(parents, np.ones(len(register)), tables.prediction[at], None))
     register, *rows = protocol._lineage(steps)
     probability = prior
     for step, row in zip(steps, rows):
@@ -885,6 +884,124 @@ class TestOnePass:
                 assert got is None, name
             else:
                 assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+
+
+    @pytest.mark.parametrize("multi,probes", _KEYS, ids=[
+        "-".join(["multi" if multi else "pair", *map(str, probes)]) for multi, probes in _KEYS])
+    def test_table_equals_the_integer_oracle(self, multi, probes):
+        clear_caches()
+        table = protocol._table(multi, probes)
+        oracle = _oracle_table(multi, [(spec.basis, spec.value) for spec in probes])
+        for name, got in zip(protocol._Columns._fields, table):
+            want = oracle[name]
+            if name == "probability":
+                assert got.tolist() == [float(weight) for weight in want]
+            elif want is None:
+                assert got is None, name
+            else:
+                assert got.tolist() == want, name
+
+    @pytest.mark.parametrize("multi,probes", _KEYS, ids=[
+        "-".join(["multi" if multi else "pair", *map(str, probes)]) for multi, probes in _KEYS])
+    def test_protocol_stacks_conserve_weight_exactly(self, monkeypatch, multi, probes):
+        # integer rows: with no tolerance, every row's total is its ket
+        # scale times its squared norm, and no branch is dropped but zeros
+        clear_caches()
+        expected = protocol._table(multi, probes)
+        monkeypatch.setattr(quantum, "PROB_ATOL", 0.0)
+        clear_caches()
+        try:
+            table = protocol._table(multi, probes)
+        finally:
+            clear_caches()
+        for got, want in zip(table, expected):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
+# An independent oracle of the branch tables, in pure Python: integer
+# amplitudes, with the pair and X kets scaled by sqrt(2) so every entry
+# is 0 or +-1, literal 2x2 Pauli matrices, and each step's weight the
+# Fraction |residual|^2 / (ket scale * |state|^2).  No numpy.
+_QUBITS = 5
+
+
+def _bit(index: int, qubit: int) -> int:
+    return (index >> (_QUBITS - 1 - qubit)) & 1
+
+
+def _pair_ket(code: int):
+    i, j = code >> 1, code & 1
+    return lambda x0, x1: 0 if x0 ^ x1 != j else (-1) ** (i & x0)
+
+
+def _basis_ket(basis: str, value: int):
+    return (lambda x: int(x == value)) if basis == "Z" else (lambda x: (-1) ** (value & x))
+
+
+_PAULI_MATRICES = ((1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, 1, -1, 0))  # I X Z ZX, row-major
+
+
+def _oracle_measure(state: list, qubits: tuple, kets: list):
+    """(outcome, Fraction weight, collapsed integer state) of each outcome of nonzero weight."""
+    mask = sum(1 << (_QUBITS - 1 - q) for q in qubits)
+    norm = sum(a * a for a in state)
+    for outcome, ket in enumerate(kets):
+        scale = sum(ket(*bits) ** 2 for bits in itertools.product((0, 1), repeat=len(qubits)))
+        residual = defaultdict(int)
+        for x, amplitude in enumerate(state):
+            residual[x & ~mask] += ket(*(_bit(x, q) for q in qubits)) * amplitude
+        weight = Fraction(sum(r * r for r in residual.values()), scale * norm)
+        if weight:
+            yield outcome, weight, [ket(*(_bit(x, q) for q in qubits)) * residual[x & ~mask]
+                                    for x in range(1 << _QUBITS)]
+
+
+def _oracle_frame(state: list, code: int) -> list:
+    """Pauli ``code`` (a label's) on qubit 0, as its literal matrix."""
+    m = _PAULI_MATRICES[code]
+    top = 1 << (_QUBITS - 1)
+    return [m[2 * _bit(x, 0)] * state[x & ~top] + m[2 * _bit(x, 0) + 1] * state[x | top]
+            for x in range(1 << _QUBITS)]
+
+
+def _oracle_copy_bit(basis: str, value: int, first: int, second: int) -> int:
+    """The one outcome of a probe turned by Pauli ``first``, then ``second``, measured in its basis."""
+    ket = [_basis_ket(basis, value)(x) for x in (0, 1)]
+    for code in (first, second):
+        m = _PAULI_MATRICES[code]
+        ket = [m[0] * ket[0] + m[1] * ket[1], m[2] * ket[0] + m[3] * ket[1]]
+    (bit,) = [v for v in (0, 1) if sum(_basis_ket(basis, v)(x) * ket[x] for x in (0, 1))]
+    return bit
+
+
+def _oracle_table(multi: bool, probes: list) -> dict:
+    """Every branch of every label pair, sorted as :func:`protocol._table` sorts them."""
+    columns = defaultdict(list)
+    pair_kets = [_pair_ket(code) for code in range(4)]
+    z_kets = [_basis_ket("Z", 0), _basis_ket("Z", 1)]
+    for a, b, (basis, value) in itertools.product(range(4), range(4), probes):
+        probe = _basis_ket(basis, value)
+        confirm = [_basis_ket(basis, 0), _basis_ket(basis, 1)]
+        register = [pair_kets[a](_bit(x, 0), _bit(x, 1)) * pair_kets[b](_bit(x, 2), _bit(x, 3))
+                    * probe(_bit(x, 4)) for x in range(1 << _QUBITS)]
+        for swap, w_swap, state in _oracle_measure(register, (1, 2), pair_kets):
+            for tele, w_tele, state in _oracle_measure(state, (4, 3), pair_kets):
+                mids = _oracle_measure(state, (0,), z_kets) if multi else [(None, 1, state)]
+                for mid, w_mid, state in mids:
+                    framed = _oracle_frame(state, a)
+                    for stored, w_stored, _ in _oracle_measure(framed, (0,), confirm):
+                        row = dict(
+                            probe=("Z0", "Z1", "X0", "X1").index(f"{basis}{value}"),
+                            alice=a, bob=b, swap=swap, tele=tele, stored_alice=stored,
+                            stored_bob=_oracle_copy_bit(basis, value, b, tele) if multi else None,
+                            mid=mid,
+                            probability=w_swap * w_tele * w_mid * w_stored / len(probes),
+                        )
+                        for name, v in row.items():
+                            columns[name].append(v)
+    if not multi:
+        columns["stored_bob"] = columns["mid"] = None
+    return columns
 
 
 # Every ordered tuple of distinct probe states: 4 + 12 + 24 + 24 = 64
@@ -940,13 +1057,17 @@ class TestRealTables:
 
     @pytest.mark.parametrize("probe", quantum.BASIS_STATES, ids=str)
     def test_registers_are_the_real_parts_of_tensor_products(self, probe):
+        # integer registers: each is the tensor product times its own norm
         registers = protocol._registers(protocol._PROBE_KETS[quantum.BASIS_STATES.index(probe)])
         assert registers.dtype == np.float64
+        assert np.isin(registers, (-1.0, 0.0, 1.0)).all()
         for a, alice in enumerate(BELL_LABELS):
             for b, bob in enumerate(BELL_LABELS):
                 state = quantum.tensor([make_bell(alice), make_bell(bob), make_basis_state(probe)])
                 assert (state.amplitudes.imag == 0).all()
-                assert registers[4 * a + b].tobytes() == state.amplitudes.real.tobytes()
+                register = registers[4 * a + b]
+                np.testing.assert_allclose(state.amplitudes.real * np.linalg.norm(register),
+                                           register, rtol=0, atol=1e-15)
 
 
 def _module_caches():

@@ -575,7 +575,8 @@ class TestMeasureStack:
                         else basis_measure(state, qubits[0], basis))
             expected += [(parent, b.outcome, b.probability, b.post_state.amplitudes.tobytes())
                          for b in measured]
-        posts = quantum._collapsed(rows, qubits, basis)
+        # the kernel leaves collapsed rows unnormalized; a branch normalizes its own
+        posts = [post / np.linalg.norm(post) for post in quantum._collapsed(rows, qubits, basis)]
         assert list(zip(rows.parents, [named[code] for code in rows.codes], rows.probabilities,
                         [post.tobytes() for post in posts])) == expected
 
@@ -601,50 +602,80 @@ class TestMeasureStack:
     @settings(max_examples=100, deadline=None)
     def test_z_measurement_equals_contracting_the_z_kets(self, stack):
         # Z takes the reordered stack as its residual: the same weights,
-        # bit for bit, and the same residuals up to the signs of zeros
+        # each a squared norm over its row's total, bit for bit, and the
+        # same residuals up to the signs of zeros
         count, dim = stack.shape
         n = dim.bit_length() - 1
         kets = quantum._MEASUREMENTS["Z"][0]
         for qubit in range(n):
             view = np.moveaxis(stack.reshape((count,) + (2,) * n), 1 + qubit, 1).reshape(count, 2, -1)
             residuals = kets.conj() @ view
-            probs = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
-            kept = probs > quantum.PROB_ATOL
-            parents, codes = np.nonzero(kept)
+            norms = np.einsum("bkr,bkr->bk", residuals.conj(), residuals).real
+            totals = norms.sum(axis=1)
+            parents, codes = np.nonzero(norms > quantum.PROB_ATOL * totals[:, None])
             measured = _measure_stack(stack, (qubit,), "Z")
             assert measured.parents.tobytes() == parents.tobytes()
             assert measured.codes.tobytes() == codes.tobytes()
-            assert measured.probabilities.tobytes() == probs[kept].tobytes()
+            weights = norms[parents, codes] / totals[parents]
+            assert measured.probabilities.tobytes() == weights.tobytes()
             assert np.array_equal(measured.residuals, residuals)
 
-    def test_unnormalized_row_rejected(self):
-        # 2|0> measured in Z: one branch of weight 4
-        stack = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=np.complex128)
-        with pytest.raises(ValueError, match="out of range"):
+    @given(measured_stacks(), st.lists(st.integers(0, 40), min_size=5, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_unnormalized_row_measures_as_its_normalized_self(self, case, exponents):
+        # a power of two scales a row's norms and total alike, exactly;
+        # scaling up keeps every subnormal amplitude's bits
+        stack, qubits, basis = case
+        factors = np.ldexp(1.0, exponents[:len(stack)])[:, None]
+        unit = _measure_stack(stack, qubits, basis)
+        scaled = _measure_stack(stack * factors, qubits, basis)
+        assert scaled.parents.tolist() == unit.parents.tolist()
+        assert scaled.codes.tolist() == unit.codes.tolist()
+        assert scaled.probabilities.tobytes() == unit.probabilities.tobytes()
+        assert np.array_equal(quantum._collapsed(scaled, qubits, basis),
+                              quantum._collapsed(unit, qubits, basis) * factors[unit.parents])
+
+    def test_integer_rows_give_exact_weights(self):
+        # 3|+>, 2|0> and |0> + 3|1> in X: integer residuals, correctly rounded ratios
+        stack = np.array([[3.0, 3.0], [2.0, 0.0], [1.0, 3.0]])
+        measured = _measure_stack(stack, (0,), "X")
+        assert measured.parents.tolist() == [0, 1, 1, 2, 2]
+        assert measured.probabilities.tolist() == [1.0, 0.5, 0.5, 0.8, 0.2]
+        assert quantum._collapsed(measured, (0,), "X").tolist() == [
+            [6.0, 6.0], [2.0, 2.0], [2.0, -2.0], [4.0, 4.0], [-2.0, 2.0]]
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_row_of_zero_or_non_finite_norm_rejected(self, bad):
+        stack = np.array([[1.0, 0.0], [bad, 0.0]], dtype=np.complex128)
+        with pytest.raises(ValueError, match="zero or non-finite norm"):
             _measure_stack(stack, (0,), "Z")
 
-    def test_row_whose_weights_miss_one_rejected(self):
-        # second row holds half the weight it should
-        stack = np.array([[INV_SQRT2, INV_SQRT2], [0.5, 0.5]], dtype=np.complex128)
-        with pytest.raises(ValueError, match="sum to"):
-            _measure_stack(stack, (0,), "X")
-
-    @pytest.mark.parametrize("excess,ok", [(0.3e-12, True), (0.7e-12, True),
-                                           (1.2e-12, False), (3e-12, False)])
-    def test_sum_check_is_exact_near_the_tolerance(self, excess, ok):
-        # |0> scaled so its two X weights sum to 1 + excess, on either side
-        # of both the float pre-screen (PROB_ATOL / 2) and the check itself
-        stack = np.array([[1.0, 0.0], [math.sqrt(1.0 + excess), 0.0]], dtype=np.complex128)
+    @pytest.mark.parametrize("basis,qubits", [("X", (0,)), ("bell", (0, 1))])
+    @pytest.mark.parametrize("excess,ok", [(0.5e-12, True), (1.9e-12, True),
+                                           (2.1e-12, False), (0.5, False)])
+    def test_skewed_kets_fail_the_conservation_check(self, monkeypatch, basis, qubits, excess, ok):
+        # the second outcome ket lengthened: the totals of a row that
+        # weighs it by 1/2 miss the ket scale by excess / 2 of the row,
+        # whatever the row's own scale; Z takes the stack as its own
+        # residual, so it has no ket to skew
+        kets, outcomes = quantum._MEASUREMENTS[basis]
+        skewed = kets * np.sqrt([[1.0], [1.0 + excess]] + [[1.0]] * (len(kets) - 2))
+        monkeypatch.setitem(quantum._MEASUREMENTS, basis, (skewed, outcomes))
+        row = (kets[0] + kets[1]) * 2.0 ** 40  # half on each of the first two outcomes
         if ok:
-            assert len(_measure_stack(stack, (0,), "X").parents) == 4
+            assert len(_measure_stack(row[None], qubits, basis).parents) == 2
         else:
-            with pytest.raises(ValueError, match="sum to"):
-                _measure_stack(stack, (0,), "X")
+            with pytest.raises(ValueError, match="does not conserve weight"):
+                _measure_stack(row[None], qubits, basis)
 
-    def test_row_with_no_kept_branch_rejected(self):
-        stack = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-        with pytest.raises(ValueError, match="sum to"):
-            _measure_stack(stack, (0,), "Z")
+    @pytest.mark.parametrize("basis", sorted(quantum._MEASUREMENTS))
+    def test_each_ket_set_is_a_scaled_orthonormal_basis(self, basis):
+        # K K^T = s I exactly, with every entry 0 or +-1
+        kets = quantum._MEASUREMENTS[basis][0]
+        scale = kets[0] @ kets[0]
+        assert scale in (1.0, 2.0)
+        assert np.isin(kets, (-1.0, 0.0, 1.0)).all()
+        assert np.array_equal(kets @ kets.T, scale * np.eye(len(kets)))
 
     @pytest.mark.parametrize("dim", [1, 3, 6])
     def test_amplitude_count_must_be_a_power_of_two(self, dim):
@@ -665,21 +696,8 @@ class TestMeasureStack:
         measured = _measure_stack(stack, qubits, basis)
         frames = np.array(codes[:len(measured.parents)])  # one Pauli code per kept branch
         framed = quantum._collapsed(measured, qubits, basis, (qubit, frames))
-        turned = np.array([quantum._pauli_stack(row, qubit, PAULI_OPS[code])
-                           for row, code in zip(quantum._collapsed(measured, qubits, basis), frames)])
+        turned = quantum._framed(quantum._collapsed(measured, qubits, basis), qubit, frames)
         assert np.array_equal(framed, turned)  # equal up to the signs of zeros
         after = [_measure_stack(rows, (qubit,), basis_after) for rows in (framed, turned)]
         assert after[0].probabilities.tobytes() == after[1].probabilities.tobytes()
         assert after[0].codes.tolist() == after[1].codes.tolist()
-
-    def test_unnormalized_collapsed_state_rejected(self, monkeypatch):
-        # outcome kets of squared length 3/2 and 1/2: Z weights are read off
-        # the stack itself (1/2 each on |+>), but the collapsed states,
-        # built from these kets, do not have unit norm
-        kets, outcomes = quantum._MEASUREMENTS["Z"]
-        skewed = kets * np.sqrt([[1.5], [0.5]])
-        monkeypatch.setitem(quantum._MEASUREMENTS, "Z", (skewed, outcomes))
-        plus = make_basis_state(BasisStateSpec("X", 0))
-        measured = _measure_stack(plus.amplitudes[None], (0,), "Z")  # its weights pass
-        with pytest.raises(ValueError, match="not normalized"):
-            quantum._collapsed(measured, (0,), "Z")

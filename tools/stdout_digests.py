@@ -108,6 +108,11 @@ CLI_INVOCATIONS = [
     # output of several 128 KiB write blocks, for run and for enumerate
     ("run --scheme string --n-pairs 20 --trials 10 --seed 11", 0, None),
     ("enumerate --scheme string --n-pairs 8 --phi uniform", 0, None),
+    # large pair counts: exact honest rows past where float sums drifted,
+    # and past where 2^-N underflows, at a cost that does not grow with N
+    ("attack-scan --scheme string --n-pairs 693", 0, None),
+    ("attack-scan --scheme string --n-pairs 2000", 0, None),
+    ("attack-scan --scheme string --n-pairs 10000000", 0, None),
     ("--help", 0, None),
     *((f"{command} -h", 0, None)
       for command in ("run", "enumerate", "attack-scan", "audit", "report", "stats")),
